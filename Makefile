@@ -1,7 +1,7 @@
 # Makefile — the commands CI runs are exactly the commands humans run.
 GO ?= go
 
-.PHONY: build test test-short bench bench-json lint figures cover fuzz-smoke load-smoke reduce-gate cache-surgery
+.PHONY: build test test-short race-sched bench bench-json lint figures cover fuzz-smoke load-smoke reduce-gate cache-surgery
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,14 @@ test:
 # everything else under the race detector.
 test-short:
 	$(GO) test -short -race ./...
+
+# race-sched runs the step runner's tests ten times under the race
+# detector. The step, and the runner state with it, passes from process
+# goroutine to process goroutine, so every way a step changes hands
+# (grant, crash, halt, deadlock, budget, scheduler error, panic) and the
+# pooled runners of the parallel explorers are exercised repeatedly.
+race-sched:
+	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
 
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...

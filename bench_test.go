@@ -439,21 +439,35 @@ func BenchmarkExploreMemoParallel(b *testing.B) {
 }
 
 // BenchmarkSchedHandshake measures the raw cost of one scheduler-gated
-// step (the simulator's unit of work).
+// step (the simulator's unit of work), 1000 steps per op. With one
+// process the stepping goroutine keeps the step every time (no
+// handoff); with two under RoundRobin every step hands it to the other
+// process.
 func BenchmarkSchedHandshake(b *testing.B) {
-	procs := []sched.ProcFunc{func(p *sched.Proc) error {
-		for i := 0; i < 1000; i++ {
+	stepper := func(p *sched.Proc) error {
+		for i := 0; i < 1000/p.N; i++ {
 			p.Step()
 		}
 		return nil
-	}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sched.Run(sched.Config{Scheduler: sched.Lowest{}}, procs); err != nil {
-			b.Fatal(err)
-		}
 	}
-	b.ReportMetric(1000, "steps/op")
+	for _, bc := range []struct {
+		name  string
+		procs []sched.ProcFunc
+		sch   func() sched.Scheduler
+	}{
+		{"solo", []sched.ProcFunc{stepper}, func() sched.Scheduler { return sched.Lowest{} }},
+		{"handoff", []sched.ProcFunc{stepper, stepper}, func() sched.Scheduler { return &sched.RoundRobin{} }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := sched.Run(sched.Config{Scheduler: bc.sch()}, bc.procs); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(1000, "steps/op")
+		})
+	}
 }
 
 // BenchmarkMemorySnapshot measures the atomic snapshot primitive.

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sched"
 )
 
 // engineTestIDs returns a sweep that is cheap under -short and complete
@@ -106,13 +108,21 @@ func TestEngineTimeout(t *testing.T) {
 	}
 }
 
-// TestEnginePanicIsolation: a panicking runner becomes a failed Result;
-// the process and the sibling experiments are unaffected.
+// TestEnginePanicIsolation: a panicking runner becomes a failed Result,
+// also when the panic is in a simulated process; the process and the
+// sibling experiments are unaffected.
 func TestEnginePanicIsolation(t *testing.T) {
 	reg := map[string]Runner{
 		"E1": func() (*Table, error) { panic("boom") },
 		"E2": func() (*Table, error) {
 			return &Table{ID: "E2", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
+		},
+		"E3": func() (*Table, error) {
+			_, err := sched.Run(sched.Config{Scheduler: sched.Lowest{}}, []sched.ProcFunc{
+				func(p *sched.Proc) error { p.Step(); return nil },
+				func(p *sched.Proc) error { p.Step(); panic("process boom") },
+			})
+			return nil, err
 		},
 	}
 	results, err := Run(context.Background(), Options{Registry: reg, Jobs: 2})
@@ -127,6 +137,10 @@ func TestEnginePanicIsolation(t *testing.T) {
 	}
 	if results[1].Err != nil || results[1].Panicked {
 		t.Fatalf("sibling experiment affected: %+v", results[1])
+	}
+	if results[2].Err == nil || !results[2].Panicked ||
+		!strings.Contains(results[2].Err.Error(), "process 1 panicked: process boom") {
+		t.Fatalf("panicking process: got %+v, want panicked failure naming process 1", results[2])
 	}
 	if err := FirstError(results); err == nil || !strings.Contains(err.Error(), "E1") {
 		t.Fatalf("FirstError = %v, want E1 failure", err)

@@ -190,7 +190,7 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 
 	worker := func() {
 		// Per-worker pooled replay state: one Result (decision and
-		// enabled-set buffers), one runner (handshake channels), one
+		// enabled-set buffers), one runner (grant channels), one
 		// Replay scheduler, reused across every run this worker does.
 		res := &Result{}
 		sch := &Replay{}

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -64,32 +66,120 @@ func TestExplorePrefixesPooledFrontier(t *testing.T) {
 }
 
 // TestRunIntoReuse pins the runInto contract directly: one Result and
-// one runner recycled across differently-shaped runs keep every field
-// consistent with a fresh Run.
+// one runner per arity, recycled across differently-shaped runs —
+// including runs ending in a halt, a deadlock, the step budget or a
+// scheduler error, a crash of the process holding the step or of a
+// parked one, and processes returning before their first step — match
+// a fresh Run, and a normal run after each on the same runner and
+// Result is unaffected. Consecutive equal enabled sets must be one
+// shared slice.
 func TestRunIntoReuse(t *testing.T) {
+	errEarly := errors.New("early")
+	early := func(*Proc) error { return errEarly }
+	blocked := func(p *Proc) error {
+		p.StepWhen(func() bool { return false })
+		return nil
+	}
+	steps := func(ks ...int) func() []ProcFunc {
+		return func() []ProcFunc { return stepSystem(ks) }
+	}
+	lowest := func() Scheduler { return Lowest{} }
 	res := &Result{}
-	var rn *runner
-	for _, steps := range [][]int{{2, 2}, {3, 1}, {1, 1, 1}, {2, 2}} {
-		procs := stepSystem(steps)
-		if rn == nil || rn.n != len(procs) {
-			rn = newRunner(len(procs))
+	runners := map[int]*runner{}
+	for _, tc := range []struct {
+		name     string
+		procs    func() []ProcFunc
+		sch      func() Scheduler
+		maxSteps int
+		want     string // summarize's rendering of the run
+	}{
+		{"2,2", steps(2, 2), lowest, 0,
+			"steps=[2 2] crashed=[false false] errs=[<nil> <nil>] trace=0.0.1.1. deadlock=false budget=false"},
+		{"3,1", steps(3, 1), lowest, 0,
+			"steps=[3 1] crashed=[false false] errs=[<nil> <nil>] trace=0.0.0.1. deadlock=false budget=false"},
+		{"1,1,1", steps(1, 1, 1), lowest, 0,
+			"steps=[1 1 1] crashed=[false false false] errs=[<nil> <nil> <nil>] trace=0.1.2. deadlock=false budget=false"},
+		{"constant enabled set", steps(5), lowest, 0,
+			"steps=[5] crashed=[false] errs=[<nil>] trace=0.0.0.0.0. deadlock=false budget=false"},
+		{"halt", steps(2, 2), func() Scheduler { return Solo{Pid: 1} }, 0,
+			"steps=[0 2] crashed=[true false] errs=[<nil> <nil>] trace=1.1. deadlock=false budget=false"},
+		{"deadlock", func() []ProcFunc { return []ProcFunc{blocked, stepSystem([]int{2})[0]} }, lowest, 0,
+			"steps=[0 2] crashed=[true false] errs=[<nil> <nil>] trace=1.1. deadlock=true budget=false"},
+		{"budget", steps(3, 3), lowest, 4,
+			"steps=[3 1] crashed=[false true] errs=[<nil> <nil>] trace=0.0.0.1. deadlock=false budget=true"},
+		{"scheduler error", steps(2, 2), func() Scheduler { return badPid{} }, 0,
+			"sched: scheduler chose pid 7 not in enabled set [0 1]"},
+		{"crash the holder", steps(3, 2), func() Scheduler { return NewCrashAt(Lowest{}, map[int]int{0: 2}) }, 0,
+			"steps=[2 2] crashed=[true false] errs=[<nil> <nil>] trace=0.0.0.1.1. deadlock=false budget=false"},
+		{"crash a parked process", steps(2, 2), func() Scheduler {
+			return &script{ds: []Decision{{Pid: 0}, {Pid: 1, Crash: true}, {Pid: 0}}}
+		}, 0,
+			"steps=[2 0] crashed=[false true] errs=[<nil> <nil>] trace=0.1.0. deadlock=false budget=false"},
+		{"return before first step", func() []ProcFunc { return []ProcFunc{early} }, lowest, 0,
+			"steps=[0] crashed=[false] errs=[early] trace= deadlock=false budget=false"},
+		{"return before first step beside a stepper", func() []ProcFunc { return []ProcFunc{early, stepSystem([]int{2})[0]} }, lowest, 0,
+			"steps=[0 2] crashed=[false false] errs=[early <nil>] trace=1.1. deadlock=false budget=false"},
+		{"2,2 again", steps(2, 2), lowest, 0,
+			"steps=[2 2] crashed=[false false] errs=[<nil> <nil>] trace=0.0.1.1. deadlock=false budget=false"},
+	} {
+		run := func(procs []ProcFunc, sch Scheduler, maxSteps int) string {
+			t.Helper()
+			rn := runners[len(procs)]
+			if rn == nil {
+				rn = newRunner(len(procs))
+				runners[len(procs)] = rn
+			}
+			got, err := runInto(Config{Scheduler: sch, MaxSteps: maxSteps}, procs, res, rn)
+			if err == nil && got != res {
+				t.Fatalf("%s: runInto did not reuse the provided Result", tc.name)
+			}
+			if err == nil {
+				sets := res.EnabledSets
+				for k := 1; k < len(sets); k++ {
+					if slices.Equal(sets[k], sets[k-1]) && &sets[k][0] != &sets[k-1][0] {
+						t.Errorf("%s: equal enabled sets %d and %d are stored twice", tc.name, k-1, k)
+					}
+				}
+			}
+			return summarize(got, err)
 		}
-		got, err := runInto(Config{Scheduler: Lowest{}}, procs, res, rn)
-		if err != nil {
-			t.Fatal(err)
+		fresh := func(procs []ProcFunc, sch Scheduler, maxSteps int) string {
+			return summarize(Run(Config{Scheduler: sch, MaxSteps: maxSteps}, procs))
 		}
-		if got != res {
-			t.Fatal("runInto did not reuse the provided Result")
+
+		if got := run(tc.procs(), tc.sch(), tc.maxSteps); got != tc.want {
+			t.Errorf("%s: reused runner gave %q, want %q", tc.name, got, tc.want)
 		}
-		want, err := Run(Config{Scheduler: Lowest{}}, stepSystem(steps))
-		if err != nil {
-			t.Fatal(err)
+		if got := fresh(tc.procs(), tc.sch(), tc.maxSteps); got != tc.want {
+			t.Errorf("%s: fresh Run gave %q, want %q", tc.name, got, tc.want)
 		}
-		if fmt.Sprint(res.Steps) != fmt.Sprint(want.Steps) ||
-			fingerprint(res) != fingerprint(want) ||
-			res.TotalSteps != want.TotalSteps {
-			t.Fatalf("steps %v: reused result %v/%v diverges from fresh %v/%v",
-				steps, res.Steps, fingerprint(res), want.Steps, fingerprint(want))
+		// A normal run of the same arity on the same runner and Result.
+		ks := make([]int, len(tc.procs()))
+		for i := range ks {
+			ks[i] = 2
+		}
+		if got, want := run(stepSystem(ks), &RoundRobin{}, 0), fresh(stepSystem(ks), &RoundRobin{}, 0); got != want {
+			t.Errorf("after %s: reused runner gave %q, fresh Run %q", tc.name, got, want)
 		}
 	}
+}
+
+// script replays a fixed sequence of decisions.
+type script struct {
+	ds  []Decision
+	pos int
+}
+
+func (s *script) Next([]int) Decision {
+	s.pos++
+	return s.ds[s.pos-1]
+}
+
+// summarize renders a run's outcome, or its error, for comparison.
+func summarize(r *Result, err error) string {
+	if err != nil {
+		return err.Error()
+	}
+	return fmt.Sprintf("steps=%v crashed=%v errs=%v trace=%s deadlock=%v budget=%v",
+		r.Steps, r.Crashed, r.Errs, fingerprint(r), r.Deadlocked, r.BudgetExceeded)
 }

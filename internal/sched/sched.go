@@ -3,13 +3,25 @@
 // interleaving chosen by an adversary (the Scheduler), and crash failures
 // that permanently stop a process.
 //
-// Each process runs in its own goroutine (goroutines model asynchrony) but
-// every shared-memory operation is gated by a step handshake with a central
-// runner: the process announces that it is ready, blocks, and proceeds only
-// when the scheduler grants it the step. Only the granted process runs
-// between grants, so register operations are atomic exactly as in the
-// paper's model (§2: "two concurrent accesses to a same register never
-// occur").
+// Each process runs in its own goroutine (goroutines model asynchrony), and
+// every shared-memory operation is gated by Step: the process blocks until
+// the scheduler grants it the step. There is no central runner. The step is
+// a baton held by exactly one process goroutine: the one that just reached
+// Step, or one that just returned or was crashed. The holder asks the
+// Scheduler for the next decision itself. If it chose itself it simply
+// continues, with no channel operation; otherwise it hands the baton to the
+// chosen process with one send on that process's grant channel and parks.
+// Before the first grant the processes run concurrently up to their first
+// Step, where an atomic arrival count lets the last to arrive take the
+// baton.
+//
+// Atomicity holds because exactly one process goroutine runs between
+// grants: every other live process is parked at a step, so register
+// operations are atomic exactly as in the paper's model (§2: "two
+// concurrent accesses to a same register never occur"), and the Scheduler,
+// the enabling conditions and the Result are used only by the baton holder.
+// Each handoff is a channel send (or, at the start, the arrival count), so
+// one holder's writes happen before the next holder's reads.
 //
 // Crashes are scheduler decisions: a process whose step request is answered
 // with a crash unwinds its goroutine and never takes another step.
@@ -18,7 +30,8 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync/atomic"
 )
 
 // Decision is a scheduler's answer: which process takes the next step, and
@@ -70,7 +83,8 @@ type Result struct {
 	// Decisions is the sequence of scheduler decisions, in order.
 	Decisions []Decision
 	// EnabledSets[k] is the sorted enabled set presented to the scheduler
-	// for Decisions[k]. Used by the exhaustive explorer.
+	// for Decisions[k]. Used by the exhaustive explorer. Consecutive equal
+	// sets share one slice; treat them as read-only.
 	EnabledSets [][]int
 	// Deadlocked reports that at some point every live process was blocked
 	// on an unsatisfied StepWhen condition. Remaining processes were
@@ -146,17 +160,6 @@ var (
 // package: the per-process wrapper recovers it.
 type crashSignal struct{}
 
-type announceMsg struct {
-	pid   int
-	ready func() bool // nil: always enabled
-}
-
-type exitMsg struct {
-	pid     int
-	err     error
-	crashed bool
-}
-
 // Proc is a process's handle onto the runtime. Shared-memory bindings call
 // Step (or StepWhen) exactly once per atomic operation.
 type Proc struct {
@@ -177,36 +180,67 @@ func (p *Proc) Step() { p.StepWhen(nil) }
 // grant the step while ready() holds. It models waiting (e.g. for a
 // message or a register change) without unbounded busy-wait polling: the
 // process is simply not enabled until the condition is true. ready is
-// evaluated by the runner while all processes are parked, so it may read
+// evaluated only while every other live process is parked, so it may read
 // shared state without races.
 func (p *Proc) StepWhen(ready func() bool) {
-	p.r.announce <- announceMsg{pid: p.ID, ready: ready}
-	if granted := <-p.r.grants[p.ID]; !granted {
-		panic(crashSignal{})
+	r, s := p.r, &p.r.slots[p.ID]
+	s.ready, s.parked = ready, true
+	if !s.arrived {
+		s.arrived = true
+		if !r.arrive() {
+			r.await(p.ID)
+			return
+		}
+	}
+	if !r.pass(p.ID) {
+		r.await(p.ID)
 	}
 }
 
+// runner is the shared state of one run. Once every process has arrived
+// at its first step (or returned before it), only the goroutine holding
+// the step reads or writes it.
 type runner struct {
-	n        int
-	announce chan announceMsg
-	grants   []chan bool
-	exit     chan exitMsg
-	parked   map[int]func() bool
+	n     int
+	procs []Proc
+	slots []procSlot
+	done  chan struct{}
+
+	// arrivals counts processes that reached their first step or
+	// returned before it; the n-th arrival takes the step.
+	arrivals atomic.Int32
+
+	sched    Scheduler
+	maxSteps int
+	res      *Result
+	live     int   // processes not yet returned or crashed
+	abort    bool  // the run is over: unwind every parked process
+	err      error // the scheduler broke its contract
 }
 
-// newRunner builds the handshake channels for an n-process run. The
-// channels are unbuffered and drained by the time a run returns, so a
-// runner is reusable across replays of same-arity systems.
+// procSlot is one process's part of the runner. Before the n-th arrival
+// each process writes only its own slot.
+type procSlot struct {
+	grant    chan bool
+	ready    func() bool // the pending step's enabling condition
+	parked   bool        // waiting at a step for its grant
+	arrived  bool        // reached its first step, or returned before it
+	panicked any         // a panic recovered from the process goroutine
+}
+
+// newRunner builds the grant channels for an n-process run. Every
+// channel is drained by the time a run returns, so a runner is reusable
+// across replays of same-arity systems.
 func newRunner(n int) *runner {
 	r := &runner{
-		n:        n,
-		announce: make(chan announceMsg),
-		grants:   make([]chan bool, n),
-		exit:     make(chan exitMsg),
-		parked:   make(map[int]func() bool, n),
+		n:     n,
+		procs: make([]Proc, n),
+		slots: make([]procSlot, n),
+		done:  make(chan struct{}),
 	}
-	for i := range r.grants {
-		r.grants[i] = make(chan bool)
+	for i := range r.slots {
+		r.procs[i] = Proc{ID: i, N: n, r: r}
+		r.slots[i].grant = make(chan bool)
 	}
 	return r
 }
@@ -214,15 +248,17 @@ func newRunner(n int) *runner {
 // Run executes the processes under the configured scheduler until every
 // process has returned, crashed, or the run is aborted (deadlock/budget).
 // The returned error is non-nil only for configuration mistakes; execution
-// outcomes (including deadlock) are reported in the Result.
+// outcomes (including deadlock) are reported in the Result. A panic in a
+// process is raised again on the caller's goroutine, naming the process,
+// once every other process has unwound.
 func Run(cfg Config, procs []ProcFunc) (*Result, error) {
 	return runInto(cfg, procs, nil, nil)
 }
 
 // runInto is Run with reusable buffers for replay loops: res is reset
 // and reused when non-nil (its contents are valid until the next
-// runInto call with the same res), and rn's handshake channels are
-// reused when its process count matches. Passing nil for both is Run.
+// runInto call with the same res), and rn is reused when its process
+// count matches. Passing nil for both is Run.
 func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, error) {
 	n := len(procs)
 	if n == 0 {
@@ -240,133 +276,207 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 	if r == nil || r.n != n {
 		r = newRunner(n)
 	}
-
-	for i, fn := range procs {
-		go runProc(r, i, n, fn)
-	}
-
 	if res == nil {
 		res = &Result{}
 	}
 	res.reset(n)
+	r.sched, r.maxSteps, r.res = cfg.Scheduler, maxSteps, res
+	r.live, r.abort, r.err = 0, false, nil
+	r.arrivals.Store(0)
+	for i := range r.slots {
+		s := &r.slots[i]
+		s.ready, s.parked, s.arrived, s.panicked = nil, false, false, nil
+	}
 
-	live := n
-	parked := r.parked
-	for live > 0 {
-		// Gather until every live process is parked at a step request.
-		for len(parked) < live {
-			select {
-			case m := <-r.announce:
-				parked[m.pid] = m.ready
-			case e := <-r.exit:
-				live--
-				if e.crashed {
-					res.Crashed[e.pid] = true
-				} else {
-					res.Errs[e.pid] = e.err
-				}
-			}
-		}
-		if live == 0 {
-			break
-		}
+	for i, fn := range procs {
+		go r.runProc(i, fn)
+	}
+	<-r.done
 
-		// Build the enabled set in the Result's flat arena. The
-		// three-index slice keeps later appends from aliasing this
-		// set; sets already stored in EnabledSets stay valid even if
-		// the arena grows (they keep pointing at the old array).
-		base := len(res.enabledArena)
-		for pid, cond := range parked {
-			if cond == nil || cond() {
-				res.enabledArena = append(res.enabledArena, pid)
-			}
+	r.sched, r.res = nil, nil
+	for pid := range r.slots {
+		if rec := r.slots[pid].panicked; rec != nil {
+			panic(fmt.Errorf("sched: process %d panicked: %v", pid, rec))
 		}
-		enabled := res.enabledArena[base:len(res.enabledArena):len(res.enabledArena)]
-		sort.Ints(enabled)
-
-		abort := false
-		var d Decision
-		switch {
-		case len(enabled) == 0:
-			res.Deadlocked = true
-			abort = true
-		case res.TotalSteps >= maxSteps:
-			res.BudgetExceeded = true
-			abort = true
-		default:
-			d = cfg.Scheduler.Next(enabled)
-			if d.Pid == Halt {
-				abort = true
-			} else if !contains(enabled, d.Pid) {
-				return nil, fmt.Errorf("sched: scheduler chose pid %d not in enabled set %v", d.Pid, enabled)
-			}
-		}
-
-		if abort {
-			// Crash every parked process to unwind its goroutine.
-			for pid := range parked {
-				delete(parked, pid)
-				r.grants[pid] <- false
-				e := <-r.exit
-				live--
-				res.Crashed[e.pid] = true
-			}
-			// Any processes currently running an op will park or exit.
-			for live > 0 {
-				select {
-				case m := <-r.announce:
-					r.grants[m.pid] <- false
-					e := <-r.exit
-					live--
-					res.Crashed[e.pid] = true
-				case e := <-r.exit:
-					live--
-					if e.crashed {
-						res.Crashed[e.pid] = true
-					} else {
-						res.Errs[e.pid] = e.err
-					}
-				}
-			}
-			break
-		}
-
-		res.Decisions = append(res.Decisions, d)
-		res.EnabledSets = append(res.EnabledSets, enabled)
-		delete(parked, d.Pid)
-		if d.Crash {
-			r.grants[d.Pid] <- false
-			e := <-r.exit
-			live--
-			res.Crashed[e.pid] = true
-			continue
-		}
-		res.Steps[d.Pid]++
-		res.TotalSteps++
-		r.grants[d.Pid] <- true
+	}
+	if r.err != nil {
+		return nil, r.err
 	}
 	return res, nil
 }
 
-func runProc(r *runner, id, n int, fn ProcFunc) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			if _, ok := rec.(crashSignal); ok {
-				r.exit <- exitMsg{pid: id, crashed: true}
-				return
-			}
-			panic(rec)
+// runProc is one process goroutine: it runs fn, records how it ended,
+// and passes the step on.
+func (r *runner) runProc(pid int, fn ProcFunc) {
+	rec, err := call(fn, &r.procs[pid])
+	s := &r.slots[pid]
+	if !s.arrived {
+		// Ended before its first step: the run has no holder yet, so
+		// only this process's own slot may be written.
+		s.arrived, s.panicked = true, rec
+		r.res.Errs[pid] = err
+		if !r.arrive() {
+			return
 		}
-	}()
-	err := fn(&Proc{ID: id, N: n, r: r})
-	r.exit <- exitMsg{pid: id, err: err}
-}
-
-func contains(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
+	} else {
+		s.parked = false
+		r.live--
+		if !r.res.Crashed[pid] {
+			r.res.Errs[pid] = err
+		}
+		if rec != nil {
+			s.panicked, r.abort = rec, true
 		}
 	}
+	r.passExited(pid)
+}
+
+// call runs a process function, turning the crash unwind into a return
+// and recovering any other panic.
+func call(fn ProcFunc, p *Proc) (rec any, err error) {
+	defer func() {
+		if rec = recover(); rec != nil {
+			if _, ok := rec.(crashSignal); ok {
+				rec = nil
+			}
+		}
+	}()
+	return nil, fn(p)
+}
+
+// arrive counts one arrival and reports whether it was the last, in which
+// case the caller takes the step: it tallies the live processes and
+// aborts the run if one panicked before its first step.
+func (r *runner) arrive() bool {
+	if int(r.arrivals.Add(1)) < r.n {
+		return false
+	}
+	for i := range r.slots {
+		s := &r.slots[i]
+		if s.parked {
+			r.live++
+		}
+		if s.panicked != nil {
+			r.abort = true
+		}
+	}
+	return true
+}
+
+// await parks a process until the holder grants it the step, and unwinds
+// it if the holder crashes it instead.
+func (r *runner) await(pid int) {
+	if !<-r.slots[pid].grant {
+		panic(crashSignal{})
+	}
+}
+
+// passExited is pass for a holder that has returned or unwound. A panic
+// in the Scheduler or an enabling condition here has no process function
+// above it to unwind, so it is recorded against the holder and the run
+// aborted; the abort path calls neither.
+func (r *runner) passExited(pid int) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			r.slots[pid].panicked, r.abort = rec, true
+			r.pass(pid)
+		}
+	}()
+	r.pass(pid)
+}
+
+// pass runs on the goroutine holding the step once process self has
+// parked at a step or exited. It makes the next scheduling decision and
+// reports whether self takes the step; otherwise the step has passed to
+// another process and a parked self must await its grant. A decision to
+// crash self unwinds self directly.
+func (r *runner) pass(self int) bool {
+	res := r.res
+	if r.live == 0 {
+		r.done <- struct{}{}
+		return false
+	}
+	if r.abort {
+		return r.unwind(self)
+	}
+	enabled := r.enabledSet()
+	switch {
+	case len(enabled) == 0:
+		res.Deadlocked = true
+		return r.unwind(self)
+	case res.TotalSteps >= r.maxSteps:
+		res.BudgetExceeded = true
+		return r.unwind(self)
+	}
+	d := r.sched.Next(enabled)
+	if d.Pid == Halt {
+		return r.unwind(self)
+	}
+	if !slices.Contains(enabled, d.Pid) {
+		r.err = fmt.Errorf("sched: scheduler chose pid %d not in enabled set %v", d.Pid, enabled)
+		return r.unwind(self)
+	}
+	res.Decisions = append(res.Decisions, d)
+	res.EnabledSets = append(res.EnabledSets, enabled)
+	s := &r.slots[d.Pid]
+	s.parked = false
+	if d.Crash {
+		res.Crashed[d.Pid] = true
+		if d.Pid == self {
+			panic(crashSignal{})
+		}
+		s.grant <- false
+		return false
+	}
+	res.Steps[d.Pid]++
+	res.TotalSteps++
+	if d.Pid == self {
+		return true
+	}
+	s.grant <- true
 	return false
+}
+
+// unwind aborts the run by crashing one parked process, self first. Each
+// crashed process passes the step on as it unwinds, so the chain ends
+// with the last live process signalling done.
+func (r *runner) unwind(self int) bool {
+	r.abort = true
+	pid := self
+	if !r.slots[pid].parked {
+		pid = 0
+		for !r.slots[pid].parked {
+			pid++
+		}
+	}
+	r.slots[pid].parked = false
+	r.res.Crashed[pid] = true
+	if pid == self {
+		panic(crashSignal{})
+	}
+	r.slots[pid].grant <- false
+	return false
+}
+
+// enabledSet builds the enabled set in pid order in the Result's flat
+// arena, or returns the previous decision's set when they are equal, so
+// a run whose set rarely changes stores it once. The three-index slice
+// keeps later appends from aliasing this set; sets already stored in
+// EnabledSets stay valid even if the arena grows (they keep pointing at
+// the old array).
+func (r *runner) enabledSet() []int {
+	res := r.res
+	base := len(res.enabledArena)
+	for pid := range r.slots {
+		s := &r.slots[pid]
+		if s.parked && (s.ready == nil || s.ready()) {
+			res.enabledArena = append(res.enabledArena, pid)
+		}
+	}
+	enabled := res.enabledArena[base:len(res.enabledArena):len(res.enabledArena)]
+	if k := len(res.EnabledSets); k > 0 && slices.Equal(res.EnabledSets[k-1], enabled) {
+		res.enabledArena = res.enabledArena[:base]
+		return res.EnabledSets[k-1]
+	}
+	return enabled
 }

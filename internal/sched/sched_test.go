@@ -2,7 +2,11 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 )
 
 // counterProc takes k plain steps and records the order of its step grants
@@ -320,5 +324,91 @@ func TestExploreRunLimit(t *testing.T) {
 	}
 	if runs != 3 {
 		t.Fatalf("runs = %d, want 3", runs)
+	}
+}
+
+// badPid breaks the Scheduler contract by choosing a pid outside the
+// enabled set.
+type badPid struct{}
+
+func (badPid) Next([]int) Decision { return Decision{Pid: 7} }
+
+// settleGoroutines waits for the goroutine count to fall back to base:
+// a run's process goroutines exit just after handing the step on, so
+// the count is polled rather than read once.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left behind", runtime.NumGoroutine()-base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunInvalidPidUnwinds: a scheduler choosing a pid outside the
+// enabled set is an error, and every process is unwound before Run
+// returns it.
+func TestRunInvalidPidUnwinds(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		_, err := Run(Config{Scheduler: badPid{}}, stepSystem([]int{2, 2}))
+		if err == nil || !strings.Contains(err.Error(), "not in enabled set") {
+			t.Fatalf("err = %v, want the enabled-set error", err)
+		}
+	}
+	settleGoroutines(t, base)
+}
+
+// panicky is a scheduler that grants the lowest pid once, then panics.
+type panicky struct{ calls int }
+
+func (s *panicky) Next(enabled []int) Decision {
+	if s.calls++; s.calls > 1 {
+		panic("scheduler boom")
+	}
+	return Decision{Pid: enabled[0]}
+}
+
+// TestRunProcPanic: a panic in a process, before its first step or
+// after some, is raised again on Run's caller, naming the process, once
+// every other process has unwound. So is a Scheduler panic, against
+// the process whose goroutine was deciding: one at a step, or one that
+// had just returned.
+func TestRunProcPanic(t *testing.T) {
+	boom := func(steps int) ProcFunc {
+		return func(p *Proc) error {
+			for i := 0; i < steps; i++ {
+				p.Step()
+			}
+			panic("boom")
+		}
+	}
+	roundRobin := func() Scheduler { return &RoundRobin{} }
+	for _, tc := range []struct {
+		name  string
+		procs []ProcFunc
+		sch   func() Scheduler
+		want  string
+	}{
+		{"after steps", []ProcFunc{counterProc(3, new([]int)), boom(2)}, roundRobin, "process 1 panicked: boom"},
+		{"before first step", []ProcFunc{boom(0), counterProc(3, new([]int))}, roundRobin, "process 0 panicked: boom"},
+		{"alone before first step", []ProcFunc{boom(0)}, roundRobin, "process 0 panicked: boom"},
+		{"scheduler at a step", stepSystem([]int{2}), func() Scheduler { return &panicky{} }, "process 0 panicked: scheduler boom"},
+		{"scheduler after a return", stepSystem([]int{1, 1}), func() Scheduler { return &panicky{} }, "process 0 panicked: scheduler boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			rec := func() (rec any) {
+				defer func() { rec = recover() }()
+				_, _ = Run(Config{Scheduler: tc.sch()}, tc.procs)
+				return nil
+			}()
+			if got := fmt.Sprint(rec); !strings.Contains(got, tc.want) {
+				t.Fatalf("recovered %q, want it to contain %q", got, tc.want)
+			}
+			settleGoroutines(t, base)
+		})
 	}
 }

@@ -1,6 +1,9 @@
 package sched
 
-import "math/rand"
+import (
+	"math/rand"
+	"slices"
+)
 
 // Lowest always grants the lowest-numbered enabled process. It is the
 // canonical deterministic policy and the default continuation used by the
@@ -148,7 +151,7 @@ func (s *Replay) Next(enabled []int) Decision {
 	if s.pos < len(s.Prefix) {
 		want := s.Prefix[s.pos]
 		s.pos++
-		if contains(enabled, want) {
+		if slices.Contains(enabled, want) {
 			return Decision{Pid: want}
 		}
 		return Decision{Pid: enabled[0]}
