@@ -63,15 +63,15 @@ load-smoke:
 cache-surgery:
 	./scripts/cache-surgery.sh
 
-# reduce-gate proves the memoized explorer equivalent on the real
-# experiments: E2 and E15 run exhaustively, with serial `figures
-# -reduce`, and with the parallel `-reduce -jobs 4` path, and must
-# emit byte-identical tables in every format while visiting strictly
-# fewer states than they account executions; the parallel arm must
-# share memo entries across its prefix ranges. The reduced-only heavy
-# sweep E16 gates serial-memo against parallel-memo the same way.
-# Execution counts are pinned to the committed BENCH_explore.json
-# baseline (which the gate rewrites with fresh counters and ns/op).
+# reduce-gate is the oracle gate of the memoized production explorer:
+# the exhaustive explorers must render E2 and E15 byte-identically to
+# production in every format at every served point and carved range
+# (TestReducedMatchesExhaustiveBytes, not -short), the parallel memo
+# must match the serial one on E2/E15/E16 and share entries
+# (TestReducedParallelMatchesSerial), and the `figures -v` counter
+# lines of a cacheless run must show real pruning. Execution counts
+# are pinned to the committed BENCH_explore.json baseline (which the
+# gate rewrites with fresh counters and ns/op).
 reduce-gate:
 	./scripts/reduce-gate.sh
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -249,6 +250,7 @@ func TestRunBadFlags(t *testing.T) {
 		{"-format", "yaml"},
 		{"-run", "E99"},
 		{"-run", " , "}, // only empty entries must not mean "run everything"
+		{"-reduce"},     // the memo is the only explorer; there is no mode to pick
 	} {
 		if err := run(args, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
 			t.Errorf("args %v accepted", args)
@@ -453,42 +455,36 @@ func TestLoadSubcommandRejects(t *testing.T) {
 	}
 }
 
-// TestReduceFlagByteIdenticalWithCounters pins the -reduce CLI
-// surface: the reduced run's stdout is byte-identical to the
-// exhaustive run in every format, and stderr carries one counter line
-// per reduced experiment showing real pruning.
-func TestReduceFlagByteIdenticalWithCounters(t *testing.T) {
-	for _, format := range []string{"text", "json", "csv"} {
-		var full, fullErr bytes.Buffer
-		if err := run([]string{"-run", "E2", "-format", format}, &full, &fullErr); err != nil {
-			t.Fatal(err)
-		}
-		var red, redErr bytes.Buffer
-		if err := run([]string{"-run", "E2", "-format", format, "-reduce"}, &red, &redErr); err != nil {
-			t.Fatal(err)
-		}
-		if red.String() != full.String() {
-			t.Errorf("%s: -reduce output diverges:\n--- exhaustive ---\n%s--- reduced ---\n%s",
-				format, full.String(), red.String())
-		}
-		if !strings.Contains(redErr.String(), "figures: reduce E2 visited=") {
-			t.Errorf("%s: stderr missing counter line: %q", format, redErr.String())
-		}
-		if strings.Contains(fullErr.String(), "figures: reduce") {
-			t.Errorf("%s: exhaustive run printed reduce counters: %q", format, fullErr.String())
+// TestVerboseExplorationCounters pins the -v counter lines: a cold run
+// prints one "figures: explore" line per result that explored, with
+// the serial memo's counters for E2 whatever -jobs says, and none for
+// an experiment outside the memo; a warm rerun explores nothing and
+// prints none, while the "figures: total" and "figures: cache" lines
+// keep their form.
+func TestVerboseExplorationCounters(t *testing.T) {
+	dir := t.TempDir()
+	var cold, coldErr bytes.Buffer
+	if err := run([]string{"-run", "E1,E2", "-jobs", "2", "-v", "-cache-dir", dir}, &cold, &coldErr); err != nil {
+		t.Fatal(err)
+	}
+	lines := regexp.MustCompile(`(?m)^figures: explore .*$`).FindAllString(coldErr.String(), -1)
+	want := "figures: explore E2 visited=242 pruned=126 replays=146 executions=22080 workers=1 shared=0"
+	if len(lines) != 1 || lines[0] != want {
+		t.Errorf("cold counter lines = %q, want [%q]", lines, want)
+	}
+	for _, re := range []string{`(?m)^figures: total\s+[0-9.]+s$`, `(?m)^figures: cache 0/2 hits \(0\.0%\)$`} {
+		if !regexp.MustCompile(re).MatchString(coldErr.String()) {
+			t.Errorf("cold stderr lacks %s:\n%s", re, coldErr.String())
 		}
 	}
-}
-
-// TestReduceRejectsWorkers: the memoized mode is a local engine
-// choice, so combining it with a fleet run must fail fast.
-func TestReduceRejectsWorkers(t *testing.T) {
-	var out, errBuf bytes.Buffer
-	err := run([]string{"-run", "E2", "-reduce", "-workers", "localhost:1"}, &out, &errBuf)
-	if err == nil || !strings.Contains(err.Error(), "-reduce cannot combine with -workers") {
-		t.Fatalf("err = %v, want -reduce/-workers rejection", err)
+	var warm, warmErr bytes.Buffer
+	if err := run([]string{"-run", "E1,E2", "-v", "-cache-dir", dir}, &warm, &warmErr); err != nil {
+		t.Fatal(err)
 	}
-	if out.Len() != 0 {
-		t.Fatalf("rejected run produced output: %q", out.String())
+	if warm.String() != cold.String() {
+		t.Error("warm output diverges from cold")
+	}
+	if strings.Contains(warmErr.String(), "figures: explore") {
+		t.Errorf("warm run printed counters:\n%s", warmErr.String())
 	}
 }

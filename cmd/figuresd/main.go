@@ -7,16 +7,12 @@
 //
 //	figuresd [-addr host:port] [-cache-dir DIR] [-timeout D] [-grace D]
 //	         [-peers host1:port,host2:port] [-debug-addr host:port]
-//	         [-reduce]
 //
-// With -reduce, reduced-capable experiments (E2, E15, and the opt-in
-// heavy E16) execute through the canonical-state memoized explorer
-// wherever this process runs the engine — directly, or as the local
-// fallback of a -peers fleet — fanned out across GOMAXPROCS workers
-// over one shared memo table. The served bytes are identical; the
-// explorer's accumulated counters (states_shared and workers included)
-// appear in the /stats exploration section. Prefix slices are
-// unaffected: sharded ranges keep their exhaustive contract.
+// The schedule-tree experiments (E2, E15, and the opt-in heavy E16),
+// their parameter points, and their prefix slices explore through the
+// canonical-state memo. The counters of every whole or parameter-point
+// run this process explores accumulate in the /stats exploration
+// section.
 //
 // Endpoints:
 //
@@ -95,7 +91,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		grace    = fs.Duration("grace", 5*time.Second, "graceful-shutdown window")
 		peers    = fs.String("peers", "", "comma-separated figuresd peers (host:port) to fan experiment execution out to; this daemon fronts the fleet and falls back to local execution")
 		debug    = fs.String("debug-addr", "", "serve net/http/pprof on this second listener (empty = off)")
-		reduce   = fs.Bool("reduce", false, "run reduced-capable experiments through the canonical-state memoized explorer (byte-identical responses, counters on /stats)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -105,7 +100,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	}
 
 	logger := log.New(stderr, "", log.LstdFlags)
-	srv, err := newHandler(*cacheDir, *peers, *timeout, *reduce, logger.Printf)
+	srv, err := newHandler(*cacheDir, *peers, *timeout, logger.Printf)
 	if err != nil {
 		return err
 	}
@@ -143,7 +138,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 // over the in-process engine, optionally cache-backed, and — with
 // peers — over a shard coordinator instead, so this daemon fronts a
 // fleet. timeout follows the flag convention (0 = no limit).
-func newHandler(cacheDir, peers string, timeout time.Duration, reduce bool, logf func(format string, args ...any)) (http.Handler, error) {
+func newHandler(cacheDir, peers string, timeout time.Duration, logf func(format string, args ...any)) (http.Handler, error) {
 	var store experiments.Cache
 	if cacheDir != "" {
 		s, err := cache.Open(cacheDir, cache.Options{})
@@ -166,7 +161,6 @@ func newHandler(cacheDir, peers string, timeout time.Duration, reduce bool, logf
 		Registry: testRegistry,
 		Cache:    store,
 		Timeout:  execTimeout,
-		Reduce:   reduce,
 		Logf:     logf,
 		Journal:  journal,
 	}
@@ -184,7 +178,6 @@ func newHandler(cacheDir, peers string, timeout time.Duration, reduce bool, logf
 				Registry: testRegistry,
 				Cache:    store,
 				Timeout:  timeout,
-				Reduce:   reduce,
 			},
 			Logf:    logf,
 			Journal: journal,

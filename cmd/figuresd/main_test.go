@@ -117,7 +117,7 @@ func TestPeersFrontsFleet(t *testing.T) {
 	defer func() { testRegistry = nil }()
 
 	peers := strings.TrimPrefix(peer1.URL, "http://") + "," + strings.TrimPrefix(peer2.URL, "http://")
-	handler, err := newHandler("", peers, 0, false, func(string, ...any) {})
+	handler, err := newHandler("", peers, 0, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestPeersDeadFleetFallsBackLocal(t *testing.T) {
 	dead := l.Addr().String()
 	l.Close()
 
-	handler, err := newHandler("", dead, 0, false, func(string, ...any) {})
+	handler, err := newHandler("", dead, 0, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestFrontDoorTraceSpansBothLayers(t *testing.T) {
 	testRegistry = syntheticRegistry("E1", &frontExecs)
 	defer func() { testRegistry = nil }()
 
-	handler, err := newHandler("", strings.TrimPrefix(peer.URL, "http://"), 0, false, func(string, ...any) {})
+	handler, err := newHandler("", strings.TrimPrefix(peer.URL, "http://"), 0, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,19 +4,22 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/sched"
 	"repro/internal/task"
 )
 
-// E15 is the exhaustive Algorithm 2 validation sweep in partial-run
-// form: Theorem 1.2 checked constructively by enumerating every
-// crash-free interleaving of the universal construction on one
-// solvable task and validating every execution's outputs against the
-// task specification (task.CheckRun). The space is a schedule tree
-// like E2's, so it shards the same way — task.Alg2Roots carves it,
-// task.ExploreAlg2Prefixes explores a slice, and the run count is the
-// order-insensitive aggregate (a violation in any slice surfaces as
-// that slice's error, so a merged success really did validate every
-// interleaving).
+// E15 is Theorem 1.2 checked constructively: Algorithm 2 run on
+// every crash-free interleaving of the universal construction on one
+// solvable task, with every execution's outputs validated against the
+// task specification (task.CheckRun). The schedule tree is explored
+// through the canonical-state memo (task.ExploreAlg2Memo): each
+// visited leaf is validated, and a pruned subtree is vouched for by
+// the validated twin whose canonical state it shares. The tree shards
+// like E2's — task.Alg2Roots carves it, task.ExploreAlg2MemoPrefixes
+// explores a slice, and the execution count is the order-insensitive
+// aggregate (a violation in any slice surfaces as that slice's error,
+// so a merged success really did account every interleaving). The
+// exhaustive task.ExploreAlg2* explorers are the tests' oracle.
 
 // e15Choice and e15Input pin E15's instance: Algorithm 2 on the
 // 2-value choice task with the mixed input (0, 1) — the input whose
@@ -49,10 +52,9 @@ func e15InputOf(ps ParamSet) task.Pair {
 	return task.Pair{ps.Int("i0"), ps.Int("i1")}
 }
 
-// alg2SweepAgg is the order-insensitive aggregate of the exhaustive
-// Algorithm 2 sweep: the number of interleavings explored and
-// validated. Counts from any grouping of a partition sum to the
-// whole-space total.
+// alg2SweepAgg is the order-insensitive aggregate of the Algorithm 2
+// sweep: the number of interleavings accounted and validated. Counts
+// from any grouping of a partition sum to the whole-space total.
 type alg2SweepAgg struct {
 	Execs int `json:"execs"`
 }
@@ -95,26 +97,30 @@ func finishE15(a *alg2SweepAgg, choice int, input task.Pair) (*Table, error) {
 	return t, nil
 }
 
-// runE15At evaluates the E15 family whole at one (choice, input) point
-// — the Family.Run behind GET /experiments/E15?c=... Serial inner
-// exploration, like every engine-driven runner: the engine owns the
-// concurrency budget one level up.
-func runE15At(choice int, input task.Pair) (*Table, error) {
+// runE15At evaluates the E15 family whole at one (choice, input)
+// point — the fixed E15 runner and the Family.Run behind GET
+// /experiments/E15?c=... — through the serial canonical-state memo,
+// returning the explorer's counters with the table. Serial, like
+// every engine-driven runner: the engine owns the concurrency budget
+// one level up.
+func runE15At(choice int, input task.Pair) (*Table, sched.MemoStats, error) {
 	plan, err := e15Plan(choice)
 	if err != nil {
-		return nil, err
+		return nil, sched.MemoStats{}, err
 	}
-	execs, err := task.ExploreAlg2Prefixes(plan, input, 1, [][]int{{}})
+	stats, err := task.ExploreAlg2Memo(plan, input)
 	if err != nil {
-		return nil, err
+		return nil, stats, err
 	}
-	return finishE15(&alg2SweepAgg{Execs: execs}, choice, input)
+	tab, err := finishE15(&alg2SweepAgg{Execs: stats.Executions}, choice, input)
+	return tab, stats, err
 }
 
 // Theorem12Exhaustive (E15) runs the whole sweep through the same
 // aggregate-and-finish path a prefix-sharded run merges through.
 func Theorem12Exhaustive() (*Table, error) {
-	return runE15At(e15Choice, e15Input)
+	tab, _, err := runE15At(e15Choice, e15Input)
+	return tab, err
 }
 
 // e15Shardable is E15's partial-run form at the fixed registry point.
@@ -123,9 +129,9 @@ func e15Shardable() Shardable {
 }
 
 // e15ShardableAt is the partial-run form at one (choice, input) point.
-// Explore fans out in-process (the slice is this worker's whole job,
-// so the concurrency budget is spent here, unlike the engine-driven
-// serial runner).
+// Explore runs the serial memo over the slice's roots, like the whole
+// runner: the server's slice slots and the coordinator's range fan-out
+// own the cores.
 func e15ShardableAt(choice int, input task.Pair) Shardable {
 	return Shardable{
 		Roots: func() ([][]int, error) {
@@ -140,11 +146,11 @@ func e15ShardableAt(choice int, input task.Pair) Shardable {
 			if err != nil {
 				return nil, err
 			}
-			execs, err := task.ExploreAlg2Prefixes(plan, input, 0, roots)
+			stats, err := task.ExploreAlg2MemoPrefixes(plan, input, roots)
 			if err != nil {
 				return nil, err
 			}
-			return &alg2SweepAgg{Execs: execs}, nil
+			return &alg2SweepAgg{Execs: stats.Executions}, nil
 		},
 		Decode: func(data []byte) (Aggregate, error) {
 			var a alg2SweepAgg

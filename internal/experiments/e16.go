@@ -9,13 +9,10 @@ import (
 
 // E16 — the k = 5 Algorithm 1 exhaustive sweep — is the first
 // *heavy* experiment: registered for explicit -run requests but kept
-// out of the default registry sweep, because its ~88k-execution space
-// is only economical through the memoized explorer (the ROADMAP's
-// "k ≥ 5 sweeps want registering as opt-in workloads" item). It is
-// reduced-only: both the plain Runner and the ReducedRunner drive the
-// canonical-state memo — there is no exhaustive twin to fall back to —
-// so the reduced path is the single source of its bytes at every
-// worker count.
+// out of the default registry sweep. It is the one memoized experiment
+// that fans out across cores by default (sched.DefaultExploreWorkers
+// goroutines over one shared memo table); its bytes are identical at
+// every worker count.
 
 // e16K pins E16's instance: Algorithm 1 with k = 5 on the same (0, 1)
 // inputs as E2, one step up the k ladder from Figure 2.
@@ -54,27 +51,21 @@ func HeavyIDs() []string {
 }
 
 // AlgK5Sweep is E16's Runner: the memoized k = 5 sweep at the default
-// worker fan-out. The bytes are identical at every worker count (the
-// parallel explorer's determinism contract), so the plain and reduced
-// paths render the same table.
+// worker fan-out.
 func AlgK5Sweep() (*Table, error) {
 	tab, _, err := AlgK5SweepReduced(0)
 	return tab, err
 }
 
-// AlgK5SweepReduced is E16's ReducedRunner: the k = 5 Algorithm 1
-// sweep through the (parallel) memoized explorer, aggregated and
-// rendered by the same collector/finish shape as E2.
+// AlgK5SweepReduced is the k = 5 Algorithm 1 sweep through the memo
+// across workers goroutines (<= 0 sched.DefaultExploreWorkers),
+// aggregated and rendered by the same leaf/finish shape as E2.
 func AlgK5SweepReduced(workers int) (*Table, sched.MemoStats, error) {
 	agg, stats, err := agreement.ExploreAlg1MemoParallel(e16K, e16Inputs, workers, alg1LeafAgg, mergeAlg1Agg)
 	if err != nil {
 		return nil, stats, err
 	}
-	a, _ := agg.(*alg1SweepAgg)
-	if a == nil {
-		a = &alg1SweepAgg{}
-	}
-	tab, err := finishE16(a)
+	tab, err := finishE16(alg1AggOf(agg))
 	return tab, stats, err
 }
 

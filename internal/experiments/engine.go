@@ -28,14 +28,12 @@ type Options struct {
 	// stored, so errors are always recomputed. Cache write errors are
 	// ignored: caching is an optimisation, never a reason to fail a run.
 	Cache Cache
-	// Reduce runs the experiments that support it (Reduced()) through
-	// the canonical-state memoized explorer instead of the exhaustive
-	// sweep. Tables stay byte-identical; Result.Memo carries the
-	// explorer's counters. Reduced-capable experiments bypass Cache in
-	// this mode — the counters are the point of asking for it — while
-	// the rest of the registry runs (and caches) as usual.
-	Reduce bool
 }
+
+// registry is the real registry, built once: Run reads it on every call
+// that names no override — every figuresd request — and never mutates
+// it.
+var registry = Registry()
 
 // Cache is the engine's view of a result store, keyed by experiment id.
 // Implementations (internal/cache.Store) own the full cache key —
@@ -64,11 +62,11 @@ type Result struct {
 	// runner executed. Like Duration it is not part of the wire form,
 	// so cached and fresh runs encode byte-identically.
 	Cached bool
-	// Reduced reports that the run went through the memoized explorer
-	// (Options.Reduce). Like Cached it is not part of the wire form:
-	// reduced and exhaustive runs encode byte-identically.
-	Reduced bool
-	// Memo carries the memoized exploration's counters when Reduced.
+	// Memo carries the counters of the memoized exploration the run
+	// performed (E2, E15, E16 and their parameter points); zero when
+	// no exploration ran — a cache hit, a remote result, or an
+	// experiment that does not explore through the memo. Like Cached
+	// it is not part of the wire form.
 	Memo sched.MemoStats
 	// Duration is the experiment's wall-clock time.
 	Duration time.Duration
@@ -92,15 +90,15 @@ func FirstError(results []Result) error {
 // mistakes (an unknown experiment id); cancelling ctx marks the
 // experiments not yet finished as failed with the context's error.
 func Run(ctx context.Context, opts Options) ([]Result, error) {
-	reg := opts.Registry
+	reg, memo := opts.Registry, map[string]memoRunner(nil)
 	if reg == nil {
-		reg = Registry()
+		reg, memo = registry, memoRunners
 	}
 	ids := opts.IDs
 	if len(ids) == 0 {
 		ids = sortIDs(reg)
 	}
-	runners := make([]Runner, len(ids))
+	runners := make([]memoRunner, len(ids))
 	for i, id := range ids {
 		r, ok := reg[id]
 		if !ok {
@@ -112,7 +110,14 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
-		runners[i] = r
+		if m, ok := memo[id]; ok {
+			runners[i] = m
+		} else {
+			runners[i] = func() (*Table, sched.MemoStats, error) {
+				tab, err := r()
+				return tab, sched.MemoStats{}, err
+			}
+		}
 	}
 
 	jobs := opts.Jobs
@@ -144,47 +149,11 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 }
 
 // runCached serves one experiment from opts.Cache when possible and
-// runs it (storing a success back) otherwise. Under Options.Reduce a
-// reduced-capable experiment runs fresh through the memoized explorer
-// — counters from a cache hit would be fiction — with the same panic
-// isolation and timeout as any other runner.
-func runCached(ctx context.Context, id string, r Runner, opts Options) Result {
-	if opts.Reduce {
-		if rr, ok := Reduced()[id]; ok {
-			// The memo explorer fans out over Jobs worker goroutines
-			// (<= 0 means GOMAXPROCS, the Options.Jobs default): -jobs
-			// controls both the experiment-level pool and, in reduced
-			// mode, the intra-exploration parallelism. Bytes are
-			// identical at every worker count.
-			workers := opts.Jobs
-			if workers <= 0 {
-				workers = runtime.GOMAXPROCS(0)
-			}
-			// The stats channel is buffered and written before the
-			// wrapped runner returns, so a successful runOne implies the
-			// value is already there; on timeout or cancellation it is
-			// simply never read.
-			statsCh := make(chan sched.MemoStats, 1)
-			wrapped := func() (*Table, error) {
-				tab, stats, err := rr(workers)
-				statsCh <- stats
-				return tab, err
-			}
-			res := runOne(ctx, id, wrapped, opts.Timeout)
-			select {
-			case stats := <-statsCh:
-				res.Reduced = true
-				res.Memo = stats
-			default:
-			}
-			return res
-		}
-	}
+// runs it (storing a success back) otherwise.
+func runCached(ctx context.Context, id string, r memoRunner, opts Options) Result {
 	if opts.Cache != nil {
 		if res, ok := opts.Cache.Get(id); ok && res.Err == nil && res.Table != nil {
-			res.ID = id
-			res.Cached = true
-			return res
+			return cacheHit(id, res)
 		}
 	}
 	res := runOne(ctx, id, r, opts.Timeout)
@@ -194,18 +163,28 @@ func runCached(ctx context.Context, id string, r Runner, opts Options) Result {
 	return res
 }
 
+// cacheHit marks a stored result as served from the cache: it carries
+// no exploration counters, since nothing explored.
+func cacheHit(id string, res Result) Result {
+	res.ID = id
+	res.Cached = true
+	res.Memo = sched.MemoStats{}
+	return res
+}
+
 // runOne executes a single runner with panic isolation and a timeout.
 // The runner executes in its own goroutine; on timeout or cancellation
 // that goroutine is abandoned (runners take no context), which leaks it
 // until it returns — acceptable for a CLI/test harness, and the reason
 // timeouts should be generous rather than tight.
-func runOne(ctx context.Context, id string, r Runner, timeout time.Duration) Result {
+func runOne(ctx context.Context, id string, r memoRunner, timeout time.Duration) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{ID: id, Err: err}
 	}
 	type outcome struct {
 		tab      *Table
+		memo     sched.MemoStats
 		err      error
 		panicked bool
 	}
@@ -216,11 +195,11 @@ func runOne(ctx context.Context, id string, r Runner, timeout time.Duration) Res
 				ch <- outcome{err: fmt.Errorf("runner panicked: %v", rec), panicked: true}
 			}
 		}()
-		tab, err := r()
+		tab, memo, err := r()
 		if err == nil && tab == nil {
 			err = fmt.Errorf("runner returned no table")
 		}
-		ch <- outcome{tab: tab, err: err}
+		ch <- outcome{tab: tab, memo: memo, err: err}
 	}()
 
 	var timer <-chan time.Time
@@ -234,7 +213,7 @@ func runOne(ctx context.Context, id string, r Runner, timeout time.Duration) Res
 		if o.err != nil {
 			o.tab = nil
 		}
-		return Result{ID: id, Table: o.tab, Err: o.err, Panicked: o.panicked, Duration: time.Since(start)}
+		return Result{ID: id, Table: o.tab, Err: o.err, Panicked: o.panicked, Memo: o.memo, Duration: time.Since(start)}
 	case <-timer:
 		return Result{ID: id, Err: fmt.Errorf("timed out after %v: %w", timeout, context.DeadlineExceeded),
 			Duration: time.Since(start)}

@@ -5,10 +5,14 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/sched"
+	"repro/internal/task"
 )
 
 // This file is the parameterized-experiment seam. The paper's theorems
@@ -81,8 +85,10 @@ type Family struct {
 	// per-spec ranges cannot express (e.g. an input bounded by another
 	// parameter). Errors are field-level client messages.
 	Check func(ps ParamSet) error
-	// Run evaluates the family at one validated parameter point.
-	Run func(ps ParamSet) (*Table, error)
+	// Run evaluates the family at one validated parameter point,
+	// returning the counters of the memoized exploration it ran (zero
+	// when it explored nothing through the memo).
+	Run func(ps ParamSet) (*Table, sched.MemoStats, error)
 	// Shardable, when non-nil, returns the partial-run seam at one
 	// point, so parameterized spaces prefix-shard like fixed ones.
 	Shardable func(ps ParamSet) Shardable
@@ -392,18 +398,16 @@ func putParam(c Cache, id, params string, r Result) {
 // RunParam evaluates one family at one validated point with the
 // engine's execution contract — cache read-through (ParamCache when
 // the store supports it), panic isolation, timeout — and returns the
-// point's Result. Only Timeout and Cache of opts are consulted: a
-// parameter point is a single execution, so Jobs/IDs/Reduce do not
-// apply (reduction is pinned to the fixed registry points).
+// point's Result, with Memo set when the point explored. Only Timeout
+// and Cache of opts are consulted: a parameter point is a single
+// execution, so Jobs/IDs do not apply.
 func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
 	id := f.ID
 	params := ps.Canonical()
 	if res, ok := getParam(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
-		res.ID = id
-		res.Cached = true
-		return res
+		return cacheHit(id, res)
 	}
-	res := runOne(ctx, id, func() (*Table, error) { return f.Run(ps) }, opts.Timeout)
+	res := runOne(ctx, id, func() (*Table, sched.MemoStats, error) { return f.Run(ps) }, opts.Timeout)
 	if res.Err == nil {
 		putParam(opts.Cache, id, params, res) // best-effort, like the engine's Put
 	}
@@ -426,7 +430,7 @@ func e2Family() Family {
 			// monopolizing a worker past any realistic timeout.
 			{Name: "k", Kind: ParamInt, Default: "4", Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
 		},
-		Run: func(ps ParamSet) (*Table, error) {
+		Run: func(ps ParamSet) (*Table, sched.MemoStats, error) {
 			return runE2At(ps.Int("k"), e2InputsOf(ps))
 		},
 		Shardable: func(ps ParamSet) Shardable {
@@ -443,26 +447,36 @@ func e2InputsOf(ps ParamSet) [2]uint64 {
 // e15Family is E15's space: the exhaustive Algorithm 2 validation
 // sweep over the choice task's value count and the two inputs. The
 // default point (c=2, inputs (0,1)) is Theorem 1.2's exhaustive check.
+// The choice task's inputs are {0,1}² at every size (its outputs grow
+// with c), so Check rejects any other input pair before it explores.
 func e15Family() Family {
 	return Family{
 		ID:  "E15",
 		Doc: "exhaustive Algorithm 2 validation over the choice task size and inputs",
 		Params: []ParamSpec{
 			{Name: "c", Kind: ParamInt, Default: "2", Min: 2, Max: 3, Doc: "choice task value count"},
-			{Name: "i0", Kind: ParamInt, Default: "0", Min: 0, Max: 2, Doc: "process 0's input (0..c-1)"},
-			{Name: "i1", Kind: ParamInt, Default: "1", Min: 0, Max: 2, Doc: "process 1's input (0..c-1)"},
+			{Name: "i0", Kind: ParamInt, Default: "0", Min: 0, Max: 2, Doc: "process 0's input (an input pair of the task)"},
+			{Name: "i1", Kind: ParamInt, Default: "1", Min: 0, Max: 2, Doc: "process 1's input (an input pair of the task)"},
 		},
 		Check: func(ps ParamSet) error {
-			c := ps.Int("c")
-			for _, name := range []string{"i0", "i1"} {
-				if ps.Int(name) >= c {
-					return fmt.Errorf("parameter %q: %d out of range for the %d-value choice task (want 0..%d)",
-						name, ps.Int(name), c, c-1)
+			plan, err := e15Plan(ps.Int("c"))
+			if err != nil {
+				return err
+			}
+			in, inputs := e15InputOf(ps), plan.Task.Inputs
+			if slices.Contains(inputs, in) {
+				return nil
+			}
+			// Name the field whose value no input pair of the task has.
+			for i, name := range []string{"i0", "i1"} {
+				if !slices.ContainsFunc(inputs, func(p task.Pair) bool { return p[i] == in[i] }) {
+					return fmt.Errorf("parameter %q: %d is not an input of task %s (inputs %v)", name, in[i], plan.Task.Name, inputs)
 				}
 			}
-			return nil
+			return fmt.Errorf("parameters \"i0\", \"i1\": (%d, %d) is not an input pair of task %s (inputs %v)",
+				in[0], in[1], plan.Task.Name, inputs)
 		},
-		Run: func(ps ParamSet) (*Table, error) {
+		Run: func(ps ParamSet) (*Table, sched.MemoStats, error) {
 			return runE15At(ps.Int("c"), e15InputOf(ps))
 		},
 		Shardable: func(ps ParamSet) Shardable {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // withBumps replaces the link-time bump table for one test. The Once
@@ -96,6 +98,13 @@ func TestParseParamsValidation(t *testing.T) {
 		{"above max", e2, "k=7", `parameter "k"`},
 		{"bad int input", e2, "i0=x", `parameter "i0"`},
 		{"cross check", e15, "c=2&i1=2", `parameter "i1"`},
+		// The choice task's inputs are {0,1}² at every size, so the c=3
+		// points the ranges admit beyond them are rejected up front.
+		{"c=3 input i1=2", e15, "c=3&i0=0&i1=2", `parameter "i1"`},
+		{"c=3 input (1,2)", e15, "c=3&i0=1&i1=2", `parameter "i1"`},
+		{"c=3 input i0=2", e15, "c=3&i0=2&i1=0", `parameter "i0"`},
+		{"c=3 input (2,1)", e15, "c=3&i0=2&i1=1", `parameter "i0"`},
+		{"c=3 input (2,2)", e15, "c=3&i0=2&i1=2", `parameter "i0"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,7 +169,7 @@ func TestDefaultPointAliasesFixed(t *testing.T) {
 
 func TestParamSetQueryRoundTrip(t *testing.T) {
 	fam := Families()["E15"]
-	ps, err := ParseParamList(fam, "c=3,i0=2")
+	ps, err := ParseParamList(fam, "c=3,i0=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +184,7 @@ func TestParamSetQueryRoundTrip(t *testing.T) {
 	if again.Canonical() != ps.Canonical() {
 		t.Fatalf("Query round trip moved the point: %q vs %q", again.Canonical(), ps.Canonical())
 	}
-	if got, want := ps.Canonical(), "c=3,i0=2,i1=1"; got != want {
+	if got, want := ps.Canonical(), "c=3,i0=1,i1=1"; got != want {
 		t.Fatalf("canonical = %q, want %q", got, want)
 	}
 }
@@ -202,7 +211,7 @@ func TestE2FamilyDifferentialDefaultPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fam.Run(ps)
+	got, _, err := fam.Run(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +233,7 @@ func TestE15FamilyDifferentialDefaultPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fam.Run(ps)
+	got, _, err := fam.Run(ps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,9 +263,15 @@ func TestRunParamNonDefaultPoint(t *testing.T) {
 	if res.Cached {
 		t.Fatal("first evaluation reported cached")
 	}
+	if res.Memo.Executions == 0 || res.Memo.Replays == 0 {
+		t.Fatalf("first evaluation carries no exploration counters: %+v", res.Memo)
+	}
 	again := RunParam(context.Background(), fam, ps, Options{Cache: c})
 	if again.Err != nil || !again.Cached {
 		t.Fatalf("second evaluation: cached=%v err=%v", again.Cached, again.Err)
+	}
+	if again.Memo != (sched.MemoStats{}) {
+		t.Fatalf("cache hit carries exploration counters: %+v", again.Memo)
 	}
 	if !reflect.DeepEqual(res.Table, again.Table) {
 		t.Fatal("cached table differs from computed table")

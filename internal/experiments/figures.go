@@ -52,14 +52,13 @@ func Figure1Summary() (*Table, error) {
 // worst co-final distance — Figure 2's structure. The table derives
 // from the same aggregate-and-finish path (shardable.go) a
 // prefix-sharded run merges through, so both emit identical bytes.
+// The exploration is the serial canonical-state memo: the engine
+// already runs experiments concurrently, so the concurrency budget is
+// spent one level up, which keeps -jobs 1 a true serial baseline and
+// -jobs N free of nested worker pools.
 func Figure2Executions() (*Table, error) {
-	// Serial exploration: the engine already runs experiments
-	// concurrently, so the concurrency budget is spent one level up —
-	// this keeps -jobs 1 a true serial baseline and -jobs N free of
-	// nested worker pools. Standalone callers wanting the fan-out use
-	// agreement.ExploreAlg1Parallel directly; sharded slices go
-	// through Shardables()["E2"].Explore.
-	return runE2At(e2K, e2Inputs)
+	tab, _, err := runE2At(e2K, e2Inputs)
+	return tab, err
 }
 
 // Theorem12Universal (E3) runs Algorithm 2 (3-bit registers) on solvable

@@ -3,102 +3,46 @@ package experiments
 import (
 	"repro/internal/agreement"
 	"repro/internal/sched"
-	"repro/internal/task"
 )
 
-// This file is the reduced-exploration seam: the experiments whose
-// exhaustive schedule sweeps can run through the canonical-state
-// memoized explorer (sched.ExploreMemo / sched.ExploreMemoParallel)
-// instead of replaying every interleaving. A reduced runner must
-// render *exactly* the bytes its exhaustive twin renders — it feeds
-// the same aggregate into the same finish path — and additionally
-// reports the explorer's counters, the observability the -reduce CLI
-// flag and the server's /stats section surface. Reduction is opt-in
-// per experiment (Options.Reduce) and never changes the Shardable
-// partial-run forms: sharded ranges keep their exhaustive
-// byte-identical contract.
+// This file is where the memoized experiments report their explorer's
+// counters. E2, E15, and the heavy E16 explore their schedule trees
+// through the canonical-state memo (sched.ExploreMemo and its parallel
+// form), which replays once per distinct (canonical state, depth) node
+// instead of once per interleaving and still accounts every execution.
+// That is sound because bounded registers leave finitely many memory
+// states: equal state at equal depth means an isomorphic remaining
+// subtree. The engine records each run's counters on Result.Memo; the
+// *Reduced(workers) forms run E2 and E16 at a chosen fan-out, for the
+// layer benchmarks and the tests that pin the parallel memo to the
+// serial one. The exhaustive explorers (agreement.ExploreAlg1*,
+// task.ExploreAlg2*) are the tests' oracle and serve no production
+// path.
 
-// ReducedRunner produces the same table as the experiment's Runner,
-// plus the memoized exploration's counters. workers is the memo
-// explorer's goroutine fan-out: 1 runs the serial explorer, > 1 the
-// sharded-table parallel one, <= 0 sched.DefaultExploreWorkers. The
-// table bytes are identical at every worker count.
-type ReducedRunner func(workers int) (*Table, sched.MemoStats, error)
+// memoRunner is a Runner that also returns its memoized exploration's
+// counters.
+type memoRunner func() (*Table, sched.MemoStats, error)
 
-// Reduced returns the experiments that support the memoized
-// exploration mode, by id: the two exhaustive schedule sweeps, plus
-// the reduced-only heavy sweeps (Heavy()).
-func Reduced() map[string]ReducedRunner {
-	return map[string]ReducedRunner{
-		"E2":  Figure2ExecutionsReduced,
-		"E15": Theorem12ExhaustiveReduced,
-		"E16": AlgK5SweepReduced,
-	}
+// memoRunners maps the real registry's experiments that explore
+// through the memo to runners reporting its counters. The engine
+// consults it only for the real registry (Options.Registry nil), the
+// same opt-in rule as ShardablesFor: a registry override's ids are not
+// the real experiments.
+var memoRunners = map[string]memoRunner{
+	"E2":  func() (*Table, sched.MemoStats, error) { return runE2At(e2K, e2Inputs) },
+	"E15": func() (*Table, sched.MemoStats, error) { return runE15At(e15Choice, e15Input) },
+	"E16": func() (*Table, sched.MemoStats, error) { return AlgK5SweepReduced(0) },
 }
 
-// ReducedIDs returns the reduced-capable experiment ids in index order.
-func ReducedIDs() []string {
-	m := Reduced()
-	ids := make(map[string]Runner, len(m))
-	for id := range m {
-		ids[id] = nil
-	}
-	return sortIDs(ids)
-}
-
-// alg1LeafAgg extracts one execution's contribution to E2's aggregate:
-// a fresh single-run alg1SweepAgg, built through the same collector the
-// exhaustive sweep uses. It is determined by the run's final state
-// (outputs, per-process step counts) and invariant under process
-// relabelling (set union, absolute difference, max), as the memo
-// contract requires.
-func alg1LeafAgg(ar *agreement.Alg1Run) any {
-	c := newAlg1Collector()
-	c.visit(ar)
-	return c.agg()
-}
-
-// mergeAlg1Agg is the pure MemoOptions.Merge over E2 aggregates: it
-// folds both into a fresh zero aggregate, leaving the arguments — live
-// memo entries — untouched. (alg1SweepAgg.Merge mutates its receiver,
-// which is exactly why the memoized path merges into a clone.)
-func mergeAlg1Agg(a, b any) any {
-	out := &alg1SweepAgg{}
-	out.Merge(a.(*alg1SweepAgg))
-	out.Merge(b.(*alg1SweepAgg))
-	return out
-}
-
-// Figure2ExecutionsReduced is E2 through the memoized explorer: the
-// same aggregate-and-finish path as Figure2Executions, with pruned
-// subtrees contributing their memoized aggregates instead of being
-// replayed — across workers goroutines when workers > 1.
+// Figure2ExecutionsReduced is E2 through the memo across workers
+// goroutines sharing one table (1 is the serial explorer the
+// registry runs, <= 0 sched.DefaultExploreWorkers). The table bytes
+// are identical at every worker count.
 func Figure2ExecutionsReduced(workers int) (*Table, sched.MemoStats, error) {
 	agg, stats, err := agreement.ExploreAlg1MemoParallel(e2K, e2Inputs, workers, alg1LeafAgg, mergeAlg1Agg)
 	if err != nil {
 		return nil, stats, err
 	}
-	a, _ := agg.(*alg1SweepAgg)
-	if a == nil {
-		a = &alg1SweepAgg{}
-	}
-	tab, err := finishE2(a, e2K, e2Inputs)
-	return tab, stats, err
-}
-
-// Theorem12ExhaustiveReduced is E15 through the memoized explorer:
-// every visited execution validated by task.CheckRun, pruned subtrees
-// vouched for by their memoized twins, and the exhaustive execution
-// count recovered from the explorer's accounting.
-func Theorem12ExhaustiveReduced(workers int) (*Table, sched.MemoStats, error) {
-	plan, err := e15Plan(e15Choice)
-	if err != nil {
-		return nil, sched.MemoStats{}, err
-	}
-	stats, err := task.ExploreAlg2MemoParallel(plan, e15Input, workers)
-	if err != nil {
-		return nil, stats, err
-	}
-	tab, err := finishE15(&alg2SweepAgg{Execs: stats.Executions}, e15Choice, e15Input)
+	tab, err := finishE2(alg1AggOf(agg), e2K, e2Inputs)
 	return tab, stats, err
 }

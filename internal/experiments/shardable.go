@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"repro/internal/agreement"
+	"repro/internal/sched"
 )
 
 // This file is the partial-run seam: the contract that lets one
@@ -325,44 +326,44 @@ func unionSorted(a, b []int) []int {
 	return out
 }
 
-// alg1Collector accumulates an alg1SweepAgg from explorer visits. The
-// visit method is called under the explorer's lock (or serially), so
-// no further synchronization is needed.
-type alg1Collector struct {
-	execs    int
-	seen     map[int]bool
-	worstNum int
-	maxSteps int
-}
-
-func newAlg1Collector() *alg1Collector {
-	return &alg1Collector{seen: make(map[int]bool)}
-}
-
-func (c *alg1Collector) visit(ar *agreement.Alg1Run) {
-	c.execs++
-	for i := 0; i < 2; i++ {
-		c.seen[ar.Outs[i].Num] = true
-		if ar.Result.Steps[i] > c.maxSteps {
-			c.maxSteps = ar.Result.Steps[i]
-		}
+// alg1LeafAgg is one execution's contribution to E2's aggregate: a
+// single-run alg1SweepAgg. It is determined by the run's final state
+// (outputs, per-process step counts) and invariant under process
+// relabelling (set of outputs, absolute difference, max), as the memo
+// contract requires.
+func alg1LeafAgg(ar *agreement.Alg1Run) any {
+	a, b := ar.Outs[0].Num, ar.Outs[1].Num
+	seen := []int{min(a, b), max(a, b)}
+	if a == b {
+		seen = seen[:1]
 	}
-	d := ar.Outs[0].Num - ar.Outs[1].Num
-	if d < 0 {
-		d = -d
-	}
-	if d > c.worstNum {
-		c.worstNum = d
+	return &alg1SweepAgg{
+		Execs:    1,
+		Seen:     seen,
+		WorstNum: max(a-b, b-a),
+		MaxSteps: max(ar.Result.Steps[0], ar.Result.Steps[1]),
 	}
 }
 
-func (c *alg1Collector) agg() *alg1SweepAgg {
-	seen := make([]int, 0, len(c.seen))
-	for n := range c.seen {
-		seen = append(seen, n)
+// mergeAlg1Agg is the pure MemoOptions.Merge over E2 aggregates: it
+// folds both into a fresh zero aggregate, leaving the arguments — live
+// memo entries — untouched. (alg1SweepAgg.Merge mutates its receiver,
+// which is exactly why the memoized path merges into a clone.)
+func mergeAlg1Agg(a, b any) any {
+	out := &alg1SweepAgg{}
+	out.Merge(a.(*alg1SweepAgg))
+	out.Merge(b.(*alg1SweepAgg))
+	return out
+}
+
+// alg1AggOf unwraps a memoized exploration's aggregate; an exploration
+// with no leaves (an empty root set) yields the zero aggregate, with
+// Seen encoded as [] rather than null.
+func alg1AggOf(agg any) *alg1SweepAgg {
+	if a, ok := agg.(*alg1SweepAgg); ok {
+		return a
 	}
-	sort.Ints(seen)
-	return &alg1SweepAgg{Execs: c.execs, Seen: seen, WorstNum: c.worstNum, MaxSteps: c.maxSteps}
+	return &alg1SweepAgg{Seen: []int{}}
 }
 
 // finishE2 renders the E2 family's table at one (k, inputs) point from
@@ -393,13 +394,18 @@ func finishE2(a *alg1SweepAgg, k int, inputs [2]uint64) (*Table, error) {
 }
 
 // runE2At evaluates the E2 family whole at one (k, inputs) point —
-// the Family.Run behind GET /experiments/E2?k=...
-func runE2At(k int, inputs [2]uint64) (*Table, error) {
-	col := newAlg1Collector()
-	if _, err := agreement.ExploreAlg1(k, inputs, col.visit); err != nil {
-		return nil, err
+// the fixed E2 runner and the Family.Run behind GET
+// /experiments/E2?k=... — through the serial canonical-state memo,
+// returning the explorer's counters with the table. Serial, like every
+// engine-driven runner: the engine owns the concurrency budget one
+// level up.
+func runE2At(k int, inputs [2]uint64) (*Table, sched.MemoStats, error) {
+	agg, stats, err := agreement.ExploreAlg1Memo(k, inputs, alg1LeafAgg, mergeAlg1Agg)
+	if err != nil {
+		return nil, stats, err
 	}
-	return finishE2(col.agg(), k, inputs)
+	tab, err := finishE2(alg1AggOf(agg), k, inputs)
+	return tab, stats, err
 }
 
 // e2Shardable is E2's partial-run form at the fixed registry point.
@@ -408,20 +414,20 @@ func e2Shardable() Shardable {
 }
 
 // e2ShardableAt is the partial-run form at one (k, inputs) point.
-// Explore fans out in-process (the slice is this worker's whole job,
-// so the concurrency budget is spent here, unlike the engine-driven
-// serial runner).
+// Explore runs the serial memo over the slice's roots, like the whole
+// runner: the server's slice slots and the coordinator's range fan-out
+// own the cores.
 func e2ShardableAt(k int, inputs [2]uint64) Shardable {
 	return Shardable{
 		Roots: func() ([][]int, error) {
 			return agreement.Alg1Roots(k, inputs, e2ShardDepth)
 		},
 		Explore: func(roots [][]int) (Aggregate, error) {
-			col := newAlg1Collector()
-			if _, err := agreement.ExploreAlg1Prefixes(k, inputs, 0, roots, col.visit); err != nil {
+			agg, _, err := agreement.ExploreAlg1MemoPrefixes(k, inputs, roots, alg1LeafAgg, mergeAlg1Agg)
+			if err != nil {
 				return nil, err
 			}
-			return col.agg(), nil
+			return alg1AggOf(agg), nil
 		},
 		Decode: func(data []byte) (Aggregate, error) {
 			var a alg1SweepAgg

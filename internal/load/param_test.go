@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/sched"
 )
 
 // loadFamilies returns a synthetic parameterized family for planner
@@ -22,8 +23,8 @@ func loadFamilies(id string) map[string]experiments.Family {
 			Params: []experiments.ParamSpec{
 				{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9},
 			},
-			Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
-				return &experiments.Table{ID: id}, nil
+			Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
+				return &experiments.Table{ID: id}, sched.MemoStats{}, nil
 			},
 		},
 	}

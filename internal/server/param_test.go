@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/experiments"
+	"repro/internal/sched"
 )
 
 // paramServer stands up a server over one synthetic parameterized
@@ -27,14 +28,14 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 			{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9, Doc: "the point"},
 			{Name: "eps", Kind: experiments.ParamFloat, Default: "0.5", Min: 0, Max: 1, Doc: "a float knob"},
 		},
-		Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
+		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			execs.Add(1)
 			return &experiments.Table{
 				ID:      "P1",
 				Title:   fmt.Sprintf("point x=%d eps=%g", ps.Int("x"), ps.Float("eps")),
 				Headers: []string{"x"},
 				Rows:    [][]string{{fmt.Sprint(ps.Int("x"))}},
-			}, nil
+			}, sched.MemoStats{}, nil
 		},
 	}
 	defaults, err := experiments.DefaultParams(fam)
@@ -42,7 +43,10 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 		t.Fatal(err)
 	}
 	opts.Registry = map[string]experiments.Runner{
-		"P1": func() (*experiments.Table, error) { return fam.Run(defaults) },
+		"P1": func() (*experiments.Table, error) {
+			tab, _, err := fam.Run(defaults)
+			return tab, err
+		},
 	}
 	opts.Families = map[string]experiments.Family{"P1": fam}
 	ts := httptest.NewServer(New(opts))
@@ -116,6 +120,28 @@ func TestParamEndpointValidation(t *testing.T) {
 	}
 	if n := execs.Load(); n != 0 {
 		t.Errorf("invalid requests executed %d times", n)
+	}
+
+	// The real E15 family: c=3 widens the input ranges, but the choice
+	// task's inputs stay {0,1}², so the other pairs are rejected before
+	// any exploration.
+	real := httptest.NewServer(New(Options{}))
+	defer real.Close()
+	for _, tc := range []struct {
+		path    string
+		wantSub string
+	}{
+		{"/experiments/E15?c=3&i1=2", `parameter "i1"`},
+		{"/experiments/E15?c=3&i0=1&i1=2", `parameter "i1"`},
+		{"/experiments/E15?c=3&i0=2&i1=0", `parameter "i0"`},
+		{"/experiments/E15?c=3&i0=2&i1=1", `parameter "i0"`},
+		{"/experiments/E15?c=3&i0=2&i1=2", `parameter "i0"`},
+		{"/experiments/E15?c=3&i0=2&prefixes=0", `parameter "i0"`},
+	} {
+		code, body := get(t, real, tc.path)
+		if code != http.StatusBadRequest || !strings.Contains(body, tc.wantSub) {
+			t.Errorf("GET %s = %d %q, want 400 naming %q", tc.path, code, body, tc.wantSub)
+		}
 	}
 }
 

@@ -96,14 +96,6 @@ type Options struct {
 	// registry is the real one, none under an override unless the
 	// override opts in here.
 	Families map[string]experiments.Family
-	// Reduce runs reduced-capable experiments
-	// (experiments.Reduced()) through the canonical-state memoized
-	// explorer (experiments.Options.Reduce). Tables and wire bytes are
-	// unchanged; the explorer's counters accumulate into the /stats
-	// exploration section. Backend execution and prefix slices are
-	// unaffected — slices keep their exhaustive byte-identical
-	// contract.
-	Reduce bool
 	// Journal receives one span per request (keyed by the
 	// Repro-Request-ID header, minted here when absent) and backs
 	// GET /trace/{id}; nil means a private journal with the default
@@ -124,7 +116,11 @@ type Options struct {
 //	GET /healthz                             liveness probe
 //	GET /stats                               operational counters (JSON)
 type Server struct {
+	// reg resolves served ids (the registry plus the heavy
+	// experiments); registry is the caller's override, nil for the
+	// real registry, which is what the engine is handed.
 	reg          map[string]experiments.Runner
+	registry     map[string]experiments.Runner
 	ids          []string
 	cache        experiments.Cache
 	timeout      time.Duration
@@ -141,17 +137,15 @@ type Server struct {
 	mu        sync.Mutex
 	cooldowns map[string]cooldownEntry
 
-	reduce bool
-
 	inFlight atomic.Int64
 	requests atomic.Int64
 	statsMu  sync.Mutex
 	perExp   map[string]*expStat
-	// memoMu guards the accumulated reduced-exploration counters
-	// (reducedRuns plus the summed MemoStats) behind /stats.
-	memoMu      sync.Mutex
-	reducedRuns int64
-	memoTotals  sched.MemoStats
+	// memoMu guards the accumulated exploration counters (memoRuns
+	// plus the summed MemoStats) behind /stats.
+	memoMu     sync.Mutex
+	memoRuns   int64
+	memoTotals sched.MemoStats
 	// endpointLat holds the per-endpoint latency histograms (fixed
 	// key set, built at New): recording is lock-free on the request
 	// path, /stats snapshots them.
@@ -197,12 +191,12 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		reg:          reg,
+		registry:     opts.Registry,
 		ids:          ids,
 		cache:        opts.Cache,
 		timeout:      timeout,
 		backend:      opts.Backend,
 		paramBackend: opts.ParamBackend,
-		reduce:       opts.Reduce,
 		shardables:   shardables,
 		families:     families,
 		exploreSem:   make(chan struct{}, sliceExploreSlots),
@@ -448,7 +442,7 @@ type sliceOutcome struct {
 // experiment: a coordinator retry (and any future run of the same
 // experiment) re-sends the byte-identical prefixes string, and
 // without the cooldown each retry would stack another abandoned
-// full-width explorer pool on the worker.
+// exploration on the worker.
 func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, id string, ps experiments.ParamSet, prefixes string, start time.Time) {
 	if format := r.URL.Query().Get("format"); format != "" && format != "json" {
 		http.Error(w, fmt.Sprintf("prefix slices are JSON only, not %q", format), http.StatusBadRequest)
@@ -570,12 +564,11 @@ func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, param
 }
 
 // sliceExploreSlots bounds concurrent slice explorations per server.
-// Each Explore fans out across every core, so unbounded concurrent
-// slices would stack full-width explorer pools; two slots match the
-// coordinator's ~two-ranges-per-worker carve (its normal load runs
-// uncontended), and anything beyond queues into the timeout window —
-// backpressure the coordinator answers by failing over to a
-// less-loaded worker.
+// Each Explore is one serial memoized exploration, so the slots are
+// the server's exploration cores; two match the coordinator's
+// ~two-ranges-per-worker carve (its normal load runs uncontended), and
+// anything beyond queues into the timeout window — backpressure the
+// coordinator answers by failing over to a less-loaded worker.
 const sliceExploreSlots = 2
 
 // exploreSlice runs one Shardable.Explore under the per-execution
@@ -655,25 +648,18 @@ func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
 			res, err := s.backend(ctx, id)
 			return res, err
 		}
-		// Jobs <= 0 means GOMAXPROCS: irrelevant to this single-id run's
-		// experiment pool, but in reduced mode it is also the memoized
-		// explorer's worker fan-out, so the server's reduced runs scale
-		// across cores (bytes are worker-count-invariant).
 		results, err := experiments.Run(context.Background(), experiments.Options{
 			IDs:      []string{id},
 			Timeout:  timeout,
-			Registry: s.reg,
+			Registry: s.registry,
 			Cache:    s.cache,
-			Reduce:   s.reduce,
 		})
 		if err != nil {
 			return experiments.Result{}, err
 		}
-		if results[0].Reduced {
-			// Inside the flight: counted once per execution, not once
-			// per waiter sharing it.
-			s.recordReduced(results[0].Memo)
-		}
+		// Inside the flight: counted once per execution, not once per
+		// waiter sharing it.
+		s.recordExploration(results[0].Memo)
 		return results[0], nil
 	})
 	if err != nil {
@@ -717,6 +703,7 @@ func (s *Server) executeParam(reqID, id string, ps experiments.ParamSet) (experi
 			Timeout: timeout,
 			Cache:   s.cache,
 		})
+		s.recordExploration(res.Memo)
 		return res, nil
 	})
 	if err != nil {

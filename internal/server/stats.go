@@ -60,21 +60,20 @@ type StatsResponse struct {
 	// most hist.Growth (≈18.9%).
 	Endpoints map[string]hist.Snapshot `json:"endpoints"`
 	// Exploration accumulates the memoized explorer's counters over
-	// every reduced run served (Options.Reduce); absent until the first
-	// reduced run.
+	// every whole or parameter-point run this process explored; absent
+	// until the first.
 	Exploration *StatsExploration `json:"exploration,omitempty"`
 }
 
 // StatsExploration sums the memoized exploration counters
-// (sched.MemoStats) across the reduced runs this process executed —
-// the observability half of the reduced mode: executions accounted,
-// replays actually performed, and the visited/pruned state totals.
-// StatesShared counts memo entries reused across the parallel
-// explorer's prefix ranges (0 on serial runs); Workers sums each
-// run's goroutine fan-out, so workers/reduced_runs is the average
-// parallelism the reduced path actually got.
+// (sched.MemoStats) across the runs this process explored: executions
+// accounted, replays actually performed, and the visited/pruned state
+// totals. StatesShared counts memo entries reused across the parallel
+// explorer's prefix ranges (0 on serial runs); Workers sums each run's
+// goroutine fan-out, so workers/runs is the average parallelism the
+// explorations got. Cache hits and slice requests add nothing.
 type StatsExploration struct {
-	ReducedRuns   int64 `json:"reduced_runs"`
+	Runs          int64 `json:"runs"`
 	Executions    int64 `json:"executions"`
 	Replays       int64 `json:"replays"`
 	StatesVisited int64 `json:"states_visited"`
@@ -147,12 +146,16 @@ func (s *Server) record(endpoint, id string, d time.Duration, failed bool) {
 	st.lat.Record(d)
 }
 
-// recordReduced folds one reduced run's explorer counters into the
-// /stats exploration totals.
-func (s *Server) recordReduced(m sched.MemoStats) {
+// recordExploration folds one run's explorer counters into the /stats
+// exploration totals; a run that explored nothing (a cache hit, an
+// experiment outside the memo) is not counted.
+func (s *Server) recordExploration(m sched.MemoStats) {
+	if m.Executions == 0 {
+		return
+	}
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
-	s.reducedRuns++
+	s.memoRuns++
 	s.memoTotals.Executions += m.Executions
 	s.memoTotals.Replays += m.Replays
 	s.memoTotals.StatesVisited += m.StatesVisited
@@ -161,17 +164,16 @@ func (s *Server) recordReduced(m sched.MemoStats) {
 	s.memoTotals.Workers += m.Workers
 }
 
-// explorationStats snapshots the reduced-run totals, nil before the
-// first reduced run so the section stays absent on exhaustive-only
-// processes.
+// explorationStats snapshots the exploration totals, nil before the
+// first exploring run so the section stays absent until then.
 func (s *Server) explorationStats() *StatsExploration {
 	s.memoMu.Lock()
 	defer s.memoMu.Unlock()
-	if s.reducedRuns == 0 {
+	if s.memoRuns == 0 {
 		return nil
 	}
 	return &StatsExploration{
-		ReducedRuns:   s.reducedRuns,
+		Runs:          s.memoRuns,
 		Executions:    int64(s.memoTotals.Executions),
 		Replays:       int64(s.memoTotals.Replays),
 		StatesVisited: int64(s.memoTotals.StatesVisited),

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/experiments"
+	"repro/internal/sched"
 	"repro/internal/server"
 )
 
@@ -51,10 +52,11 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 		Params: []experiments.ParamSpec{
 			{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9, Doc: "the point"},
 		},
-		Run: func(ps experiments.ParamSet) (*experiments.Table, error) {
+		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			x := ps.Int("x")
 			if shardable {
-				return shardableRunner(shAt(x))()
+				tab, err := shardableRunner(shAt(x))()
+				return tab, sched.MemoStats{}, err
 			}
 			execs.Add(1)
 			return &experiments.Table{
@@ -62,7 +64,7 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 				Title:   fmt.Sprintf("point x=%d", x),
 				Headers: []string{"x"},
 				Rows:    [][]string{{fmt.Sprint(x)}},
-			}, nil
+			}, sched.MemoStats{}, nil
 		},
 	}
 	if shardable {
@@ -75,7 +77,10 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 		panic(err)
 	}
 	reg := map[string]experiments.Runner{
-		id: func() (*experiments.Table, error) { return fam.Run(defaults) },
+		id: func() (*experiments.Table, error) {
+			tab, _, err := fam.Run(defaults)
+			return tab, err
+		},
 	}
 	return reg, map[string]experiments.Family{id: fam}, execs
 }
@@ -258,7 +263,7 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	}
 	baselineReg, baselineFams, _ := paramFixture(id, true)
 	_ = baselineReg
-	want, err := baselineFams[id].Run(paramPoint(t, baselineFams, id, "x=5"))
+	want, _, err := baselineFams[id].Run(paramPoint(t, baselineFams, id, "x=5"))
 	if err != nil {
 		t.Fatal(err)
 	}

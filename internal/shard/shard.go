@@ -904,10 +904,10 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 			Detail: err.Error()})
 		c.logf("shard: %s range %s on %s failed (%v); reassigning", id, prefixes, w.base, err)
 	}
-	// A local exploration fans out across every core (Explore owns the
-	// whole budget, unlike the engine's serial runners), so ranges
-	// falling back concurrently are serialized on a one-slot semaphore
-	// rather than stacking full-width explorer pools.
+	// Ranges falling back concurrently are serialized on a one-slot
+	// semaphore: each local Explore is a serial memoized exploration,
+	// so a fleet that cannot serve costs this process one core rather
+	// than one per range.
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback, Range: prefixes})
 	select {
 	case c.exploreSem <- struct{}{}:
