@@ -66,26 +66,25 @@ cache-surgery:
 # reduce-gate is the oracle gate of the memoized production explorer:
 # the exhaustive explorers must render E2 and E15 byte-identically to
 # production in every format at every served point and carved range
-# (TestReducedMatchesExhaustiveBytes, not -short), the parallel memo
-# must match the serial one on E2/E15/E16 and share entries
-# (TestReducedParallelMatchesSerial), and the `figures -v` counter
-# lines of a cacheless run must show real pruning. Execution counts
-# are pinned to the committed BENCH_explore.json baseline (which the
-# gate rewrites with fresh counters and ns/op).
+# (TestReducedMatchesExhaustiveBytes, not -short), and the `figures -v`
+# counter lines of cacheless E2, E15 and E2 k=5 runs must show real
+# pruning. Execution counts are pinned to the committed
+# BENCH_explore.json baseline (which the gate rewrites with fresh
+# counters and ns/op).
 reduce-gate:
 	./scripts/reduce-gate.sh
 
 # fuzz-smoke runs each fuzz target briefly: arbitrary bytes must never
 # panic the results decoder, the cache read path, the canonical-state
 # fingerprint, or the prefixes-to-memoized-exploration pipeline, and
-# random (system, workers, carve) points must keep the parallel memo
-# byte-identical to the serial one.
+# random (system, carve) points must keep the memo's aggregate and
+# execution count equal to the exhaustive explorer's.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSON$$' -fuzztime=10s ./internal/experiments
 	$(GO) test -run='^$$' -fuzz='^FuzzCacheGet$$' -fuzztime=10s ./internal/cache
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalState$$' -fuzztime=10s ./internal/memory
 	$(GO) test -run='^$$' -fuzz='^FuzzPrefixesMemoExplore$$' -fuzztime=10s ./internal/experiments
-	$(GO) test -run='^$$' -fuzz='^FuzzMemoParallelDeterminism$$' -fuzztime=10s ./internal/sched
+	$(GO) test -run='^$$' -fuzz='^FuzzMemoMatchesExhaustive$$' -fuzztime=10s ./internal/sched
 
 figures:
 	$(GO) run ./cmd/figures

@@ -88,7 +88,7 @@ func BenchmarkAlg2Universal(b *testing.B) {
 // BenchmarkPigeonholeBound (E4): the register-content collision search.
 func BenchmarkPigeonholeBound(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		c, err := impossibility.WorstCollision(3, 0)
+		c, err := impossibility.WorstCollision(3)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,8 +369,8 @@ func BenchmarkSweep(b *testing.B) {
 }
 
 // BenchmarkExploreParallel measures the bounded fan-out over disjoint
-// schedule prefixes on the Algorithm 1 interleaving space (the hot loop
-// of E2/E4 and the impossibility package).
+// schedule prefixes on the Algorithm 1 interleaving space: the
+// exhaustive walk the memoized explorer's tests use as their oracle.
 func BenchmarkExploreParallel(b *testing.B) {
 	workerCounts := []int{1}
 	if n := runtime.NumCPU(); n > 1 {
@@ -380,7 +380,7 @@ func BenchmarkExploreParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var runs int
 			for i := 0; i < b.N; i++ {
-				r, err := agreement.ExploreAlg1Parallel(4, [2]uint64{0, 1}, workers, func(*agreement.Alg1Run) {})
+				r, err := agreement.ExploreAlg1Prefixes(4, [2]uint64{0, 1}, workers, [][]int{{}}, func(*agreement.Alg1Run) {})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -409,33 +409,6 @@ func BenchmarkExploreMemoized(b *testing.B) {
 	b.ReportMetric(float64(stats.Replays), "replays")
 	b.ReportMetric(float64(stats.StatesVisited), "states_visited")
 	b.ReportMetric(float64(stats.StatesPruned), "states_pruned")
-}
-
-// BenchmarkExploreMemoParallel measures the sharded concurrent memo
-// table over the same Algorithm 1 space BenchmarkExploreMemoized walks
-// serially: workers=1 is the serial reference (the parallel entry point
-// falls through to ExploreMemo), higher counts split the prefix ranges
-// across goroutines over one shared table. The states_shared metric
-// counts memo entries reused across ranges — the cross-worker savings
-// the shared table buys over independent per-range memos. On a
-// single-core host the ns/op lines coincide; the speedup column in
-// BENCH_explore.json reads workers=8 against workers=1 either way.
-func BenchmarkExploreMemoParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var stats sched.MemoStats
-			for i := 0; i < b.N; i++ {
-				_, s, err := agreement.ExploreAlg1MemoParallel(4, [2]uint64{0, 1}, workers, nil, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stats = s
-			}
-			b.ReportMetric(float64(stats.Executions), "executions")
-			b.ReportMetric(float64(stats.Replays), "replays")
-			b.ReportMetric(float64(stats.StatesShared), "states_shared")
-		})
-	}
 }
 
 // BenchmarkSchedHandshake measures the raw cost of one scheduler-gated

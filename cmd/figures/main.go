@@ -41,17 +41,17 @@
 // sharded run of the same space executes zero explorations anywhere.
 //
 // The schedule-tree experiments (E2's Algorithm 1 sweep, E15's
-// Algorithm 2 validation, and the opt-in heavy E16) explore through
+// Algorithm 2 validation, and E4's collision search) explore through
 // the canonical-state memo, which replays each distinct memory state
 // once instead of every interleaving while accounting every execution.
-// With -v, each result that explored prints one counter line, e.g.
+// With -v, each E2 or E15 result that explored prints one counter
+// line, e.g.
 //
-//	figures: explore E2 visited=242 pruned=126 replays=146 executions=22080 workers=1 shared=0
+//	figures: explore E2 visited=242 pruned=126 replays=146 executions=22080
 //
 // (states visited, subtrees pruned, replays performed vs executions
-// accounted, goroutine fan-out, memo entries shared across prefix
-// ranges). E2 and E15 explore serially, so their counters do not
-// depend on -jobs or the core count; E16 fans out across every core.
+// accounted). The memo is serial, so the counters do not depend on
+// -jobs or the core count.
 //
 // -param evaluates one experiment family at one point of its
 // parameter space instead of the fixed registry point: -run must name
@@ -141,11 +141,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		for _, id := range experiments.IDs() {
 			fmt.Fprintln(stdout, id)
 		}
-		// Heavy experiments run only when named in -run; the default
-		// sweep skips them.
-		for _, id := range experiments.HeavyIDs() {
-			fmt.Fprintf(stdout, "%s (heavy, opt-in)\n", id)
-		}
 		return nil
 	}
 
@@ -201,12 +196,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reg = experiments.Registry()
 	}
 	for _, id := range ids {
-		if _, ok := reg[id]; ok {
-			continue
-		}
-		// Heavy opt-in ids (E16) resolve only against the real registry,
-		// mirroring the engine's HeavyFor rule.
-		if _, ok := experiments.HeavyFor(testRegistry)[id]; !ok {
+		if _, ok := reg[id]; !ok {
 			return fmt.Errorf("unknown experiment %q", id)
 		}
 	}
@@ -262,8 +252,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			// One grep-friendly counter line per result that explored
 			// (make reduce-gate keys on the "figures: explore" prefix).
 			if m := r.Memo; m.Executions > 0 {
-				fmt.Fprintf(stderr, "figures: explore %s visited=%d pruned=%d replays=%d executions=%d workers=%d shared=%d\n",
-					r.ID, m.StatesVisited, m.StatesPruned, m.Replays, m.Executions, m.Workers, m.StatesShared)
+				fmt.Fprintf(stderr, "figures: explore %s visited=%d pruned=%d replays=%d executions=%d\n",
+					r.ID, m.StatesVisited, m.StatesPruned, m.Replays, m.Executions)
 			}
 		}
 		fmt.Fprintf(stderr, "figures: total %.3fs\n", time.Since(start).Seconds())

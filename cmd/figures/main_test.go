@@ -235,13 +235,8 @@ func TestRunList(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	if len(lines) != 16 || lines[0] != "E1" || lines[14] != "E15" {
+	if len(lines) != 15 || lines[0] != "E1" || lines[14] != "E15" {
 		t.Fatalf("-list = %v", lines)
-	}
-	// Heavy opt-in ids follow the default sweep, tagged so nobody runs
-	// them by accident.
-	if lines[15] != "E16 (heavy, opt-in)" {
-		t.Fatalf("heavy line = %q", lines[15])
 	}
 }
 
@@ -468,7 +463,7 @@ func TestVerboseExplorationCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := regexp.MustCompile(`(?m)^figures: explore .*$`).FindAllString(coldErr.String(), -1)
-	want := "figures: explore E2 visited=242 pruned=126 replays=146 executions=22080 workers=1 shared=0"
+	want := "figures: explore E2 visited=242 pruned=126 replays=146 executions=22080"
 	if len(lines) != 1 || lines[0] != want {
 		t.Errorf("cold counter lines = %q, want [%q]", lines, want)
 	}

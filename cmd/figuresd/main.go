@@ -8,11 +8,11 @@
 //	figuresd [-addr host:port] [-cache-dir DIR] [-timeout D] [-grace D]
 //	         [-peers host1:port,host2:port] [-debug-addr host:port]
 //
-// The schedule-tree experiments (E2, E15, and the opt-in heavy E16),
-// their parameter points, and their prefix slices explore through the
-// canonical-state memo. The counters of every whole or parameter-point
-// run this process explores accumulate in the /stats exploration
-// section.
+// The schedule-tree experiments (E2 and E15, their parameter points
+// and their prefix slices, and E4's collision search) explore through
+// the serial canonical-state memo. The counters of every whole or
+// parameter-point E2 or E15 run this process explores accumulate in
+// the /stats exploration section.
 //
 // Endpoints:
 //

@@ -170,8 +170,8 @@ func (ar *Alg1Run) Check(k int) error {
 
 // newAlg1Run builds a fresh Algorithm 1 system: the run record (with its
 // own shared memory) and the two process closures wired into it. Every
-// runner and explorer goes through it, so the serial and parallel
-// enumerations execute identical systems.
+// runner and explorer goes through it, so every enumeration executes
+// identical systems.
 func newAlg1Run(k int, inputs [2]uint64) (*Alg1Run, []sched.ProcFunc) {
 	m := NewAlg1Memory()
 	ar := &Alg1Run{Inputs: inputs, Mem: m}
@@ -209,21 +209,14 @@ func ExploreAlg1(k int, inputs [2]uint64, visit func(*Alg1Run)) (int, error) {
 	})
 }
 
-// ExploreAlg1Parallel enumerates the same executions as ExploreAlg1 with
-// a bounded goroutine fan-out over disjoint schedule prefixes
-// (sched.ExploreParallel). visit is called serially under the explorer's
-// lock — it may mutate shared state freely — but in nondeterministic
-// order, so it must aggregate order-insensitively. workers <= 0 means
-// sched.DefaultExploreWorkers.
-func ExploreAlg1Parallel(k int, inputs [2]uint64, workers int, visit func(*Alg1Run)) (int, error) {
-	return ExploreAlg1Prefixes(k, inputs, workers, [][]int{{}}, visit)
-}
-
 // ExploreAlg1Prefixes explores exactly the Algorithm 1 executions
 // extending the given schedule prefixes (sched.ExplorePrefixes): the
 // slice of the exploration space one shard of a distributed run owns.
 // Roots come from Alg1Roots; the union of visits over any partition of
-// those roots is exactly the ExploreAlg1 execution set.
+// those roots is exactly the ExploreAlg1 execution set, and the single
+// empty prefix is the whole tree. visit runs serially under the
+// explorer's lock but in nondeterministic order, so it must aggregate
+// order-insensitively. workers <= 0 means sched.DefaultExploreWorkers.
 func ExploreAlg1Prefixes(k int, inputs [2]uint64, workers int, roots [][]int, visit func(*Alg1Run)) (int, error) {
 	factory := func() sched.Instance {
 		cur, procs := newAlg1Run(k, inputs)
@@ -265,10 +258,10 @@ func ExploreAlg1MemoPrefixes(k int, inputs [2]uint64, roots [][]int, leaf func(*
 	return sched.ExploreMemoPrefixes(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, roots)
 }
 
-// alg1MemoFactory builds the MemoInstance factory the memoized
-// explorers (serial and parallel) share: a fresh Algorithm 1 run per
-// instance, fingerprinted by the memory's canonical (relabelling-
-// reduced) key, with leaf wrapped to see the current run.
+// alg1MemoFactory builds the memoized explorer's MemoInstance
+// factory: a fresh Algorithm 1 run per instance, fingerprinted by the
+// memory's canonical (relabelling-reduced) key, with leaf wrapped to
+// see the current run.
 func alg1MemoFactory(k int, inputs [2]uint64, leaf func(*Alg1Run) any) func() sched.MemoInstance {
 	return func() sched.MemoInstance {
 		cur, procs := newAlg1Run(k, inputs)
@@ -285,25 +278,6 @@ func alg1MemoFactory(k int, inputs [2]uint64, leaf func(*Alg1Run) any) func() sc
 		}
 		return inst
 	}
-}
-
-// ExploreAlg1MemoParallel is ExploreAlg1Memo across workers goroutines
-// sharing one concurrent memo table (sched.ExploreMemoParallel): the
-// same aggregate and execution count, byte-identical to the serial
-// memo and to the exhaustive sweep, with the replays spread over
-// cores. leaf and merge keep the memo contract and must additionally
-// be safe to call from concurrent workers (leaf receives a worker-
-// private Alg1Run, so pure extractors — the normal shape — qualify
-// as-is). workers <= 0 means sched.DefaultExploreWorkers.
-func ExploreAlg1MemoParallel(k int, inputs [2]uint64, workers int, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
-	return sched.ExploreMemoParallel(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, workers)
-}
-
-// ExploreAlg1MemoParallelPrefixes is ExploreAlg1MemoPrefixes across
-// workers goroutines sharing one memo table
-// (sched.ExploreMemoParallelPrefixes).
-func ExploreAlg1MemoParallelPrefixes(k int, inputs [2]uint64, workers int, roots [][]int, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
-	return sched.ExploreMemoParallelPrefixes(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, workers, roots)
 }
 
 // Alg1Roots enumerates the live schedule prefixes of the Algorithm 1

@@ -7,8 +7,9 @@ import (
 )
 
 // TestExploreAlg1ParallelMatchesSerial checks that the parallel
-// enumeration of Algorithm 1 visits the same multiset of completed runs
-// (outputs and final register contents) as the serial one.
+// enumeration of Algorithm 1 (ExploreAlg1Prefixes over the whole tree)
+// visits the same multiset of completed runs (outputs and final
+// register contents) as the serial one.
 func TestExploreAlg1ParallelMatchesSerial(t *testing.T) {
 	collect := func(explore func(func(*Alg1Run)) (int, error)) ([]string, int) {
 		var keys []string
@@ -28,7 +29,7 @@ func TestExploreAlg1ParallelMatchesSerial(t *testing.T) {
 				return ExploreAlg1(k, inputs, visit)
 			})
 			got, parallelRuns := collect(func(visit func(*Alg1Run)) (int, error) {
-				return ExploreAlg1Parallel(k, inputs, 4, visit)
+				return ExploreAlg1Prefixes(k, inputs, 4, [][]int{{}}, visit)
 			})
 			if serialRuns != parallelRuns {
 				t.Fatalf("k=%d inputs=%v: %d parallel runs, %d serial", k, inputs, parallelRuns, serialRuns)

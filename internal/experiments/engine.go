@@ -30,10 +30,13 @@ type Options struct {
 	Cache Cache
 }
 
-// registry is the real registry, built once: Run reads it on every call
-// that names no override — every figuresd request — and never mutates
-// it.
-var registry = Registry()
+// registry and families are the real registry and its parameterized
+// families, built once: Run reads them on every call that names no
+// override — every figuresd request — and never mutates them.
+var (
+	registry = Registry()
+	families = Families()
+)
 
 // Cache is the engine's view of a result store, keyed by experiment id.
 // Implementations (internal/cache.Store) own the full cache key —
@@ -63,7 +66,7 @@ type Result struct {
 	// so cached and fresh runs encode byte-identically.
 	Cached bool
 	// Memo carries the counters of the memoized exploration the run
-	// performed (E2, E15, E16 and their parameter points); zero when
+	// performed (E2, E15 and their parameter points); zero when
 	// no exploration ran — a cache hit, a remote result, or an
 	// experiment that does not explore through the memo. Like Cached
 	// it is not part of the wire form.
@@ -90,9 +93,11 @@ func FirstError(results []Result) error {
 // mistakes (an unknown experiment id); cancelling ctx marks the
 // experiments not yet finished as failed with the context's error.
 func Run(ctx context.Context, opts Options) ([]Result, error) {
-	reg, memo := opts.Registry, map[string]memoRunner(nil)
+	// Families apply to the real registry only, the FamiliesFor rule:
+	// an override's ids are not the real experiments.
+	reg, fams := opts.Registry, map[string]Family(nil)
 	if reg == nil {
-		reg, memo = registry, memoRunners
+		reg, fams = registry, families
 	}
 	ids := opts.IDs
 	if len(ids) == 0 {
@@ -102,20 +107,23 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 	for i, id := range ids {
 		r, ok := reg[id]
 		if !ok {
-			// Heavy experiments resolve only when named explicitly —
-			// the default sweep above (sortIDs over the registry) never
-			// includes them — and only against the real registry.
-			r, ok = HeavyFor(opts.Registry)[id]
-		}
-		if !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
-		if m, ok := memo[id]; ok {
-			runners[i] = m
-		} else {
+		runners[i] = func() (*Table, sched.MemoStats, error) {
+			tab, err := r()
+			return tab, sched.MemoStats{}, err
+		}
+		// A family's Run at its default point renders the fixed
+		// runner's bytes (the Family contract) and also returns the
+		// memo counters, so the real registry's E2 and E15 run through
+		// it.
+		if f, ok := fams[id]; ok {
 			runners[i] = func() (*Table, sched.MemoStats, error) {
-				tab, err := r()
-				return tab, sched.MemoStats{}, err
+				ps, err := DefaultParams(f)
+				if err != nil {
+					return nil, sched.MemoStats{}, err
+				}
+				return f.Run(ps)
 			}
 		}
 	}
@@ -147,6 +155,10 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 	wg.Wait()
 	return results, nil
 }
+
+// memoRunner is a Runner that also returns its memoized exploration's
+// counters (zero when it explored nothing through the memo).
+type memoRunner func() (*Table, sched.MemoStats, error)
 
 // runCached serves one experiment from opts.Cache when possible and
 // runs it (storing a success back) otherwise.

@@ -61,6 +61,13 @@ func Figure2Executions() (*Table, error) {
 	return tab, err
 }
 
+// Figure2ExecutionsReduced is E2 together with the counters of its
+// memoized exploration. The int argument is unused; it stays for the
+// layer benchmarks (bench/ladder), which pass 1.
+func Figure2ExecutionsReduced(int) (*Table, sched.MemoStats, error) {
+	return runE2At(e2K, e2Inputs)
+}
+
 // Theorem12Universal (E3) runs Algorithm 2 (3-bit registers) on solvable
 // tasks and shows the BMZ check rejecting consensus.
 func Theorem12Universal() (*Table, error) {
@@ -104,7 +111,9 @@ func Theorem12Universal() (*Table, error) {
 }
 
 // Theorem11Pigeonhole (E4) produces the Prop 4.1 counting table and the
-// empirical register-content collisions of Algorithm 1.
+// empirical register-content collisions of Algorithm 1, whose
+// interleavings the impossibility package explores through the
+// canonical-state memo.
 func Theorem11Pigeonhole() (*Table, error) {
 	t := &Table{
 		ID:      "E4",
@@ -122,7 +131,7 @@ func Theorem11Pigeonhole() (*Table, error) {
 		})
 	}
 	for _, k := range []int{2, 3, 4} {
-		c, err := impossibility.WorstCollision(k, 1)
+		c, err := impossibility.WorstCollision(k)
 		if err != nil {
 			return nil, err
 		}
@@ -131,7 +140,7 @@ func Theorem11Pigeonhole() (*Table, error) {
 			fmt.Sprintf("%d units of ε (mem %v)", c.Gap(), c.Mem),
 		})
 	}
-	g, err := impossibility.BuildAlg1Graph(3, 1)
+	g, err := impossibility.BuildAlg1Graph(3)
 	if err != nil {
 		return nil, err
 	}

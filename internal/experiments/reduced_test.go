@@ -219,61 +219,6 @@ func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 	}
 }
 
-// TestReducedParallelMatchesSerial pins the parallel memo to the
-// serial production one on every memoized sweep, E16 included: at four
-// workers it accounts the serial execution count, shares memo entries
-// across its prefix ranges, and renders identical bytes in all three
-// formats. The serial run must also show real pruning.
-func TestReducedParallelMatchesSerial(t *testing.T) {
-	for id, run := range map[string]func(workers int) (*Table, sched.MemoStats, error){
-		"E2":  Figure2ExecutionsReduced,
-		"E15": e15Reduced,
-		"E16": AlgK5SweepReduced,
-	} {
-		t.Run(id, func(t *testing.T) {
-			serial, ss, err := run(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, ps, err := run(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			st, sj, sc := encodeAll(t, []Result{{ID: id, Table: serial}})
-			pt, pj, pc := encodeAll(t, []Result{{ID: id, Table: par}})
-			if st != pt || sj != pj || sc != pc {
-				t.Errorf("parallel bytes diverge from serial:\n--- serial ---\n%s--- parallel ---\n%s", st, pt)
-			}
-			if ss.Workers != 1 || ps.Workers != 4 {
-				t.Errorf("workers = %d serial, %d parallel; want 1 and 4", ss.Workers, ps.Workers)
-			}
-			if ps.Executions != ss.Executions {
-				t.Errorf("parallel accounted %d executions, serial %d", ps.Executions, ss.Executions)
-			}
-			if ps.StatesShared == 0 {
-				t.Error("parallel run shared no memo entries across its prefix ranges")
-			}
-			if ss.StatesVisited >= ss.Executions || ss.StatesPruned == 0 || ss.Replays >= ss.Executions {
-				t.Errorf("serial counters %+v show no pruning", ss)
-			}
-		})
-	}
-}
-
-// e15Reduced is E15 through the memo across workers goroutines.
-func e15Reduced(workers int) (*Table, sched.MemoStats, error) {
-	plan, err := e15Plan(e15Choice)
-	if err != nil {
-		return nil, sched.MemoStats{}, err
-	}
-	stats, err := task.ExploreAlg2MemoParallel(plan, e15Input, workers)
-	if err != nil {
-		return nil, stats, err
-	}
-	tab, err := finishE15(&alg2SweepAgg{Execs: stats.Executions}, e15Choice, e15Input)
-	return tab, stats, err
-}
-
 // TestEngineReportsMemoCounters: every registry run that explores
 // through the memo carries its counters on Result.Memo, serial for
 // E2/E15 whatever the job count, and a cached result carries none.
@@ -287,8 +232,8 @@ func TestEngineReportsMemoCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]sched.MemoStats{
-		"E2":  {Executions: 22080, Replays: 146, StatesVisited: 242, StatesPruned: 126, Workers: 1},
-		"E15": {Executions: 28468, Replays: 308, StatesVisited: 504, StatesPruned: 272, Workers: 1},
+		"E2":  {Executions: 22080, Replays: 146, StatesVisited: 242, StatesPruned: 126},
+		"E15": {Executions: 28468, Replays: 308, StatesVisited: 504, StatesPruned: 272},
 	}
 	for _, r := range results {
 		if r.Memo != want[r.ID] {

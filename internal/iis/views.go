@@ -211,8 +211,21 @@ func (c Config) key() string {
 	return sb.String()
 }
 
+// sortConfigs orders configurations by key, computing each key once
+// instead of twice per comparison.
 func sortConfigs(cs []Config) {
-	sort.Slice(cs, func(a, b int) bool { return cs[a].key() < cs[b].key() })
+	type keyed struct {
+		key string
+		cfg Config
+	}
+	ks := make([]keyed, len(cs))
+	for i, c := range cs {
+		ks[i] = keyed{c.key(), c}
+	}
+	sort.Slice(ks, func(a, b int) bool { return ks[a].key < ks[b].key })
+	for i := range ks {
+		cs[i] = ks[i].cfg
+	}
 }
 
 // BinaryInputVectors returns all 2^n binary input assignments.

@@ -47,30 +47,66 @@ type ExecutionGraph struct {
 	Executions int
 }
 
-// explore enumerates every interleaving of Algorithm 1 with inputs
-// (0,1) on a workers-wide goroutine fan-out: workers <= 0 uses every
-// core, 1 is effectively serial. The concurrency budget is the caller's
-// to spend — standalone analysis (and this package's tests) pass 0,
-// while the experiment engine passes 1 because it already runs whole
-// experiments concurrently. The visitors in this package only aggregate
-// into maps, sets, and extrema — all order-insensitive — so the
-// nondeterministic visit order of the parallel explorer cannot leak
-// into any result.
-func explore(k, workers int, visit func(*agreement.Alg1Run)) (int, error) {
-	return agreement.ExploreAlg1Parallel(k, [2]uint64{0, 1}, workers, visit)
+// outcome is what this package reads from one Algorithm 1 execution
+// with inputs (0,1) in which both processes decided: the two decision
+// numerators and the final coordination registers.
+type outcome struct {
+	nums [2]int
+	mem  MemoryState
+}
+
+// outcomeSet is the memo aggregate of a subtree: its distinct outcomes.
+type outcomeSet map[outcome]struct{}
+
+// outcomes explores every interleaving of Algorithm 1 with k rounds and
+// inputs (0,1) through the canonical-state memo
+// (agreement.ExploreAlg1Memo), returning the distinct outcomes and the
+// number of executions accounted.
+//
+// An outcome tells p0 from p1, which the memo's process-relabelling
+// reduction allows only because it never merges a state with its
+// mirror image here: each process's first step writes its input,
+// memory.Component folds that input into the process's component, and
+// the inputs differ, so every reachable state but the initial one
+// pins which component is whose.
+func outcomes(k int) (outcomeSet, int, error) {
+	leaf := func(ar *agreement.Alg1Run) any {
+		set := outcomeSet{}
+		if ar.Decided[0] && ar.Decided[1] {
+			set[outcome{nums: [2]int{ar.Outs[0].Num, ar.Outs[1].Num}, mem: ar.FinalRegisters()}] = struct{}{}
+		}
+		return set
+	}
+	// merge builds a fresh set: both arguments stay live as memo entries.
+	merge := func(a, b any) any {
+		out := make(outcomeSet, len(a.(outcomeSet))+len(b.(outcomeSet)))
+		for o := range a.(outcomeSet) {
+			out[o] = struct{}{}
+		}
+		for o := range b.(outcomeSet) {
+			out[o] = struct{}{}
+		}
+		return out
+	}
+	agg, stats, err := agreement.ExploreAlg1Memo(k, [2]uint64{0, 1}, leaf, merge)
+	if err != nil {
+		return nil, 0, err
+	}
+	set, _ := agg.(outcomeSet)
+	return set, stats.Executions, nil
 }
 
 // BuildAlg1Graph enumerates every interleaving of Algorithm 1 with
-// k rounds and inputs (0,1), building the execution graph. workers sets
-// the exploration fan-out (see explore).
-func BuildAlg1Graph(k, workers int) (*ExecutionGraph, error) {
-	g := &ExecutionGraph{K: k, Den: agreement.Alg1Den(k), Adj: map[Vertex]map[Vertex]bool{}}
-	runs, err := explore(k, workers, func(ar *agreement.Alg1Run) {
-		if !ar.Decided[0] || !ar.Decided[1] {
-			return
-		}
-		a := Vertex{Pid: 0, Num: ar.Outs[0].Num}
-		b := Vertex{Pid: 1, Num: ar.Outs[1].Num}
+// k rounds and inputs (0,1), building the execution graph.
+func BuildAlg1Graph(k int) (*ExecutionGraph, error) {
+	set, runs, err := outcomes(k)
+	if err != nil {
+		return nil, err
+	}
+	g := &ExecutionGraph{K: k, Den: agreement.Alg1Den(k), Adj: map[Vertex]map[Vertex]bool{}, Executions: runs}
+	for o := range set {
+		a := Vertex{Pid: 0, Num: o.nums[0]}
+		b := Vertex{Pid: 1, Num: o.nums[1]}
 		if g.Adj[a] == nil {
 			g.Adj[a] = map[Vertex]bool{}
 		}
@@ -79,11 +115,7 @@ func BuildAlg1Graph(k, workers int) (*ExecutionGraph, error) {
 		}
 		g.Adj[a][b] = true
 		g.Adj[b][a] = true
-	})
-	if err != nil {
-		return nil, err
 	}
-	g.Executions = runs
 	return g, nil
 }
 
@@ -154,56 +186,32 @@ type Collision struct {
 func (c Collision) Gap() int { return c.MaxNum - c.MinNum }
 
 // FindCollisions enumerates Algorithm 1 executions with inputs (0,1) and
-// groups them by final memory state, sorted by descending gap. workers
-// sets the exploration fan-out (see explore).
-func FindCollisions(k, workers int) ([]Collision, error) {
-	type bucket struct {
-		pairs map[[2]int]bool
-		lo    int
-		hi    int
-	}
-	buckets := map[MemoryState]*bucket{}
-	_, err := explore(k, workers, func(ar *agreement.Alg1Run) {
-		if !ar.Decided[0] || !ar.Decided[1] {
-			return
-		}
-		// Final coordination register contents.
-		var mem MemoryState
-		// ExploreAlg1 owns the memory internally; recover the state from
-		// the last write of each process recorded in the run.
-		mem = ar.FinalRegisters()
-		b := buckets[mem]
-		if b == nil {
-			b = &bucket{pairs: map[[2]int]bool{}, lo: 1 << 30, hi: -1}
-			buckets[mem] = b
-		}
-		pair := [2]int{ar.Outs[0].Num, ar.Outs[1].Num}
-		b.pairs[pair] = true
-		for _, v := range pair {
-			if v < b.lo {
-				b.lo = v
-			}
-			if v > b.hi {
-				b.hi = v
-			}
-		}
-	})
+// groups them by final memory state, sorted by descending gap.
+func FindCollisions(k int) ([]Collision, error) {
+	set, _, err := outcomes(k)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Collision, 0, len(buckets))
-	for mem, b := range buckets {
-		c := Collision{Mem: mem, MinNum: b.lo, MaxNum: b.hi}
-		for p := range b.pairs {
-			c.Pairs = append(c.Pairs, p)
+	byMem := map[MemoryState]*Collision{}
+	for o := range set {
+		c := byMem[o.mem]
+		if c == nil {
+			c = &Collision{Mem: o.mem, MinNum: 1 << 30, MaxNum: -1}
+			byMem[o.mem] = c
 		}
+		c.Pairs = append(c.Pairs, o.nums)
+		c.MinNum = min(c.MinNum, o.nums[0], o.nums[1])
+		c.MaxNum = max(c.MaxNum, o.nums[0], o.nums[1])
+	}
+	out := make([]Collision, 0, len(byMem))
+	for _, c := range byMem {
 		sort.Slice(c.Pairs, func(a, b int) bool {
 			if c.Pairs[a][0] != c.Pairs[b][0] {
 				return c.Pairs[a][0] < c.Pairs[b][0]
 			}
 			return c.Pairs[a][1] < c.Pairs[b][1]
 		})
-		out = append(out, c)
+		out = append(out, *c)
 	}
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Gap() != out[b].Gap() {
@@ -215,9 +223,8 @@ func FindCollisions(k, workers int) ([]Collision, error) {
 }
 
 // WorstCollision returns the memory state with the largest output gap.
-// workers sets the exploration fan-out (see explore).
-func WorstCollision(k, workers int) (Collision, error) {
-	cs, err := FindCollisions(k, workers)
+func WorstCollision(k int) (Collision, error) {
+	cs, err := FindCollisions(k)
 	if err != nil {
 		return Collision{}, err
 	}
@@ -231,26 +238,19 @@ func WorstCollision(k, workers int) (Collision, error) {
 // with inputs (0,1): for every m ∈ {0..2k}, some execution's output set
 // is exactly the adjacent pair {m, m+1} (over denominator 2k+1). This is
 // the family of mutually exclusive output classes the pigeonhole
-// argument counts. It returns achieved[m] for m = 0..2k-? — precisely,
-// index m reports the pair {m, m+1}. workers sets the exploration
-// fan-out (see explore).
-func AchievableOutputSets(k, workers int) ([]bool, error) {
-	den := agreement.Alg1Den(k)
-	achieved := make([]bool, den) // pair {m, m+1} for m = 0..den-1
-	_, err := explore(k, workers, func(ar *agreement.Alg1Run) {
-		if !ar.Decided[0] || !ar.Decided[1] {
-			return
-		}
-		a, b := ar.Outs[0].Num, ar.Outs[1].Num
-		if a > b {
-			a, b = b, a
-		}
+// argument counts. It returns achieved[m] for m = 0..2k: index m
+// reports the pair {m, m+1}.
+func AchievableOutputSets(k int) ([]bool, error) {
+	set, _, err := outcomes(k)
+	if err != nil {
+		return nil, err
+	}
+	achieved := make([]bool, agreement.Alg1Den(k)) // pair {m, m+1} for m = 0..2k
+	for o := range set {
+		a, b := min(o.nums[0], o.nums[1]), max(o.nums[0], o.nums[1])
 		if b == a+1 {
 			achieved[a] = true
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	return achieved, nil
 }

@@ -2,13 +2,15 @@ package impossibility
 
 import (
 	"testing"
+
+	"repro/internal/agreement"
 )
 
 func TestExecutionGraphConnected(t *testing.T) {
 	// §3.1: the two solo vertices must be connected — otherwise the two
 	// processes would solve consensus (Lemma 2.1).
 	for k := 1; k <= 4; k++ {
-		g, err := BuildAlg1Graph(k, 0)
+		g, err := BuildAlg1Graph(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +29,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 	// The path carries outputs from 0 to 1 in ε = 1/(2k+1) hops, so its
 	// length is at least 1/ε = 2k+1.
 	for k := 1; k <= 4; k++ {
-		g, err := BuildAlg1Graph(k, 0)
+		g, err := BuildAlg1Graph(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +43,7 @@ func TestExecutionGraphPathLength(t *testing.T) {
 func TestExecutionGraphEdgesRespectEps(t *testing.T) {
 	// Every edge joins decisions at most ε apart (the protocol is
 	// correct), so consecutive path outputs differ by ≤ 1 numerator unit.
-	g, err := BuildAlg1Graph(3, 0)
+	g, err := BuildAlg1Graph(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +74,7 @@ func TestCollisionsPigeonhole(t *testing.T) {
 	// With 1-bit registers there are at most 2^2 = 4 memory states, so
 	// for every k the executions fall into ≤ 4 buckets.
 	for k := 1; k <= 4; k++ {
-		cs, err := FindCollisions(k, 0)
+		cs, err := FindCollisions(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +94,7 @@ func TestCollisionForcedBeyondThreshold(t *testing.T) {
 	// states (2k+1 > 2^{2s+1} = 8, i.e. k ≥ 4), some memory state is
 	// shared by executions whose outputs are ≥ 2 units apart — a late
 	// third process is forced ≥ 2ε from one of them.
-	c, err := WorstCollision(4, 0)
+	c, err := WorstCollision(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,25 +105,17 @@ func TestCollisionForcedBeyondThreshold(t *testing.T) {
 
 func TestCollisionGapGrowsWithPrecision(t *testing.T) {
 	// Fixing the register width at 1 bit and refining ε, the gap within
-	// a single memory state keeps growing (measured: 3, 3, 5, 7 at
-	// k = 2, 4, 6, 8): bounded registers cannot track the finer output
-	// scale — the quantitative heart of Theorem 1.1.
-	if testing.Short() {
-		t.Skip("exhaustive exploration up to k=6")
-	}
-	gaps := map[int]int{}
-	for _, k := range []int{2, 4, 6} {
-		c, err := WorstCollision(k, 0)
+	// a single memory state keeps growing (3, 3, 5, 7 at k = 2, 4, 6,
+	// 8): bounded registers cannot track the finer output scale — the
+	// quantitative heart of Theorem 1.1.
+	for k, want := range map[int]int{2: 3, 4: 3, 6: 5, 8: 7} {
+		c, err := WorstCollision(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gaps[k] = c.Gap()
-	}
-	if gaps[4] < gaps[2] || gaps[6] < gaps[4] {
-		t.Fatalf("gaps decreased: %v", gaps)
-	}
-	if gaps[6] <= gaps[2] {
-		t.Fatalf("gap did not grow from k=2 to k=6: %v", gaps)
+		if c.Gap() != want {
+			t.Errorf("k=%d: worst gap %d (mem %v, pairs %v), want %d", k, c.Gap(), c.Mem, c.Pairs, want)
+		}
 	}
 }
 
@@ -163,7 +157,7 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 	// is the exact output set of some 2-process execution — these are
 	// the mutually exclusive classes the pigeonhole argument counts.
 	for _, k := range []int{2, 3, 4} {
-		achieved, err := AchievableOutputSets(k, 0)
+		achieved, err := AchievableOutputSets(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,11 +170,11 @@ func TestClaim41AchievableOutputSets(t *testing.T) {
 }
 
 func TestCollisionReportsDeterministic(t *testing.T) {
-	a, err := FindCollisions(3, 0)
+	a, err := FindCollisions(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FindCollisions(3, 0)
+	b, err := FindCollisions(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +184,44 @@ func TestCollisionReportsDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].Mem != b[i].Mem || a[i].Gap() != b[i].Gap() {
 			t.Fatal("nondeterministic collision ordering")
+		}
+	}
+}
+
+// TestOutcomesMatchExhaustive pins the memoized outcome sets every
+// analysis here derives from to the exhaustive ExploreAlg1 walk: the
+// same distinct (decisions, final registers) outcomes and the same
+// execution count. -short stops at k = 3, before the exhaustive walks
+// that take seconds.
+func TestOutcomesMatchExhaustive(t *testing.T) {
+	maxK := 5
+	if testing.Short() {
+		maxK = 3
+	}
+	for k := 1; k <= maxK; k++ {
+		want := outcomeSet{}
+		runs, err := agreement.ExploreAlg1(k, [2]uint64{0, 1}, func(ar *agreement.Alg1Run) {
+			if ar.Decided[0] && ar.Decided[1] {
+				want[outcome{nums: [2]int{ar.Outs[0].Num, ar.Outs[1].Num}, mem: ar.FinalRegisters()}] = struct{}{}
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, execs, err := outcomes(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if execs != runs {
+			t.Errorf("k=%d: memo accounts %d executions, exhaustive ran %d", k, execs, runs)
+		}
+		if len(got) != len(want) {
+			t.Errorf("k=%d: %d distinct outcomes, exhaustive has %d", k, len(got), len(want))
+		}
+		for o := range want {
+			if _, ok := got[o]; !ok {
+				t.Errorf("k=%d: memo misses outcome %+v", k, o)
+			}
 		}
 	}
 }

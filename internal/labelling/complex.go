@@ -2,6 +2,7 @@ package labelling
 
 import (
 	"fmt"
+	"slices"
 )
 
 // procAbs is the abstract per-process state of the Algorithm 6 + labelling
@@ -51,50 +52,55 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 		A: procAbs{Round: 1, Pos: InitialPos(0)},
 		B: procAbs{Round: 1, Pos: InitialPos(1)},
 	}
-	seen := map[jointAbs]bool{start: true}
-	queue := []jointAbs{start}
-	adj := map[Label]map[Label]bool{}
+	// adj lists each final label's distinct co-final partners; a path
+	// vertex has at most two.
+	adj := map[Label][]Label{}
 	addEdge := func(a, b Label) {
-		if adj[a] == nil {
-			adj[a] = map[Label]bool{}
+		if !slices.Contains(adj[a], b) {
+			adj[a] = append(adj[a], b)
+			adj[b] = append(adj[b], a)
 		}
-		if adj[b] == nil {
-			adj[b] = map[Label]bool{}
-		}
-		adj[a][b] = true
-		adj[b][a] = true
 	}
-	pairs := map[[2]Label]bool{}
 
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if cur.A.Phase == 2 && cur.B.Phase == 2 {
-			la := Label{Pid: 0, Round: cur.A.Final, Pos: cur.A.Pos}
-			lb := Label{Pid: 1, Round: cur.B.Final, Pos: cur.B.Pos}
-			addEdge(la, lb)
-			pairs[[2]Label{la, lb}] = true
-			continue
-		}
-		for _, actor := range []int{0, 1} {
-			next := cur
-			var self, other *procAbs
-			if actor == 0 {
-				self, other = &next.A, &next.B
-			} else {
-				self, other = &next.B, &next.A
-			}
-			if self.Phase == 2 {
+	// Each transition is one register operation, and a process's
+	// operation count is 2W minus one while its read is pending, so a
+	// joint state fixes its own depth: the state graph is layered and a
+	// state can only be rediscovered within its level. The search keeps
+	// one level and the next, never every state reached, and reuses
+	// their buffers from level to level.
+	level, nextLevel := []jointAbs{start}, []jointAbs(nil)
+	seen := map[jointAbs]bool{}
+	for len(level) > 0 {
+		clear(seen)
+		nextLevel = nextLevel[:0]
+		for _, cur := range level {
+			if cur.A.Phase == 2 && cur.B.Phase == 2 {
+				la := Label{Pid: 0, Round: cur.A.Final, Pos: cur.A.Pos}
+				lb := Label{Pid: 1, Round: cur.B.Final, Pos: cur.B.Pos}
+				addEdge(la, lb)
 				continue
 			}
-			if err := stepAbs(cfg, self, other); err != nil {
-				return nil, err
-			}
-			if !seen[next] {
-				seen[next] = true
-				queue = append(queue, next)
+			for _, actor := range []int{0, 1} {
+				next := cur
+				var self, other *procAbs
+				if actor == 0 {
+					self, other = &next.A, &next.B
+				} else {
+					self, other = &next.B, &next.A
+				}
+				if self.Phase == 2 {
+					continue
+				}
+				if err := stepAbs(cfg, self, other); err != nil {
+					return nil, err
+				}
+				if !seen[next] {
+					seen[next] = true
+					nextLevel = append(nextLevel, next)
+				}
 			}
 		}
+		level, nextLevel = nextLevel, level
 	}
 
 	// The final complex must be a path; order it from process 0's
@@ -112,7 +118,7 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 	for i := 1; ; i++ {
 		var nxt Label
 		found := 0
-		for nb := range adj[cur] {
+		for _, nb := range adj[cur] {
 			if hasPrev && nb == prev {
 				continue
 			}
@@ -131,7 +137,13 @@ func BuildValueMap(cfg Alg6Config) (*ValueMap, error) {
 	if len(index) != len(adj) {
 		return nil, fmt.Errorf("labelling: path covers %d of %d vertices; complex disconnected", len(index), len(adj))
 	}
-	return &ValueMap{Cfg: cfg, Index: index, Len: len(index), PairCount: len(pairs)}, nil
+	// Every edge joins a process-0 label to a process-1 label, so each
+	// co-final pair is counted once from each end.
+	degrees := 0
+	for _, nbs := range adj {
+		degrees += len(nbs)
+	}
+	return &ValueMap{Cfg: cfg, Index: index, Len: len(index), PairCount: degrees / 2}, nil
 }
 
 // stepAbs performs self's pending operation. other is read-only except

@@ -75,13 +75,6 @@ type MemoStats struct {
 	// StatesPruned is the number of subtrees reused from the memo
 	// instead of re-explored.
 	StatesPruned int
-	// StatesShared is the number of memo hits on entries another
-	// worker's range published — the reuse a purely per-range memo
-	// would have re-explored. Always 0 for serial explorations.
-	StatesShared int
-	// Workers is the number of worker goroutines the exploration ran
-	// with (1 for the serial explorer).
-	Workers int
 }
 
 // errMemoState reports a MemoInstance without the required State seam.
@@ -149,7 +142,7 @@ func ExploreMemo(factory func() MemoInstance, opts MemoOptions) (any, MemoStats,
 // which is what lets the sharded layers adopt the mode slice by
 // slice. An empty roots slice explores nothing.
 func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots [][]int) (any, MemoStats, error) {
-	stats := MemoStats{Workers: 1}
+	var stats MemoStats
 	if len(roots) == 0 {
 		return nil, stats, nil
 	}

@@ -1,11 +1,13 @@
 package sched_test
 
-// Differential suite for the parallel memoized explorer: for the same
-// grid of small deterministic systems as explore_memo_test.go, the
-// parallel explorer must reproduce the exhaustive leaf-fingerprint
-// multiset and execution count exactly — whole-tree and over
-// PartitionRoots partitions at several depths — for every worker
-// count, while sharing memo entries across ranges (StatesShared).
+// Differential suite for the memoized explorer under concurrent use.
+// Production runs several serial memo explorations at once — the
+// experiment engine's jobs, the server's concurrent requests, a shard
+// fleet's prefix ranges — each over its own memo table. Run side by
+// side on the same grid as explore_memo_test.go, every exploration must
+// still reproduce the exhaustive leaf-fingerprint multiset and
+// execution count, whole-tree and over PartitionRoots carves split into
+// concurrently explored ranges, and report the counters of a lone run.
 
 import (
 	"errors"
@@ -15,80 +17,96 @@ import (
 	"repro/internal/sched/schedtest"
 )
 
+// parallelWorkerGrid is the number of explorations run at once.
 var parallelWorkerGrid = []int{1, 2, 8}
 
-// TestMemoParallelMatchesExhaustive: same multiset, same execution
-// count as the exhaustive DFS for jobs ∈ {1, 2, 8}, with the worker
-// count reported in the stats.
+// memoOutcome is one exploration's result, collected by index from a
+// schedtest.Concurrently call.
+type memoOutcome struct {
+	agg   any
+	stats sched.MemoStats
+	err   error
+}
+
+// exploreAtOnce runs n whole-tree memoized explorations of mc at once.
+func exploreAtOnce(mc memoCase, n int) []memoOutcome {
+	out := make([]memoOutcome, n)
+	schedtest.Concurrently(n, func(i int) {
+		o := &out[i]
+		o.agg, o.stats, o.err = sched.ExploreMemo(mc.memo, sched.MemoOptions{Merge: schedtest.Merge})
+	})
+	return out
+}
+
+// exploreRangesAtOnce explores each range with its own
+// ExploreMemoPrefixes call, all at once, and returns the outcomes in
+// range order.
+func exploreRangesAtOnce(memo func() sched.MemoInstance, ranges [][][]int) []memoOutcome {
+	out := make([]memoOutcome, len(ranges))
+	schedtest.Concurrently(len(ranges), func(i int) {
+		o := &out[i]
+		o.agg, o.stats, o.err = sched.ExploreMemoPrefixes(memo, sched.MemoOptions{Merge: schedtest.Merge}, ranges[i])
+	})
+	return out
+}
+
+// TestMemoParallelMatchesExhaustive: with 1, 2 or 8 explorations of the
+// same system running at once, each one reproduces the exhaustive
+// multiset and execution count.
 func TestMemoParallelMatchesExhaustive(t *testing.T) {
 	for _, mc := range memoGrid() {
-		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
 			want, runs := exhaustiveCounts(t, mc)
 			for _, workers := range parallelWorkerGrid {
-				agg, stats, err := sched.ExploreMemoParallel(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if d := schedtest.Diff(schedtest.AsCounts(agg), want); d != "" {
-					t.Fatalf("workers=%d: fingerprint multisets differ:\n%s", workers, d)
-				}
-				if stats.Executions != runs {
-					t.Fatalf("workers=%d: %d executions accounted, exhaustive ran %d", workers, stats.Executions, runs)
-				}
-				if stats.Workers < 1 || stats.Workers > workers {
-					t.Fatalf("workers=%d: stats report %d workers", workers, stats.Workers)
-				}
-				if workers == 1 && stats.Workers != 1 {
-					t.Fatalf("workers=1 must run serially, stats report %d workers", stats.Workers)
-				}
-				// On tiny trees the automatic carve can deepen to
-				// leaf-grained ranges (no interior left to memoize), so
-				// unlike the serial test this allows equality: the
-				// parallel explorer never does MORE replays than the
-				// exhaustive run count.
-				if stats.Replays > runs {
-					t.Fatalf("workers=%d: %d replays for %d exhaustive runs", workers, stats.Replays, runs)
+				for i, o := range exploreAtOnce(mc, workers) {
+					if o.err != nil {
+						t.Fatalf("workers=%d run %d: %v", workers, i, o.err)
+					}
+					if d := schedtest.Diff(schedtest.AsCounts(o.agg), want); d != "" {
+						t.Fatalf("workers=%d run %d: fingerprint multisets differ:\n%s", workers, i, d)
+					}
+					if o.stats.Executions != runs {
+						t.Fatalf("workers=%d run %d: %d executions accounted, exhaustive ran %d", workers, i, o.stats.Executions, runs)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestMemoParallelDeterministicAggregate: two runs at the same worker
-// count produce identical aggregates and execution counts, whatever
-// the scheduling — the byte-identity property the experiment layer
-// builds on.
+// TestMemoParallelDeterministicAggregate: explorations running at once
+// report the aggregate and every counter of a lone run — the counters
+// `figures -v` prints and the reduce gate pins may not depend on what
+// else the process is exploring.
 func TestMemoParallelDeterministicAggregate(t *testing.T) {
 	for _, mc := range memoGrid() {
-		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
+			lone, loneStats, err := sched.ExploreMemo(mc.memo, sched.MemoOptions{Merge: schedtest.Merge})
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{2, 8} {
-				a1, s1, err := sched.ExploreMemoParallel(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				a2, s2, err := sched.ExploreMemoParallel(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d := schedtest.Diff(schedtest.AsCounts(a1), schedtest.AsCounts(a2)); d != "" {
-					t.Fatalf("workers=%d: two runs disagree:\n%s", workers, d)
-				}
-				if s1.Executions != s2.Executions {
-					t.Fatalf("workers=%d: executions %d vs %d across runs", workers, s1.Executions, s2.Executions)
+				for i, o := range exploreAtOnce(mc, workers) {
+					if o.err != nil {
+						t.Fatalf("workers=%d run %d: %v", workers, i, o.err)
+					}
+					if d := schedtest.Diff(schedtest.AsCounts(o.agg), schedtest.AsCounts(lone)); d != "" {
+						t.Fatalf("workers=%d run %d: aggregate differs from a lone run:\n%s", workers, i, d)
+					}
+					if o.stats != loneStats {
+						t.Fatalf("workers=%d run %d: stats %+v, lone run %+v", workers, i, o.stats, loneStats)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestMemoParallelPrefixesUnionEqualsExploreAll: the parallel explorer
-// over every PartitionRoots carve at depths 0..4 reproduces the
-// exhaustive multiset and count, for each worker count.
+// TestMemoParallelPrefixesUnionEqualsExploreAll: every PartitionRoots
+// carve at depths 0..4, split into 1, 2 or 8 ranges explored at once,
+// merges to the exhaustive multiset and count.
 func TestMemoParallelPrefixesUnionEqualsExploreAll(t *testing.T) {
 	for _, mc := range memoGrid() {
-		mc := mc
 		t.Run(mc.name, func(t *testing.T) {
 			want, runs := exhaustiveCounts(t, mc)
 			for depth := 0; depth <= 4; depth++ {
@@ -97,15 +115,19 @@ func TestMemoParallelPrefixesUnionEqualsExploreAll(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, workers := range parallelWorkerGrid {
-					agg, stats, err := sched.ExploreMemoParallelPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, workers, roots)
-					if err != nil {
-						t.Fatalf("depth %d workers %d: %v", depth, workers, err)
+					union, total := schedtest.Counts{}, 0
+					for i, o := range exploreRangesAtOnce(mc.memo, schedtest.Ranges(roots, workers)) {
+						if o.err != nil {
+							t.Fatalf("depth %d workers %d range %d: %v", depth, workers, i, o.err)
+						}
+						union = schedtest.Merge(union, schedtest.AsCounts(o.agg)).(schedtest.Counts)
+						total += o.stats.Executions
 					}
-					if d := schedtest.Diff(schedtest.AsCounts(agg), want); d != "" {
+					if d := schedtest.Diff(union, want); d != "" {
 						t.Fatalf("depth %d workers %d: multiset differs:\n%s", depth, workers, d)
 					}
-					if stats.Executions != runs {
-						t.Fatalf("depth %d workers %d: %d executions, want %d", depth, workers, stats.Executions, runs)
+					if total != runs {
+						t.Fatalf("depth %d workers %d: %d executions, want %d", depth, workers, total, runs)
 					}
 				}
 			}
@@ -113,101 +135,34 @@ func TestMemoParallelPrefixesUnionEqualsExploreAll(t *testing.T) {
 	}
 }
 
-// TestMemoParallelSharesStates: on a branchy space carved into many
-// ranges, workers must reuse entries published under other ranges —
-// the StatesShared counter is the cross-range half of the pruning.
-func TestMemoParallelSharesStates(t *testing.T) {
-	mc := memoGrid()[1] // ring n=2,k=3: deep enough for rich cross-range overlap
-	roots, err := sched.PartitionRoots(mc.factory, 0, 3)
+// TestMemoParallelErrors: a range that fails — here a dead root — fails
+// only its own exploration, with ErrPrefixNotLive, and returns; the
+// ranges explored beside it still merge to the exhaustive multiset.
+func TestMemoParallelErrors(t *testing.T) {
+	mc := memoGrid()[len(memoGrid())-1] // steps/[2 2 2]: three processes, many roots
+	roots, err := sched.PartitionRoots(mc.factory, 0, 2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(roots) < 4 {
-		t.Fatalf("depth-3 carve yields %d roots; test needs ≥ 4", len(roots))
 	}
 	want, runs := exhaustiveCounts(t, mc)
-	agg, stats, err := sched.ExploreMemoParallelPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, 4, roots)
-	if err != nil {
-		t.Fatal(err)
+	ranges := append(schedtest.Ranges(roots, 4), [][]int{{5}})
+	outs := exploreRangesAtOnce(mc.memo, ranges)
+	dead := outs[len(outs)-1]
+	if !errors.Is(dead.err, sched.ErrPrefixNotLive) {
+		t.Errorf("dead range: err = %v, want ErrPrefixNotLive", dead.err)
 	}
-	if d := schedtest.Diff(schedtest.AsCounts(agg), want); d != "" {
-		t.Fatalf("multiset differs:\n%s", d)
+	union, total := schedtest.Counts{}, 0
+	for i, o := range outs[:len(outs)-1] {
+		if o.err != nil {
+			t.Fatalf("live range %d failed beside the dead one: %v", i, o.err)
+		}
+		union = schedtest.Merge(union, schedtest.AsCounts(o.agg)).(schedtest.Counts)
+		total += o.stats.Executions
 	}
-	if stats.Executions != runs {
-		t.Fatalf("executions = %d, want %d", stats.Executions, runs)
+	if d := schedtest.Diff(union, want); d != "" {
+		t.Fatalf("live ranges' multiset differs:\n%s", d)
 	}
-	if stats.Workers != 4 {
-		t.Fatalf("stats.Workers = %d, want 4", stats.Workers)
-	}
-	if stats.StatesShared == 0 {
-		t.Fatalf("no cross-range sharing on a %d-range carve: %+v", len(roots), stats)
-	}
-	if stats.StatesShared > stats.StatesPruned {
-		t.Fatalf("shared %d exceeds pruned %d", stats.StatesShared, stats.StatesPruned)
-	}
-}
-
-// TestMemoParallelWorkerClamp: more workers than ranges clamps to the
-// range count; a single root runs serially.
-func TestMemoParallelWorkerClamp(t *testing.T) {
-	mc := memoGrid()[0]
-	roots, err := sched.PartitionRoots(mc.factory, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := sched.ExploreMemoParallelPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, 64, roots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != len(roots) {
-		t.Fatalf("stats.Workers = %d, want clamp to %d roots", stats.Workers, len(roots))
-	}
-	_, stats, err = sched.ExploreMemoParallelPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, 8, [][]int{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != 1 {
-		t.Fatalf("single root: stats.Workers = %d, want serial fallback", stats.Workers)
-	}
-}
-
-// TestMemoParallelErrors: the parallel explorer propagates the serial
-// contracts — dead seed roots, missing State seam, Leaf without Merge
-// — and releases every worker (no hangs) when a range fails.
-func TestMemoParallelErrors(t *testing.T) {
-	memo := func() sched.MemoInstance {
-		s := newAsymSys([]int{2, 2})
-		return sched.MemoInstance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
-	}
-	factory := func() []sched.ProcFunc { return newAsymSys([]int{2, 2}).procs() }
-	roots, err := sched.PartitionRoots(factory, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A dead root among live ones: the whole exploration fails.
-	bad := append(append([][]int{}, roots...), []int{5})
-	if _, _, err := sched.ExploreMemoParallelPrefixes(memo, sched.MemoOptions{Merge: schedtest.Merge}, 2, bad); !errors.Is(err, sched.ErrPrefixNotLive) {
-		t.Errorf("dead root: err = %v, want ErrPrefixNotLive", err)
-	}
-	// Missing State seam.
-	if _, _, err := sched.ExploreMemoParallelPrefixes(func() sched.MemoInstance {
-		return sched.MemoInstance{Procs: newAsymSys([]int{2, 2}).procs()}
-	}, sched.MemoOptions{}, 2, roots); err == nil {
-		t.Error("missing State seam not rejected")
-	}
-	// Leaf contributions without a Merge.
-	if _, _, err := sched.ExploreMemoParallelPrefixes(func() sched.MemoInstance {
-		s := newAsymSys([]int{2, 2})
-		return sched.MemoInstance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
-	}, sched.MemoOptions{}, 2, roots); err == nil {
-		t.Error("Leaf without Merge not rejected")
-	}
-	// Empty roots explore nothing.
-	agg, stats, err := sched.ExploreMemoParallelPrefixes(func() sched.MemoInstance {
-		t.Fatal("factory called with no roots")
-		return sched.MemoInstance{}
-	}, sched.MemoOptions{}, 4, nil)
-	if err != nil || agg != nil || stats.Executions != 0 {
-		t.Fatalf("empty roots = (%v, %+v, %v); want nil aggregate, zero stats, nil error", agg, stats, err)
+	if total != runs {
+		t.Fatalf("live ranges account %d executions, want %d", total, runs)
 	}
 }

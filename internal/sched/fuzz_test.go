@@ -1,103 +1,80 @@
 package sched_test
 
-// FuzzMemoParallelDeterminism: random small step systems explored at
-// random worker counts must reproduce the serial memo's aggregate
-// byte-for-byte and conserve the exhaustive execution count, with the
-// accounting identities the counters promise. This is the fuzz half
-// of the parallel-memo differential layer: the structured tests pin a
-// fixed grid, the fuzzer walks the (system, workers, carve) space.
+// FuzzMemoMatchesExhaustive: random small step systems explored
+// through the memo — whole, and as one call over a random-depth
+// PartitionRoots carve — must reproduce the exhaustive explorer's
+// leaf-fingerprint multiset and run count, with the accounting
+// identities the counters promise. This is the fuzz half of the
+// memo-vs-exhaustive differential layer: the structured tests pin a
+// fixed grid, the fuzzer walks the (system, carve) space.
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"repro/internal/sched"
 	"repro/internal/sched/schedtest"
 )
 
-// countsFingerprint renders a Counts multiset in sorted order — equal
-// strings iff equal aggregates, the byte-identity the experiment
-// tables inherit.
-func countsFingerprint(agg any) string {
-	c := schedtest.AsCounts(agg)
-	keys := make([]string, 0, len(c))
-	for k := range c {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		out += fmt.Sprintf("%s=%d;", k, c[k])
-	}
-	return out
-}
-
-func FuzzMemoParallelDeterminism(f *testing.F) {
-	f.Add(uint8(2), uint8(3), uint8(0), uint8(2), uint8(1))
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(8), uint8(2))
-	f.Add(uint8(3), uint8(2), uint8(2), uint8(4), uint8(0))
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(3), uint8(3))
-	f.Fuzz(func(t *testing.T, t0, t1, t2, workers, depth uint8) {
+func FuzzMemoMatchesExhaustive(f *testing.F) {
+	f.Add(uint8(2), uint8(3), uint8(0), uint8(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(2))
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(0))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(3))
+	f.Fuzz(func(t *testing.T, t0, t1, t2, depth uint8) {
 		// A 2- or 3-process step system with 1..3 steps per process:
 		// small enough to explore exhaustively every iteration, branchy
-		// enough to exercise claim/publish and cross-range sharing.
+		// enough to prune.
 		totals := []int{1 + int(t0)%3, 1 + int(t1)%3}
 		if t2%2 == 1 {
 			totals = append(totals, 1+int(t2)%3)
 		}
-		w := 1 + int(workers)%8
-		factory := func() []sched.ProcFunc { return newAsymSys(totals).procs() }
-		memo := func() sched.MemoInstance {
-			s := newAsymSys(totals)
-			return sched.MemoInstance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
+		mc := memoCase{
+			name:    fmt.Sprintf("steps/%v", totals),
+			factory: func() []sched.ProcFunc { return newAsymSys(totals).procs() },
+			memo: func() sched.MemoInstance {
+				s := newAsymSys(totals)
+				return sched.MemoInstance{Procs: s.procs(), State: s.state, Leaf: schedtest.Leaf(s.leafFP)}
+			},
 		}
-
-		runs, err := sched.ExploreAll(factory, 0, func(*sched.Result) {})
-		if err != nil {
-			t.Fatal(err)
+		want, runs := exhaustiveCounts(t, mc)
+		if n, err := sched.ExploreAll(mc.factory, 0, func(*sched.Result) {}); err != nil || n != runs {
+			t.Fatalf("ExploreAll ran %d (err %v), the fingerprinting walk %d", n, err, runs)
 		}
-		want, _, err := sched.ExploreMemo(memo, sched.MemoOptions{Merge: schedtest.Merge})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFP := countsFingerprint(want)
 
 		check := func(label string, agg any, stats sched.MemoStats) {
 			t.Helper()
-			if got := countsFingerprint(agg); got != wantFP {
-				t.Fatalf("%s: aggregate diverged from serial memo:\n got %s\nwant %s", label, got, wantFP)
+			if d := schedtest.Diff(schedtest.AsCounts(agg), want); d != "" {
+				t.Fatalf("%s %s: multiset differs from the exhaustive one:\n%s", mc.name, label, d)
 			}
 			if stats.Executions != runs {
-				t.Fatalf("%s: %d executions accounted, exhaustive ran %d", label, stats.Executions, runs)
+				t.Fatalf("%s %s: %d executions accounted, exhaustive ran %d", mc.name, label, stats.Executions, runs)
 			}
 			// Every replay halts on a memo hit or explores a distinct
 			// execution, so replays − pruned can never exceed the runs.
 			if stats.Replays-stats.StatesPruned > runs || stats.Replays < 1 {
-				t.Fatalf("%s: replay accounting broken: %+v for %d runs", label, stats, runs)
-			}
-			if stats.StatesShared > stats.StatesPruned {
-				t.Fatalf("%s: shared %d exceeds pruned %d", label, stats.StatesShared, stats.StatesPruned)
+				t.Fatalf("%s %s: replay accounting broken: %+v for %d runs", mc.name, label, stats, runs)
 			}
 			if stats.StatesVisited < 1 {
-				t.Fatalf("%s: no states stored: %+v", label, stats)
+				t.Fatalf("%s %s: no states stored: %+v", mc.name, label, stats)
 			}
 		}
 
-		agg, stats, err := sched.ExploreMemoParallel(memo, sched.MemoOptions{Merge: schedtest.Merge}, w)
+		agg, stats, err := sched.ExploreMemo(mc.memo, sched.MemoOptions{Merge: schedtest.Merge})
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("auto-carve workers=%d", w), agg, stats)
+		check("whole", agg, stats)
 
-		roots, err := sched.PartitionRoots(factory, 0, int(depth)%4)
+		d := int(depth) % 4
+		roots, err := sched.PartitionRoots(mc.factory, 0, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, stats, err = sched.ExploreMemoParallelPrefixes(memo, sched.MemoOptions{Merge: schedtest.Merge}, w, roots)
+		agg, stats, err = sched.ExploreMemoPrefixes(mc.memo, sched.MemoOptions{Merge: schedtest.Merge}, roots)
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(fmt.Sprintf("depth-%d carve workers=%d", int(depth)%4, w), agg, stats)
+		check(fmt.Sprintf("depth-%d carve", d), agg, stats)
 	})
 }

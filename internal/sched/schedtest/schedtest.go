@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/sched"
 )
@@ -87,4 +88,33 @@ func Diff(got, want Counts) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// Concurrently calls f(0), …, f(n-1), each on its own goroutine, and
+// waits for all of them: the shape in which the experiment engine's
+// jobs, the server's requests and a shard fleet's ranges run serial
+// memoized explorations side by side, each over its own memo table.
+// f must not call t.Fatal; collect results by index instead.
+func Concurrently(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// Ranges carves roots into at most n contiguous, near-even, non-empty
+// ranges, in order — the carve a prefix-sharded request spreads over
+// its workers.
+func Ranges(roots [][]int, n int) [][][]int {
+	n = max(1, min(n, len(roots)))
+	out := make([][][]int, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, roots[i*len(roots)/n:(i+1)*len(roots)/n])
+	}
+	return out
 }

@@ -74,7 +74,6 @@ func TestReducedServerBytesAndStats(t *testing.T) {
 		Replays:       int64(whole.Replays + point.Memo.Replays),
 		StatesVisited: int64(whole.StatesVisited + point.Memo.StatesVisited),
 		StatesPruned:  int64(whole.StatesPruned + point.Memo.StatesPruned),
-		Workers:       2,
 	}
 	if *ex != want {
 		t.Errorf("exploration = %+v, want %+v (E2 once, k=2 once, no cache hit or E1)", *ex, want)

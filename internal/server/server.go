@@ -116,9 +116,8 @@ type Options struct {
 //	GET /healthz                             liveness probe
 //	GET /stats                               operational counters (JSON)
 type Server struct {
-	// reg resolves served ids (the registry plus the heavy
-	// experiments); registry is the caller's override, nil for the
-	// real registry, which is what the engine is handed.
+	// reg resolves served ids; registry is the caller's override, nil
+	// for the real registry, which is what the engine is handed.
 	reg          map[string]experiments.Runner
 	registry     map[string]experiments.Runner
 	ids          []string
@@ -157,12 +156,6 @@ func New(opts Options) *Server {
 	reg := opts.Registry
 	if reg == nil {
 		reg = experiments.Registry()
-		// Heavy opt-in experiments (E16) are served on demand like any
-		// other id; they stay out of the default engine sweep because
-		// requests name experiments explicitly here.
-		for id, r := range experiments.Heavy() {
-			reg[id] = r
-		}
 	}
 	ids := make([]string, 0, len(reg))
 	for id := range reg {

@@ -68,18 +68,13 @@ type StatsResponse struct {
 // StatsExploration sums the memoized exploration counters
 // (sched.MemoStats) across the runs this process explored: executions
 // accounted, replays actually performed, and the visited/pruned state
-// totals. StatesShared counts memo entries reused across the parallel
-// explorer's prefix ranges (0 on serial runs); Workers sums each run's
-// goroutine fan-out, so workers/runs is the average parallelism the
-// explorations got. Cache hits and slice requests add nothing.
+// totals. Cache hits and slice requests add nothing.
 type StatsExploration struct {
 	Runs          int64 `json:"runs"`
 	Executions    int64 `json:"executions"`
 	Replays       int64 `json:"replays"`
 	StatesVisited int64 `json:"states_visited"`
 	StatesPruned  int64 `json:"states_pruned"`
-	StatesShared  int64 `json:"states_shared"`
-	Workers       int64 `json:"workers"`
 }
 
 // StatsCache mirrors cache.Stats on the wire. The slice_* counters
@@ -160,8 +155,6 @@ func (s *Server) recordExploration(m sched.MemoStats) {
 	s.memoTotals.Replays += m.Replays
 	s.memoTotals.StatesVisited += m.StatesVisited
 	s.memoTotals.StatesPruned += m.StatesPruned
-	s.memoTotals.StatesShared += m.StatesShared
-	s.memoTotals.Workers += m.Workers
 }
 
 // explorationStats snapshots the exploration totals, nil before the
@@ -178,8 +171,6 @@ func (s *Server) explorationStats() *StatsExploration {
 		Replays:       int64(s.memoTotals.Replays),
 		StatesVisited: int64(s.memoTotals.StatesVisited),
 		StatesPruned:  int64(s.memoTotals.StatesPruned),
-		StatesShared:  int64(s.memoTotals.StatesShared),
-		Workers:       int64(s.memoTotals.Workers),
 	}
 }
 

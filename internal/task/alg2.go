@@ -2,7 +2,6 @@ package task
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/agreement"
 	"repro/internal/memory"
@@ -323,77 +322,4 @@ func ExploreAlg2MemoPrefixes(plan *Plan, input Pair, roots [][]int) (sched.MemoS
 		return stats, err
 	}
 	return stats, checkErr
-}
-
-// ExploreAlg2MemoParallel is ExploreAlg2Memo across workers goroutines
-// sharing one concurrent memo table (sched.ExploreMemoParallel): the
-// identical execution count, with visited leaves validated from
-// whichever worker reaches them. workers <= 0 means
-// sched.DefaultExploreWorkers.
-func ExploreAlg2MemoParallel(plan *Plan, input Pair, workers int) (sched.MemoStats, error) {
-	factory, check := alg2MemoFactory(plan, input)
-	stats, err := runAlg2Memo(func() (sched.MemoStats, error) {
-		_, s, e := sched.ExploreMemoParallel(factory, sched.MemoOptions{}, workers)
-		return s, e
-	}, check)
-	return stats, err
-}
-
-// ExploreAlg2MemoParallelPrefixes is ExploreAlg2MemoPrefixes across
-// workers goroutines sharing one memo table
-// (sched.ExploreMemoParallelPrefixes).
-func ExploreAlg2MemoParallelPrefixes(plan *Plan, input Pair, workers int, roots [][]int) (sched.MemoStats, error) {
-	factory, check := alg2MemoFactory(plan, input)
-	return runAlg2Memo(func() (sched.MemoStats, error) {
-		_, s, e := sched.ExploreMemoParallelPrefixes(factory, sched.MemoOptions{}, workers, roots)
-		return s, e
-	}, check)
-}
-
-// alg2MemoFactory builds the validating MemoInstance factory the
-// parallel explorers use. Unlike the serial path's closure, leaves run
-// from concurrent workers, so the first-violation record is mutex-
-// guarded; check() reads it after the exploration quiesces.
-func alg2MemoFactory(plan *Plan, input Pair) (factory func() sched.MemoInstance, check func() error) {
-	var mu sync.Mutex
-	var checkErr error
-	factory = func() sched.MemoInstance {
-		sys := NewAlg2System(plan)
-		return sched.MemoInstance{
-			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
-			State: sys.StateKey,
-			Leaf: func(r *sched.Result) any {
-				var e error
-				if e = r.Err(); e == nil {
-					if e = CheckRun(plan.Task, input, sys); e != nil {
-						e = fmt.Errorf("schedule %v: %w", r.Decisions, e)
-					}
-				}
-				if e != nil {
-					mu.Lock()
-					if checkErr == nil {
-						checkErr = e
-					}
-					mu.Unlock()
-				}
-				return nil
-			},
-		}
-	}
-	check = func() error {
-		mu.Lock()
-		defer mu.Unlock()
-		return checkErr
-	}
-	return factory, check
-}
-
-// runAlg2Memo runs one memoized exploration and folds the deferred
-// validation verdict in, explorer errors first.
-func runAlg2Memo(explore func() (sched.MemoStats, error), check func() error) (sched.MemoStats, error) {
-	stats, err := explore()
-	if err != nil {
-		return stats, err
-	}
-	return stats, check()
 }

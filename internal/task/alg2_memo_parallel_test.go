@@ -2,12 +2,27 @@ package task
 
 import (
 	"testing"
+
+	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 )
 
-// TestAlg2MemoParallelMatchesSerial pins the parallel validating sweep
-// to the serial one across worker counts: the identical execution
-// count (the E15 aggregate), every visited leaf validated, and
-// cross-range sharing on multi-range carves.
+// exploreAlg2RangesAtOnce runs one ExploreAlg2MemoPrefixes call per
+// range, all at once, and returns the stats and errors in range order.
+func exploreAlg2RangesAtOnce(plan *Plan, input Pair, ranges [][][]int) ([]sched.MemoStats, []error) {
+	stats, errs := make([]sched.MemoStats, len(ranges)), make([]error, len(ranges))
+	schedtest.Concurrently(len(ranges), func(i int) {
+		stats[i], errs[i] = ExploreAlg2MemoPrefixes(plan, input, ranges[i])
+	})
+	return stats, errs
+}
+
+// TestAlg2MemoParallelMatchesSerial pins validating sweeps run at once
+// — the engine's jobs, the server's requests, a fleet's prefix ranges —
+// to the lone serial one: 1, 2 or 8 whole sweeps side by side each
+// report the serial counters and the exhaustive execution count (the
+// E15 aggregate), and the Alg2Roots carve split into ranges explored
+// at once sums to the same count.
 func TestAlg2MemoParallelMatchesSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive exploration")
@@ -19,13 +34,25 @@ func TestAlg2MemoParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serial, err := ExploreAlg2Memo(plan, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.Executions != whole {
+		t.Fatalf("serial sweep accounts %d executions, exhaustive ran %d", serial.Executions, whole)
+	}
 	for _, workers := range []int{1, 2, 8} {
-		stats, err := ExploreAlg2MemoParallel(plan, input, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if stats.Executions != whole {
-			t.Fatalf("workers=%d: %d executions accounted, exhaustive ran %d", workers, stats.Executions, whole)
+		outs, errs := make([]sched.MemoStats, workers), make([]error, workers)
+		schedtest.Concurrently(workers, func(i int) {
+			outs[i], errs[i] = ExploreAlg2Memo(plan, input)
+		})
+		for i := range outs {
+			if errs[i] != nil {
+				t.Fatalf("workers=%d run %d: %v", workers, i, errs[i])
+			}
+			if outs[i] != serial {
+				t.Fatalf("workers=%d run %d: stats %+v, serial %+v", workers, i, outs[i], serial)
+			}
 		}
 	}
 	for _, depth := range []int{2, 4} {
@@ -33,21 +60,24 @@ func TestAlg2MemoParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := ExploreAlg2MemoParallelPrefixes(plan, input, 4, roots)
-		if err != nil {
-			t.Fatalf("depth %d: %v", depth, err)
+		stats, errs := exploreAlg2RangesAtOnce(plan, input, schedtest.Ranges(roots, 4))
+		total := 0
+		for i := range stats {
+			if errs[i] != nil {
+				t.Fatalf("depth %d range %d: %v", depth, i, errs[i])
+			}
+			total += stats[i].Executions
 		}
-		if stats.Executions != whole {
-			t.Fatalf("depth %d: %d executions, want %d", depth, stats.Executions, whole)
-		}
-		if stats.Workers > 1 && stats.StatesShared == 0 {
-			t.Errorf("depth %d: no cross-range sharing over %d ranges", depth, len(roots))
+		if total != whole {
+			t.Fatalf("depth %d: %d executions, want %d", depth, total, whole)
 		}
 	}
 }
 
-// TestAlg2MemoParallelSurfacesViolation: a validation failure in any
-// worker's visited leaf fails the whole parallel sweep.
+// TestAlg2MemoParallelSurfacesViolation: with ranges of a doctored plan
+// explored at once, a validation failure in each range's visited
+// leaves fails that range — the violation is reported per call, never
+// lost or swallowed by the sweeps running beside it.
 func TestAlg2MemoParallelSurfacesViolation(t *testing.T) {
 	task := ChoiceTask(2)
 	plan := planFor(t, task)
@@ -58,7 +88,14 @@ func TestAlg2MemoParallelSurfacesViolation(t *testing.T) {
 	doctored := *plan
 	doctored.Task = &bad
 
-	if _, err := ExploreAlg2MemoParallel(&doctored, input, 4); err == nil {
-		t.Fatal("parallel memoized sweep accepted a plan whose outputs are all illegal")
+	roots, err := Alg2Roots(&doctored, input, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, errs := exploreAlg2RangesAtOnce(&doctored, input, schedtest.Ranges(roots, 4))
+	for i, err := range errs {
+		if err == nil {
+			t.Errorf("range %d of %d accepted a plan whose outputs are all illegal", i, len(errs))
+		}
 	}
 }

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # reduce-gate: the oracle gate for the memoized production explorer.
-# E2 (the k=4 Algorithm 1 sweep), E15 (the Theorem 1.2 run), and the
-# heavy E16 (the k=5 sweep) explore through the canonical-state memo in
-# every production path; the exhaustive explorers are the oracle. The
-# gate asserts:
+# E2 (the Algorithm 1 sweep) and E15 (the Theorem 1.2 run) explore
+# through the serial canonical-state memo in every production path;
+# the exhaustive explorers are the oracle. The gate asserts:
 #
 #   1. exhaustive ≡ production: at every point the E2 and E15 schemas
 #      accept, the memoized table encodes byte-identically to the
@@ -11,23 +10,17 @@
 #      carves of the prefix partition gives the exhaustive aggregate
 #      and envelope bytes (TestReducedMatchesExhaustiveBytes, run by
 #      name without -short);
-#   2. the parallel memo at four workers accounts the serial execution
-#      count, shares memo entries across its prefix ranges (shared >
-#      0), and renders identical bytes in every format, E16 included
-#      (TestReducedParallelMatchesSerial);
-#   3. each exploring result of a cacheless `figures -v` run visited
-#      strictly fewer states than it accounted executions, pruned at
-#      least one subtree, and replayed strictly fewer executions than
-#      it accounted (the `figures: explore <id> ...` counter lines);
-#   4. the accounted execution counts match the committed
+#   2. each exploring result of cacheless `figures -v` runs — E2 and
+#      E15 at their fixed points, and E2 at k=5 — visited strictly
+#      fewer states than it accounted executions, pruned at least one
+#      subtree, and replayed strictly fewer executions than it
+#      accounted (the `figures: explore <id> ...` counter lines);
+#   3. the accounted execution counts match the committed
 #      BENCH_explore.json baseline exactly: the execution count is part
 #      of the experiment's meaning, so a drift here is a correctness
 #      regression, not a perf change.
 #
-# E2 and E15 explore serially, so their counters are the same on any
-# core count. E16 fans out over GOMAXPROCS workers, and its replay and
-# state counts move with the fan-out; `GOMAXPROCS=1 make reduce-gate`
-# records the serial counts the committed baseline holds.
+# The memo is serial, so every counter is the same on any core count.
 #
 # It then reruns the explore microbenchmarks and rewrites
 # BENCH_explore.json (counters + ns/op + speedup), so the committed
@@ -40,17 +33,21 @@ cd "$(dirname "$0")/.."
 OUT=${OUT:-BENCH_explore.json}
 TIMEOUT=${TIMEOUT:-10m}
 
+# The pinned explorations: BENCH_explore.json key, then the figures
+# flags that run it. Each run's stderr holds one counter line.
+keys=(E2 E15 'E2?k=5')
+declare -A flags=([E2]='-run E2' [E15]='-run E15' ['E2?k=5']='-run E2 -param k=5')
+
 # Baseline execution counts, read before the run overwrites $OUT.
 # Bracket indexing, not .E2: jq lexes a bare `E2` as a malformed
 # float exponent and rejects the whole filter.
-base_e2_execs=""
-base_e15_execs=""
-base_e16_execs=""
-if [ -f "$OUT" ]; then
-  base_e2_execs=$(jq -r '.experiments["E2"].executions // empty' "$OUT" 2>/dev/null || true)
-  base_e15_execs=$(jq -r '.experiments["E15"].executions // empty' "$OUT" 2>/dev/null || true)
-  base_e16_execs=$(jq -r '.experiments["E16"].executions // empty' "$OUT" 2>/dev/null || true)
-fi
+declare -A base_execs
+for key in "${keys[@]}"; do
+  base_execs[$key]=""
+  if [ -f "$OUT" ]; then
+    base_execs[$key]=$(jq -r --arg key "$key" '.experiments[$key].executions // empty' "$OUT" 2>/dev/null || true)
+  fi
+done
 
 tmp=$(mktemp -d)
 cleanup() {
@@ -65,120 +62,93 @@ cleanup() {
 trap cleanup EXIT
 
 go test -count=1 -timeout "$TIMEOUT" \
-  -run '^(TestReducedMatchesExhaustiveBytes|TestReducedParallelMatchesSerial)$' \
+  -run '^TestReducedMatchesExhaustiveBytes$' \
   ./internal/experiments
 
 go build -o "$tmp/figures" ./cmd/figures
-"$tmp/figures" -run E2,E15,E16 -timeout "$TIMEOUT" -v -o "$tmp/figures.txt" \
-  2> "$tmp/reduce-explore.log"
 
 # One counter line per exploring result:
-#   figures: explore E2 visited=242 pruned=126 replays=146 executions=22080 workers=1 shared=0
-counter() { # counter <id> <field>
-  awk -v id="$1" -v field="$2=" \
-    '$1 == "figures:" && $2 == "explore" && $3 == id {
+#   figures: explore E2 visited=242 pruned=126 replays=146 executions=22080
+counter() { # counter <log> <field>
+  awk -v field="$2=" \
+    '$1 == "figures:" && $2 == "explore" {
        for (i = 4; i <= NF; i++) if (index($i, field) == 1) {
          sub(field, "", $i); print $i; exit
        }
-     }' "$tmp/reduce-explore.log"
+     }' "$1"
 }
 
 declare -A visited pruned replays execs
-for id in E2 E15 E16; do
-  visited[$id]=$(counter "$id" visited)
-  pruned[$id]=$(counter "$id" pruned)
-  replays[$id]=$(counter "$id" replays)
-  execs[$id]=$(counter "$id" executions)
-  if [ -z "${visited[$id]}" ] || [ -z "${pruned[$id]}" ] ||
-     [ -z "${replays[$id]}" ] || [ -z "${execs[$id]}" ]; then
-    echo "reduce-gate: missing explore counters for $id in figures -v stderr" >&2
+experiments='{}'
+for i in "${!keys[@]}"; do
+  key=${keys[$i]}
+  log="$tmp/reduce-explore-$i.log"
+  # shellcheck disable=SC2086 # flags are deliberately word-split
+  "$tmp/figures" ${flags[$key]} -timeout "$TIMEOUT" -v -o "$tmp/figures-$i.txt" 2> "$log"
+  visited[$key]=$(counter "$log" visited)
+  pruned[$key]=$(counter "$log" pruned)
+  replays[$key]=$(counter "$log" replays)
+  execs[$key]=$(counter "$log" executions)
+  if [ -z "${visited[$key]}" ] || [ -z "${pruned[$key]}" ] ||
+     [ -z "${replays[$key]}" ] || [ -z "${execs[$key]}" ]; then
+    echo "reduce-gate: missing explore counters for $key in figures -v stderr" >&2
     exit 1
   fi
-  if [ "${visited[$id]}" -ge "${execs[$id]}" ]; then
-    echo "reduce-gate: $id visited ${visited[$id]} states, not below ${execs[$id]} executions" >&2
+  if [ "${visited[$key]}" -ge "${execs[$key]}" ]; then
+    echo "reduce-gate: $key visited ${visited[$key]} states, not below ${execs[$key]} executions" >&2
     exit 1
   fi
-  if [ "${pruned[$id]}" -eq 0 ]; then
-    echo "reduce-gate: $id pruned no subtrees" >&2
+  if [ "${pruned[$key]}" -eq 0 ]; then
+    echo "reduce-gate: $key pruned no subtrees" >&2
     exit 1
   fi
-  if [ "${replays[$id]}" -ge "${execs[$id]}" ]; then
-    echo "reduce-gate: $id replayed ${replays[$id]}, memoization saved nothing over ${execs[$id]}" >&2
+  if [ "${replays[$key]}" -ge "${execs[$key]}" ]; then
+    echo "reduce-gate: $key replayed ${replays[$key]}, memoization saved nothing over ${execs[$key]}" >&2
     exit 1
   fi
-  echo "reduce-gate: $id ${execs[$id]} executions accounted from ${replays[$id]} replays" \
-    "(${visited[$id]} states visited, ${pruned[$id]} pruned)"
+  echo "reduce-gate: $key ${execs[$key]} executions accounted from ${replays[$key]} replays" \
+    "(${visited[$key]} states visited, ${pruned[$key]} pruned)"
+
+  # Execution counts are pinned to the committed baseline: they encode
+  # what the experiment enumerates, so only a deliberate registry
+  # change may move them (update $OUT in the same commit).
+  if [ -z "${base_execs[$key]}" ]; then
+    echo "reduce-gate: no committed baseline for $key, skipping its execution-count pin"
+  elif [ "${execs[$key]}" -ne "${base_execs[$key]}" ]; then
+    echo "reduce-gate: $key accounted ${execs[$key]} executions, baseline says ${base_execs[$key]}" >&2
+    exit 1
+  fi
+
+  experiments=$(jq -c --arg key "$key" \
+    --argjson execs "${execs[$key]}" --argjson replays "${replays[$key]}" \
+    --argjson visited "${visited[$key]}" --argjson pruned "${pruned[$key]}" \
+    '. + {($key): {executions: $execs, replays: $replays,
+                   states_visited: $visited, states_pruned: $pruned}}' <<< "$experiments")
 done
 
-# Execution counts are pinned to the committed baseline: they encode
-# what the experiment enumerates, so only a deliberate registry change
-# may move them (update $OUT in the same commit).
-if [ -n "$base_e2_execs" ] && [ "${execs[E2]}" -ne "$base_e2_execs" ]; then
-  echo "reduce-gate: E2 accounted ${execs[E2]} executions, baseline says $base_e2_execs" >&2
-  exit 1
-fi
-if [ -n "$base_e15_execs" ] && [ "${execs[E15]}" -ne "$base_e15_execs" ]; then
-  echo "reduce-gate: E15 accounted ${execs[E15]} executions, baseline says $base_e15_execs" >&2
-  exit 1
-fi
-if [ -n "$base_e16_execs" ] && [ "${execs[E16]}" -ne "$base_e16_execs" ]; then
-  echo "reduce-gate: E16 accounted ${execs[E16]} executions, baseline says $base_e16_execs" >&2
-  exit 1
-fi
-if [ -z "$base_e2_execs" ]; then
-  echo "reduce-gate: no committed baseline, skipping execution-count pin"
-fi
-
-# The throughput half: serial exhaustive vs memoized vs parallel memo
-# on the same E2 space. workers=1 is the apples-to-apples serial
-# reference; the parallel line reads workers=8. On a single-core host
-# the parallel speedup hovers around (or below) 1x — the byte-identity
-# and shared-entry gates above carry the correctness claim either way.
-go test -run='^$' -bench='^BenchmarkExplore(Parallel|Memoized|MemoParallel)$' \
+# The throughput half: serial exhaustive vs memoized on the same E2
+# space. workers=1 is the apples-to-apples serial reference.
+go test -run='^$' -bench='^BenchmarkExplore(Parallel|Memoized)$' \
   -benchtime=1x . | tee "$tmp/bench.txt"
 exhaustive_ns=$(awk '$1 ~ /^BenchmarkExploreParallel\/workers=1/ { print $3; exit }' "$tmp/bench.txt")
 memoized_ns=$(awk '$1 ~ /^BenchmarkExploreMemoized/ { print $3; exit }' "$tmp/bench.txt")
-parallel_ns=$(awk '$1 ~ /^BenchmarkExploreMemoParallel\/workers=8/ { print $3; exit }' "$tmp/bench.txt")
-parallel_shared=$(awk '$1 ~ /^BenchmarkExploreMemoParallel\/workers=8/ {
-  for (i = 4; i <= NF; i++) if ($i == "states_shared") { print $(i-1); exit }
-}' "$tmp/bench.txt")
-if [ -z "$exhaustive_ns" ] || [ -z "$memoized_ns" ] ||
-   [ -z "$parallel_ns" ] || [ -z "$parallel_shared" ]; then
+if [ -z "$exhaustive_ns" ] || [ -z "$memoized_ns" ]; then
   echo "reduce-gate: could not parse explore benchmark output" >&2
   exit 1
 fi
 
-jq -n \
-  --argjson e2_visited "${visited[E2]}" --argjson e2_pruned "${pruned[E2]}" \
-  --argjson e2_replays "${replays[E2]}" --argjson e2_execs "${execs[E2]}" \
-  --argjson e15_visited "${visited[E15]}" --argjson e15_pruned "${pruned[E15]}" \
-  --argjson e15_replays "${replays[E15]}" --argjson e15_execs "${execs[E15]}" \
-  --argjson e16_visited "${visited[E16]}" --argjson e16_pruned "${pruned[E16]}" \
-  --argjson e16_replays "${replays[E16]}" --argjson e16_execs "${execs[E16]}" \
+jq -n --argjson experiments "$experiments" \
   --argjson exhaustive_ns "$exhaustive_ns" --argjson memoized_ns "$memoized_ns" \
-  --argjson parallel_ns "$parallel_ns" --argjson parallel_shared "$parallel_shared" \
   '{
-    experiments: {
-      E2:  {executions: $e2_execs,  replays: $e2_replays,
-            states_visited: $e2_visited,  states_pruned: $e2_pruned},
-      E15: {executions: $e15_execs, replays: $e15_replays,
-            states_visited: $e15_visited, states_pruned: $e15_pruned},
-      E16: {executions: $e16_execs, replays: $e16_replays,
-            states_visited: $e16_visited, states_pruned: $e16_pruned}
-    },
+    experiments: $experiments,
     bench: {
       exhaustive_serial_ns_per_op: $exhaustive_ns,
       memoized_ns_per_op: $memoized_ns,
-      parallel_ns_per_op: $parallel_ns,
-      workers: 8,
-      states_shared: $parallel_shared,
-      speedup: (($exhaustive_ns / $memoized_ns * 10 | round) / 10),
-      parallel_speedup: (($memoized_ns / $parallel_ns * 10 | round) / 10)
+      speedup: (($exhaustive_ns / $memoized_ns * 10 | round) / 10)
     }
   }' > "$OUT"
 
 echo "reduce-gate: OK (E2 ${replays[E2]}/${execs[E2]} replays," \
   "E15 ${replays[E15]}/${execs[E15]} replays," \
-  "E16 ${replays[E16]}/${execs[E16]} replays," \
-  "$(jq -r '.bench.speedup' "$OUT")x serial speedup," \
-  "$(jq -r '.bench.parallel_speedup' "$OUT")x parallel-over-memo at 8 workers) -> $OUT"
+  "E2?k=5 ${replays['E2?k=5']}/${execs['E2?k=5']} replays," \
+  "$(jq -r '.bench.speedup' "$OUT")x serial speedup) -> $OUT"
