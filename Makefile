@@ -31,12 +31,16 @@ bench:
 bench-json:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x -json ./...
 
+# lint also vets the benchmark module (bench/, its own go.mod): its
+# layer ladder builds against this module's packages, so a refactor
+# that breaks the ladder fails here, not only in the benchmark.
 lint:
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # cover reports internal/sched + internal/shard + internal/cache +
 # internal/hist + internal/trace coverage — the packages the

@@ -333,7 +333,7 @@ func BenchmarkExperimentTables(b *testing.B) {
 	for _, id := range []string{"E1", "E7", "E8", "E11", "E12"} {
 		b.Run(id, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := reg[id](); err != nil {
+				if _, _, err := reg[id].Run(experiments.ParamSet{}); err != nil {
 					b.Fatal(err)
 				}
 			}

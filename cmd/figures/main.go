@@ -95,7 +95,7 @@ import (
 
 // testRegistry overrides the experiment registry in tests (to count
 // runner executions); nil outside of tests.
-var testRegistry map[string]experiments.Runner
+var testRegistry map[string]experiments.Experiment
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
@@ -163,34 +163,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	// A parameter point names one family and one point of its space;
-	// validation happens here so a bad point fails before any file or
-	// fleet is touched.
-	var fam experiments.Family
-	var ps experiments.ParamSet
-	if *param != "" {
-		if len(ids) != 1 {
-			return fmt.Errorf("-param requires -run naming exactly one parameterized family")
-		}
-		families := experiments.FamiliesFor(testRegistry)
-		var ok bool
-		if fam, ok = families[ids[0]]; !ok {
-			return fmt.Errorf("experiment %q takes no parameters", ids[0])
-		}
-		var err error
-		if ps, err = experiments.ParseParamList(fam, *param); err != nil {
-			return err
-		}
-	}
-
 	opts := experiments.Options{
 		IDs:      ids,
 		Jobs:     *jobs,
 		Timeout:  *timeout,
 		Registry: testRegistry,
 	}
-	// Validate the ids before touching the -o file below: a typo'd
-	// -run must fail cleanly, not truncate an existing output file.
+	// Validate the ids — and a parameter point against its experiment's
+	// schema — before touching the -o file or the fleet below: a typo'd
+	// -run or a bad point must fail cleanly, not truncate an existing
+	// output file.
 	reg := testRegistry
 	if reg == nil {
 		reg = experiments.Registry()
@@ -198,6 +180,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for _, id := range ids {
 		if _, ok := reg[id]; !ok {
 			return fmt.Errorf("unknown experiment %q", id)
+		}
+	}
+	var ps experiments.ParamSet
+	if *param != "" {
+		if len(ids) != 1 {
+			return fmt.Errorf("-param requires -run naming exactly one parameterized family")
+		}
+		var err error
+		if ps, err = experiments.ParseParamList(reg[ids[0]], *param); err != nil {
+			return err
 		}
 	}
 	if *cacheDir != "" && !*noCache {
@@ -224,12 +216,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	start := time.Now()
 	var results []experiments.Result
 	switch {
-	case *param != "" && *workers != "":
-		results, err = runShardedParam(shard.SplitList(*workers), fam, ps, opts, stderr, *verbose, *traceOn)
-	case *param != "":
-		results = []experiments.Result{experiments.RunParam(context.Background(), fam, ps, opts)}
 	case *workers != "":
-		results, err = runSharded(shard.SplitList(*workers), ids, opts, stderr, *verbose, *traceOn)
+		results, err = runSharded(shard.SplitList(*workers), opts, stderr, *verbose, *traceOn,
+			func(ctx context.Context, coord *shard.Coordinator) ([]experiments.Result, error) {
+				if *param == "" {
+					return coord.Run(ctx, ids)
+				}
+				res, err := coord.RunParam(ctx, ids[0], ps)
+				return []experiments.Result{res}, err
+			})
+	case *param != "":
+		results = []experiments.Result{experiments.RunParam(context.Background(), reg[ids[0]], ps, opts)}
 	default:
 		results, err = experiments.Run(context.Background(), opts)
 	}
@@ -287,35 +284,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return experiments.FirstError(results)
 }
 
-// runSharded fans the run out across a figuresd fleet via the shard
-// coordinator, reporting the fleet summary on stderr. opts carries the
-// local-fallback engine configuration (registry, cache, timeout, jobs).
-// With traceOn, a span journal is threaded into the coordinator and
-// each request's ID and timeline are reported after the run.
-func runSharded(fleet, ids []string, opts experiments.Options, stderr io.Writer, verbose, traceOn bool) ([]experiments.Result, error) {
-	return shardRun(fleet, opts, stderr, verbose, traceOn,
-		func(ctx context.Context, coord *shard.Coordinator) ([]experiments.Result, error) {
-			return coord.Run(ctx, ids)
-		})
-}
-
-// runShardedParam evaluates one family at one parameter point across
-// the fleet — the -param -workers path — with the same coordinator
-// wiring, trace reporting, and shard summary as runSharded.
-func runShardedParam(fleet []string, fam experiments.Family, ps experiments.ParamSet, opts experiments.Options, stderr io.Writer, verbose, traceOn bool) ([]experiments.Result, error) {
-	return shardRun(fleet, opts, stderr, verbose, traceOn,
-		func(ctx context.Context, coord *shard.Coordinator) ([]experiments.Result, error) {
-			res, err := coord.RunParam(ctx, fam.ID, ps)
-			if err != nil {
-				return nil, err
-			}
-			return []experiments.Result{res}, nil
-		})
-}
-
-// shardRun builds the coordinator, runs do over it, and reports traces
-// and the fleet summary — the shared frame of every sharded mode.
-func shardRun(fleet []string, opts experiments.Options, stderr io.Writer, verbose, traceOn bool,
+// runSharded builds a shard coordinator over the fleet, runs do over
+// it — the whole run, or the one -param point — and reports traces and
+// the fleet summary on stderr. opts carries the local-fallback engine
+// configuration (registry, cache, timeout, jobs). With traceOn, a span
+// journal is threaded into the coordinator and each request's ID and
+// timeline are reported after the run.
+func runSharded(fleet []string, opts experiments.Options, stderr io.Writer, verbose, traceOn bool,
 	do func(context.Context, *shard.Coordinator) ([]experiments.Result, error)) ([]experiments.Result, error) {
 	var logf func(format string, args ...any)
 	if verbose {

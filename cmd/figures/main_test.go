@@ -16,21 +16,23 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/load"
+	"repro/internal/sched"
 	"repro/internal/server"
 )
 
-// hookRegistry installs a registry override that counts every runner
-// execution, restoring the real registry when the test ends.
-func hookRegistry(t *testing.T, reg map[string]experiments.Runner) *int {
+// hookRegistry installs a registry override that counts every whole
+// run, restoring the real registry when the test ends.
+func hookRegistry(t *testing.T, reg map[string]experiments.Experiment) *int {
 	t.Helper()
 	executions := new(int)
-	counted := make(map[string]experiments.Runner, len(reg))
-	for id, runner := range reg {
-		runner := runner
-		counted[id] = func() (*experiments.Table, error) {
+	counted := make(map[string]experiments.Experiment, len(reg))
+	for id, e := range reg {
+		run := e.Run
+		e.Run = func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			*executions++ // engine may call concurrently; tests use -jobs 1
-			return runner()
+			return run(ps)
 		}
+		counted[id] = e
 	}
 	testRegistry = counted
 	t.Cleanup(func() { testRegistry = nil })
@@ -160,11 +162,11 @@ func TestOutputFileUnwritable(t *testing.T) {
 // TestFailedExperimentExitsNonZero: a FAILED row must fail the
 // process (run returns an error) while the output still encodes it.
 func TestFailedExperimentExitsNonZero(t *testing.T) {
-	hookRegistry(t, map[string]experiments.Runner{
-		"E1": func() (*experiments.Table, error) { return nil, errors.New("synthetic failure") },
-		"E2": func() (*experiments.Table, error) {
+	hookRegistry(t, map[string]experiments.Experiment{
+		"E1": experiments.Fixed("E1", func() (*experiments.Table, error) { return nil, errors.New("synthetic failure") }),
+		"E2": experiments.Fixed("E2", func() (*experiments.Table, error) {
 			return &experiments.Table{ID: "E2", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-		},
+		}),
 	})
 	var out bytes.Buffer
 	err := run([]string{"-run", "E1,E2", "-jobs", "1"}, &out, &bytes.Buffer{})
@@ -179,8 +181,8 @@ func TestFailedExperimentExitsNonZero(t *testing.T) {
 // TestFailedExperimentNotCached: the failure is re-run (and still
 // fatal) on the second invocation with the same cache directory.
 func TestFailedExperimentNotCached(t *testing.T) {
-	executions := hookRegistry(t, map[string]experiments.Runner{
-		"E1": func() (*experiments.Table, error) { return nil, errors.New("synthetic failure") },
+	executions := hookRegistry(t, map[string]experiments.Experiment{
+		"E1": experiments.Fixed("E1", func() (*experiments.Table, error) { return nil, errors.New("synthetic failure") }),
 	})
 	dir := t.TempDir()
 	for i := 1; i <= 2; i++ {

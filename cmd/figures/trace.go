@@ -177,9 +177,9 @@ func renderTimeline(w io.Writer, traces []sourcedTrace) {
 			r.last = ev.At
 		}
 		switch ev.Kind {
-		case trace.KindSliceCacheHit:
+		case trace.KindSliceHit:
 			r.hit = true
-		case trace.KindSliceCacheMiss:
+		case trace.KindSliceMiss:
 			r.miss = true
 		case trace.KindRetry:
 			r.retries++

@@ -63,7 +63,7 @@ func TestTraceFlagRequiresWorkers(t *testing.T) {
 // leaves a span in a worker's journal, and `figures trace` fetches it
 // by ID and renders the timeline with the range summary block.
 func TestTraceSubcommand(t *testing.T) {
-	// A nil Registry means the real one plus its Shardables — the
+	// A nil Registry means the real one, whose E2 entry shards — the
 	// ?prefixes= path needs E2 to be shardable on the worker.
 	ts := httptest.NewServer(server.New(server.Options{
 		Journal: trace.NewJournal(0, 0),

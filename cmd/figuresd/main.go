@@ -72,7 +72,7 @@ import (
 
 // testRegistry overrides the experiment registry in tests; nil
 // outside of tests (the real E1..E15 registry is served).
-var testRegistry map[string]experiments.Runner
+var testRegistry map[string]experiments.Experiment
 
 func main() {
 	if err := run(context.Background(), os.Args[1:], os.Stderr); err != nil {
@@ -187,8 +187,7 @@ func newHandler(cacheDir, peers string, timeout time.Duration, logf func(format 
 		}
 		st := coord.Stats()
 		logf("figuresd: fronting %d/%d peers (local fallback ready)", st.WorkersHealthy, st.WorkersTotal)
-		opts.Backend = coord.RunOne
-		opts.ParamBackend = coord.RunParam
+		opts.Backend = coord.RunParam
 	}
 	return server.New(opts), nil
 }

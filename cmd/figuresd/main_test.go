@@ -39,12 +39,12 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var executions atomic.Int64
-	reg := map[string]experiments.Runner{
-		"E1": func() (*experiments.Table, error) {
+	reg := map[string]experiments.Experiment{
+		"E1": experiments.Fixed("E1", func() (*experiments.Table, error) {
 			executions.Add(1)
 			return &experiments.Table{ID: "E1", Title: "synthetic",
 				Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-		},
+		}),
 	}
 	handler := server.New(server.Options{Registry: reg})
 
@@ -93,13 +93,13 @@ func TestServeLifecycle(t *testing.T) {
 
 // syntheticRegistry builds a one-experiment registry with an
 // execution counter.
-func syntheticRegistry(id string, executions *atomic.Int64) map[string]experiments.Runner {
-	return map[string]experiments.Runner{
-		id: func() (*experiments.Table, error) {
+func syntheticRegistry(id string, executions *atomic.Int64) map[string]experiments.Experiment {
+	return map[string]experiments.Experiment{
+		id: experiments.Fixed(id, func() (*experiments.Table, error) {
 			executions.Add(1)
 			return &experiments.Table{ID: id, Title: "synthetic " + id,
 				Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-		},
+		}),
 	}
 }
 

@@ -24,10 +24,12 @@
 // byte-size cap evicts least-recently-used entries of either kind
 // (Get and GetSlice refresh an entry's mtime) on write.
 //
-// Store implements experiments.SliceCache (a superset of
-// experiments.Cache), so it plugs directly into experiments.Options,
-// internal/server's slice endpoint, and internal/shard's per-range
-// read-through; cmd/figures (-cache-dir) and cmd/figuresd wire it up.
+// Store implements experiments.Cache — whole results by (id, parameter
+// point) and slice envelopes by (id, point, prefixes) — so it plugs
+// directly into experiments.Options, internal/server, and
+// internal/shard's front cache and per-range read-through; Get and Put
+// are the default-point shorthands. cmd/figures (-cache-dir) and
+// cmd/figuresd wire it up.
 // Stats counts hits, misses, corruption, and evictions since Open —
 // the counters internal/server republishes on its /stats endpoint.
 package cache
@@ -69,8 +71,8 @@ type Options struct {
 	MaxBytes int64
 	// SpaceVersion resolves one experiment id to the version naming
 	// its cache-identity generation; nil means
-	// experiments.SpaceVersion, the per-family resolver — bumping one
-	// family's code version moves only that family's fingerprints.
+	// experiments.SpaceVersion, the per-experiment resolver — bumping
+	// one experiment's code version moves only its fingerprints.
 	SpaceVersion func(id string) string
 	// RegistryVersion, when non-empty, pins every experiment to one
 	// constant version instead (the pre-family behaviour; tests use
@@ -181,10 +183,7 @@ type Store struct {
 	stats Stats
 }
 
-var (
-	_ experiments.SliceCache = (*Store)(nil)
-	_ experiments.ParamCache = (*Store)(nil)
-)
+var _ experiments.Cache = (*Store)(nil)
 
 // Open creates dir if needed and returns a store over it.
 func Open(dir string, opts Options) (*Store, error) {
@@ -199,7 +198,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	// Identity resolution order: an explicit per-space resolver, a
 	// pinned constant (tests and byte-compat callers), then the
-	// per-family default.
+	// per-experiment default.
 	spaceVersion := opts.SpaceVersion
 	if spaceVersion == nil {
 		if opts.RegistryVersion != "" {
@@ -238,7 +237,7 @@ func buildModuleVersion() string {
 // keyFor returns the full artifact key for one experiment id,
 // parameter point ("" = the fixed point), and prefix set ("" = the
 // whole result), resolving the id's space version through the store's
-// per-family resolver.
+// per-experiment resolver.
 func (s *Store) keyFor(id, params, prefixes string) ArtifactKey {
 	k := s.key
 	k.ID = id
@@ -290,19 +289,23 @@ func (s *Store) rejectEntry(k ArtifactKey) {
 	os.Remove(s.path(k))
 }
 
-// Get implements experiments.Cache. Untrustworthy entries — wrong
-// schema, mismatched key, bad checksum, undecodable payload, or a
-// stored failure — are deleted and reported as corrupt misses.
+// Get returns the stored whole result at an experiment's default
+// point: GetParam(id, "").
 func (s *Store) Get(id string) (experiments.Result, bool) {
-	return s.getResult(s.keyFor(id, "", ""))
+	return s.GetParam(id, "")
 }
 
-// getResult is the shared lookup behind Get and GetParam: one whole
-// result under one fully-resolved key, counted in Hits/Misses.
-func (s *Store) getResult(k ArtifactKey) (experiments.Result, bool) {
+// GetParam implements experiments.Cache: it returns the stored whole
+// result of one experiment at one canonical parameter point ("" is the
+// default point, so a spelled-out default request and a plain one
+// share one entry). Untrustworthy entries — wrong schema, mismatched
+// key, bad checksum, undecodable payload, or a stored failure — are
+// deleted and reported as corrupt misses.
+func (s *Store) GetParam(id, params string) (experiments.Result, bool) {
+	k := s.keyFor(id, params, "")
 	payload, ok, corrupt := s.readEntry(k)
 	if ok {
-		res, err := decodeResult(payload, k.ID)
+		res, err := decodeResult(payload, id)
 		if err == nil {
 			s.count(func(st *Stats) { st.Hits++ })
 			return res, true
@@ -336,10 +339,10 @@ func decodeResult(payload []byte, id string) (experiments.Result, error) {
 	return r, nil
 }
 
-// GetSlice implements experiments.SliceCache: it returns the stored
+// GetSlice implements experiments.Cache: it returns the stored
 // shard envelope for one slice of one experiment's exploration space
 // at one parameter point ("" = the fixed point). The same trust rules
-// as Get apply — an entry whose payload is not a shard envelope for
+// as GetParam apply — an entry whose payload is not a shard envelope for
 // exactly this id, parameter point, prefix set, and space generation
 // is deleted and reported as a corrupt miss, so a corrupt slice
 // re-explores one range, never the whole space.
@@ -370,40 +373,18 @@ func (s *Store) GetSlice(id, params, prefixes string) (experiments.ShardEnvelope
 	return experiments.ShardEnvelope{}, false
 }
 
-// Put implements experiments.Cache: it stores a successful result
-// atomically (temp file + rename) and then enforces the size cap.
+// Put stores a successful whole result at an experiment's default
+// point: PutParam(id, "", r).
 func (s *Store) Put(id string, r experiments.Result) error {
+	return s.PutParam(id, "", r)
+}
+
+// PutParam implements experiments.Cache: it stores one point's
+// successful whole result atomically (temp file + rename) and then
+// enforces the size cap.
+func (s *Store) PutParam(id, params string, r experiments.Result) error {
 	if r.Err != nil || r.Table == nil {
 		return fmt.Errorf("cache: refusing to store failed result %s", id)
-	}
-	r.ID = id
-	var encoded bytes.Buffer
-	if err := experiments.EncodeJSON(&encoded, []experiments.Result{r}); err != nil {
-		return err
-	}
-	return s.write(s.keyFor(id, "", ""), encoded.Bytes())
-}
-
-// GetParam implements experiments.ParamCache: it returns the stored
-// whole result of one experiment family at one canonical parameter
-// point. The empty point is the family's fixed experiment — it
-// delegates to Get, so a parameterized request at the default point
-// and a fixed request share one entry.
-func (s *Store) GetParam(id, params string) (experiments.Result, bool) {
-	if params == "" {
-		return s.Get(id)
-	}
-	return s.getResult(s.keyFor(id, params, ""))
-}
-
-// PutParam implements experiments.ParamCache, storing one parameter
-// point's whole result; the empty point delegates to Put.
-func (s *Store) PutParam(id, params string, r experiments.Result) error {
-	if params == "" {
-		return s.Put(id, r)
-	}
-	if r.Err != nil || r.Table == nil {
-		return fmt.Errorf("cache: refusing to store failed result %s?%s", id, params)
 	}
 	r.ID = id
 	var encoded bytes.Buffer
@@ -413,7 +394,7 @@ func (s *Store) PutParam(id, params string, r experiments.Result) error {
 	return s.write(s.keyFor(id, params, ""), encoded.Bytes())
 }
 
-// PutSlice implements experiments.SliceCache: it stores one slice's
+// PutSlice implements experiments.Cache: it stores one slice's
 // shard envelope under the artifact key derived from its id,
 // parameter point, and prefix set. An envelope from a different space
 // generation is refused — its numbers describe a different space, and

@@ -98,7 +98,7 @@ func finishE15(a *alg2SweepAgg, choice int, input task.Pair) (*Table, error) {
 }
 
 // runE15At evaluates the E15 family whole at one (choice, input)
-// point — the fixed E15 runner and the Family.Run behind GET
+// point — the Experiment.Run behind GET /experiments/E15 and
 // /experiments/E15?c=... — through the serial canonical-state memo,
 // returning the explorer's counters with the table. Serial, like
 // every engine-driven runner: the engine owns the concurrency budget
@@ -121,11 +121,6 @@ func runE15At(choice int, input task.Pair) (*Table, sched.MemoStats, error) {
 func Theorem12Exhaustive() (*Table, error) {
 	tab, _, err := runE15At(e15Choice, e15Input)
 	return tab, err
-}
-
-// e15Shardable is E15's partial-run form at the fixed registry point.
-func e15Shardable() Shardable {
-	return e15ShardableAt(e15Choice, e15Input)
 }
 
 // e15ShardableAt is the partial-run form at one (choice, input) point.

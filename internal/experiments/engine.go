@@ -21,34 +21,45 @@ type Options struct {
 	// Timeout bounds each experiment's wall-clock time; 0 means no limit.
 	Timeout time.Duration
 	// Registry overrides the experiment registry; nil means Registry().
-	Registry map[string]Runner
-	// Cache, when non-nil, is consulted before each runner executes and
-	// updated after each success. A hit skips the runner entirely and
+	Registry map[string]Experiment
+	// Cache, when non-nil, is consulted before each experiment executes
+	// and updated after each success. A hit skips the run entirely and
 	// yields the stored Result with Cached set; failed results are never
 	// stored, so errors are always recomputed. Cache write errors are
 	// ignored: caching is an optimisation, never a reason to fail a run.
 	Cache Cache
 }
 
-// registry and families are the real registry and its parameterized
-// families, built once: Run reads them on every call that names no
-// override — every figuresd request — and never mutates them.
-var (
-	registry = Registry()
-	families = Families()
-)
+// registry is the real registry, built once: Run reads it on every
+// call that names no override, and SpaceVersion on every cache key;
+// neither mutates it.
+var registry = Registry()
 
-// Cache is the engine's view of a result store, keyed by experiment id.
-// Implementations (internal/cache.Store) own the full cache key —
-// registry, Go, and module versions — so a stale store simply misses.
+// Cache is the one artifact-store interface every layer calls: whole
+// results keyed by experiment id plus canonical parameter point ("" is
+// the default point, the plain id), and slice aggregates keyed by id,
+// point, and canonical prefix set. Implementations
+// (internal/cache.Store) own the rest of the key — space, Go, and
+// module versions — so a stale store simply misses.
 type Cache interface {
-	// Get returns the stored result for an experiment id. ok reports a
-	// usable hit; implementations must return ok == false (never a
-	// stale or corrupted result) when the entry cannot be trusted.
-	Get(id string) (Result, bool)
-	// Put stores a successful result. Implementations may refuse
-	// (e.g. failed results); the engine ignores the error.
-	Put(id string, r Result) error
+	// GetParam returns the stored whole result of one experiment at one
+	// parameter point. ok reports a usable hit; implementations must
+	// return ok == false (never a stale or corrupted result) when the
+	// entry cannot be trusted.
+	GetParam(id, params string) (Result, bool)
+	// PutParam stores a successful result for one point.
+	// Implementations may refuse (e.g. failed results); callers ignore
+	// the error.
+	PutParam(id, params string, r Result) error
+	// GetSlice returns the stored envelope for one slice of one point's
+	// exploration space, the prefixes string in canonical
+	// FormatPrefixes rendering. Same trust contract as GetParam: never
+	// a stale, corrupt, or wrong-generation envelope.
+	GetSlice(id, params, prefixes string) (ShardEnvelope, bool)
+	// PutSlice stores one slice's envelope. Implementations may refuse
+	// (incomplete or wrong-generation envelopes); callers treat errors
+	// as a skipped optimisation, never a failure.
+	PutSlice(env ShardEnvelope) error
 }
 
 // Result is the outcome of one experiment run by the engine.
@@ -85,7 +96,8 @@ func FirstError(results []Result) error {
 	return nil
 }
 
-// Run executes the selected experiments on a bounded worker pool and
+// Run executes the selected experiments, each at its default point
+// (RunParam with the zero ParamSet), on a bounded worker pool and
 // returns one Result per requested id, in request order regardless of
 // completion order. A runner that returns an error, panics, or exceeds
 // opts.Timeout yields a failed Result without affecting the other
@@ -93,39 +105,21 @@ func FirstError(results []Result) error {
 // mistakes (an unknown experiment id); cancelling ctx marks the
 // experiments not yet finished as failed with the context's error.
 func Run(ctx context.Context, opts Options) ([]Result, error) {
-	// Families apply to the real registry only, the FamiliesFor rule:
-	// an override's ids are not the real experiments.
-	reg, fams := opts.Registry, map[string]Family(nil)
+	reg := opts.Registry
 	if reg == nil {
-		reg, fams = registry, families
+		reg = registry
 	}
 	ids := opts.IDs
 	if len(ids) == 0 {
 		ids = sortIDs(reg)
 	}
-	runners := make([]memoRunner, len(ids))
+	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
-		r, ok := reg[id]
+		e, ok := reg[id]
 		if !ok {
 			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 		}
-		runners[i] = func() (*Table, sched.MemoStats, error) {
-			tab, err := r()
-			return tab, sched.MemoStats{}, err
-		}
-		// A family's Run at its default point renders the fixed
-		// runner's bytes (the Family contract) and also returns the
-		// memo counters, so the real registry's E2 and E15 run through
-		// it.
-		if f, ok := fams[id]; ok {
-			runners[i] = func() (*Table, sched.MemoStats, error) {
-				ps, err := DefaultParams(f)
-				if err != nil {
-					return nil, sched.MemoStats{}, err
-				}
-				return f.Run(ps)
-			}
-		}
+		exps[i] = e
 	}
 
 	jobs := opts.Jobs
@@ -144,7 +138,7 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = runCached(ctx, ids[i], runners[i], opts)
+				results[i] = RunParam(ctx, exps[i], ParamSet{}, opts)
 			}
 		}()
 	}
@@ -154,25 +148,6 @@ func Run(ctx context.Context, opts Options) ([]Result, error) {
 	close(idx)
 	wg.Wait()
 	return results, nil
-}
-
-// memoRunner is a Runner that also returns its memoized exploration's
-// counters (zero when it explored nothing through the memo).
-type memoRunner func() (*Table, sched.MemoStats, error)
-
-// runCached serves one experiment from opts.Cache when possible and
-// runs it (storing a success back) otherwise.
-func runCached(ctx context.Context, id string, r memoRunner, opts Options) Result {
-	if opts.Cache != nil {
-		if res, ok := opts.Cache.Get(id); ok && res.Err == nil && res.Table != nil {
-			return cacheHit(id, res)
-		}
-	}
-	res := runOne(ctx, id, r, opts.Timeout)
-	if opts.Cache != nil && res.Err == nil {
-		opts.Cache.Put(id, res) // best-effort; a failed write just means a future miss
-	}
-	return res
 }
 
 // cacheHit marks a stored result as served from the cache: it carries
@@ -189,7 +164,7 @@ func cacheHit(id string, res Result) Result {
 // that goroutine is abandoned (runners take no context), which leaks it
 // until it returns — acceptable for a CLI/test harness, and the reason
 // timeouts should be generous rather than tight.
-func runOne(ctx context.Context, id string, r memoRunner, timeout time.Duration) Result {
+func runOne(ctx context.Context, id string, r func() (*Table, sched.MemoStats, error), timeout time.Duration) Result {
 	start := time.Now()
 	if err := ctx.Err(); err != nil {
 		return Result{ID: id, Err: err}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestEngineMatchesDirectRunners(t *testing.T) {
 	var want strings.Builder
 	reg := Registry()
 	for _, id := range ids {
-		tab, err := reg[id]()
+		tab, err := runDefault(reg[id])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +81,7 @@ func TestEngineMatchesDirectRunners(t *testing.T) {
 }
 
 func TestEngineTimeout(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) {
 			time.Sleep(10 * time.Second)
 			return &Table{ID: "E1"}, nil
@@ -88,7 +89,7 @@ func TestEngineTimeout(t *testing.T) {
 		"E2": func() (*Table, error) {
 			return &Table{ID: "E2", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
 		},
-	}
+	})
 	start := time.Now()
 	results, err := Run(context.Background(), Options{Registry: reg, Jobs: 2, Timeout: 50 * time.Millisecond})
 	if err != nil {
@@ -112,7 +113,7 @@ func TestEngineTimeout(t *testing.T) {
 // also when the panic is in a simulated process; the process and the
 // sibling experiments are unaffected.
 func TestEnginePanicIsolation(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) { panic("boom") },
 		"E2": func() (*Table, error) {
 			return &Table{ID: "E2", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
@@ -124,7 +125,7 @@ func TestEnginePanicIsolation(t *testing.T) {
 			})
 			return nil, err
 		},
-	}
+	})
 	results, err := Run(context.Background(), Options{Registry: reg, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -156,13 +157,13 @@ func TestEngineUnknownID(t *testing.T) {
 // TestEngineRequestOrderPreserved: results come back in request order
 // even when completion order is reversed by experiment cost.
 func TestEngineRequestOrderPreserved(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"slow": func() (*Table, error) {
 			time.Sleep(100 * time.Millisecond)
 			return &Table{ID: "slow"}, nil
 		},
 		"fast": func() (*Table, error) { return &Table{ID: "fast"}, nil },
-	}
+	})
 	results, err := Run(context.Background(), Options{Registry: reg, IDs: []string{"slow", "fast"}, Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -180,12 +181,12 @@ func TestEngineRequestOrderPreserved(t *testing.T) {
 func TestEngineCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) {
 			time.Sleep(10 * time.Second)
 			return &Table{ID: "E1"}, nil
 		},
-	}
+	})
 	start := time.Now()
 	results, err := Run(ctx, Options{Registry: reg, Jobs: 1})
 	if err != nil {
@@ -200,12 +201,12 @@ func TestEngineCancelledContext(t *testing.T) {
 }
 
 func TestEngineRunnerErrorIsolated(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) { return nil, errors.New("bad data") },
 		"E2": func() (*Table, error) {
 			return &Table{ID: "E2", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
 		},
-	}
+	})
 	results, err := Run(context.Background(), Options{Registry: reg, Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +219,31 @@ func TestEngineRunnerErrorIsolated(t *testing.T) {
 	}
 }
 
-// fakeCache is an in-memory experiments.Cache recording its traffic.
+// runDefault evaluates e directly at its default point, bypassing the
+// engine.
+func runDefault(e Experiment) (*Table, error) {
+	ps, err := DefaultParams(e)
+	if err != nil {
+		return nil, err
+	}
+	tab, _, err := e.Run(ps)
+	return tab, err
+}
+
+// fixedRegistry builds a registry override of zero-parameter
+// experiments, one per runner.
+func fixedRegistry(runners map[string]func() (*Table, error)) map[string]Experiment {
+	reg := make(map[string]Experiment, len(runners))
+	for id, run := range runners {
+		reg[id] = Fixed(id, run)
+	}
+	return reg
+}
+
+// fakeCache is an in-memory experiments.Cache recording its whole-result
+// traffic, keyed by pointKey; safe for the engine's concurrent jobs.
 type fakeCache struct {
+	mu      sync.Mutex
 	entries map[string]Result
 	puts    []string
 	putErr  error
@@ -227,30 +251,48 @@ type fakeCache struct {
 
 func newFakeCache() *fakeCache { return &fakeCache{entries: map[string]Result{}} }
 
-func (c *fakeCache) Get(id string) (Result, bool) {
-	r, ok := c.entries[id]
+// pointKey names one point's entry: the plain id at the default point.
+func pointKey(id, params string) string {
+	if params == "" {
+		return id
+	}
+	return id + "?" + params
+}
+
+func (c *fakeCache) GetParam(id, params string) (Result, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	r, ok := c.entries[pointKey(id, params)]
 	return r, ok
 }
 
-func (c *fakeCache) Put(id string, r Result) error {
-	c.puts = append(c.puts, id)
+func (c *fakeCache) PutParam(id, params string, r Result) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.puts = append(c.puts, pointKey(id, params))
 	if c.putErr != nil {
 		return c.putErr
 	}
-	c.entries[id] = r
+	c.entries[pointKey(id, params)] = r
 	return nil
 }
+
+func (c *fakeCache) GetSlice(id, params, prefixes string) (ShardEnvelope, bool) {
+	return ShardEnvelope{}, false
+}
+
+func (c *fakeCache) PutSlice(ShardEnvelope) error { return nil }
 
 // TestEngineCacheHitSkipsRunner: a cached experiment's runner never
 // executes, and the served result carries the Cached mark.
 func TestEngineCacheHitSkipsRunner(t *testing.T) {
 	runs := 0
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) {
 			runs++
 			return &Table{ID: "E1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
 		},
-	}
+	})
 	cache := newFakeCache()
 	cache.entries["E1"] = Result{ID: "E1", Table: &Table{ID: "E1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}}
 	results, err := Run(context.Background(), Options{Registry: reg, Cache: cache})
@@ -272,12 +314,12 @@ func TestEngineCacheHitSkipsRunner(t *testing.T) {
 // once and stores the success; a second run is then served cold-free.
 func TestEngineCacheMissRunsAndStores(t *testing.T) {
 	runs := 0
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) {
 			runs++
 			return &Table{ID: "E1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
 		},
-	}
+	})
 	cache := newFakeCache()
 	first, err := Run(context.Background(), Options{Registry: reg, Cache: cache})
 	if err != nil {
@@ -311,10 +353,10 @@ func TestEngineCacheMissRunsAndStores(t *testing.T) {
 // TestEngineCacheNeverStoresFailures: failed results are recomputed,
 // not cached.
 func TestEngineCacheNeverStoresFailures(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) { return nil, errors.New("flaky") },
 		"E2": func() (*Table, error) { panic("boom") },
-	}
+	})
 	cache := newFakeCache()
 	if _, err := Run(context.Background(), Options{Registry: reg, Cache: cache}); err != nil {
 		t.Fatal(err)
@@ -327,11 +369,11 @@ func TestEngineCacheNeverStoresFailures(t *testing.T) {
 // TestEngineCachePutErrorIgnored: a cache that cannot persist is an
 // optimisation that didn't happen, not a run failure.
 func TestEngineCachePutErrorIgnored(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) {
 			return &Table{ID: "E1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
 		},
-	}
+	})
 	cache := newFakeCache()
 	cache.putErr = errors.New("disk full")
 	results, err := Run(context.Background(), Options{Registry: reg, Cache: cache})
@@ -347,12 +389,12 @@ func TestEngineCachePutErrorIgnored(t *testing.T) {
 // table (a misbehaving cache) must not be served — the runner runs.
 func TestEngineCacheIgnoresUnusableHits(t *testing.T) {
 	runs := 0
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E1": func() (*Table, error) {
 			runs++
 			return &Table{ID: "E1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
 		},
-	}
+	})
 	cache := newFakeCache()
 	cache.entries["E1"] = Result{ID: "E1", Err: errors.New("stored failure")}
 	results, err := Run(context.Background(), Options{Registry: reg, Cache: cache})
@@ -365,9 +407,9 @@ func TestEngineCacheIgnoresUnusableHits(t *testing.T) {
 }
 
 func TestSortIDsNumericSuffix(t *testing.T) {
-	reg := map[string]Runner{
+	reg := fixedRegistry(map[string]func() (*Table, error){
 		"E10": nil, "E2": nil, "E1": nil, "zeta": nil, "alpha": nil,
-	}
+	})
 	got := sortIDs(reg)
 	want := []string{"E1", "E2", "E10", "alpha", "zeta"}
 	for i := range want {

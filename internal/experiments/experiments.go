@@ -20,11 +20,20 @@
 // any distribution of the work — across goroutines (Jobs), cache hits,
 // or a remote worker fleet — emits byte-identical output.
 //
-// Options.Cache is the storage seam: a two-method Get/Put interface
-// consulted before each runner and updated after each success, with
-// failed results never stored. RegistryVersion names the current
-// experiment generation and must be bumped whenever output bytes could
-// change; cache keys include it, so stale stores miss instead of lying.
+// Every experiment is one descriptor (Experiment): a parameter schema,
+// empty for the fixed experiments, and Run / Shardable evaluated at a
+// point of it. A request is (id, ParamSet, prefixes) — the zero
+// ParamSet is the default point, the experiment's plain id — and the
+// engine, the server, the shard coordinator and the load harness all
+// resolve it through the one registry.
+//
+// Options.Cache is the storage seam: one interface keyed by (id,
+// parameter point) for whole results and (id, point, prefixes) for
+// slice aggregates, consulted before each run and updated after each
+// success, with failed results never stored. RegistryVersion names the
+// current experiment generation and must be bumped whenever output
+// bytes could change; cache keys include it (through SpaceVersion), so
+// stale stores miss instead of lying.
 package experiments
 
 import (
@@ -46,9 +55,6 @@ type Table struct {
 	Notes []string
 }
 
-// Runner produces a table.
-type Runner func() (*Table, error)
-
 // RegistryVersion names the current generation of the experiment
 // definitions and is part of every cache key (internal/cache). Bump it
 // whenever any registered experiment's output bytes could change —
@@ -57,44 +63,46 @@ type Runner func() (*Table, error)
 // entries simply stop matching and age out of the store.
 const RegistryVersion = "e1-e15/v1"
 
-// Registry maps experiment ids to runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"E1":  Figure1Summary,
-		"E2":  Figure2Executions,
-		"E3":  Theorem12Universal,
-		"E4":  Theorem11Pigeonhole,
-		"E5":  Theorem13Pipeline,
-		"E6":  Theorem14IIS1Bit,
-		"E7":  Figure4ISComplex,
-		"E8":  Figure5Labels,
-		"E9":  Figure6SimulatedIS,
-		"E10": Theorem81Crossover,
-		"E11": Figure3Ring,
-		"E12": Lemma22Convergence,
-		"E13": Theorem12Fast,
-		"E14": Lemma23Substrates,
-		"E15": Theorem12Exhaustive,
+// Registry maps experiment ids to their descriptors: E2 and E15 are
+// parameter families, the others take no parameters. It builds the
+// map and nothing more — every point is resolved when it runs.
+func Registry() map[string]Experiment {
+	return map[string]Experiment{
+		"E1":  Fixed("E1", Figure1Summary),
+		"E2":  e2Experiment(),
+		"E3":  Fixed("E3", Theorem12Universal),
+		"E4":  Fixed("E4", Theorem11Pigeonhole),
+		"E5":  Fixed("E5", Theorem13Pipeline),
+		"E6":  Fixed("E6", Theorem14IIS1Bit),
+		"E7":  Fixed("E7", Figure4ISComplex),
+		"E8":  Fixed("E8", Figure5Labels),
+		"E9":  Fixed("E9", Figure6SimulatedIS),
+		"E10": Fixed("E10", Theorem81Crossover),
+		"E11": Fixed("E11", Figure3Ring),
+		"E12": Fixed("E12", Lemma22Convergence),
+		"E13": Fixed("E13", Theorem12Fast),
+		"E14": Fixed("E14", Lemma23Substrates),
+		"E15": e15Experiment(),
 	}
 }
 
 // IDs returns the experiment ids in order.
-func IDs() []string { return sortIDs(Registry()) }
+func IDs() []string { return sortIDs(registry) }
 
 // IDsOf returns a registry's experiment ids in index order ("E2"
 // before "E10"); nil means the built-in registry. Callers that accept
-// a registry override (the shard coordinator, tests) use it to expand
-// "run everything" the same way Run does.
-func IDsOf(reg map[string]Runner) []string {
+// a registry override (the server index, the shard coordinator, tests)
+// use it to list and expand "run everything" the same way Run does.
+func IDsOf(reg map[string]Experiment) []string {
 	if reg == nil {
-		reg = Registry()
+		reg = registry
 	}
 	return sortIDs(reg)
 }
 
 // sortIDs returns a registry's ids sorted by numeric suffix ("E2" before
 // "E10"), falling back to lexicographic order for ids without one.
-func sortIDs(reg map[string]Runner) []string {
+func sortIDs(reg map[string]Experiment) []string {
 	ids := make([]string, 0, len(reg))
 	for id := range reg {
 		ids = append(ids, id)

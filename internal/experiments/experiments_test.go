@@ -22,7 +22,7 @@ func TestAllExperimentsRun(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			tab, err := Registry()[id]()
+			tab, err := runDefault(Registry()[id])
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}

@@ -15,20 +15,23 @@ import (
 	"repro/internal/task"
 )
 
-// This file is the parameterized-experiment seam. The paper's theorems
-// are families over (k, inputs, choice size, ...); the fixed E1..E15
-// registry pins one point per family. A Family lifts that point into a
-// queryable surface: a validated parameter schema with types, ranges,
-// and defaults, a canonical parameter rendering (so ?i0=0&k=7 and
-// ?k=7&i0=0 are one cache entry and one singleflight key), and a Run /
-// Shardable pair evaluated at any point of the space.
+// This file is the experiment descriptor. The paper's theorems are
+// families over (k, inputs, choice size, ...), and every registered
+// experiment is one: an Experiment declares a validated parameter
+// schema with types, ranges, and defaults (empty for the fixed
+// experiments E1, E3..E14), a canonical parameter rendering (so
+// ?i0=0&k=7 and ?k=7&i0=0 are one cache entry and one singleflight
+// key, and the all-defaults point is the experiment's plain id), and a
+// Run / Shardable pair evaluated at any point of the space. Every
+// request any layer serves is (id, ParamSet, prefixes), resolved
+// through this one descriptor.
 //
 // It is also where cache identity is computed per experiment space
 // rather than registry-wide: SpaceVersion(id) extends RegistryVersion
-// with a per-family code version declared at registration, so editing
-// one family's code cold-starts that family's artifacts and nothing
-// else. For a family whose Version is empty the space version IS the
-// registry version — byte-identical cache keys, so stores written
+// with a per-experiment code version declared at registration, so
+// editing one experiment's code cold-starts its artifacts and nothing
+// else. For an experiment whose Version is empty the space version IS
+// the registry version — byte-identical cache keys, so stores written
 // before this seam existed stay warm.
 
 // ParamKind is a parameter's wire type.
@@ -49,81 +52,103 @@ func (k ParamKind) String() string {
 	return "float"
 }
 
-// ParamSpec declares one parameter of a family: name, type, inclusive
-// range, default (in canonical rendering), and a one-line doc string
-// served on the experiment index.
+// ParamSpec declares one parameter of an experiment: name, type,
+// inclusive range, default (in canonical rendering), and a one-line
+// doc string served on the experiment index.
 type ParamSpec struct {
 	Name string
 	Kind ParamKind
-	// Default is the parameter's value at the family's fixed point, in
-	// canonical rendering; a request omitting the parameter gets it.
+	// Default is the parameter's value at the experiment's default
+	// point, in canonical rendering; a request omitting the parameter
+	// gets it.
 	Default string
 	// Min and Max bound the value inclusively.
 	Min, Max float64
 	Doc      string
 }
 
-// Family is one parameterized experiment space. Its fixed registry
-// experiment (Registry()[ID]) is the space evaluated at every
-// parameter's default — the table Run produces there is byte-identical
-// to the fixed experiment's, which is what lets a default-point request
-// share the fixed experiment's cache entry and singleflight.
-type Family struct {
-	// ID is the family's experiment id (the fixed point's registry id).
+// Experiment is one registered experiment: a parameter space (empty
+// for a fixed experiment) and how to evaluate it. The default point —
+// every parameter at its default, which is also what the zero ParamSet
+// of a request naming no parameters stands for — is the experiment's
+// plain id: the table Run produces there is what the engine runs, and
+// it shares the id's cache entry and singleflight.
+type Experiment struct {
+	// ID is the experiment id (E1..E15).
 	ID string
 	// Doc is a one-line description for the index and docs.
 	Doc string
-	// Version is the family's code version, "" for the generation this
-	// seam landed in. Bump it whenever the family's output bytes could
-	// change at any parameter point: only this family's cache
-	// fingerprints move (SpaceVersion), every other family stays warm.
+	// Version is the experiment's code version, "" for the generation
+	// per-experiment identity landed in. Bump it whenever the
+	// experiment's output bytes could change at any parameter point:
+	// only its cache fingerprints move (SpaceVersion), every other
+	// experiment stays warm.
 	Version string
 	// Params is the parameter schema, in any order (canonicalization
-	// sorts by name).
+	// sorts by name); empty for a fixed experiment.
 	Params []ParamSpec
 	// Check, when non-nil, validates cross-parameter constraints that
 	// per-spec ranges cannot express (e.g. an input bounded by another
 	// parameter). Errors are field-level client messages.
 	Check func(ps ParamSet) error
-	// Run evaluates the family at one validated parameter point,
-	// returning the counters of the memoized exploration it ran (zero
-	// when it explored nothing through the memo).
+	// Run evaluates the experiment at one validated, fully spelled-out
+	// parameter point, returning the counters of the memoized
+	// exploration it ran (zero when it explored nothing through the
+	// memo). Callers holding a request's point go through RunParam,
+	// which resolves the zero ParamSet first.
 	Run func(ps ParamSet) (*Table, sched.MemoStats, error)
 	// Shardable, when non-nil, returns the partial-run seam at one
-	// point, so parameterized spaces prefix-shard like fixed ones.
+	// fully spelled-out point, so the experiment's exploration space
+	// prefix-shards across a fleet at any point. Callers go through
+	// ShardableAt.
 	Shardable func(ps ParamSet) Shardable
 }
 
-// Families returns the parameterized experiment families by id: the
-// registry experiments whose spaces are open to ?param= requests.
-func Families() map[string]Family {
-	return map[string]Family{
-		"E2":  e2Family(),
-		"E15": e15Family(),
-	}
+// Fixed describes a zero-parameter experiment: run evaluated at the
+// one point its empty schema has.
+func Fixed(id string, run func() (*Table, error)) Experiment {
+	return Experiment{ID: id, Run: func(ParamSet) (*Table, sched.MemoStats, error) {
+		tab, err := run()
+		return tab, sched.MemoStats{}, err
+	}}
 }
 
-// FamiliesFor returns the default family set for a registry choice:
-// the full Families() when reg is nil (the real registry), and none
-// otherwise — a family's Run executes the real experiment's code, so a
-// registry override (tests, subset deployments) must opt in explicitly
-// rather than silently serving spaces of experiments it replaced.
-func FamiliesFor(reg map[string]Runner) map[string]Family {
-	if reg == nil {
-		return Families()
+// at resolves a request's point against the schema: the zero ParamSet
+// (a request that named no parameters) becomes the default point,
+// spelled out — Run and Shardable read parameter values, and ps.Int
+// is 0 on the zero value.
+func (e Experiment) at(ps ParamSet) (ParamSet, error) {
+	if ps.id != "" {
+		return ps, nil
 	}
-	return map[string]Family{}
+	return DefaultParams(e)
 }
 
-// spaceVersionBump is a link-time override of per-family code versions
-// ("E2=v2" or "E2=v2,E15=v3"), settable with
+// ShardableAt returns the experiment's partial-run seam at one point
+// (the zero ParamSet is the default point), and false when the
+// experiment does not prefix-shard.
+func (e Experiment) ShardableAt(ps ParamSet) (Shardable, bool) {
+	if e.Shardable == nil {
+		return Shardable{}, false
+	}
+	ps, err := e.at(ps)
+	if err != nil {
+		// A schema whose defaults do not parse cannot carve; the whole
+		// path reports the same error through RunParam.
+		return Shardable{}, false
+	}
+	return e.Shardable(ps), true
+}
+
+// spaceVersionBump is a link-time override of per-experiment code
+// versions ("E2=v2" or "E2=v2,E15=v3"), settable with
 //
 //	go build -ldflags "-X repro/internal/experiments.spaceVersionBump=E2=v2"
 //
-// It exists for the cache-surgery CI gate: bumping one family's
+// It exists for the cache-surgery CI gate: bumping one experiment's
 // version at link time simulates deploying a surgical code edit
 // without patching source, and the gate then asserts every other
-// family's artifacts stayed warm.
+// experiment's artifacts stayed warm.
 var spaceVersionBump string
 
 var (
@@ -144,42 +169,42 @@ func parseBumps(s string) map[string]string {
 	return m
 }
 
-// familyVersion resolves one experiment's code version: the link-time
-// bump wins, then the registered Family.Version, then "".
-func familyVersion(id string) string {
+// codeVersion resolves one experiment's code version: the link-time
+// bump wins, then the registered Experiment.Version, then "". It reads
+// the once-built registry, so the cache's per-artifact key resolution
+// allocates nothing.
+func codeVersion(id string) string {
 	bumpOnce.Do(func() { bumps = parseBumps(spaceVersionBump) })
 	if v, ok := bumps[id]; ok {
 		return v
 	}
-	if f, ok := Families()[id]; ok {
-		return f.Version
-	}
-	return ""
+	return registry[id].Version
 }
 
 // SpaceVersion names the cache-identity generation of one experiment's
 // space: RegistryVersion alone when the experiment declares no code
 // version of its own (every pre-existing fingerprint is preserved
 // byte-identically), and RegistryVersion+"+"+id+"/"+version otherwise
-// — so bumping one family's Version moves only that family's
-// fingerprints while a RegistryVersion bump still moves them all.
+// — so bumping one experiment's Version moves only its fingerprints
+// while a RegistryVersion bump still moves them all.
 func SpaceVersion(id string) string {
-	if v := familyVersion(id); v != "" {
+	if v := codeVersion(id); v != "" {
 		return RegistryVersion + "+" + id + "/" + v
 	}
 	return RegistryVersion
 }
 
-// ParamSet is one validated point of a family's parameter space, with
-// every parameter present (defaults filled) in canonical order. The
-// zero value is the no-parameters point of an unparameterized request;
-// its Canonical and Query are "".
+// ParamSet is one validated point of an experiment's parameter space,
+// with every parameter present (defaults filled) in canonical order.
+// The zero value is the point of a request that named no parameters —
+// the default point, not yet spelled out; its Canonical and Query are
+// "".
 type ParamSet struct {
-	family string
+	id string
 	// canonical is the sorted-by-name "i0=0,i1=1,k=7" rendering — the
 	// cache and singleflight identity of the point — and "" at the
-	// family's default point, which makes a spelled-out default request
-	// (?k=4) the same identity as the fixed experiment.
+	// default point, which makes a spelled-out default request (?k=4)
+	// the same identity as the plain id.
 	canonical string
 	order     []string
 	render    map[string]string
@@ -188,7 +213,7 @@ type ParamSet struct {
 
 // Canonical returns the point's identity string: parameters sorted by
 // name, values in canonical rendering, "name=value" pairs joined with
-// commas — and "" at the family's default point.
+// commas — and "" at the default point.
 func (ps ParamSet) Canonical() string { return ps.canonical }
 
 // Query returns the point as an explicit URL query fragment
@@ -214,16 +239,16 @@ func (ps ParamSet) Float(name string) float64 { return ps.vals[name] }
 // String renders the point for logs and trace lines.
 func (ps ParamSet) String() string {
 	if ps.canonical == "" {
-		return ps.family + " (defaults)"
+		return ps.id + " (defaults)"
 	}
-	return ps.family + "?" + ps.canonical
+	return ps.id + "?" + ps.canonical
 }
 
-// paramNames lists a family's parameter names in sorted order, for
-// error messages.
-func paramNames(f Family) string {
-	names := make([]string, len(f.Params))
-	for i, spec := range f.Params {
+// paramNames lists an experiment's parameter names in sorted order,
+// for error messages.
+func paramNames(e Experiment) string {
+	names := make([]string, len(e.Params))
+	for i, spec := range e.Params {
 		names[i] = spec.Name
 	}
 	sort.Strings(names)
@@ -265,34 +290,38 @@ func parseValue(spec ParamSpec, raw string) (float64, error) {
 	return v, nil
 }
 
-// ParseParams validates one request's parameters against a family's
-// schema and returns the canonical point: unknown names, repeated
-// names, unparsable or out-of-range values, and Check violations are
-// field-level errors (the 400 body internal/server returns); missing
-// parameters take their defaults. Parameter order never matters — the
-// canonical rendering is sorted by name — so every spelling of a point
-// shares one cache entry and one singleflight key.
-func ParseParams(f Family, q url.Values) (ParamSet, error) {
-	specs := make(map[string]ParamSpec, len(f.Params))
-	for _, spec := range f.Params {
+// ParseParams validates one request's parameters against an
+// experiment's schema and returns the canonical point: parameters on a
+// fixed experiment, unknown names, repeated names, unparsable or
+// out-of-range values, and Check violations are field-level errors
+// (the 400 body internal/server returns); missing parameters take
+// their defaults. Parameter order never matters — the canonical
+// rendering is sorted by name — so every spelling of a point shares
+// one cache entry and one singleflight key.
+func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
+	if len(e.Params) == 0 && len(q) > 0 {
+		return ParamSet{}, fmt.Errorf("experiment %q takes no parameters", e.ID)
+	}
+	specs := make(map[string]ParamSpec, len(e.Params))
+	for _, spec := range e.Params {
 		specs[spec.Name] = spec
 	}
 	for name, vals := range q {
 		spec, ok := specs[name]
 		if !ok {
-			return ParamSet{}, fmt.Errorf("unknown parameter %q for %s (parameters: %s)", name, f.ID, paramNames(f))
+			return ParamSet{}, fmt.Errorf("unknown parameter %q for %s (parameters: %s)", name, e.ID, paramNames(e))
 		}
 		if len(vals) != 1 {
 			return ParamSet{}, fmt.Errorf("parameter %q given %d times, want once", spec.Name, len(vals))
 		}
 	}
 	ps := ParamSet{
-		family: f.ID,
-		render: make(map[string]string, len(f.Params)),
-		vals:   make(map[string]float64, len(f.Params)),
+		id:     e.ID,
+		render: make(map[string]string, len(e.Params)),
+		vals:   make(map[string]float64, len(e.Params)),
 	}
 	defaulted := true
-	for _, spec := range f.Params {
+	for _, spec := range e.Params {
 		raw, given := spec.Default, false
 		if vals := q[spec.Name]; len(vals) == 1 {
 			raw, given = vals[0], true
@@ -300,7 +329,7 @@ func ParseParams(f Family, q url.Values) (ParamSet, error) {
 		v, err := parseValue(spec, raw)
 		if err != nil {
 			if !given {
-				return ParamSet{}, fmt.Errorf("experiments: %s: bad default for %w", f.ID, err)
+				return ParamSet{}, fmt.Errorf("experiments: %s: bad default for %w", e.ID, err)
 			}
 			return ParamSet{}, err
 		}
@@ -311,8 +340,8 @@ func ParseParams(f Family, q url.Values) (ParamSet, error) {
 		defaulted = defaulted && render == spec.Default
 	}
 	sort.Strings(ps.order)
-	if f.Check != nil {
-		if err := f.Check(ps); err != nil {
+	if e.Check != nil {
+		if err := e.Check(ps); err != nil {
 			return ParamSet{}, err
 		}
 	}
@@ -326,14 +355,15 @@ func ParseParams(f Family, q url.Values) (ParamSet, error) {
 	return ps, nil
 }
 
-// DefaultParams returns a family's default point (Canonical "").
-func DefaultParams(f Family) (ParamSet, error) {
-	return ParseParams(f, url.Values{})
+// DefaultParams returns an experiment's default point, spelled out
+// (Canonical "").
+func DefaultParams(e Experiment) (ParamSet, error) {
+	return ParseParams(e, url.Values{})
 }
 
 // ParseParamList parses the CLI parameter form "k=7,i0=0" (the -param
 // flag) into a validated point.
-func ParseParamList(f Family, s string) (ParamSet, error) {
+func ParseParamList(e Experiment, s string) (ParamSet, error) {
 	q := url.Values{}
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -346,81 +376,42 @@ func ParseParamList(f Family, s string) (ParamSet, error) {
 		}
 		q.Add(name, val)
 	}
-	return ParseParams(f, q)
+	return ParseParams(e, q)
 }
 
-// ParamCache is the parameterized extension of Cache: a store that
-// keys whole results by experiment id plus canonical parameter
-// rendering. internal/cache.Store implements it; callers holding a
-// plain Cache type-assert, so a store without parameter support
-// degrades to cold non-default points, never to an error. The ""
-// params key is the default point and aliases Get/Put — one entry
-// serves the fixed experiment and every spelling of its defaults.
-type ParamCache interface {
-	Cache
-	// GetParam returns the stored result for one parameter point of an
-	// experiment family. Same trust contract as Get.
-	GetParam(id, params string) (Result, bool)
-	// PutParam stores a successful result for one parameter point.
-	PutParam(id, params string, r Result) error
-}
-
-// getParam consults opts.Cache for one parameter point, degrading a
-// plain Cache to the default point only.
-func getParam(c Cache, id, params string) (Result, bool) {
-	switch pc := c.(type) {
-	case nil:
-		return Result{}, false
-	case ParamCache:
-		return pc.GetParam(id, params)
-	default:
-		if params == "" {
-			return c.Get(id)
-		}
-		return Result{}, false
-	}
-}
-
-// putParam stores one parameter point's result, best-effort, with the
-// same degradation as getParam.
-func putParam(c Cache, id, params string, r Result) {
-	switch pc := c.(type) {
-	case nil:
-	case ParamCache:
-		pc.PutParam(id, params, r)
-	default:
-		if params == "" {
-			c.Put(id, r)
+// RunParam evaluates one experiment at one point (the zero ParamSet is
+// the default point) with the engine's execution contract — cache
+// read-through keyed by the point's canonical rendering, panic
+// isolation, timeout — and returns the point's Result, with Memo set
+// when the point explored. Only Timeout and Cache of opts are
+// consulted: a point is a single execution, so Jobs/IDs do not apply.
+func RunParam(ctx context.Context, e Experiment, ps ParamSet, opts Options) Result {
+	id, params := e.ID, ps.Canonical()
+	if opts.Cache != nil {
+		if res, ok := opts.Cache.GetParam(id, params); ok && res.Err == nil && res.Table != nil {
+			return cacheHit(id, res)
 		}
 	}
-}
-
-// RunParam evaluates one family at one validated point with the
-// engine's execution contract — cache read-through (ParamCache when
-// the store supports it), panic isolation, timeout — and returns the
-// point's Result, with Memo set when the point explored. Only Timeout
-// and Cache of opts are consulted: a parameter point is a single
-// execution, so Jobs/IDs do not apply.
-func RunParam(ctx context.Context, f Family, ps ParamSet, opts Options) Result {
-	id := f.ID
-	params := ps.Canonical()
-	if res, ok := getParam(opts.Cache, id, params); ok && res.Err == nil && res.Table != nil {
-		return cacheHit(id, res)
-	}
-	res := runOne(ctx, id, func() (*Table, sched.MemoStats, error) { return f.Run(ps) }, opts.Timeout)
-	if res.Err == nil {
-		putParam(opts.Cache, id, params, res) // best-effort, like the engine's Put
+	res := runOne(ctx, id, func() (*Table, sched.MemoStats, error) {
+		ps, err := e.at(ps)
+		if err != nil {
+			return nil, sched.MemoStats{}, err
+		}
+		return e.Run(ps)
+	}, opts.Timeout)
+	if opts.Cache != nil && res.Err == nil {
+		opts.Cache.PutParam(id, params, res) // best-effort; a failed write just means a future miss
 	}
 	return res
 }
 
-// --- the registered families ---
+// --- the parameterized experiments ---
 
-// e2Family is E2's space: the exhaustive Algorithm 1 sweep over the
+// e2Experiment is E2's space: the exhaustive Algorithm 1 sweep over the
 // ε-agreement parameter k and the two processes' input registers. The
 // default point (k=4, inputs (0,1)) is Figure 2.
-func e2Family() Family {
-	return Family{
+func e2Experiment() Experiment {
+	return Experiment{
 		ID:  "E2",
 		Doc: "exhaustive Algorithm 1 sweep over k and the input registers",
 		Params: []ParamSpec{
@@ -444,13 +435,13 @@ func e2InputsOf(ps ParamSet) [2]uint64 {
 	return [2]uint64{uint64(ps.Int("i0")), uint64(ps.Int("i1"))}
 }
 
-// e15Family is E15's space: the exhaustive Algorithm 2 validation
+// e15Experiment is E15's space: the exhaustive Algorithm 2 validation
 // sweep over the choice task's value count and the two inputs. The
 // default point (c=2, inputs (0,1)) is Theorem 1.2's exhaustive check.
 // The choice task's inputs are {0,1}² at every size (its outputs grow
 // with c), so Check rejects any other input pair before it explores.
-func e15Family() Family {
-	return Family{
+func e15Experiment() Experiment {
+	return Experiment{
 		ID:  "E15",
 		Doc: "exhaustive Algorithm 2 validation over the choice task size and inputs",
 		Params: []ParamSpec{

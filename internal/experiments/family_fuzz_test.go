@@ -27,7 +27,7 @@ func FuzzParseParams(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, fam := range []Family{Families()["E2"], Families()["E15"]} {
+		for _, fam := range []Experiment{Registry()["E2"], Registry()["E15"]} {
 			ps, err := ParseParams(fam, q)
 			if err != nil {
 				continue

@@ -48,6 +48,18 @@ func TestSpaceVersionByteCompat(t *testing.T) {
 	}
 }
 
+// TestSpaceVersionAllocs: SpaceVersion reads the once-built registry,
+// so resolving an unversioned id — which the cache does for every
+// artifact key it builds — allocates nothing.
+func TestSpaceVersionAllocs(t *testing.T) {
+	withBumps(t, map[string]string{})
+	for _, id := range IDs() {
+		if n := testing.AllocsPerRun(100, func() { SpaceVersion(id) }); n != 0 {
+			t.Errorf("SpaceVersion(%q) allocates %v times per call, want 0", id, n)
+		}
+	}
+}
+
 // TestSpaceVersionBumpIsSurgical: bumping one family moves only that
 // family's space — the cold-start blast radius the issue closes.
 func TestSpaceVersionBumpIsSurgical(t *testing.T) {
@@ -72,22 +84,32 @@ func TestSpaceVersionBumpBeatsFamilyVersion(t *testing.T) {
 	}
 }
 
+// TestFamiliesForOptIn: the real registry's parameter families are E2
+// and E15, and a registry override's entries declare their own schemas
+// — an override's "E2" described as a fixed experiment serves no
+// parameters instead of inheriting the real family's space.
 func TestFamiliesForOptIn(t *testing.T) {
-	if got := FamiliesFor(nil); len(got) != 2 {
-		t.Fatalf("real registry families = %d, want E2 and E15", len(got))
+	var fams []string
+	for _, id := range IDs() {
+		if len(Registry()[id].Params) > 0 {
+			fams = append(fams, id)
+		}
 	}
-	synthetic := map[string]Runner{"E2": Registry()["E2"]}
-	if got := FamiliesFor(synthetic); len(got) != 0 {
-		t.Fatalf("test registry inherited %d families; overrides must opt in", len(got))
+	if !reflect.DeepEqual(fams, []string{"E2", "E15"}) {
+		t.Fatalf("real registry families = %v, want E2 and E15", fams)
+	}
+	synthetic := Fixed("E2", Figure2Executions)
+	if _, err := ParseParams(synthetic, url.Values{"k": {"3"}}); err == nil || !strings.Contains(err.Error(), "takes no parameters") {
+		t.Fatalf("override E2 accepted a parameter (err %v); overrides must declare their schema", err)
 	}
 }
 
 func TestParseParamsValidation(t *testing.T) {
-	e2 := Families()["E2"]
-	e15 := Families()["E15"]
+	e2 := Registry()["E2"]
+	e15 := Registry()["E15"]
 	cases := []struct {
 		name    string
-		fam     Family
+		fam     Experiment
 		query   string
 		wantErr string
 	}{
@@ -124,7 +146,7 @@ func TestParseParamsValidation(t *testing.T) {
 // TestParamSetOrderInvariance: ?k=7&i0=0 and ?i0=0&k=7 are one point —
 // one canonical string, hence one cache entry and one singleflight key.
 func TestParamSetOrderInvariance(t *testing.T) {
-	fam := Families()["E2"]
+	fam := Registry()["E2"]
 	a, err := ParseParams(fam, url.Values{"k": {"3"}, "i0": {"1"}})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +167,10 @@ func TestParamSetOrderInvariance(t *testing.T) {
 // canonicalize to "", the identity of the fixed registry experiment —
 // so both spellings share a cache entry.
 func TestDefaultPointAliasesFixed(t *testing.T) {
-	for id, fam := range Families() {
+	for id, fam := range Registry() {
+		if len(fam.Params) == 0 {
+			continue
+		}
 		q := url.Values{}
 		for _, spec := range fam.Params {
 			q.Set(spec.Name, spec.Default)
@@ -168,7 +193,7 @@ func TestDefaultPointAliasesFixed(t *testing.T) {
 }
 
 func TestParamSetQueryRoundTrip(t *testing.T) {
-	fam := Families()["E15"]
+	fam := Registry()["E15"]
 	ps, err := ParseParamList(fam, "c=3,i0=1")
 	if err != nil {
 		t.Fatal(err)
@@ -190,7 +215,7 @@ func TestParamSetQueryRoundTrip(t *testing.T) {
 }
 
 func TestParseParamListErrors(t *testing.T) {
-	fam := Families()["E2"]
+	fam := Registry()["E2"]
 	for _, s := range []string{"k", "=3", "k=9", "zz=1", "k=1,k=2"} {
 		if _, err := ParseParamList(fam, s); err == nil {
 			t.Errorf("ParseParamList(%q) succeeded, want error", s)
@@ -206,7 +231,7 @@ func TestE2FamilyDifferentialDefaultPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive k=4 sweep in -short mode")
 	}
-	fam := Families()["E2"]
+	fam := Registry()["E2"]
 	ps, err := DefaultParams(fam)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +253,7 @@ func TestE15FamilyDifferentialDefaultPoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive Algorithm 2 sweep in -short mode")
 	}
-	fam := Families()["E15"]
+	fam := Registry()["E15"]
 	ps, err := DefaultParams(fam)
 	if err != nil {
 		t.Fatal(err)
@@ -250,12 +275,12 @@ func TestE15FamilyDifferentialDefaultPoint(t *testing.T) {
 // fixed registry never reached: a cheap k=1 sweep through RunParam
 // with a caching store, warm on the second call.
 func TestRunParamNonDefaultPoint(t *testing.T) {
-	fam := Families()["E2"]
+	fam := Registry()["E2"]
 	ps, err := ParseParamList(fam, "k=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newMapParamCache()
+	c := newFakeCache()
 	res := RunParam(context.Background(), fam, ps, Options{Cache: c})
 	if res.Err != nil {
 		t.Fatal(res.Err)
@@ -278,46 +303,18 @@ func TestRunParamNonDefaultPoint(t *testing.T) {
 	}
 }
 
-// mapParamCache is an in-memory ParamCache for engine tests.
-type mapParamCache struct {
-	whole map[string]Result
-	param map[string]Result
-}
-
-func newMapParamCache() *mapParamCache {
-	return &mapParamCache{whole: map[string]Result{}, param: map[string]Result{}}
-}
-
-func (c *mapParamCache) Get(id string) (Result, bool)  { r, ok := c.whole[id]; return r, ok }
-func (c *mapParamCache) Put(id string, r Result) error { c.whole[id] = r; return nil }
-func (c *mapParamCache) GetParam(id, params string) (Result, bool) {
-	if params == "" {
-		return c.Get(id)
-	}
-	r, ok := c.param[id+"?"+params]
-	return r, ok
-}
-func (c *mapParamCache) PutParam(id, params string, r Result) error {
-	if params == "" {
-		c.Put(id, r)
-		return nil
-	}
-	c.param[id+"?"+params] = r
-	return nil
-}
-
 // TestRunParamDefaultPointSharesFixedEntry: at the default point
 // RunParam reads and writes the fixed experiment's cache slot, so a
 // parameterized request warms (and is warmed by) plain runs.
 func TestRunParamDefaultPointSharesFixedEntry(t *testing.T) {
-	fam := Families()["E2"]
+	fam := Registry()["E2"]
 	ps, err := DefaultParams(fam)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := newMapParamCache()
+	c := newFakeCache()
 	seeded := Result{ID: "E2", Table: &Table{ID: "E2", Title: "seeded"}}
-	c.Put("E2", seeded)
+	c.entries["E2"] = seeded
 	res := RunParam(context.Background(), fam, ps, Options{Cache: c})
 	if res.Err != nil || !res.Cached || res.Table.Title != "seeded" {
 		t.Fatalf("default point missed the fixed entry: cached=%v table=%+v err=%v", res.Cached, res.Table, res.Err)

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/url"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/agreement"
@@ -30,9 +29,9 @@ func encodeAll(t *testing.T, results []Result) (text, js, csv string) {
 	return bt.String(), bj.String(), bc.String()
 }
 
-// servedPoints returns every point of a family's schema that
+// servedPoints returns every point of an experiment's schema that
 // ParseParams accepts, enumerating each parameter's integer range.
-func servedPoints(t *testing.T, fam Family) []ParamSet {
+func servedPoints(t *testing.T, fam Experiment) []ParamSet {
 	t.Helper()
 	points := []url.Values{{}}
 	for _, spec := range fam.Params {
@@ -157,7 +156,7 @@ func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 		},
 	}
 	for id, o := range oracles {
-		fam := Families()[id]
+		fam := Registry()[id]
 		points := servedPoints(t, fam)
 		if len(points) != o.points {
 			t.Fatalf("%s: schema accepts %d points, want %d", id, len(points), o.points)
@@ -223,7 +222,7 @@ func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 // through the memo carries its counters on Result.Memo, serial for
 // E2/E15 whatever the job count, and a cached result carries none.
 func TestEngineReportsMemoCounters(t *testing.T) {
-	cache := &memCache{m: map[string]Result{}}
+	cache := newFakeCache()
 	results, err := Run(context.Background(), Options{IDs: []string{"E1", "E2", "E15"}, Jobs: 3, Cache: cache})
 	if err != nil {
 		t.Fatal(err)
@@ -247,25 +246,4 @@ func TestEngineReportsMemoCounters(t *testing.T) {
 	if r := again[0]; !r.Cached || r.Memo != (sched.MemoStats{}) {
 		t.Errorf("warm E2: Cached=%v Memo=%+v, want a cache hit with no counters", r.Cached, r.Memo)
 	}
-}
-
-// memCache is a minimal in-memory Cache, safe for the engine's
-// concurrent jobs.
-type memCache struct {
-	mu sync.Mutex
-	m  map[string]Result
-}
-
-func (c *memCache) Get(id string) (Result, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r, ok := c.m[id]
-	return r, ok
-}
-
-func (c *memCache) Put(id string, r Result) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[id] = r
-	return nil
 }

@@ -18,7 +18,7 @@ import (
 // Aggregate computed over any subset of its schedule-prefix partition
 // (sched.PartitionRoots); aggregates merge associatively and
 // commutatively, and Finish renders the merged aggregate into exactly
-// the table the whole-space Runner produces — so a sharded run
+// the table the whole-space Run produces — so a sharded run
 // re-encodes byte-identically to a local one, the invariant
 // internal/shard's differential tests and CI pin.
 
@@ -46,58 +46,24 @@ type Shardable struct {
 	// Decode parses an aggregate from its JSON wire form.
 	Decode func(data []byte) (Aggregate, error)
 	// Finish renders the table from a fully-merged aggregate. It must
-	// equal the whole-space Runner's table when the aggregate covers
+	// equal the whole-space Run's table when the aggregate covers
 	// the full partition.
 	Finish func(agg Aggregate) (*Table, error)
 }
 
-// SliceCache is the artifact-store extension of Cache: a store that
-// holds slice aggregates (the ShardEnvelope wire form of one prefix
-// range's partial result) alongside whole results, keyed by
-// experiment id + canonical prefix set. internal/cache.Store
-// implements it; internal/server consults and populates it around
-// slice explorations, and internal/shard does per-range read-through
-// against it — the two halves that make a fleet a read-through cache
-// hierarchy. Callers holding a plain Cache type-assert for it, so a
-// store without slice support degrades to cold slices, never to an
-// error.
-type SliceCache interface {
-	Cache
-	// GetSlice returns the stored envelope for one slice. ok reports a
-	// usable hit; implementations must return ok == false (never a
-	// stale, corrupt, or wrong-generation envelope) otherwise. The
-	// prefixes string is the canonical FormatPrefixes rendering;
-	// params is the canonical ParamSet rendering of the space's
-	// parameter point ("" for a fixed experiment or a default point).
-	GetSlice(id, params, prefixes string) (ShardEnvelope, bool)
-	// PutSlice stores one slice's envelope. Implementations may refuse
-	// (incomplete or wrong-generation envelopes); callers treat errors
-	// as a skipped optimisation, never a failure.
-	PutSlice(env ShardEnvelope) error
-}
-
-// Shardables returns the prefix-shardable experiments by id — the
-// subset of Registry() whose exploration spaces split across a fleet.
-// internal/server serves their slices (GET /experiments/{id}?prefixes=)
-// and internal/shard carves, distributes, and merges them.
+// Shardables returns the prefix-shardable experiments' partial-run
+// seams at each one's default point: a view of the registry's
+// Shardable entries, for callers that carve the fixed tables directly
+// (the layer benchmarks, tests). The serving layers resolve
+// Experiment.ShardableAt per request instead, at the requested point.
 func Shardables() map[string]Shardable {
-	return map[string]Shardable{
-		"E2":  e2Shardable(),
-		"E15": e15Shardable(),
+	out := make(map[string]Shardable)
+	for id, e := range registry {
+		if sh, ok := e.ShardableAt(ParamSet{}); ok {
+			out[id] = sh
+		}
 	}
-}
-
-// ShardablesFor returns the default shardable set for a registry
-// choice: the full Shardables() when reg is nil (the real registry),
-// and nothing otherwise — a shardable's Explore runs the real
-// experiment's code, so a registry override (tests, subset
-// deployments) must opt in explicitly rather than silently serving
-// slices of experiments it replaced.
-func ShardablesFor(reg map[string]Runner) map[string]Shardable {
-	if reg == nil {
-		return Shardables()
-	}
-	return map[string]Shardable{}
+	return out
 }
 
 // FormatPrefixes renders a root set as the ?prefixes= parameter value:
@@ -394,7 +360,7 @@ func finishE2(a *alg1SweepAgg, k int, inputs [2]uint64) (*Table, error) {
 }
 
 // runE2At evaluates the E2 family whole at one (k, inputs) point —
-// the fixed E2 runner and the Family.Run behind GET
+// the Experiment.Run behind GET /experiments/E2 and
 // /experiments/E2?k=... — through the serial canonical-state memo,
 // returning the explorer's counters with the table. Serial, like every
 // engine-driven runner: the engine owns the concurrency budget one
@@ -406,11 +372,6 @@ func runE2At(k int, inputs [2]uint64) (*Table, sched.MemoStats, error) {
 	}
 	tab, err := finishE2(alg1AggOf(agg), k, inputs)
 	return tab, stats, err
-}
-
-// e2Shardable is E2's partial-run form at the fixed registry point.
-func e2Shardable() Shardable {
-	return e2ShardableAt(e2K, e2Inputs)
 }
 
 // e2ShardableAt is the partial-run form at one (k, inputs) point.

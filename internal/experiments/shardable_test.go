@@ -161,16 +161,18 @@ func TestE2DecodeRejectsCorruptAggregates(t *testing.T) {
 	}
 }
 
-// TestShardablesForRestricts: only the real registry gets the default
-// shardables — an override's "E2" is not the real E2, so it must opt
-// in explicitly rather than inherit a seam that runs the real code.
+// TestShardablesForRestricts: only the real registry's E2 and E15
+// carry shardable seams, and a registry override's entries shard only
+// when they declare it — an override's "E2" is not the real E2, so a
+// fixed description of it inherits no seam that runs the real code.
 func TestShardablesForRestricts(t *testing.T) {
-	if _, ok := ShardablesFor(nil)["E2"]; !ok {
-		t.Fatal("default shardables lack E2")
+	shs := Shardables()
+	if _, ok := shs["E2"]; !ok || len(shs) != 2 {
+		t.Fatalf("default shardables = %d entries, want E2 and E15", len(shs))
 	}
-	for _, reg := range []map[string]Runner{{"E1": nil}, {"E2": nil}} {
-		if got := ShardablesFor(reg); len(got) != 0 {
-			t.Fatalf("registry override inherited shardables: %v", got)
+	for _, e := range []Experiment{Fixed("E1", nil), Fixed("E2", nil)} {
+		if _, ok := e.ShardableAt(ParamSet{}); ok {
+			t.Fatalf("registry override %s inherited a shardable seam", e.ID)
 		}
 	}
 }

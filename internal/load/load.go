@@ -20,7 +20,10 @@
 // rotation (whole:3,slice:1 → W W W S repeating), experiment ids and
 // targets round-robin independently, so two runs of the same config
 // issue the same request sequence — load results diff cleanly across
-// PRs for the same reason experiment tables do.
+// PRs for the same reason experiment tables do. Paths are planned from
+// one experiment registry (Options.Registry): an entry's parameter
+// schema spells its param points, and its Shardable seam carves its
+// slice ranges.
 //
 // Latency is recorded client-side into the same log-bucket histograms
 // (internal/hist) the servers keep per endpoint, and each target's
@@ -150,9 +153,10 @@ type Options struct {
 	// request exercises the validation and canonicalization path while
 	// sharing the fixed experiment's cache entry.
 	ParamPoints []string
-	// Families maps ids to parameter schemas for param planning; nil
-	// means the default experiments.Families().
-	Families map[string]experiments.Family
+	// Registry resolves the listed ids for param and slice planning —
+	// each entry's parameter schema and Shardable seam; nil means
+	// experiments.Registry().
+	Registry map[string]experiments.Experiment
 	// SliceRanges is how many contiguous ranges each shardable
 	// experiment's partition is carved into for slice requests; <= 0
 	// means 4 (the two-worker fleet's natural carve).
@@ -160,9 +164,6 @@ type Options struct {
 	// Format is the whole-experiment fetch format; empty means json,
 	// the format the shard coordinator itself fetches.
 	Format string
-	// Shardables maps ids to partial-run seams for slice planning; nil
-	// means the default experiments.Shardables().
-	Shardables map[string]experiments.Shardable
 	// Client overrides the HTTP client; nil means one with
 	// RequestTimeout. Tests inject httptest clients here.
 	Client *http.Client
@@ -304,13 +305,9 @@ func buildPlan(opts *Options) (*plan, error) {
 	if _, err := experiments.LookupEncoder(format); err != nil {
 		return nil, err
 	}
-	shardables := opts.Shardables
-	if shardables == nil {
-		shardables = experiments.Shardables()
-	}
-	families := opts.Families
-	if families == nil {
-		families = experiments.Families()
+	reg := opts.Registry
+	if reg == nil {
+		reg = experiments.Registry()
 	}
 	needSlice, needParam := false, false
 	for _, m := range opts.Mix {
@@ -326,8 +323,8 @@ func buildPlan(opts *Options) (*plan, error) {
 			if !ok || famID == "" {
 				return nil, fmt.Errorf("load: param point %q: want family:name=value,...", entry)
 			}
-			fam, ok := families[famID]
-			if !ok {
+			fam, ok := reg[famID]
+			if !ok || len(fam.Params) == 0 {
 				return nil, fmt.Errorf("load: param point %q: %q is not a parameterized family", entry, famID)
 			}
 			ps, err := experiments.ParseParamList(fam, list)
@@ -351,7 +348,7 @@ func buildPlan(opts *Options) (*plan, error) {
 			p.whole = append(p.whole, "/experiments/"+id+"?format="+format)
 		}
 		if needParam && len(opts.ParamPoints) == 0 {
-			if fam, ok := families[id]; ok {
+			if fam, ok := reg[id]; ok && len(fam.Params) > 0 {
 				ps, err := experiments.DefaultParams(fam)
 				if err != nil {
 					return nil, fmt.Errorf("load: defaults for %s: %w", id, err)
@@ -361,8 +358,11 @@ func buildPlan(opts *Options) (*plan, error) {
 				}
 			}
 		}
-		sh, ok := shardables[id]
-		if !ok || !needSlice {
+		if !needSlice {
+			continue
+		}
+		sh, ok := reg[id].ShardableAt(experiments.ParamSet{})
+		if !ok {
 			continue
 		}
 		roots, err := sh.Roots()

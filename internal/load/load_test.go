@@ -16,14 +16,15 @@ import (
 	"repro/internal/trace"
 )
 
-// fakeShardables returns a shardable seam whose partition has four
-// roots — enough for the planner to carve slice request paths without
-// running any real exploration.
-func fakeShardables() map[string]experiments.Shardable {
-	return map[string]experiments.Shardable{
-		"S1": {Roots: func() ([][]int, error) {
-			return [][]int{{0}, {1}, {2}, {3}}, nil
-		}},
+// fakeRegistry returns one experiment whose shardable seam has a
+// four-root partition — enough for the planner to carve slice request
+// paths without running any real exploration.
+func fakeRegistry() map[string]experiments.Experiment {
+	sh := experiments.Shardable{Roots: func() ([][]int, error) {
+		return [][]int{{0}, {1}, {2}, {3}}, nil
+	}}
+	return map[string]experiments.Experiment{
+		"S1": {ID: "S1", Shardable: func(experiments.ParamSet) experiments.Shardable { return sh }},
 	}
 }
 
@@ -84,7 +85,7 @@ func TestMixWeightingAndPacing(t *testing.T) {
 		Duration:    window,
 		Mix:         []MixEntry{{Kind: KindWhole, Weight: 3}, {Kind: KindSlice, Weight: 1}},
 		Experiments: []string{"E1", "S1"},
-		Shardables:  fakeShardables(),
+		Registry:    fakeRegistry(),
 		Client:      ts.Client(),
 	})
 	if err != nil {
@@ -290,7 +291,7 @@ func TestConfigErrors(t *testing.T) {
 		{"bad experiment weight", func(o *Options) { o.Experiments = []string{"E1:zero"} }},
 		{"slice without shardables", func(o *Options) {
 			o.Mix = []MixEntry{{Kind: KindSlice, Weight: 1}}
-			o.Shardables = map[string]experiments.Shardable{}
+			o.Registry = map[string]experiments.Experiment{}
 		}},
 	}
 	for _, tc := range cases {

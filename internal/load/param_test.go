@@ -14,10 +14,10 @@ import (
 	"repro/internal/sched"
 )
 
-// loadFamilies returns a synthetic parameterized family for planner
-// tests: one integer parameter x, default 1.
-func loadFamilies(id string) map[string]experiments.Family {
-	return map[string]experiments.Family{
+// loadFamilies returns a registry of one synthetic parameterized family
+// for planner tests: one integer parameter x, default 1.
+func loadFamilies(id string) map[string]experiments.Experiment {
+	return map[string]experiments.Experiment{
 		id: {
 			ID: id,
 			Params: []experiments.ParamSpec{
@@ -60,7 +60,7 @@ func TestMixRotationWithParamKind(t *testing.T) {
 	opts := &Options{
 		Mix:         []MixEntry{{Kind: KindWhole, Weight: 2}, {Kind: KindParam, Weight: 1}},
 		Experiments: []string{"P1"},
-		Families:    loadFamilies("P1"),
+		Registry:    loadFamilies("P1"),
 		ParamPoints: []string{"P1:x=3", "P1:x=4"},
 	}
 	p, err := buildPlan(opts)
@@ -95,7 +95,7 @@ func TestBuildPlanParamDefaults(t *testing.T) {
 	opts := &Options{
 		Mix:         []MixEntry{{Kind: KindWhole, Weight: 1}, {Kind: KindParam, Weight: 1}},
 		Experiments: []string{"P1", "E9"},
-		Families:    loadFamilies("P1"),
+		Registry:    loadFamilies("P1"),
 	}
 	p, err := buildPlan(opts)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestBuildPlanParamErrors(t *testing.T) {
 		return &Options{
 			Mix:         []MixEntry{{Kind: KindParam, Weight: 1}},
 			Experiments: []string{"P1"},
-			Families:    loadFamilies("P1"),
+			Registry:    loadFamilies("P1"),
 		}
 	}
 	cases := []struct {
@@ -179,7 +179,7 @@ func TestParamRequestsOnWire(t *testing.T) {
 		Duration:    300 * time.Millisecond,
 		Mix:         []MixEntry{{Kind: KindWhole, Weight: 1}, {Kind: KindParam, Weight: 1}},
 		Experiments: []string{"P1"},
-		Families:    loadFamilies("P1"),
+		Registry:    loadFamilies("P1"),
 		ParamPoints: []string{"P1:x=2"},
 	})
 	if err != nil {

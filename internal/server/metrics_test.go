@@ -246,11 +246,11 @@ func TestMetricsSliceCacheTrace(t *testing.T) {
 		return out
 	}
 	coldKinds := kinds(cold)
-	if !coldKinds[trace.KindSliceCacheMiss] || !coldKinds[trace.KindSliceCacheStore] {
+	if !coldKinds[trace.KindSliceMiss] || !coldKinds[trace.KindSliceStore] {
 		t.Fatalf("cold slice kinds = %v, want miss+store", coldKinds)
 	}
 	warmKinds := kinds(warm)
-	if !warmKinds[trace.KindSliceCacheHit] || warmKinds[trace.KindExplore] {
+	if !warmKinds[trace.KindSliceHit] || warmKinds[trace.KindExplore] {
 		t.Fatalf("warm slice kinds = %v, want a hit and no exploration", warmKinds)
 	}
 }

@@ -21,7 +21,7 @@ import (
 func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	execs := new(atomic.Int64)
-	fam := experiments.Family{
+	fam := experiments.Experiment{
 		ID:  "P1",
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
@@ -38,17 +38,7 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 			}, sched.MemoStats{}, nil
 		},
 	}
-	defaults, err := experiments.DefaultParams(fam)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Registry = map[string]experiments.Runner{
-		"P1": func() (*experiments.Table, error) {
-			tab, _, err := fam.Run(defaults)
-			return tab, err
-		},
-	}
-	opts.Families = map[string]experiments.Family{"P1": fam}
+	opts.Registry = map[string]experiments.Experiment{"P1": fam}
 	ts := httptest.NewServer(New(opts))
 	t.Cleanup(ts.Close)
 	return ts, execs
@@ -220,26 +210,30 @@ func TestIndexListsFamilies(t *testing.T) {
 	}
 }
 
-// TestParamBackendRoutes: with a ParamBackend configured (the -peers
-// deployment), non-default points go through it, not the local engine.
+// TestParamBackendRoutes: with a Backend configured (the -peers
+// deployment), every whole request goes through it, not the local
+// engine — a non-default point with its canonical rendering, the plain
+// id and a spelled-out default at the default point.
 func TestParamBackendRoutes(t *testing.T) {
 	var backendCalls atomic.Int64
-	var backendParams string
+	var backendParams []string
 	ts, execs := paramServer(t, Options{
-		ParamBackend: func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
+		Backend: func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
 			backendCalls.Add(1)
-			backendParams = ps.Canonical()
+			backendParams = append(backendParams, ps.Canonical())
 			return experiments.Result{ID: id, Table: &experiments.Table{ID: id, Title: "from backend"}}, nil
 		},
 	})
-	code, body := get(t, ts, "/experiments/P1?x=4")
-	if code != http.StatusOK || !strings.Contains(body, "from backend") {
-		t.Fatalf("GET = %d %q", code, body)
+	for _, path := range []string{"/experiments/P1?x=4", "/experiments/P1", "/experiments/P1?x=1"} {
+		code, body := get(t, ts, path)
+		if code != http.StatusOK || !strings.Contains(body, "from backend") {
+			t.Fatalf("GET %s = %d %q", path, code, body)
+		}
 	}
-	if backendCalls.Load() != 1 || execs.Load() != 0 {
+	if backendCalls.Load() != 3 || execs.Load() != 0 {
 		t.Fatalf("backend calls = %d, local executions = %d", backendCalls.Load(), execs.Load())
 	}
-	if backendParams != "eps=0.5,x=4" {
-		t.Fatalf("backend saw params %q", backendParams)
+	if got := strings.Join(backendParams, "|"); got != "eps=0.5,x=4||" {
+		t.Fatalf("backend saw params %q", got)
 	}
 }

@@ -30,47 +30,55 @@ func (a *prefixAgg) Merge(o experiments.Aggregate) error {
 	return nil
 }
 
+// tableExp describes a synthetic zero-parameter experiment whose whole
+// run is a one-row table.
+func tableExp(id string) experiments.Experiment {
+	return experiments.Fixed(id, func() (*experiments.Table, error) {
+		return &experiments.Table{ID: id, Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
+	})
+}
+
+// shardableExp is tableExp whose space shards through sh.
+func shardableExp(id string, sh experiments.Shardable) experiments.Experiment {
+	e := tableExp(id)
+	e.Shardable = func(experiments.ParamSet) experiments.Shardable { return sh }
+	return e
+}
+
 // newPrefixServer stands up a server with one synthetic shardable
 // experiment S1 (and a plain experiment P1 with no seam).
 func newPrefixServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	table := func(id string) experiments.Runner {
-		return func() (*experiments.Table, error) {
-			return &experiments.Table{ID: id, Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-		}
-	}
-	reg := map[string]experiments.Runner{"S1": table("S1"), "P1": table("P1")}
-	shs := map[string]experiments.Shardable{
-		"S1": {
-			Roots: func() ([][]int, error) { return [][]int{{0}, {1}}, nil },
-			Explore: func(roots [][]int) (experiments.Aggregate, error) {
-				a := &prefixAgg{}
-				for _, r := range roots {
-					if len(r) > 0 && r[0] > 1 {
-						// What a real explorer reports for a forced
-						// pid that is never enabled.
-						return nil, fmt.Errorf("%w: %v", sched.ErrPrefixNotLive, r)
-					}
-					a.Count++
-					if len(r) > 0 {
-						a.Sum += r[0]
-					}
+	s1 := experiments.Shardable{
+		Roots: func() ([][]int, error) { return [][]int{{0}, {1}}, nil },
+		Explore: func(roots [][]int) (experiments.Aggregate, error) {
+			a := &prefixAgg{}
+			for _, r := range roots {
+				if len(r) > 0 && r[0] > 1 {
+					// What a real explorer reports for a forced
+					// pid that is never enabled.
+					return nil, fmt.Errorf("%w: %v", sched.ErrPrefixNotLive, r)
 				}
-				return a, nil
-			},
-			Decode: func(data []byte) (experiments.Aggregate, error) {
-				var a prefixAgg
-				if err := json.Unmarshal(data, &a); err != nil {
-					return nil, err
+				a.Count++
+				if len(r) > 0 {
+					a.Sum += r[0]
 				}
-				return &a, nil
-			},
-			Finish: func(agg experiments.Aggregate) (*experiments.Table, error) {
-				return nil, fmt.Errorf("not used by the slice endpoint")
-			},
+			}
+			return a, nil
+		},
+		Decode: func(data []byte) (experiments.Aggregate, error) {
+			var a prefixAgg
+			if err := json.Unmarshal(data, &a); err != nil {
+				return nil, err
+			}
+			return &a, nil
+		},
+		Finish: func(agg experiments.Aggregate) (*experiments.Table, error) {
+			return nil, fmt.Errorf("not used by the slice endpoint")
 		},
 	}
-	ts := httptest.NewServer(New(Options{Registry: reg, Shardables: shs}))
+	reg := map[string]experiments.Experiment{"S1": shardableExp("S1", s1), "P1": tableExp("P1")}
+	ts := httptest.NewServer(New(Options{Registry: reg}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -153,23 +161,17 @@ func TestPrefixSliceRejections(t *testing.T) {
 // instead of stacking another abandoned full-width exploration.
 func TestPrefixSliceTimeoutCooldown(t *testing.T) {
 	explores := make(chan struct{}, 16)
-	reg := map[string]experiments.Runner{"S1": func() (*experiments.Table, error) {
-		return &experiments.Table{ID: "S1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-	}}
-	shs := map[string]experiments.Shardable{
-		"S1": {
-			Roots: func() ([][]int, error) { return [][]int{{0}}, nil },
-			Explore: func(roots [][]int) (experiments.Aggregate, error) {
-				explores <- struct{}{}
-				time.Sleep(30 * time.Second) // far past the server timeout
-				return &prefixAgg{}, nil
-			},
+	s1 := experiments.Shardable{
+		Roots: func() ([][]int, error) { return [][]int{{0}}, nil },
+		Explore: func(roots [][]int) (experiments.Aggregate, error) {
+			explores <- struct{}{}
+			time.Sleep(30 * time.Second) // far past the server timeout
+			return &prefixAgg{}, nil
 		},
 	}
 	ts := httptest.NewServer(New(Options{
-		Registry:   reg,
-		Shardables: shs,
-		Timeout:    100 * time.Millisecond,
+		Registry: map[string]experiments.Experiment{"S1": shardableExp("S1", s1)},
+		Timeout:  100 * time.Millisecond,
 	}))
 	t.Cleanup(ts.Close)
 

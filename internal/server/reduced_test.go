@@ -46,7 +46,7 @@ func TestReducedServerBytesAndStats(t *testing.T) {
 				path, status, want.String(), body)
 		}
 	}
-	fam := experiments.Families()["E2"]
+	fam := experiments.Registry()["E2"]
 	ps, err := experiments.ParseParamList(fam, "k=2")
 	if err != nil {
 		t.Fatal(err)

@@ -15,9 +15,14 @@
 //   - optional cache backing (internal/cache): warm experiments are
 //     served from disk without executing anything.
 //
-// Execution is pluggable through Options.Backend: cmd/figuresd -peers
-// installs a shard.Coordinator there, turning one daemon into the
-// front door of a fleet while keeping every serving-layer guarantee.
+// Every request is (id, parameter point, prefixes) resolved through one
+// experiment registry: a whole request at any point (the zero ParamSet
+// is the default point, the plain id) takes the one execute path, and a
+// ?prefixes= request the slice path. Execution is pluggable through
+// Options.Backend, one function of (id, point): cmd/figuresd -peers
+// installs shard.Coordinator.RunParam there, turning one daemon into
+// the front door of a fleet while keeping every serving-layer
+// guarantee.
 package server
 
 import (
@@ -55,47 +60,28 @@ const RegistryVersionHeader = "Repro-Registry-Version"
 // with no cache and DefaultTimeout.
 type Options struct {
 	// Registry overrides the experiment registry; nil means
-	// experiments.Registry().
-	Registry map[string]experiments.Runner
-	// Cache, when non-nil, backs every execution (see
-	// experiments.Options.Cache). When it is an artifact store
-	// (experiments.SliceCache), prefix-slice requests are served from
-	// and stored into it too.
+	// experiments.Registry(). An override's entries declare their own
+	// parameter schemas and shardable seams.
+	Registry map[string]experiments.Experiment
+	// Cache, when non-nil, backs every in-process execution (see
+	// experiments.Options.Cache), and prefix-slice requests are served
+	// from and stored into it too.
 	Cache experiments.Cache
 	// Timeout bounds each experiment execution; 0 means
 	// DefaultTimeout, negative means no limit.
 	Timeout time.Duration
-	// Backend, when non-nil, replaces the in-process engine for
-	// experiment execution: the singleflight, detached timeout (via
-	// the context's deadline), and cooldown still apply, but the
-	// result comes from the backend — cmd/figuresd -peers wires a
-	// shard coordinator in here so one daemon fronts a fleet. A
-	// backend owns its own caching; Options.Cache is not consulted
+	// Backend, when non-nil, replaces the in-process engine for whole
+	// requests, at any parameter point (the zero ParamSet is the
+	// default point): the singleflight, detached timeout (via the
+	// context's deadline), and cooldown still apply, but the result
+	// comes from the backend — cmd/figuresd -peers wires
+	// shard.Coordinator.RunParam in here so one daemon fronts a fleet.
+	// A backend owns its own caching; Options.Cache is not consulted
 	// around it. Prefix-slice requests (?prefixes=) never go through
 	// the backend: a slice is this worker's own share of a space
 	// someone upstream already carved, so re-delegating it would
 	// bounce work around the fleet instead of doing it.
-	Backend func(ctx context.Context, id string) (experiments.Result, error)
-	// ParamBackend, when non-nil, replaces in-process evaluation of
-	// parameterized points (GET /experiments/{family}?k=...) the way
-	// Backend replaces fixed experiments: cmd/figuresd -peers wires
-	// shard.Coordinator.RunParam in here so non-default points fan out
-	// across the fleet too. Default-point requests never reach it —
-	// they alias the fixed experiment and follow Backend.
-	ParamBackend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
-	// Shardables maps prefix-shardable experiment ids to their
-	// partial-run seams, enabling GET /experiments/{id}?prefixes=...
-	// (one slice of one experiment's exploration space). nil means the
-	// default experiments.Shardables() when Registry is nil, and none
-	// otherwise — an override's ids are not the real experiments, so
-	// it opts in explicitly.
-	Shardables map[string]experiments.Shardable
-	// Families maps experiment ids to their parameterized spaces,
-	// enabling GET /experiments/{family}?param=... nil means
-	// experiments.FamiliesFor(Registry) — the real families when the
-	// registry is the real one, none under an override unless the
-	// override opts in here.
-	Families map[string]experiments.Family
+	Backend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
 	// Journal receives one span per request (keyed by the
 	// Repro-Request-ID header, minted here when absent) and backs
 	// GET /trace/{id}; nil means a private journal with the default
@@ -110,28 +96,23 @@ type Options struct {
 //
 //	GET /experiments                         the experiment index (JSON)
 //	GET /experiments/{id}?format=text|json|csv   one experiment's table
+//	GET /experiments/{id}?k=...              one parameter point's table
 //	GET /experiments/{id}?prefixes=...       one slice of a shardable
 //	                                         experiment's space (JSON
 //	                                         shard envelope)
 //	GET /healthz                             liveness probe
 //	GET /stats                               operational counters (JSON)
 type Server struct {
-	// reg resolves served ids; registry is the caller's override, nil
-	// for the real registry, which is what the engine is handed.
-	reg          map[string]experiments.Runner
-	registry     map[string]experiments.Runner
-	ids          []string
-	cache        experiments.Cache
-	timeout      time.Duration
-	backend      func(ctx context.Context, id string) (experiments.Result, error)
-	paramBackend func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
-	shardables   map[string]experiments.Shardable
-	families     map[string]experiments.Family
-	exploreSem   chan struct{}
-	journal      *trace.Journal
-	logf         func(format string, args ...any)
-	flights      flightGroup
-	mux          *http.ServeMux
+	reg        map[string]experiments.Experiment
+	ids        []string
+	cache      experiments.Cache
+	timeout    time.Duration
+	backend    func(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error)
+	exploreSem chan struct{}
+	journal    *trace.Journal
+	logf       func(format string, args ...any)
+	flights    flightGroup
+	mux        *http.ServeMux
 
 	mu        sync.Mutex
 	cooldowns map[string]cooldownEntry
@@ -157,11 +138,6 @@ func New(opts Options) *Server {
 	if reg == nil {
 		reg = experiments.Registry()
 	}
-	ids := make([]string, 0, len(reg))
-	for id := range reg {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
 	timeout := opts.Timeout
 	if timeout == 0 {
 		timeout = DefaultTimeout
@@ -170,34 +146,22 @@ func New(opts Options) *Server {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
-	shardables := opts.Shardables
-	if shardables == nil {
-		shardables = experiments.ShardablesFor(opts.Registry)
-	}
-	families := opts.Families
-	if families == nil {
-		families = experiments.FamiliesFor(opts.Registry)
-	}
 	journal := opts.Journal
 	if journal == nil {
 		journal = trace.NewJournal(0, 0)
 	}
 	s := &Server{
-		reg:          reg,
-		registry:     opts.Registry,
-		ids:          ids,
-		cache:        opts.Cache,
-		timeout:      timeout,
-		backend:      opts.Backend,
-		paramBackend: opts.ParamBackend,
-		shardables:   shardables,
-		families:     families,
-		exploreSem:   make(chan struct{}, sliceExploreSlots),
-		journal:      journal,
-		logf:         logf,
-		mux:          http.NewServeMux(),
-		cooldowns:    make(map[string]cooldownEntry),
-		perExp:       make(map[string]*expStat),
+		reg:        reg,
+		ids:        experiments.IDsOf(reg),
+		cache:      opts.Cache,
+		timeout:    timeout,
+		backend:    opts.Backend,
+		exploreSem: make(chan struct{}, sliceExploreSlots),
+		journal:    journal,
+		logf:       logf,
+		mux:        http.NewServeMux(),
+		cooldowns:  make(map[string]cooldownEntry),
+		perExp:     make(map[string]*expStat),
 		endpointLat: map[string]*hist.Histogram{
 			EndpointExperiment: hist.New(),
 			EndpointParam:      hist.New(),
@@ -223,10 +187,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// indexResponse is the /experiments body. Families describes the
-// parameterized spaces this process serves — the discoverable schema
-// behind GET /experiments/{family}?param=...; experiments without a
-// family entry take no parameters.
+// indexResponse is the /experiments body, ids in index order ("E2"
+// before "E10"). Families describes the parameterized spaces this
+// process serves — the discoverable schema behind
+// GET /experiments/{family}?param=...; experiments without a family
+// entry take no parameters.
 type indexResponse struct {
 	RegistryVersion string                 `json:"registry_version"`
 	Experiments     []string               `json:"experiments"`
@@ -253,27 +218,30 @@ type indexParam struct {
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	var families map[string]indexFamily
-	if len(s.families) > 0 {
-		families = make(map[string]indexFamily, len(s.families))
-		for id, fam := range s.families {
-			entry := indexFamily{
-				Doc:          fam.Doc,
-				SpaceVersion: experiments.SpaceVersion(id),
-				Params:       make([]indexParam, 0, len(fam.Params)),
-			}
-			for _, spec := range fam.Params {
-				entry.Params = append(entry.Params, indexParam{
-					Name:    spec.Name,
-					Kind:    spec.Kind.String(),
-					Default: spec.Default,
-					Min:     spec.Min,
-					Max:     spec.Max,
-					Doc:     spec.Doc,
-				})
-			}
-			sort.Slice(entry.Params, func(a, b int) bool { return entry.Params[a].Name < entry.Params[b].Name })
-			families[id] = entry
+	for id, fam := range s.reg {
+		if len(fam.Params) == 0 {
+			continue
 		}
+		entry := indexFamily{
+			Doc:          fam.Doc,
+			SpaceVersion: experiments.SpaceVersion(id),
+			Params:       make([]indexParam, 0, len(fam.Params)),
+		}
+		for _, spec := range fam.Params {
+			entry.Params = append(entry.Params, indexParam{
+				Name:    spec.Name,
+				Kind:    spec.Kind.String(),
+				Default: spec.Default,
+				Min:     spec.Min,
+				Max:     spec.Max,
+				Doc:     spec.Doc,
+			})
+		}
+		sort.Slice(entry.Params, func(a, b int) bool { return entry.Params[a].Name < entry.Params[b].Name })
+		if families == nil {
+			families = make(map[string]indexFamily)
+		}
+		families[id] = entry
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -310,16 +278,18 @@ func (s *Server) requestID(w http.ResponseWriter, r *http.Request) string {
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	id := r.PathValue("id")
-	if _, ok := s.reg[id]; !ok {
+	exp, ok := s.reg[id]
+	if !ok {
 		http.Error(w, fmt.Sprintf("unknown experiment %q", id), http.StatusNotFound)
 		return
 	}
 	q := r.URL.Query()
 	// Every query key that is not serving machinery (format, prefixes)
-	// is a parameter of the experiment's family. Parsing validates and
+	// is a parameter of the experiment. Parsing validates and
 	// canonicalizes the point; a spelled-out default point comes back
-	// with Canonical "" and follows the fixed experiment's path — one
-	// cache entry, one singleflight — no matter how it was spelled.
+	// with Canonical "" and shares the plain id's path — one cache
+	// entry, one singleflight — no matter how it was spelled. A request
+	// naming no parameters keeps the zero ParamSet, the default point.
 	paramQuery := url.Values{}
 	for name, vals := range q {
 		if name == "format" || name == "prefixes" {
@@ -329,20 +299,14 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	var ps experiments.ParamSet
 	if len(paramQuery) > 0 {
-		fam, ok := s.families[id]
-		if !ok {
-			http.Error(w, fmt.Sprintf("experiment %q takes no parameters", id), http.StatusBadRequest)
-			return
-		}
 		var err error
-		ps, err = experiments.ParseParams(fam, paramQuery)
-		if err != nil {
+		if ps, err = experiments.ParseParams(exp, paramQuery); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
 	if prefixes := q.Get("prefixes"); prefixes != "" {
-		s.handlePrefixes(w, r, id, ps, prefixes, start)
+		s.handlePrefixes(w, r, exp, ps, prefixes, start)
 		return
 	}
 	format := q.Get("format")
@@ -358,16 +322,12 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	s.requests.Add(1)
 	s.inFlight.Add(1)
-	var res experiments.Result
-	var shared bool
+	res, shared, err := s.execute(reqID, id, ps)
+	s.inFlight.Add(-1)
 	endpoint := EndpointExperiment
 	if ps.Canonical() != "" {
 		endpoint = EndpointParam
-		res, shared, err = s.executeParam(reqID, id, ps)
-	} else {
-		res, shared, err = s.execute(reqID, id)
 	}
-	s.inFlight.Add(-1)
 	s.record(endpoint, id, time.Since(start), err != nil || res.Err != nil)
 	switch {
 	case shared:
@@ -379,8 +339,9 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		s.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss})
 	}
 	if err != nil {
-		// Engine configuration errors only; the id was validated, so
-		// this is a server bug rather than a client mistake.
+		// Backend errors only (the in-process engine reports failures
+		// in res.Err): a fleet or configuration fault, not a client
+		// mistake.
 		s.traceDone(reqID, http.StatusInternalServerError, start)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -424,9 +385,8 @@ type sliceOutcome struct {
 // handlePrefixes serves one slice of a shardable experiment's
 // exploration space: GET /experiments/{id}?prefixes=... parses the
 // forced-prefix ranges, explores exactly those subtrees, and responds
-// with the JSON shard envelope (experiments.EncodeShard). When the
-// cache is an artifact store (experiments.SliceCache), the store is
-// consulted first and populated after — repeated sharded runs of the
+// with the JSON shard envelope (experiments.EncodeShard). With a
+// cache, the store is consulted first and populated after — repeated sharded runs of the
 // same space hit disk instead of re-exploring, the worker-level half
 // of the fleet's read-through cache hierarchy. Identical slice
 // requests share one execution through the singleflight group (keyed
@@ -436,30 +396,19 @@ type sliceOutcome struct {
 // experiment) re-sends the byte-identical prefixes string, and
 // without the cooldown each retry would stack another abandoned
 // exploration on the worker.
-func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, id string, ps experiments.ParamSet, prefixes string, start time.Time) {
+func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp experiments.Experiment, ps experiments.ParamSet, prefixes string, start time.Time) {
 	if format := r.URL.Query().Get("format"); format != "" && format != "json" {
 		http.Error(w, fmt.Sprintf("prefix slices are JSON only, not %q", format), http.StatusBadRequest)
 		return
 	}
-	// At the default point the registered shardable serves (identical
-	// bytes, shared cache entries); a non-default point carves its
-	// family's space at that point.
-	params := ps.Canonical()
-	var sh experiments.Shardable
-	if params == "" {
-		var ok bool
-		sh, ok = s.shardables[id]
-		if !ok {
-			http.Error(w, fmt.Sprintf("experiment %q is not prefix-shardable", id), http.StatusBadRequest)
-			return
-		}
-	} else {
-		fam := s.families[id] // present: handleExperiment parsed ps from it
-		if fam.Shardable == nil {
-			http.Error(w, fmt.Sprintf("experiment %q is not prefix-shardable", id), http.StatusBadRequest)
-			return
-		}
-		sh = fam.Shardable(ps)
+	// The space is carved at the requested point; at the default point
+	// (however spelled) that is the plain id's space — identical bytes,
+	// shared cache entries.
+	id, params := exp.ID, ps.Canonical()
+	sh, ok := exp.ShardableAt(ps)
+	if !ok {
+		http.Error(w, fmt.Sprintf("experiment %q is not prefix-shardable", id), http.StatusBadRequest)
+		return
 	}
 	roots, err := experiments.ParsePrefixes(prefixes)
 	if err != nil {
@@ -527,15 +476,14 @@ func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, id strin
 // in the journal under reqID — the leader request's ID, since the
 // singleflight runs this once per flight.
 func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, params, canonical string, roots [][]int) (sliceOutcome, error) {
-	store, _ := s.cache.(experiments.SliceCache)
-	if store != nil {
-		if env, ok := store.GetSlice(id, params, canonical); ok {
+	if s.cache != nil {
+		if env, ok := s.cache.GetSlice(id, params, canonical); ok {
 			if _, err := sh.Decode(env.Aggregate); err == nil {
-				s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheHit, Range: canonical})
+				s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceHit, Range: canonical})
 				return sliceOutcome{env: env, cached: true}, nil
 			}
 		}
-		s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheMiss, Range: canonical})
+		s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceMiss, Range: canonical})
 	}
 	exploreStart := time.Now()
 	agg, err := s.exploreSlice(sh, roots)
@@ -548,9 +496,9 @@ func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, param
 	if err != nil {
 		return sliceOutcome{}, err
 	}
-	if store != nil {
-		if err := store.PutSlice(env); err == nil { // best-effort, like the engine's Put
-			s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheStore, Range: canonical})
+	if s.cache != nil {
+		if err := s.cache.PutSlice(env); err == nil { // best-effort, like the engine's Put
+			s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceStore, Range: canonical})
 		}
 	}
 	return sliceOutcome{env: env}, nil
@@ -603,7 +551,13 @@ func (s *Server) exploreSlice(sh experiments.Shardable, roots [][]int) (experime
 	}
 }
 
-// execute runs one experiment through the singleflight group. The
+// execute runs one experiment at one parameter point (the zero
+// ParamSet is the default point) through the singleflight group, in
+// process or through the Backend. The flight and cooldown key is the
+// id at the default point and the id plus the point's canonical
+// rendering otherwise, so every spelling of a point shares one
+// execution — and never collides with another point's key or a slice's
+// (the literal "params" segment cannot appear in either). The
 // execution uses a context detached from any request so that the
 // result every waiter shares cannot be cancelled by whichever client
 // happened to arrive first; the per-execution timeout bounds it
@@ -613,91 +567,42 @@ func (s *Server) exploreSlice(sh experiments.Shardable, roots [][]int) (experime
 // documented behavior for runners, which take no context), so an
 // immediate retry would stack a second copy of the same computation
 // on top of the first. The cooldown guards against that: after a
-// timeout, requests for the same experiment are served the recorded
+// timeout, requests for the same point are served the recorded
 // timeout failure — without executing — until one timeout period has
-// passed, bounding the abandoned work to at most one runner per
-// experiment per period no matter how aggressively clients retry.
+// passed, bounding the abandoned work to at most one runner per point
+// per period no matter how aggressively clients retry.
 //
 // reqID is the calling request's trace ID; the detached execution
 // context carries it (and nothing else from the request), so a
 // backend coordinator's decisions land in the leader's span while a
 // client disconnect still cannot cancel the shared execution.
-func (s *Server) execute(reqID, id string) (experiments.Result, bool, error) {
-	if res, ok := s.coolingDown(id); ok {
-		return res, true, nil
+func (s *Server) execute(reqID, id string, ps experiments.ParamSet) (experiments.Result, bool, error) {
+	key := id
+	if params := ps.Canonical(); params != "" {
+		key = id + "\x00params\x00" + params
 	}
-	val, err, shared := s.flights.Do(id, func() (any, error) {
-		timeout := s.timeout
-		if timeout < 0 {
-			timeout = 0
-		}
-		if s.backend != nil {
-			ctx := trace.WithID(context.Background(), reqID)
-			if timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, timeout)
-				defer cancel()
-			}
-			res, err := s.backend(ctx, id)
-			return res, err
-		}
-		results, err := experiments.Run(context.Background(), experiments.Options{
-			IDs:      []string{id},
-			Timeout:  timeout,
-			Registry: s.registry,
-			Cache:    s.cache,
-		})
-		if err != nil {
-			return experiments.Result{}, err
-		}
-		// Inside the flight: counted once per execution, not once per
-		// waiter sharing it.
-		s.recordExploration(results[0].Memo)
-		return results[0], nil
-	})
-	if err != nil {
-		return experiments.Result{}, shared, err
-	}
-	res := val.(experiments.Result)
-	if !shared && res.Err != nil && errors.Is(res.Err, context.DeadlineExceeded) {
-		s.startCooldown(id, res)
-	}
-	return res, shared, nil
-}
-
-// executeParam runs one non-default parameter point through the
-// singleflight group, with the same detached context, timeout, and
-// cooldown contract as execute. The flight and cooldown key is the
-// family id plus the point's canonical rendering, so every spelling of
-// a point shares one execution — and never collides with the fixed
-// experiment's key or a slice's (the literal "params" segment cannot
-// appear in either).
-func (s *Server) executeParam(reqID, id string, ps experiments.ParamSet) (experiments.Result, bool, error) {
-	key := id + "\x00params\x00" + ps.Canonical()
 	if res, ok := s.coolingDown(key); ok {
 		return res, true, nil
 	}
 	val, err, shared := s.flights.Do(key, func() (any, error) {
-		timeout := s.timeout
-		if timeout < 0 {
-			timeout = 0
+		timeout := max(s.timeout, 0)
+		if s.backend == nil {
+			res := experiments.RunParam(context.Background(), s.reg[id], ps, experiments.Options{
+				Timeout: timeout,
+				Cache:   s.cache,
+			})
+			// Inside the flight: counted once per execution, not once
+			// per waiter sharing it.
+			s.recordExploration(res.Memo)
+			return res, nil
 		}
-		if s.paramBackend != nil {
-			ctx := trace.WithID(context.Background(), reqID)
-			if timeout > 0 {
-				var cancel context.CancelFunc
-				ctx, cancel = context.WithTimeout(ctx, timeout)
-				defer cancel()
-			}
-			return s.paramBackend(ctx, id, ps)
+		ctx := trace.WithID(context.Background(), reqID)
+		if timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, timeout)
+			defer cancel()
 		}
-		fam := s.families[id]
-		res := experiments.RunParam(context.Background(), fam, ps, experiments.Options{
-			Timeout: timeout,
-			Cache:   s.cache,
-		})
-		s.recordExploration(res.Memo)
-		return res, nil
+		return s.backend(ctx, id, ps)
 	})
 	if err != nil {
 		return experiments.Result{}, shared, err
@@ -716,8 +621,8 @@ type cooldownEntry struct {
 	res   experiments.Result
 }
 
-// coolingDown reports whether key — an experiment id, or a slice's
-// id+prefixes flight key — recently timed out, returning the recorded
+// coolingDown reports whether key — a point's or a slice's flight
+// key — recently timed out, returning the recorded
 // failure to serve instead of executing again.
 func (s *Server) coolingDown(id string) (experiments.Result, bool) {
 	s.mu.Lock()

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -18,9 +20,9 @@ import (
 
 // countingRegistry wraps a single synthetic experiment and counts how
 // many times its runner actually executes.
-func countingRegistry(id string, delay time.Duration, executions *atomic.Int64) map[string]experiments.Runner {
-	return map[string]experiments.Runner{
-		id: func() (*experiments.Table, error) {
+func countingRegistry(id string, delay time.Duration, executions *atomic.Int64) map[string]experiments.Experiment {
+	return map[string]experiments.Experiment{
+		id: experiments.Fixed(id, func() (*experiments.Table, error) {
 			executions.Add(1)
 			time.Sleep(delay)
 			return &experiments.Table{
@@ -29,8 +31,18 @@ func countingRegistry(id string, delay time.Duration, executions *atomic.Int64) 
 				Headers: []string{"h"},
 				Rows:    [][]string{{"v"}},
 			}, nil
-		},
+		}),
 	}
+}
+
+// fixedRegistry builds a registry override of zero-parameter
+// experiments, one per runner.
+func fixedRegistry(runners map[string]func() (*experiments.Table, error)) map[string]experiments.Experiment {
+	reg := make(map[string]experiments.Experiment, len(runners))
+	for id, run := range runners {
+		reg[id] = experiments.Fixed(id, run)
+	}
+	return reg
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, string) {
@@ -140,6 +152,21 @@ func TestIndexEndpoint(t *testing.T) {
 			t.Errorf("index missing %q:\n%s", want, body)
 		}
 	}
+	// The index lists ids in the numeric order figures -list and
+	// shard.Run use, not lexicographically (E1, E10, ..., E2).
+	var idx struct {
+		Experiments []string `json:"experiments"`
+	}
+	if err := json.Unmarshal([]byte(body), &idx); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := 1; i <= 15; i++ {
+		want = append(want, fmt.Sprintf("E%d", i))
+	}
+	if !reflect.DeepEqual(idx.Experiments, want) {
+		t.Errorf("index order = %v, want %v", idx.Experiments, want)
+	}
 }
 
 func TestNotFoundAndBadRequest(t *testing.T) {
@@ -162,9 +189,9 @@ func TestNotFoundAndBadRequest(t *testing.T) {
 // TestFailedExperimentIs500: an experiment failure surfaces as a 500
 // whose body still carries the encoded error form.
 func TestFailedExperimentIs500(t *testing.T) {
-	reg := map[string]experiments.Runner{
+	reg := fixedRegistry(map[string]func() (*experiments.Table, error){
 		"E1": func() (*experiments.Table, error) { return nil, errors.New("reactor meltdown") },
-	}
+	})
 	ts := httptest.NewServer(New(Options{Registry: reg}))
 	defer ts.Close()
 	for _, format := range []string{"text", "json", "csv"} {

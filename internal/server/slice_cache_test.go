@@ -23,34 +23,30 @@ func newCachedPrefixServer(t *testing.T) (*httptest.Server, *cache.Store, *atomi
 		t.Fatal(err)
 	}
 	explores := new(atomic.Int64)
-	reg := map[string]experiments.Runner{"S1": func() (*experiments.Table, error) {
-		return &experiments.Table{ID: "S1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-	}}
-	shs := map[string]experiments.Shardable{
-		"S1": {
-			Roots: func() ([][]int, error) { return [][]int{{0}, {1}}, nil },
-			Explore: func(roots [][]int) (experiments.Aggregate, error) {
-				explores.Add(1)
-				a := &prefixAgg{}
-				for _, r := range roots {
-					a.Count++
-					a.Sum += r[0]
-				}
-				return a, nil
-			},
-			Decode: func(data []byte) (experiments.Aggregate, error) {
-				var a prefixAgg
-				if err := json.Unmarshal(data, &a); err != nil {
-					return nil, err
-				}
-				if a.Count < 0 {
-					return nil, fmt.Errorf("negative count")
-				}
-				return &a, nil
-			},
+	s1 := experiments.Shardable{
+		Roots: func() ([][]int, error) { return [][]int{{0}, {1}}, nil },
+		Explore: func(roots [][]int) (experiments.Aggregate, error) {
+			explores.Add(1)
+			a := &prefixAgg{}
+			for _, r := range roots {
+				a.Count++
+				a.Sum += r[0]
+			}
+			return a, nil
+		},
+		Decode: func(data []byte) (experiments.Aggregate, error) {
+			var a prefixAgg
+			if err := json.Unmarshal(data, &a); err != nil {
+				return nil, err
+			}
+			if a.Count < 0 {
+				return nil, fmt.Errorf("negative count")
+			}
+			return &a, nil
 		},
 	}
-	ts := httptest.NewServer(New(Options{Registry: reg, Shardables: shs, Cache: store}))
+	reg := map[string]experiments.Experiment{"S1": shardableExp("S1", s1)}
+	ts := httptest.NewServer(New(Options{Registry: reg, Cache: store}))
 	t.Cleanup(ts.Close)
 	return ts, store, explores
 }

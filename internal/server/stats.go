@@ -92,28 +92,24 @@ type StatsCache struct {
 	HitRate     float64 `json:"hit_rate"`
 }
 
-// StatsExperiment is one experiment's request-latency record. Times
-// are wall-clock milliseconds as observed by the serving path, so a
-// request that joined an in-flight execution or hit the cache reports
-// its (short) wait, not the runner's cost.
+// StatsExperiment is one experiment's request record, every endpoint
+// class (whole, parameter point, slice) counted under the id. Times
+// are wall-clock as observed by the serving path, so a request that
+// joined an in-flight execution or hit the cache reports its (short)
+// wait, not the runner's cost.
 type StatsExperiment struct {
-	Count       int64   `json:"count"`
-	Errors      int64   `json:"errors"`
-	TotalMillis float64 `json:"total_ms"`
-	MaxMillis   float64 `json:"max_ms"`
-	LastMillis  float64 `json:"last_ms"`
-	// Histogram is the experiment's full latency distribution. The
-	// count/total/max fields above predate it and keep their exact
-	// wire form; the histogram is additive, so existing consumers
-	// (the shard coordinator's probe, old dashboards) parse unchanged.
+	// Count is the number of requests served, Histogram.Count.
+	Count  int64 `json:"count"`
+	Errors int64 `json:"errors"`
+	// Histogram is the full latency distribution (count, sum_ms,
+	// max_ms, quantiles).
 	Histogram *hist.Snapshot `json:"histogram,omitempty"`
 }
 
 // expStat is the internal accumulator behind StatsExperiment.
 type expStat struct {
-	count, errors    int64
-	total, max, last time.Duration
-	lat              hist.Histogram
+	errors int64
+	lat    hist.Histogram
 }
 
 // record folds one served experiment request into the counters: the
@@ -129,14 +125,8 @@ func (s *Server) record(endpoint, id string, d time.Duration, failed bool) {
 		st = &expStat{}
 		s.perExp[id] = st
 	}
-	st.count++
 	if failed {
 		st.errors++
-	}
-	st.total += d
-	st.last = d
-	if d > st.max {
-		st.max = d
 	}
 	st.lat.Record(d)
 }
@@ -174,24 +164,13 @@ func (s *Server) explorationStats() *StatsExploration {
 	}
 }
 
-func millis(d time.Duration) float64 {
-	return float64(d) / float64(time.Millisecond)
-}
-
 func (s *Server) experimentStats() map[string]StatsExperiment {
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	out := make(map[string]StatsExperiment, len(s.perExp))
 	for id, st := range s.perExp {
 		snap := st.lat.Snapshot()
-		out[id] = StatsExperiment{
-			Count:       st.count,
-			Errors:      st.errors,
-			TotalMillis: millis(st.total),
-			MaxMillis:   millis(st.max),
-			LastMillis:  millis(st.last),
-			Histogram:   &snap,
-		}
+		out[id] = StatsExperiment{Count: snap.Count, Errors: st.errors, Histogram: &snap}
 	}
 	return out
 }

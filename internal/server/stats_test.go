@@ -86,21 +86,21 @@ func TestStatsCountersAndCache(t *testing.T) {
 	if e1.Count != 2 || e1.Errors != 0 {
 		t.Errorf("E1 = %+v, want count 2, errors 0", e1)
 	}
-	// The cold request ran a 10ms runner, so the latency counters
-	// must have registered real time.
-	if e1.TotalMillis <= 0 || e1.MaxMillis <= 0 || e1.LastMillis < 0 {
-		t.Errorf("E1 latency = %+v, want positive totals", e1)
-	}
-	if e1.MaxMillis > e1.TotalMillis {
-		t.Errorf("E1 max %v exceeds total %v", e1.MaxMillis, e1.TotalMillis)
-	}
-	// The histogram block rides alongside the legacy count/total/max
-	// fields and must agree with them.
+	// The histogram block carries the latency record, and count is
+	// read from it.
 	if e1.Histogram == nil {
 		t.Fatal("E1 histogram block missing")
 	}
 	if e1.Histogram.Count != e1.Count {
 		t.Errorf("histogram count %d != field count %d", e1.Histogram.Count, e1.Count)
+	}
+	// The cold request ran a 10ms runner, so the latency record must
+	// have registered real time.
+	if e1.Histogram.SumMillis <= 0 || e1.Histogram.MaxMillis <= 0 {
+		t.Errorf("E1 latency = %+v, want positive sum and max", e1.Histogram)
+	}
+	if e1.Histogram.MaxMillis > e1.Histogram.SumMillis {
+		t.Errorf("E1 max %v exceeds sum %v", e1.Histogram.MaxMillis, e1.Histogram.SumMillis)
 	}
 	if e1.Histogram.P50Millis <= 0 || e1.Histogram.P95Millis < e1.Histogram.P50Millis ||
 		e1.Histogram.P99Millis < e1.Histogram.P95Millis {
@@ -126,9 +126,9 @@ func TestStatsCountersAndCache(t *testing.T) {
 // TestStatsErrorsCounted: a failing experiment increments its error
 // counter alongside its request count.
 func TestStatsErrorsCounted(t *testing.T) {
-	reg := map[string]experiments.Runner{
+	reg := fixedRegistry(map[string]func() (*experiments.Table, error){
 		"E1": func() (*experiments.Table, error) { return nil, errors.New("defect") },
-	}
+	})
 	ts := httptest.NewServer(New(Options{Registry: reg}))
 	defer ts.Close()
 	if status, _ := get(t, ts, "/experiments/E1"); status != http.StatusInternalServerError {
@@ -182,7 +182,7 @@ func TestBackendReplacesEngine(t *testing.T) {
 	var backendCalls atomic.Int64
 	ts := httptest.NewServer(New(Options{
 		Registry: countingRegistry("E1", 0, &executions),
-		Backend: func(ctx context.Context, id string) (experiments.Result, error) {
+		Backend: func(ctx context.Context, id string, _ experiments.ParamSet) (experiments.Result, error) {
 			backendCalls.Add(1)
 			return experiments.Result{ID: id, Table: &experiments.Table{
 				ID:      id,

@@ -43,11 +43,10 @@ func hierarchyFixture(t *testing.T) (*Coordinator, *cache.Store, string, cache.A
 	w1, execs1 := newShardableWorker(t, id)
 	w2, execs2 := newShardableWorker(t, id)
 	store, dir, wholeKey := openFrontStore(t)
-	localReg, localShs, localExecs := shardableFixture(id)
+	localReg, localExecs := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -172,23 +171,20 @@ func TestCorruptSliceReExploresThatRangeOnly(t *testing.T) {
 // degraded run warms the hierarchy for the next one.
 func TestLocalRangesStoredBack(t *testing.T) {
 	const id = "E2"
-	reg, _, _ := shardableFixture(id)
+	reg, _ := shardableFixture(id)
 	w1 := httptest.NewServer(server.New(server.Options{
-		Registry:   reg,
-		Shardables: map[string]experiments.Shardable{},
+		Registry: unsharded(reg),
 	}))
 	defer w1.Close()
 	w2 := httptest.NewServer(server.New(server.Options{
-		Registry:   reg,
-		Shardables: map[string]experiments.Shardable{},
+		Registry: unsharded(reg),
 	}))
 	defer w2.Close()
 	store, dir, wholeKey := openFrontStore(t)
-	localReg, localShs, localExecs := shardableFixture(id)
+	localReg, localExecs := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,12 +15,11 @@ import (
 	"repro/internal/server"
 )
 
-// paramFixture builds one synthetic parameterized family (integer
-// parameter x, default 1) plus its fixed-point registry entry and an
-// execution counter. With shardable set, every point of the family
+// paramFixture builds a registry of one synthetic parameterized
+// family (integer parameter x, default 1) and an execution counter. With shardable set, every point of the family
 // prefix-shards over the synthetic 8-root partition, with x folded
 // into the aggregate so distinct points render distinct tables.
-func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map[string]experiments.Family, *atomic.Int64) {
+func paramFixture(id string, shardable bool) (map[string]experiments.Experiment, *atomic.Int64) {
 	execs := new(atomic.Int64)
 	shAt := func(x int) experiments.Shardable {
 		sh, _ := newTestShardable(id)
@@ -46,7 +45,7 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 		}
 		return sh
 	}
-	fam := experiments.Family{
+	fam := experiments.Experiment{
 		ID:  id,
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
@@ -72,33 +71,23 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Runner, map
 			return shAt(ps.Int("x"))
 		}
 	}
-	defaults, err := experiments.DefaultParams(fam)
-	if err != nil {
-		panic(err)
-	}
-	reg := map[string]experiments.Runner{
-		id: func() (*experiments.Table, error) {
-			tab, _, err := fam.Run(defaults)
-			return tab, err
-		},
-	}
-	return reg, map[string]experiments.Family{id: fam}, execs
+	return map[string]experiments.Experiment{id: fam}, execs
 }
 
 // newParamWorker stands up a worker serving the synthetic family's
-// points (and its fixed default).
+// points, the default one included.
 func newParamWorker(t *testing.T, id string, shardable bool) (addr string, execs *atomic.Int64) {
 	t.Helper()
-	reg, fams, execs := paramFixture(id, shardable)
-	ts := httptest.NewServer(server.New(server.Options{Registry: reg, Families: fams}))
+	reg, execs := paramFixture(id, shardable)
+	ts := httptest.NewServer(server.New(server.Options{Registry: reg}))
 	t.Cleanup(ts.Close)
 	return ts.URL, execs
 }
 
 // paramPoint parses "x=N" against the fixture family.
-func paramPoint(t *testing.T, fams map[string]experiments.Family, id, list string) experiments.ParamSet {
+func paramPoint(t *testing.T, reg map[string]experiments.Experiment, id, list string) experiments.ParamSet {
 	t.Helper()
-	ps, err := experiments.ParseParamList(fams[id], list)
+	ps, err := experiments.ParseParamList(reg[id], list)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +95,15 @@ func paramPoint(t *testing.T, fams map[string]experiments.Family, id, list strin
 }
 
 // TestRunParamDefaultPointAliasesFixed: the zero ParamSet routes
-// through the fixed-experiment path — remote fetch, whole-experiment
-// counters, no family machinery.
+// as the plain id — remote fetch of the unparameterized URI,
+// whole-experiment counters.
 func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 	const id = "E1"
 	w, fleetExecs := newParamWorker(t, id, false)
-	localReg, localFams, localExecs := paramFixture(id, false)
+	localReg, localExecs := paramFixture(id, false)
 	coord, err := New(Options{
-		Workers:  []string{w},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -149,16 +137,15 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localReg, localFams, localExecs := paramFixture(id, false)
+	localReg, localExecs := paramFixture(id, false)
 	coord, err := New(Options{
-		Workers:  []string{w},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
+		Workers: []string{w},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := paramPoint(t, localFams, id, "x=7")
+	ps := paramPoint(t, localReg, id, "x=7")
 	res, err := coord.RunParam(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
@@ -192,16 +179,15 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 // degrades to local evaluation exactly like a fixed experiment.
 func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	const id = "E1"
-	localReg, localFams, localExecs := paramFixture(id, false)
+	localReg, localExecs := paramFixture(id, false)
 	coord, err := New(Options{
-		Workers:  []string{"http://" + deadAddr(t)},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{"http://" + deadAddr(t)},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := paramPoint(t, localFams, id, "x=3")
+	ps := paramPoint(t, localReg, id, "x=3")
 	res, err := coord.RunParam(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
@@ -218,8 +204,8 @@ func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 }
 
 // TestRunParamUnknownFamily: a parameterized request for an experiment
-// with no registered family is a coordinator error, not a panic or a
-// silent fixed-point run.
+// the coordinator's registry describes without parameters is a
+// coordinator error, not a panic or a silent fixed-point run.
 func TestRunParamUnknownFamily(t *testing.T) {
 	reg, _ := syntheticRegistry("E1")
 	coord, err := New(Options{
@@ -229,11 +215,11 @@ func TestRunParamUnknownFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, fams, _ := paramFixture("E1", false)
+	fams, _ := paramFixture("E1", false)
 	ps := paramPoint(t, fams, "E1", "x=2")
 	if _, err := coord.RunParam(context.Background(), "E1", ps); err == nil ||
-		!strings.Contains(err.Error(), "no parameter family") {
-		t.Fatalf("err = %v, want a no-parameter-family error", err)
+		!strings.Contains(err.Error(), "takes no parameters") {
+		t.Fatalf("err = %v, want a takes-no-parameters error", err)
 	}
 }
 
@@ -244,16 +230,15 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	const id = "E2"
 	w1, execs1 := newParamWorker(t, id, true)
 	w2, execs2 := newParamWorker(t, id, true)
-	localReg, localFams, localExecs := paramFixture(id, true)
+	localReg, localExecs := paramFixture(id, true)
 	coord, err := New(Options{
-		Workers:  []string{w1, w2},
-		Families: localFams,
-		Local:    experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w1, w2},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps := paramPoint(t, localFams, id, "x=5")
+	ps := paramPoint(t, localReg, id, "x=5")
 	res, err := coord.RunParam(context.Background(), id, ps)
 	if err != nil {
 		t.Fatal(err)
@@ -261,9 +246,9 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	baselineReg, baselineFams, _ := paramFixture(id, true)
+	baselineReg, _ := paramFixture(id, true)
 	_ = baselineReg
-	want, _, err := baselineFams[id].Run(paramPoint(t, baselineFams, id, "x=5"))
+	want, _, err := baselineReg[id].Run(paramPoint(t, baselineReg, id, "x=5"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,9 +78,9 @@ func newTestShardable(id string) (experiments.Shardable, *atomic.Int64) {
 	return sh, execs
 }
 
-// shardableRunner is the whole-space Runner of a Shardable — the local
+// shardableRunner is the whole-space run of a Shardable — the local
 // baseline a sharded run must re-encode byte-identically.
-func shardableRunner(sh experiments.Shardable) experiments.Runner {
+func shardableRunner(sh experiments.Shardable) func() (*experiments.Table, error) {
 	return func() (*experiments.Table, error) {
 		roots, err := sh.Roots()
 		if err != nil {
@@ -94,19 +94,32 @@ func shardableRunner(sh experiments.Shardable) experiments.Runner {
 	}
 }
 
-// shardableFixture stands up a registry + shardable pair for one
-// synthetic prefix-shardable experiment.
-func shardableFixture(id string) (map[string]experiments.Runner, map[string]experiments.Shardable, *atomic.Int64) {
+// shardableFixture stands up a registry of one synthetic
+// prefix-shardable experiment, with its slice-exploration counter.
+func shardableFixture(id string) (map[string]experiments.Experiment, *atomic.Int64) {
 	sh, execs := newTestShardable(id)
-	reg := map[string]experiments.Runner{id: shardableRunner(sh)}
-	return reg, map[string]experiments.Shardable{id: sh}, execs
+	e := experiments.Fixed(id, shardableRunner(sh))
+	e.Shardable = func(experiments.ParamSet) experiments.Shardable { return sh }
+	return map[string]experiments.Experiment{id: e}, execs
+}
+
+// unsharded strips every entry's Shardable seam: a worker serving the
+// result answers ?prefixes= with a 400, like one that predates the
+// protocol.
+func unsharded(reg map[string]experiments.Experiment) map[string]experiments.Experiment {
+	out := make(map[string]experiments.Experiment, len(reg))
+	for id, e := range reg {
+		e.Shardable = nil
+		out[id] = e
+	}
+	return out
 }
 
 // prefixBaseline renders the local single-process bytes of the
 // synthetic shardable experiment.
 func prefixBaseline(t *testing.T, id string) []byte {
 	t.Helper()
-	reg, _, _ := shardableFixture(id)
+	reg, _ := shardableFixture(id)
 	results, err := experiments.Run(context.Background(), experiments.Options{
 		IDs: []string{id}, Jobs: 1, Registry: reg,
 	})
@@ -120,8 +133,8 @@ func prefixBaseline(t *testing.T, id string) []byte {
 // experiments and prefix slices of the synthetic shardable.
 func newShardableWorker(t *testing.T, id string) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
-	reg, shs, execs := shardableFixture(id)
-	ts := httptest.NewServer(server.New(server.Options{Registry: reg, Shardables: shs}))
+	reg, execs := shardableFixture(id)
+	ts := httptest.NewServer(server.New(server.Options{Registry: reg}))
 	t.Cleanup(ts.Close)
 	return ts, execs
 }
@@ -135,11 +148,10 @@ func TestPrefixShardedByteIdentical(t *testing.T) {
 	w1, execs1 := newShardableWorker(t, id)
 	w2, execs2 := newShardableWorker(t, id)
 
-	localReg, localShs, localExecs := shardableFixture(id)
+	localReg, localExecs := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +189,8 @@ func TestPrefixShardedByteIdentical(t *testing.T) {
 // worker leaves the healthy set.
 func TestPrefixRangeFailoverMidBatch(t *testing.T) {
 	const id = "E2"
-	reg, shs, _ := shardableFixture(id)
-	inner := server.New(server.Options{Registry: reg, Shardables: shs})
+	reg, _ := shardableFixture(id)
+	inner := server.New(server.Options{Registry: reg})
 	doomed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if strings.HasPrefix(r.URL.Path, "/experiments/") {
 			// Dead mid-batch: cut the connection so the coordinator
@@ -194,11 +206,10 @@ func TestPrefixRangeFailoverMidBatch(t *testing.T) {
 	defer doomed.Close()
 	survivor, survivorExecs := newShardableWorker(t, id)
 
-	localReg, localShs, localExecs := shardableFixture(id)
+	localReg, localExecs := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{doomed.URL, survivor.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{doomed.URL, survivor.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -235,28 +246,25 @@ func TestPrefixRangeFailoverMidBatch(t *testing.T) {
 }
 
 // TestPrefixFleetWithoutSliceSupport: a fleet that rejects ?prefixes=
-// (version skew: workers predate the protocol, spelled here as an
-// empty Shardables map) fails every range attempt, and each range is
+// (version skew: workers predate the protocol, spelled here as a
+// registry without Shardable seams) fails every range attempt, and each range is
 // explored locally — reassigned, never dropped, bytes unchanged.
 func TestPrefixFleetWithoutSliceSupport(t *testing.T) {
 	const id = "E2"
-	reg, _, _ := shardableFixture(id)
+	reg, _ := shardableFixture(id)
 	w1 := httptest.NewServer(server.New(server.Options{
-		Registry:   reg,
-		Shardables: map[string]experiments.Shardable{},
+		Registry: unsharded(reg),
 	}))
 	defer w1.Close()
 	w2 := httptest.NewServer(server.New(server.Options{
-		Registry:   reg,
-		Shardables: map[string]experiments.Shardable{},
+		Registry: unsharded(reg),
 	}))
 	defer w2.Close()
 
-	localReg, localShs, localExecs := shardableFixture(id)
+	localReg, localExecs := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -287,11 +295,10 @@ func TestPrefixFleetWithoutSliceSupport(t *testing.T) {
 func TestPrefixShardingNeedsTwoWorkers(t *testing.T) {
 	const id = "E2"
 	w, execs := newShardableWorker(t, id)
-	localReg, localShs, _ := shardableFixture(id)
+	localReg, _ := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{w.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,11 +324,10 @@ func TestPrefixShardingNeedsTwoWorkers(t *testing.T) {
 // runs through the local engine, bytes unchanged.
 func TestPrefixDeadFleetFallsBackWhole(t *testing.T) {
 	const id = "E2"
-	localReg, localShs, _ := shardableFixture(id)
+	localReg, _ := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{deadAddr(t), deadAddr(t)},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{deadAddr(t), deadAddr(t)},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -400,12 +406,13 @@ func TestVersionSkewedWorkerRejected(t *testing.T) {
 	// The header check alone must also reject: force a fetch at the
 	// skewed worker and watch the attempt fail.
 	wk := coord.workers[0]
-	if _, err := coord.fetch(context.Background(), wk, "E1"); err == nil {
+	if _, err := coord.fetch(context.Background(), wk, "E1", experiments.ParamSet{}); err == nil {
 		t.Fatal("fetch from a version-skewed worker succeeded")
 	}
 }
 
-// memCache is a minimal experiments.Cache for coordinator tests.
+// memCache is a minimal experiments.Cache for coordinator tests: whole
+// results only, every slice a miss.
 type memCache struct {
 	mu sync.Mutex
 	m  map[string]experiments.Result
@@ -413,19 +420,25 @@ type memCache struct {
 
 func newMemCache() *memCache { return &memCache{m: make(map[string]experiments.Result)} }
 
-func (c *memCache) Get(id string) (experiments.Result, bool) {
+func (c *memCache) GetParam(id, params string) (experiments.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r, ok := c.m[id]
+	r, ok := c.m[id+"?"+params]
 	return r, ok
 }
 
-func (c *memCache) Put(id string, r experiments.Result) error {
+func (c *memCache) PutParam(id, params string, r experiments.Result) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[id] = r
+	c.m[id+"?"+params] = r
 	return nil
 }
+
+func (c *memCache) GetSlice(id, params, prefixes string) (experiments.ShardEnvelope, bool) {
+	return experiments.ShardEnvelope{}, false
+}
+
+func (c *memCache) PutSlice(experiments.ShardEnvelope) error { return nil }
 
 // TestPrefixShardedWarmCacheHit: a warm whole result must stay a
 // cache hit — the coordinator consults its own store before carving
@@ -435,12 +448,11 @@ func TestPrefixShardedWarmCacheHit(t *testing.T) {
 	const id = "E2"
 	w1, execs1 := newShardableWorker(t, id)
 	w2, execs2 := newShardableWorker(t, id)
-	localReg, localShs, localExecs := shardableFixture(id)
+	localReg, localExecs := shardableFixture(id)
 	cache := newMemCache()
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1, Cache: cache},
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: cache},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,14 @@
 // Package shard distributes an experiment run across a fleet of
 // figuresd workers: the HTTP fan-out coordinator the serving layer
-// (internal/server) was built for. Each experiment is fetched from a
-// worker via GET /experiments/{id}?format=json, decoded with
-// experiments.DecodeJSON, and merged back in request order — and
-// because the JSON wire form is a pure function of experiment outputs,
-// sharded output is byte-identical to a local run, the invariant every
-// test and CI gate here pins.
+// (internal/server) was built for. Every request is one experiment at
+// one parameter point (RunParam; the zero ParamSet is the default
+// point, and Run is RunParam at the default point of each id),
+// resolved through one registry (Options.Local.Registry). A point is
+// fetched from a worker via GET /experiments/{id}?[params&]format=json,
+// decoded with experiments.DecodeJSON, and merged back in request
+// order — and because the JSON wire form is a pure function of
+// experiment outputs, sharded output is byte-identical to a local run,
+// the invariant every test and CI gate here pins.
 //
 // The coordinator owns worker health end to end:
 //
@@ -39,24 +42,23 @@
 // finally re-runs locally, producing the same failed Result (and the
 // same encoded bytes) a local run would have.
 //
-// Prefix-shardable experiments (experiments.Shardables) go further:
-// instead of fetching the whole experiment from one worker, the
-// coordinator carves the experiment's own exploration space into
-// disjoint schedule-prefix ranges (sched.PartitionRoots), fans the
-// ranges out with GET /experiments/{id}?prefixes=..., and merges the
-// order-insensitive aggregates — so the fleet splits a single
-// theorem-scale space and still emits byte-identical tables. Ranges
-// inherit the failover rules above; a range whose attempts exhaust
-// the fleet is explored locally, reassigned but never dropped.
+// Prefix-shardable experiments (those whose registry entry declares a
+// Shardable seam) go further: instead of fetching the whole point from
+// one worker, the coordinator carves the point's own exploration space
+// into disjoint schedule-prefix ranges (sched.PartitionRoots), fans the
+// ranges out with GET /experiments/{id}?[params&]prefixes=..., and
+// merges the order-insensitive aggregates — so the fleet splits a
+// single theorem-scale space and still emits byte-identical tables.
+// Ranges inherit the failover rules above; a range whose attempts
+// exhaust the fleet is explored locally, reassigned but never dropped.
 //
-// With an artifact store (experiments.SliceCache) as Options.Local.
-// Cache, the coordinator is the top of a read-through cache
-// hierarchy: the whole result is consulted before carving, every
-// range is consulted before dispatch and stored back after it is
-// fetched or explored, and the merged whole is stored last — so a
-// repeated sharded run of the same space executes zero explorations
-// fleet-wide, and a partially warm store re-explores only the ranges
-// it is missing.
+// With a store (experiments.Cache) as Options.Local.Cache, the
+// coordinator is the top of a read-through cache hierarchy: the whole
+// result is consulted before carving, every range is consulted before
+// dispatch and stored back after it is fetched or explored, and the
+// merged whole is stored last — so a repeated sharded run of the same
+// space executes zero explorations fleet-wide, and a partially warm
+// store re-explores only the ranges it is missing.
 package shard
 
 import (
@@ -130,27 +132,14 @@ type Options struct {
 	// before a live request may re-try it; <= 0 means
 	// DefaultReviveAfter.
 	ReviveAfter time.Duration
-	// Local configures the in-process fallback engine (Registry,
-	// Cache, Timeout; Jobs bounds how many fallback experiments run
-	// concurrently). IDs is ignored — the coordinator fills it per
-	// experiment.
+	// Local configures the in-process fallback engine and the
+	// coordinator's view of the experiments: Registry (nil means
+	// experiments.Registry()) resolves every id, its entries' Shardable
+	// seams decide which spaces are carved into prefix ranges; Cache is
+	// the front cache and per-range store; Timeout bounds a fallback
+	// run; Jobs bounds how many fallback experiments run concurrently.
+	// IDs is ignored — the coordinator fills it per experiment.
 	Local experiments.Options
-	// Shardables maps prefix-shardable experiment ids to their
-	// partial-run seams: with at least two selectable workers, these
-	// experiments are carved into prefix ranges and split across the
-	// fleet instead of fetched whole. nil means the default
-	// experiments.Shardables() when Local.Registry is nil, and none
-	// otherwise — an override's ids are not the real experiments, so
-	// it opts in explicitly. An explicit empty map disables prefix
-	// sharding.
-	Shardables map[string]experiments.Shardable
-	// Families maps experiment ids to their parameterized spaces,
-	// enabling RunParam — parameterized points fanned out with the same
-	// carve, failover, and fallback rules as fixed experiments. nil
-	// means experiments.FamiliesFor(Local.Registry): the real families
-	// when the registry is the real one, none under an override unless
-	// it opts in here.
-	Families map[string]experiments.Family
 	// Journal, when non-nil, records every load-bearing decision —
 	// carve, worker selection, fetch, retry, eviction, revival,
 	// registry rejection, cache outcome, local fallback — as span
@@ -259,7 +248,7 @@ func (w *worker) load(now time.Time) int64 {
 }
 
 // Coordinator fans experiment runs out across a figuresd fleet. It is
-// safe for concurrent use; one coordinator can serve many Run/RunOne
+// safe for concurrent use; one coordinator can serve many Run/RunParam
 // calls at once (cmd/figuresd -peers does exactly that).
 type Coordinator struct {
 	workers     []*worker
@@ -267,13 +256,10 @@ type Coordinator struct {
 	reqTimeout  time.Duration
 	retries     int
 	reviveAfter time.Duration
+	reg         map[string]experiments.Experiment
 	local       experiments.Options
 	localSem    chan struct{}
 	exploreSem  chan struct{}
-	shardables  map[string]experiments.Shardable
-	families    map[string]experiments.Family
-	sliceCache  experiments.SliceCache
-	paramCache  experiments.ParamCache
 	journal     *trace.Journal
 	now         func() time.Time
 	logf        func(format string, args ...any)
@@ -347,36 +333,23 @@ func New(opts Options) (*Coordinator, error) {
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
 	}
-	shardables := opts.Shardables
-	if shardables == nil {
-		shardables = experiments.ShardablesFor(opts.Local.Registry)
-	}
-	families := opts.Families
-	if families == nil {
-		families = experiments.FamiliesFor(opts.Local.Registry)
+	reg := opts.Local.Registry
+	if reg == nil {
+		reg = experiments.Registry()
 	}
 	now := opts.Now
 	if now == nil {
 		now = time.Now
 	}
-	// A Local.Cache that is an artifact store makes every range
-	// read-through: consulted before dispatch, populated after. A
-	// parameter-aware store additionally fronts RunParam's whole
-	// results; a plain cache degrades non-default points to cold.
-	sliceCache, _ := opts.Local.Cache.(experiments.SliceCache)
-	paramCache, _ := opts.Local.Cache.(experiments.ParamCache)
 	c := &Coordinator{
 		client:      client,
 		reqTimeout:  reqTimeout,
 		retries:     retries,
 		reviveAfter: reviveAfter,
+		reg:         reg,
 		local:       opts.Local,
 		localSem:    make(chan struct{}, jobs),
 		exploreSem:  make(chan struct{}, 1),
-		shardables:  shardables,
-		families:    families,
-		sliceCache:  sliceCache,
-		paramCache:  paramCache,
 		journal:     opts.Journal,
 		now:         now,
 		logf:        logf,
@@ -506,24 +479,21 @@ func (c *Coordinator) scrapeStats(ctx context.Context, w *worker) (server.StatsR
 	return st, nil
 }
 
-// Run executes the selected experiments across the fleet and returns
-// one Result per requested id, in request order — the same contract as
-// experiments.Run, which it degrades to when the fleet cannot serve.
-// Because results are merged in request order and the JSON wire form
-// is a pure function of experiment outputs, the encoded output of a
-// sharded run is byte-identical to a local run of the same ids. Empty
-// ids means every experiment in the local registry, in index order.
-// Run errors only on configuration mistakes (an unknown id).
+// Run executes the selected experiments across the fleet, each at its
+// default point, and returns one Result per requested id, in request
+// order — the same contract as experiments.Run, which it degrades to
+// when the fleet cannot serve. Because results are merged in request
+// order and the JSON wire form is a pure function of experiment
+// outputs, the encoded output of a sharded run is byte-identical to a
+// local run of the same ids. Empty ids means every experiment in the
+// local registry, in index order. Run errors only on configuration
+// mistakes (an unknown id).
 func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Result, error) {
-	reg := c.local.Registry
-	if reg == nil {
-		reg = experiments.Registry()
-	}
 	if len(ids) == 0 {
-		ids = experiments.IDsOf(reg)
+		ids = experiments.IDsOf(c.reg)
 	}
 	for _, id := range ids {
-		if _, ok := reg[id]; !ok {
+		if _, ok := c.reg[id]; !ok {
 			return nil, fmt.Errorf("shard: unknown experiment %q", id)
 		}
 	}
@@ -534,7 +504,7 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
-			results[i], errs[i] = c.runOne(ctx, id)
+			results[i], errs[i] = c.RunParam(ctx, id, experiments.ParamSet{})
 		}(i, id)
 	}
 	wg.Wait()
@@ -546,23 +516,32 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 	return results, nil
 }
 
-// RunOne executes a single experiment through the fleet with the same
-// failover and fallback rules as Run. It is the execution backend
-// cmd/figuresd -peers plugs into internal/server.
-func (c *Coordinator) RunOne(ctx context.Context, id string) (experiments.Result, error) {
-	return c.runOne(ctx, id)
-}
-
-// runOne executes one experiment: prefix-sharded across the fleet
-// when the experiment is shardable and enough workers can take a
-// range, otherwise fetched whole with per-worker failover, finally
-// falling back to the local engine. The coordinator's own cache is
-// consulted before carving — a warm whole result must stay a
-// microsecond hit, not become a fleet-wide recompute — and a sharded
-// success is stored back; below that, runRange does the same
-// read-through per prefix range against the artifact store, so a
-// cold whole result over warm slices still executes nothing.
-func (c *Coordinator) runOne(ctx context.Context, id string) (experiments.Result, error) {
+// RunParam executes one experiment at one parameter point through the
+// fleet; the zero ParamSet is the default point, the plain id, and a
+// spelled-out default shares its cache entries, carve, and worker
+// URIs. The coordinator's own cache is consulted first — a warm whole
+// result must stay a microsecond hit, not become a fleet-wide
+// recompute, and a warm front cache absorbs whole fetches too, so one
+// experiment's cold start never drags warm ones back to the fleet.
+// Below that the point is prefix-sharded when the experiment shards
+// and enough workers can take a range (runRange does the same
+// read-through per range, so a cold whole result over warm slices
+// still executes nothing), fetched whole with per-worker failover
+// otherwise, and finally evaluated locally. It is the execution
+// backend cmd/figuresd -peers plugs into internal/server.
+func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
+	exp, ok := c.reg[id]
+	if !ok {
+		return experiments.Result{}, fmt.Errorf("shard: unknown experiment %q", id)
+	}
+	params := ps.Canonical()
+	if params != "" && len(exp.Params) == 0 {
+		return experiments.Result{}, fmt.Errorf("shard: experiment %q takes no parameters", id)
+	}
+	name := id
+	if params != "" {
+		name = ps.String()
+	}
 	// The trace ID arrives on the context when an upstream edge (the
 	// serving layer) minted it; when the coordinator is itself the edge
 	// (a CLI run), it mints one so the fleet's journals still agree on
@@ -572,13 +551,10 @@ func (c *Coordinator) runOne(ctx context.Context, id string) (experiments.Result
 		reqID = trace.NewID()
 		ctx = trace.WithID(ctx, reqID)
 	}
-	c.journal.Start(reqID, "run "+id)
-	// Front-cache read-through applies to every experiment, not just
-	// the shardable ones: a warm front cache must absorb whole fetches
-	// too, or one family's cold start would drag warm families back to
-	// the fleet (the registry-wide cold-start failure mode).
-	if cache := c.local.Cache; cache != nil {
-		if res, ok := cache.Get(id); ok && res.Err == nil && res.Table != nil {
+	c.journal.Start(reqID, "run "+name)
+	cache := c.local.Cache
+	if cache != nil {
+		if res, ok := cache.GetParam(id, params); ok && res.Err == nil && res.Table != nil {
 			res.ID = id
 			res.Cached = true
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheHit, Detail: "coordinator front cache"})
@@ -586,66 +562,24 @@ func (c *Coordinator) runOne(ctx context.Context, id string) (experiments.Result
 		}
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss, Detail: "coordinator front cache"})
 	}
-	if sh, ok := c.shardables[id]; ok {
-		if res, done := c.runPrefixSharded(ctx, id, experiments.ParamSet{}, sh); done {
-			if c.local.Cache != nil && res.Err == nil {
-				c.local.Cache.Put(id, res) // best-effort, like the engine
+	if sh, ok := exp.ShardableAt(ps); ok {
+		if res, done := c.runPrefixSharded(ctx, id, ps, sh); done {
+			if cache != nil && res.Err == nil {
+				cache.PutParam(id, params, res) // best-effort, like the engine
 			}
 			return res, nil
 		}
 	}
-	return c.runWhole(ctx, id)
+	return c.runWhole(ctx, exp, ps, name)
 }
 
-// RunParam executes one parameterized point of an experiment family
-// through the fleet: the default point aliases the fixed experiment
-// (same cache entries, same carve), a non-default point is
-// prefix-sharded at that point when the family shards and enough
-// workers can take a range, fetched whole with failover otherwise, and
-// finally evaluated locally — a parameterized run degrades exactly
-// like a fixed one. It is the execution backend cmd/figuresd -peers
-// plugs into internal/server's ParamBackend.
-func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	params := ps.Canonical()
-	if params == "" {
-		return c.runOne(ctx, id)
-	}
-	fam, ok := c.families[id]
-	if !ok {
-		return experiments.Result{}, fmt.Errorf("shard: experiment %q has no parameter family", id)
-	}
-	reqID := trace.IDFrom(ctx)
-	if reqID == "" && c.journal != nil {
-		reqID = trace.NewID()
-		ctx = trace.WithID(ctx, reqID)
-	}
-	c.journal.Start(reqID, "run "+ps.String())
-	if c.paramCache != nil {
-		if res, ok := c.paramCache.GetParam(id, params); ok && res.Err == nil && res.Table != nil {
-			res.ID = id
-			res.Cached = true
-			c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheHit, Detail: "coordinator front cache"})
-			return res, nil
-		}
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss, Detail: "coordinator front cache"})
-	}
-	if fam.Shardable != nil {
-		if res, done := c.runPrefixSharded(ctx, id, ps, fam.Shardable(ps)); done {
-			if c.paramCache != nil && res.Err == nil {
-				c.paramCache.PutParam(id, params, res) // best-effort, like the engine
-			}
-			return res, nil
-		}
-	}
-	return c.runWholeParam(ctx, fam, ps)
-}
-
-// runWholeParam fetches one non-default parameter point whole, with
-// the whole-experiment failover rules, then falls back to local
-// evaluation through experiments.RunParam (which owns the point's
-// cache read-through).
-func (c *Coordinator) runWholeParam(ctx context.Context, fam experiments.Family, ps experiments.ParamSet) (experiments.Result, error) {
-	id := fam.ID
+// runWhole fetches one point whole from up to c.retries distinct
+// workers, least-loaded first, then falls back to local evaluation
+// through experiments.RunParam (which owns the point's cache
+// read-through), bounded by the local-fallback concurrency
+// (Options.Local.Jobs).
+func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, ps experiments.ParamSet, name string) (experiments.Result, error) {
+	id := exp.ID
 	reqID := trace.IDFrom(ctx)
 	tried := make(map[*worker]bool)
 	for attempt := 0; attempt < c.retries; attempt++ {
@@ -657,14 +591,14 @@ func (c *Coordinator) runWholeParam(ctx context.Context, fam experiments.Family,
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base,
 			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
 		fetchStart := time.Now()
-		res, err := c.fetchParam(ctx, w, id, ps)
+		res, err := c.fetch(ctx, w, id, ps)
 		w.inflight.Add(-1)
 		if err == nil {
 			c.remote.Add(1)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base,
-				Detail: fmt.Sprintf("fetched point in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			if c.paramCache != nil && res.Err == nil {
-				c.paramCache.PutParam(id, ps.Canonical(), res)
+				Detail: fmt.Sprintf("fetched whole in %v", time.Since(fetchStart).Round(time.Microsecond))})
+			if c.local.Cache != nil {
+				c.local.Cache.PutParam(id, ps.Canonical(), res) // best-effort, like the engine
 			}
 			return res, nil
 		}
@@ -673,7 +607,7 @@ func (c *Coordinator) runWholeParam(ctx context.Context, fam experiments.Family,
 		}
 		c.failovers.Add(1)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Detail: err.Error()})
-		c.logf("shard: %s on %s failed (%v); failing over", ps, w.base, err)
+		c.logf("shard: %s on %s failed (%v); failing over", name, w.base, err)
 	}
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback})
 	select {
@@ -682,69 +616,13 @@ func (c *Coordinator) runWholeParam(ctx context.Context, fam experiments.Family,
 		return experiments.Result{ID: id, Err: ctx.Err()}, nil
 	}
 	defer func() { <-c.localSem }()
-	res := experiments.RunParam(ctx, fam, ps, experiments.Options{
+	res := experiments.RunParam(ctx, exp, ps, experiments.Options{
 		Timeout: c.local.Timeout,
 		Cache:   c.local.Cache,
 	})
 	c.localRuns.Add(1)
-	c.logf("shard: %s ran locally", ps)
+	c.logf("shard: %s ran locally", name)
 	return res, nil
-}
-
-// fetchParam retrieves one parameter point whole from one worker, the
-// explicit query spelling out every parameter so any worker resolves
-// it to the same canonical point.
-func (c *Coordinator) fetchParam(ctx context.Context, w *worker, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	var res experiments.Result
-	path := "/experiments/" + url.PathEscape(id) + "?" + ps.Query() + "&format=json"
-	err := c.fetchWorker(ctx, w, path, func(body io.Reader) error {
-		results, err := experiments.DecodeJSON(body)
-		if err != nil {
-			return err
-		}
-		if len(results) != 1 || results[0].ID != id || results[0].Err != nil || results[0].Table == nil {
-			return fmt.Errorf("unusable result payload")
-		}
-		res = results[0]
-		return nil
-	})
-	return res, err
-}
-
-// runWhole tries up to c.retries distinct workers, least-loaded first,
-// then falls back to the local engine.
-func (c *Coordinator) runWhole(ctx context.Context, id string) (experiments.Result, error) {
-	reqID := trace.IDFrom(ctx)
-	tried := make(map[*worker]bool)
-	for attempt := 0; attempt < c.retries; attempt++ {
-		w := c.pick(tried)
-		if w == nil {
-			break // fleet exhausted (or entirely unhealthy)
-		}
-		tried[w] = true
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base,
-			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
-		fetchStart := time.Now()
-		res, err := c.fetch(ctx, w, id)
-		w.inflight.Add(-1)
-		if err == nil {
-			c.remote.Add(1)
-			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base,
-				Detail: fmt.Sprintf("fetched whole in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			if c.local.Cache != nil && res.Err == nil && res.Table != nil {
-				c.local.Cache.Put(id, res) // best-effort, like the engine
-			}
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			return experiments.Result{ID: id, Err: ctx.Err()}, nil
-		}
-		c.failovers.Add(1)
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Detail: err.Error()})
-		c.logf("shard: %s on %s failed (%v); failing over", id, w.base, err)
-	}
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback})
-	return c.runLocal(ctx, id)
 }
 
 // minShardWorkers is the fleet size below which prefix sharding is
@@ -763,7 +641,7 @@ const minShardWorkers = 2
 // exhaust the fleet is explored locally — reassigned, never dropped —
 // so the merged table is byte-identical to a local run no matter
 // which workers died along the way. ps is the parameter point the
-// space is carved at — the zero ParamSet for a fixed experiment. done
+// space is carved at — the zero ParamSet at the default point. done
 // reports whether the experiment was handled here; carving problems
 // (partition failure, too few workers) fall back to the
 // whole-experiment path.
@@ -861,19 +739,19 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 	reqID := trace.IDFrom(ctx)
 	prefixes := experiments.FormatPrefixes(roots)
 	params := ps.Canonical()
-	if c.sliceCache != nil {
-		if env, ok := c.sliceCache.GetSlice(id, params, prefixes); ok {
+	if c.local.Cache != nil {
+		if env, ok := c.local.Cache.GetSlice(id, params, prefixes); ok {
 			// The store vouches for the bytes (checksum, key match);
 			// Decode vouches for the semantics. A rejected aggregate
 			// falls through to a fetch, whose success overwrites it.
 			if agg, err := sh.Decode(env.Aggregate); err == nil {
 				c.prefixCached.Add(1)
-				c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheHit, Range: prefixes,
+				c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceHit, Range: prefixes,
 					Detail: "coordinator artifact store"})
 				return agg, nil
 			}
 		}
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheMiss, Range: prefixes,
+		c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceMiss, Range: prefixes,
 			Detail: "coordinator artifact store"})
 	}
 	tried := make(map[*worker]bool)
@@ -934,14 +812,14 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 // best-effort: caching is an optimisation, never a reason to fail a
 // range that was just computed successfully.
 func (c *Coordinator) storeSlice(reqID string, env experiments.ShardEnvelope) {
-	if c.sliceCache == nil {
+	if c.local.Cache == nil {
 		return
 	}
-	if err := c.sliceCache.PutSlice(env); err != nil {
+	if err := c.local.Cache.PutSlice(env); err != nil {
 		c.logf("shard: storing slice %s %s: %v", env.ID, env.Prefixes, err)
 		return
 	}
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceCacheStore, Range: env.Prefixes,
+	c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceStore, Range: env.Prefixes,
 		Detail: "coordinator artifact store"})
 }
 
@@ -957,12 +835,7 @@ func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, id string, ps e
 	var agg experiments.Aggregate
 	var env experiments.ShardEnvelope
 	params := ps.Canonical()
-	query := "?"
-	if pq := ps.Query(); pq != "" {
-		query += pq + "&"
-	}
-	path := "/experiments/" + url.PathEscape(id) + query + "prefixes=" + url.QueryEscape(prefixes)
-	err := c.fetchWorker(ctx, w, path, func(body io.Reader) error {
+	err := c.fetchWorker(ctx, w, pointPath(id, ps)+"prefixes="+url.QueryEscape(prefixes), func(body io.Reader) error {
 		var err error
 		env, err = experiments.DecodeShard(body)
 		if err != nil {
@@ -1082,10 +955,23 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pathAndQ
 	return nil
 }
 
-// fetch retrieves one experiment whole from one worker.
-func (c *Coordinator) fetch(ctx context.Context, w *worker, id string) (experiments.Result, error) {
+// pointPath is the worker URI of one point of an experiment, up to
+// and including the "?" its caller's own query key follows: every
+// parameter spelled out, so any worker resolves the same canonical
+// point — and none at the default point, whose URIs are the plain
+// id's.
+func pointPath(id string, ps experiments.ParamSet) string {
+	path := "/experiments/" + url.PathEscape(id) + "?"
+	if ps.Canonical() != "" {
+		path += ps.Query() + "&"
+	}
+	return path
+}
+
+// fetch retrieves one point of an experiment whole from one worker.
+func (c *Coordinator) fetch(ctx context.Context, w *worker, id string, ps experiments.ParamSet) (experiments.Result, error) {
 	var res experiments.Result
-	err := c.fetchWorker(ctx, w, "/experiments/"+url.PathEscape(id)+"?format=json", func(body io.Reader) error {
+	err := c.fetchWorker(ctx, w, pointPath(id, ps)+"format=json", func(body io.Reader) error {
 		results, err := experiments.DecodeJSON(body)
 		if err != nil {
 			return err
@@ -1097,27 +983,6 @@ func (c *Coordinator) fetch(ctx context.Context, w *worker, id string) (experime
 		return nil
 	})
 	return res, err
-}
-
-// runLocal executes one experiment through the in-process engine,
-// bounded by the local-fallback concurrency (Options.Local.Jobs).
-func (c *Coordinator) runLocal(ctx context.Context, id string) (experiments.Result, error) {
-	select {
-	case c.localSem <- struct{}{}:
-	case <-ctx.Done():
-		return experiments.Result{ID: id, Err: ctx.Err()}, nil
-	}
-	defer func() { <-c.localSem }()
-	opts := c.local
-	opts.IDs = []string{id}
-	opts.Jobs = 1
-	results, err := experiments.Run(ctx, opts)
-	if err != nil {
-		return experiments.Result{}, err
-	}
-	c.localRuns.Add(1)
-	c.logf("shard: %s ran locally", id)
-	return results[0], nil
 }
 
 // Stats returns a snapshot of the coordinator's counters.

@@ -20,12 +20,12 @@ import (
 // syntheticRegistry builds a registry of deterministic experiments
 // (distinct tables per id) and an execution counter shared by all of
 // its runners.
-func syntheticRegistry(ids ...string) (map[string]experiments.Runner, *atomic.Int64) {
+func syntheticRegistry(ids ...string) (map[string]experiments.Experiment, *atomic.Int64) {
 	executions := new(atomic.Int64)
-	reg := make(map[string]experiments.Runner, len(ids))
+	reg := make(map[string]experiments.Experiment, len(ids))
 	for _, id := range ids {
 		id := id
-		reg[id] = func() (*experiments.Table, error) {
+		reg[id] = experiments.Fixed(id, func() (*experiments.Table, error) {
 			executions.Add(1)
 			return &experiments.Table{
 				ID:      id,
@@ -34,13 +34,13 @@ func syntheticRegistry(ids ...string) (map[string]experiments.Runner, *atomic.In
 				Rows:    [][]string{{id, "value-of-" + id}},
 				Notes:   []string{"note for " + id},
 			}, nil
-		}
+		})
 	}
 	return reg, executions
 }
 
 // newWorker stands up one figuresd-equivalent worker over reg.
-func newWorker(t *testing.T, reg map[string]experiments.Runner) *httptest.Server {
+func newWorker(t *testing.T, reg map[string]experiments.Experiment) *httptest.Server {
 	t.Helper()
 	ts := httptest.NewServer(server.New(server.Options{Registry: reg}))
 	t.Cleanup(ts.Close)
@@ -322,10 +322,10 @@ func TestWorkerKilledMidRun(t *testing.T) {
 // on the worker (500) and fails locally too merges as the same failed
 // Result a pure local run produces — byte-identical even for errors.
 func TestDeterministicFailureReproducedLocally(t *testing.T) {
-	reg := map[string]experiments.Runner{
-		"E1": func() (*experiments.Table, error) {
+	reg := map[string]experiments.Experiment{
+		"E1": experiments.Fixed("E1", func() (*experiments.Table, error) {
 			return nil, fmt.Errorf("deterministic defect")
-		},
+		}),
 	}
 	w := newWorker(t, reg)
 	coord, err := New(Options{
@@ -556,11 +556,11 @@ func TestEvictedWorkerRevives(t *testing.T) {
 // the per-request timeout and fails over, but the worker stays
 // healthy — slow is not dead.
 func TestFetchTimeoutDoesNotKillWorker(t *testing.T) {
-	slowReg := map[string]experiments.Runner{
-		"E1": func() (*experiments.Table, error) {
+	slowReg := map[string]experiments.Experiment{
+		"E1": experiments.Fixed("E1", func() (*experiments.Table, error) {
 			time.Sleep(2 * time.Second)
 			return &experiments.Table{ID: "E1", Headers: []string{"h"}, Rows: [][]string{{"v"}}}, nil
-		},
+		}),
 	}
 	// The worker's own execution timeout is shorter than the runner so
 	// its handler (which test cleanup waits on) returns promptly; the

@@ -31,20 +31,19 @@ func kindSet(tr trace.Trace) map[string]bool {
 func TestPrefixShardedTraceEndToEnd(t *testing.T) {
 	const id = "E2"
 	j1, j2 := trace.NewJournal(0, 0), trace.NewJournal(0, 0)
-	reg1, shs1, _ := shardableFixture(id)
-	w1 := httptest.NewServer(server.New(server.Options{Registry: reg1, Shardables: shs1, Journal: j1}))
+	reg1, _ := shardableFixture(id)
+	w1 := httptest.NewServer(server.New(server.Options{Registry: reg1, Journal: j1}))
 	t.Cleanup(w1.Close)
-	reg2, shs2, _ := shardableFixture(id)
-	w2 := httptest.NewServer(server.New(server.Options{Registry: reg2, Shardables: shs2, Journal: j2}))
+	reg2, _ := shardableFixture(id)
+	w2 := httptest.NewServer(server.New(server.Options{Registry: reg2, Journal: j2}))
 	t.Cleanup(w2.Close)
 
 	journal := trace.NewJournal(0, 0)
-	localReg, localShs, _ := shardableFixture(id)
+	localReg, _ := shardableFixture(id)
 	coord, err := New(Options{
-		Workers:    []string{w1.URL, w2.URL},
-		Shardables: localShs,
-		Local:      experiments.Options{Registry: localReg, Jobs: 1},
-		Journal:    journal,
+		Workers: []string{w1.URL, w2.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+		Journal: journal,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +136,7 @@ func TestWholeFetchTraceRetryAndFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.RunOne(context.Background(), "E1")
+	res, err := coord.RunParam(context.Background(), "E1", experiments.ParamSet{})
 	if err != nil || res.Err != nil {
 		t.Fatalf("run = %+v, %v", res, err)
 	}
@@ -185,7 +184,7 @@ func TestServerBackendTraceSharesID(t *testing.T) {
 	frontReg, _ := syntheticRegistry(id)
 	front := httptest.NewServer(server.New(server.Options{
 		Registry: frontReg,
-		Backend:  coord.RunOne,
+		Backend:  coord.RunParam,
 		Journal:  journal,
 	}))
 	t.Cleanup(front.Close)

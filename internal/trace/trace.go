@@ -72,11 +72,11 @@ const (
 	// KindCacheHit / KindCacheMiss are whole-result cache outcomes.
 	KindCacheHit  = "cache_hit"
 	KindCacheMiss = "cache_miss"
-	// KindSliceCacheHit / KindSliceCacheMiss / KindSliceCacheStore are
-	// artifact-store outcomes for one prefix range.
-	KindSliceCacheHit   = "slice_cache_hit"
-	KindSliceCacheMiss  = "slice_cache_miss"
-	KindSliceCacheStore = "slice_cache_store"
+	// KindSliceHit / KindSliceMiss / KindSliceStore are artifact-store
+	// outcomes for one prefix range.
+	KindSliceHit   = "slice_cache_hit"
+	KindSliceMiss  = "slice_cache_miss"
+	KindSliceStore = "slice_cache_store"
 	// KindExplore records a slice exploration actually executing (on a
 	// worker, or locally on the coordinator's fallback path).
 	KindExplore = "explore"
