@@ -1,7 +1,7 @@
 # Makefile — the commands CI runs are exactly the commands humans run.
 GO ?= go
 
-.PHONY: build test test-short race-sched bench bench-json lint figures cover fuzz-smoke load-smoke reduce-gate cache-surgery
+.PHONY: build test test-short race-sched bench lint figures cover fuzz-smoke reduce-gate cache-surgery
 
 build:
 	$(GO) build ./...
@@ -23,13 +23,11 @@ test-short:
 race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
 
+# bench runs every go test benchmark once, so a benchmark that breaks
+# fails CI. It is a smoke run, not a measurement: speed is measured by
+# the benchmark of record in bench/ (sh bench/run.sh).
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
-
-# bench-json emits the same sweep as test2json events (one JSON object
-# per line), the machine-readable form tooling can track over time.
-bench-json:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x -json ./...
 
 # lint also vets the benchmark module (bench/, its own go.mod): its
 # layer ladder builds against this module's packages, so a refactor
@@ -51,14 +49,6 @@ cover:
 	$(GO) test -short -cover -coverprofile=cover.out ./internal/sched ./internal/shard ./internal/cache ./internal/hist ./internal/trace
 	$(GO) tool cover -func=cover.out | tail -1
 
-# load-smoke boots a two-worker figuresd fleet and drives a short
-# mixed whole/slice load through `figures load`, writing
-# BENCH_load.json and asserting zero errors and per-endpoint
-# p50/p95/p99 on /stats — the latency-trajectory gate CI runs on
-# every push.
-load-smoke:
-	./scripts/load-smoke.sh
-
 # cache-surgery proves per-family cache identity on a live fleet: warm
 # a two-worker fleet plus front cache over E1,E2,E7,E15, swap in
 # binaries built with an E2-only space-version bump (ldflags), and the
@@ -72,9 +62,9 @@ cache-surgery:
 # production in every format at every served point and carved range
 # (TestReducedMatchesExhaustiveBytes, not -short), and the `figures -v`
 # counter lines of cacheless E2, E15 and E2 k=5 runs must show real
-# pruning. Execution counts are pinned to the committed
-# BENCH_explore.json baseline (which the gate rewrites with fresh
-# counters and ns/op).
+# pruning. All four counters of each run (executions, replays, states
+# visited and pruned) are pinned to the committed BENCH_explore.json,
+# which the gate only reads.
 reduce-gate:
 	./scripts/reduce-gate.sh
 

@@ -8,16 +8,7 @@
 //	figures [-run E3,E7] [-jobs N] [-format text|json|csv] [-timeout D]
 //	        [-cache-dir DIR] [-no-cache] [-workers HOSTS]
 //	        [-param k=3,i0=0] [-o FILE] [-list] [-v]
-//	figures load -addr HOSTS [-qps N] [-duration D] [-warmup D]
-//	        [-mix whole:3,slice:1] [-experiments E1,E2,E15] [-o FILE]
 //	figures trace -addr HOSTS [-timeout D] REQUEST_ID
-//
-// The load subcommand is the load harness (internal/load): it drives
-// a figuresd fleet with a mixed whole-experiment / prefix-slice
-// workload at a target QPS and emits a machine-readable latency
-// summary (BENCH_load.json) — achieved QPS, per-kind p50/p95/p99
-// client-side, per-endpoint distributions and cache hit rates scraped
-// from each worker's /stats.
 //
 // The output of -jobs N is byte-identical to -jobs 1 for every format:
 // parallelism changes wall-clock time only. With -cache-dir, results
@@ -105,12 +96,9 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) error {
-	// Subcommand dispatch: `figures load` is the load harness; bare
-	// `figures` keeps its original flag surface (no subcommand needed
-	// for the common path).
-	if len(args) > 0 && args[0] == "load" {
-		return runLoad(args[1:], stdout, stderr)
-	}
+	// Subcommand dispatch: `figures trace` renders a request's span;
+	// bare `figures` keeps its original flag surface (no subcommand
+	// needed for the common path).
 	if len(args) > 0 && args[0] == "trace" {
 		return runTrace(args[1:], stdout, stderr)
 	}

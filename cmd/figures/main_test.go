@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/load"
 	"repro/internal/sched"
 	"repro/internal/server"
 )
@@ -382,73 +381,6 @@ func TestWorkersDeadFleetFallsBack(t *testing.T) {
 	}
 	if !strings.Contains(shardedErr.String(), "figures: shard 0/1 workers healthy, 0 remote, 2 local") {
 		t.Errorf("stderr = %q, want the all-local summary", shardedErr.String())
-	}
-}
-
-// TestLoadSubcommand is the CLI acceptance gate for the load harness:
-// `figures load` against a two-worker fleet completes with zero
-// errors, writes a JSON summary whose quantiles are populated, and
-// prints the human summary on stderr.
-func TestLoadSubcommand(t *testing.T) {
-	w1, w2 := shardWorker(t), shardWorker(t)
-	fleet := strings.TrimPrefix(w1.URL, "http://") + "," + strings.TrimPrefix(w2.URL, "http://")
-	out := filepath.Join(t.TempDir(), "BENCH_load.json")
-
-	var stderr bytes.Buffer
-	err := run([]string{"load", "-addr", fleet, "-qps", "30", "-duration", "500ms",
-		"-mix", "whole:1", "-experiments", "E1", "-o", out}, &bytes.Buffer{}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum load.Summary
-	if err := json.Unmarshal(data, &sum); err != nil {
-		t.Fatalf("summary not valid JSON: %v\n%s", err, data)
-	}
-	if sum.Requests == 0 || sum.Errors != 0 {
-		t.Fatalf("summary = %d requests, %d errors (%v)", sum.Requests, sum.Errors, sum.ErrorSamples)
-	}
-	if sum.AchievedQPS <= 0 {
-		t.Errorf("achieved_qps = %v", sum.AchievedQPS)
-	}
-	whole := sum.Kinds[load.KindWhole]
-	if whole.Requests != sum.Requests || whole.Latency.P50Millis <= 0 {
-		t.Errorf("whole kind = %+v", whole)
-	}
-	// Both workers were driven and answered /stats with per-endpoint
-	// histograms.
-	if len(sum.Targets) != 2 {
-		t.Fatalf("targets = %+v, want 2", sum.Targets)
-	}
-	for base, tgt := range sum.Targets {
-		if tgt.ScrapeError != "" {
-			t.Errorf("%s scrape error: %s", base, tgt.ScrapeError)
-		}
-		ep, ok := tgt.Endpoints[server.EndpointExperiment]
-		if !ok || ep.Count == 0 || ep.P99Millis < ep.P50Millis {
-			t.Errorf("%s endpoints = %+v, want experiment histogram", base, tgt.Endpoints)
-		}
-	}
-	if !strings.Contains(stderr.String(), "qps achieved") {
-		t.Errorf("stderr = %q, want the load summary line", stderr.String())
-	}
-}
-
-// TestLoadSubcommandRejects: configuration mistakes fail fast with an
-// error instead of generating load.
-func TestLoadSubcommandRejects(t *testing.T) {
-	for _, args := range [][]string{
-		{"load"}, // no -addr
-		{"load", "-addr", "x", "-qps", "0"},
-		{"load", "-addr", "x", "-mix", "bogus:1"},
-		{"load", "-addr", "x", "-duration", "0s"},
-	} {
-		if err := run(args, &bytes.Buffer{}, &bytes.Buffer{}); err == nil {
-			t.Errorf("run(%v) succeeded", args)
-		}
 	}
 }
 

@@ -71,7 +71,7 @@ func runTrace(args []string, stdout, stderr io.Writer) error {
 }
 
 // traceBaseURL normalizes a target address to a scheme-full base URL
-// (the same form the shard coordinator and load harness use).
+// (the same form the shard coordinator uses).
 func traceBaseURL(addr string) string {
 	addr = strings.TrimRight(addr, "/")
 	if !strings.Contains(addr, "://") {

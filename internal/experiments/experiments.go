@@ -24,8 +24,8 @@
 // empty for the fixed experiments, and Run / Shardable evaluated at a
 // point of it. A request is (id, ParamSet, prefixes) — the zero
 // ParamSet is the default point, the experiment's plain id — and the
-// engine, the server, the shard coordinator and the load harness all
-// resolve it through the one registry.
+// engine, the server and the shard coordinator all resolve it through
+// the one registry.
 //
 // Options.Cache is the storage seam: one interface keyed by (id,
 // parameter point) for whole results and (id, point, prefixes) for

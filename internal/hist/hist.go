@@ -1,9 +1,8 @@
 // Package hist is a fixed log-bucket latency histogram: the
 // observability primitive behind the /stats latency distributions
-// (internal/server), the shard coordinator's per-worker fetch timings
-// (internal/shard), and the load harness's client-side measurements
-// (internal/load). One scheme everywhere means server-side and
-// client-side distributions are directly comparable and mergeable.
+// (internal/server) and the shard coordinator's per-worker fetch
+// timings (internal/shard). One scheme everywhere means worker-side and
+// coordinator-side distributions are directly comparable and mergeable.
 //
 // The bucket layout is geometric: bucket i covers durations in
 // (1µs·2^((i-1)/4), 1µs·2^(i/4)] — four buckets per octave, growth
@@ -193,9 +192,9 @@ type Snapshot struct {
 	P95Millis float64 `json:"p95_ms"`
 	P99Millis float64 `json:"p99_ms"`
 	// P999Millis is the p99.9 — the deep tail a production fleet is
-	// judged by; at load-smoke request counts it usually coincides
-	// with the maximum, and diverges exactly when there is enough
-	// traffic for it to mean something.
+	// judged by; under a thousand samples its rank is the last one, so
+	// it reads as the maximum, and it diverges exactly when there is
+	// enough traffic for it to mean something.
 	P999Millis float64  `json:"p999_ms"`
 	Buckets    []Bucket `json:"buckets,omitempty"`
 }

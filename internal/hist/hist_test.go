@@ -154,8 +154,7 @@ func TestConcurrentRecord(t *testing.T) {
 }
 
 // TestSnapshotWireForm: the JSON form carries the documented keys —
-// the schema /stats consumers (CI's jq checks, the load harness's
-// BENCH_load.json) rely on — and only non-empty buckets.
+// the schema /stats consumers rely on — and only non-empty buckets.
 func TestSnapshotWireForm(t *testing.T) {
 	var h Histogram
 	h.Record(2 * time.Millisecond)

@@ -100,7 +100,7 @@ func (s *Server) writeEndpointHistograms(b *strings.Builder) {
 	}
 	sort.Strings(endpoints)
 	writeHeader(b, "repro_request_duration_seconds", "histogram",
-		"Request latency by endpoint (experiment = whole fetch, slice = prefix slice).")
+		"Request latency by endpoint (experiment = whole fetch, param = parameter point, slice = prefix slice).")
 	for _, name := range endpoints {
 		writeHistogram(b, "repro_request_duration_seconds",
 			fmt.Sprintf("endpoint=%q", name), s.endpointLat[name].Snapshot())

@@ -125,8 +125,8 @@ func TestTraceHeaderPropagation(t *testing.T) {
 // TestMetricsExposition: /metrics renders the Prometheus text format —
 // # TYPE preambles, counters matching the request traffic, and per-
 // endpoint histogram series whose cumulative buckets are monotone and
-// whose +Inf bucket equals _count. This is the schema CI's load-smoke
-// scrape asserts against, so it changes as deliberately as /stats.
+// whose +Inf bucket equals _count. This is the schema a Prometheus
+// scraper reads, so it changes as deliberately as /stats.
 func TestMetricsExposition(t *testing.T) {
 	ts := newPrefixServer(t)
 	if status, _, _ := getWithHeader(t, ts, "/experiments/S1?format=json", nil); status != http.StatusOK {

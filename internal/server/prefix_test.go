@@ -128,7 +128,7 @@ func TestPrefixSliceEndpoint(t *testing.T) {
 }
 
 // TestPrefixSliceRejections pins the 4xx surface: unknown experiment,
-// unshardable experiment, malformed prefixes, non-JSON format.
+// unshardable experiment, malformed or empty prefixes, non-JSON format.
 func TestPrefixSliceRejections(t *testing.T) {
 	ts := newPrefixServer(t)
 	for _, tc := range []struct {
@@ -139,6 +139,10 @@ func TestPrefixSliceRejections(t *testing.T) {
 		{"/experiments/P1?prefixes=0", http.StatusBadRequest},
 		{"/experiments/S1?prefixes=0..1", http.StatusBadRequest},
 		{"/experiments/S1?prefixes=x", http.StatusBadRequest},
+		// An empty value is not the whole space ("-" is): present but
+		// empty is a malformed slice, never a silent whole-table fetch.
+		{"/experiments/S1?prefixes=", http.StatusBadRequest},
+		{"/experiments/P1?prefixes=", http.StatusBadRequest},
 		{"/experiments/S1?prefixes=0&format=csv", http.StatusBadRequest},
 		{"/experiments/S1?prefixes=0&format=text", http.StatusBadRequest},
 		// Syntactically fine but not a live path of the decision

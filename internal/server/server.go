@@ -3,8 +3,7 @@
 // individual experiment tables in every encoder format, a health
 // probe, and an operational /stats snapshot (cache hit/miss/eviction
 // counters, per-experiment latency with full log-bucket histograms,
-// per-endpoint p50/p95/p99 — the distributions internal/load's
-// harness measures against — and the in-flight count internal/shard
+// per-endpoint p50/p95/p99, and the in-flight count internal/shard
 // ranks workers by), with three protections a CLI run does not need:
 //
 //   - singleflight deduplication: N concurrent requests for a cold
@@ -305,8 +304,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if prefixes := q.Get("prefixes"); prefixes != "" {
-		s.handlePrefixes(w, r, exp, ps, prefixes, start)
+	// Presence, not value, selects the slice path, so an empty
+	// ?prefixes= is a 400 like any malformed slice (the whole space is
+	// "-"), never the whole table.
+	if q.Has("prefixes") {
+		s.handlePrefixes(w, r, exp, ps, q.Get("prefixes"), start)
 		return
 	}
 	format := q.Get("format")

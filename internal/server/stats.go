@@ -11,11 +11,9 @@ import (
 	"repro/internal/sched"
 )
 
-// Endpoint labels for the per-endpoint latency histograms: the two
-// serving paths whose latency distributions matter under load. The
-// same labels key StatsResponse.Endpoints and the load harness's
-// client-side histograms, so server- and client-side distributions
-// line up by name.
+// Endpoint labels for the per-endpoint latency histograms, one per
+// request class. The same labels key StatsResponse.Endpoints and the
+// endpoint label of /metrics' repro_request_duration_seconds.
 const (
 	// EndpointExperiment is a whole-experiment fetch:
 	// GET /experiments/{id}[?format=...].
@@ -54,10 +52,10 @@ type StatsResponse struct {
 	// an experiment never requested has no entry.
 	Experiments map[string]StatsExperiment `json:"experiments"`
 	// Endpoints holds per-endpoint latency histograms
-	// (EndpointExperiment, EndpointSlice), keyed by endpoint label; an
-	// endpoint never hit has no entry. Quantiles follow internal/hist's
-	// contract: bucket upper bounds, overshooting the true value by at
-	// most hist.Growth (≈18.9%).
+	// (EndpointExperiment, EndpointParam, EndpointSlice), keyed by
+	// endpoint label; an endpoint never hit has no entry. Quantiles
+	// follow internal/hist's contract: bucket upper bounds, overshooting
+	// the true value by at most hist.Growth (≈18.9%).
 	Endpoints map[string]hist.Snapshot `json:"endpoints"`
 	// Exploration accumulates the memoized explorer's counters over
 	// every whole or parameter-point run this process explored; absent

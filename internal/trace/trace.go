@@ -2,8 +2,8 @@
 // in-memory journal of per-request span events, the request-ID scheme
 // that ties one request's events together across processes, and the
 // context/header plumbing that carries the ID from the edge that
-// minted it (cmd/figures, internal/load, or internal/server) through
-// the shard coordinator to every worker that served a piece of it.
+// minted it (cmd/figures or internal/server) through the shard
+// coordinator to every worker that served a piece of it.
 //
 // The latency histograms (internal/hist) say how slow a request was;
 // the journal says why: every load-bearing decision on the serving
@@ -41,8 +41,9 @@ import (
 // names the same request in every process's journal.
 const Header = "Repro-Request-ID"
 
-// Default journal bounds: enough to hold a whole load-smoke run's
-// tail without letting a long-lived daemon accumulate traces forever.
+// Default journal bounds: enough to look up a request's span soon
+// after it finished without letting a long-lived daemon accumulate
+// traces forever.
 const (
 	// DefaultMaxRequests is the journal's ring cap: the number of
 	// distinct request IDs retained before the oldest is evicted.
