@@ -96,7 +96,9 @@ func BenchmarkPigeonholeBound(b *testing.B) {
 	}
 }
 
-// BenchmarkPipeline (E5): the four Theorem 1.3 stages.
+// BenchmarkPipeline (E5): the four Theorem 1.3 stages, and E5's own
+// four-node stage B — the sweep's long pole, whose B/op shows what a
+// run's record costs.
 func BenchmarkPipeline(b *testing.B) {
 	stages := []struct {
 		stage  msgpass.PipelineStage
@@ -107,9 +109,11 @@ func BenchmarkPipeline(b *testing.B) {
 		{msgpass.StageABDComplete, 5, 2, 2},
 		{msgpass.StageABDRing, 5, 2, 2},
 		{msgpass.StageBitRing, 3, 1, 1},
+		{msgpass.StageBitRing, 4, 1, 2},
 	}
 	for _, s := range stages {
-		b.Run(s.stage.String(), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%v/n=%d", s.stage, s.n), func(b *testing.B) {
+			b.ReportAllocs()
 			inputs := make([]int64, s.n)
 			for i := range inputs {
 				inputs[i] = int64(i % 2)

@@ -14,8 +14,8 @@ func alg1Fingerprints(t *testing.T, explore func(visit func(*Alg1Run)) (int, err
 	var fps []string
 	n, err := explore(func(ar *Alg1Run) {
 		fp := ""
-		for _, d := range ar.Result.Decisions {
-			fp += fmt.Sprintf("%d.", d.Pid)
+		for _, pid := range ar.Result.Schedule {
+			fp += fmt.Sprintf("%d.", pid)
 		}
 		fps = append(fps, fp+" "+ar.Outs[0].String()+"|"+ar.Outs[1].String())
 	})

@@ -24,7 +24,7 @@ func TestAlg1Exhaustive(t *testing.T) {
 					t.Fatalf("k=%d inputs=%v: a process terminated without deciding", k, inputs)
 				}
 				if err := ar.Check(k); err != nil {
-					t.Fatalf("k=%d inputs=%v schedule=%v: %v", k, inputs, pids(ar.Result), err)
+					t.Fatalf("k=%d inputs=%v schedule=%v: %v", k, inputs, ar.Result.Schedule, err)
 				}
 				for i := 0; i < 2; i++ {
 					if ar.Outs[i].Den != Alg1Den(k) {
@@ -223,14 +223,6 @@ func TestAlg1StepComplexityGrowth(t *testing.T) {
 		}
 		prev = steps
 	}
-}
-
-func pids(r *sched.Result) []int {
-	out := make([]int, len(r.Decisions))
-	for i, d := range r.Decisions {
-		out[i] = d.Pid
-	}
-	return out
 }
 
 func TestWithinEps(t *testing.T) {

@@ -20,6 +20,7 @@ package consensus
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/agreement"
 	"repro/internal/memory"
@@ -81,11 +82,7 @@ func FindRoundingViolation(k int) (*Violation, error) {
 			return true
 		}
 		if err := agreement.CheckConsensus(inputs[:], outs[:], decided[:]); err != nil {
-			sched := make([]int, len(r.Decisions))
-			for i, d := range r.Decisions {
-				sched[i] = d.Pid
-			}
-			found = &Violation{Inputs: inputs, Outs: outs, Schedule: sched, Reason: err.Error()}
+			found = &Violation{Inputs: inputs, Outs: outs, Schedule: slices.Clone(r.Schedule), Reason: err.Error()}
 			return false
 		}
 		return true

@@ -175,6 +175,13 @@ func Theorem13Pipeline() (*Table, error) {
 		if err := pr.Check(inputs, 2); err != nil {
 			return fmt.Errorf("stage %v: %w", stage, err)
 		}
+		// The scheduler crashes no one, so every process must decide:
+		// Check alone passes over the undecided.
+		for i, d := range pr.Decided {
+			if !d {
+				return fmt.Errorf("stage %v: process %d did not decide", stage, i)
+			}
+		}
 		bits := "unbounded"
 		if pr.RegisterBits > 0 {
 			bits = itoa(pr.RegisterBits)

@@ -181,7 +181,11 @@ func (pr *PipelineResult) Check(inputs []int64, rounds int) error {
 	return agreement.CheckBinaryEps(ins, pr.Outs, pr.Decided, 1, 1<<rounds)
 }
 
-// RunPipeline executes one stage of the Theorem 1.3 pipeline.
+// RunPipeline executes one stage of the Theorem 1.3 pipeline. A process
+// error or an exhausted step budget fails the stage, whatever the
+// processes that did decide agreed on. Node stages end at quiescence,
+// which the runner reports as Deadlocked (see ServeForever): that is
+// normal termination, and leaves every Errs entry nil.
 func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 	if len(cfg.Inputs) != cfg.N {
 		return nil, fmt.Errorf("msgpass: %d inputs for n=%d", len(cfg.Inputs), cfg.N)
@@ -198,11 +202,12 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 		maxSteps = 4 << 20
 	}
 
-	var procs []sched.ProcFunc
+	procs := make([]sched.ProcFunc, cfg.N)
+	var qn *QueueNet
+	var bn *BitNet
 	switch cfg.Stage {
 	case StageDirect:
 		mem := memory.New(cfg.N, 0)
-		procs = make([]sched.ProcFunc, cfg.N)
 		for i := 0; i < cfg.N; i++ {
 			procs[i] = func(p *sched.Proc) error {
 				st := DirectStore{PM: memory.Bind(p, mem)}
@@ -215,12 +220,6 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 				return nil
 			}
 		}
-		res, err := sched.Run(sched.Config{Scheduler: cfg.Scheduler, MaxSteps: maxSteps}, procs)
-		if err != nil {
-			return nil, err
-		}
-		pr.Res = res
-		return pr, nil
 
 	case StageABDComplete, StageABDRing, StageBitRing:
 		var topo Topology
@@ -234,8 +233,6 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 			topo = ring
 		}
 		var ll LinkLayer
-		var qn *QueueNet
-		var bn *BitNet
 		if cfg.Stage == StageBitRing {
 			bn = NewBitNet(topo)
 			ll = bn
@@ -244,7 +241,6 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 			qn = NewQueueNet(topo, cfg.Seed)
 			ll = qn
 		}
-		procs = make([]sched.ProcFunc, cfg.N)
 		for i := 0; i < cfg.N; i++ {
 			procs[i] = func(p *sched.Proc) error {
 				nd := NewNode(p, ll, cfg.T, cfg.WriteBack)
@@ -258,22 +254,28 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 				return nd.Errf(nd.ServeForever())
 			}
 		}
-		res, err := sched.Run(sched.Config{Scheduler: cfg.Scheduler, MaxSteps: maxSteps}, procs)
-		if err != nil {
-			return nil, err
-		}
-		pr.Res = res
-		if qn != nil {
-			pr.MsgsSent = qn.Sent
-		}
-		if bn != nil {
-			pr.BitsDelivered = bn.Bits
-		}
-		if res.BudgetExceeded {
-			return pr, fmt.Errorf("msgpass: stage %v exceeded step budget", cfg.Stage)
-		}
-		return pr, nil
 	default:
 		return nil, fmt.Errorf("msgpass: unknown stage %v", cfg.Stage)
 	}
+
+	res, err := sched.Run(sched.Config{Scheduler: cfg.Scheduler, MaxSteps: maxSteps}, procs)
+	if err != nil {
+		return nil, err
+	}
+	pr.Res = res
+	if qn != nil {
+		pr.MsgsSent = qn.Sent
+	}
+	if bn != nil {
+		pr.BitsDelivered = bn.Bits
+	}
+	if res.BudgetExceeded {
+		return pr, fmt.Errorf("msgpass: stage %v exceeded step budget", cfg.Stage)
+	}
+	for i, e := range res.Errs {
+		if e != nil {
+			return pr, fmt.Errorf("msgpass: stage %v: process %d: %w", cfg.Stage, i, e)
+		}
+	}
+	return pr, nil
 }

@@ -249,3 +249,32 @@ func TestAllStagesAgreeOnSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestRunPipelineFailsUndecided: a run that ends with a process error,
+// or that the step budget cuts off, is a failed stage, never a vacuous
+// ε-agreement over the processes that happened to decide. Stage A with
+// a 10-step budget stops before anyone decides.
+func TestRunPipelineFailsUndecided(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  PipelineConfig
+	}{
+		{"stage A budget", PipelineConfig{
+			Stage: StageDirect, N: 5, T: 2, Rounds: 2,
+			Inputs: mixedInputs(5), Scheduler: sched.NewRandom(11), MaxSteps: 10,
+		}},
+		{"stage A process error", PipelineConfig{
+			Stage: StageDirect, N: 5, T: 2, Rounds: 2,
+			Inputs: []int64{0, 1, 2, 1, 0}, Scheduler: sched.NewRandom(11),
+		}},
+		{"stage A' process error", PipelineConfig{
+			Stage: StageABDComplete, N: 5, T: 2, Rounds: 2,
+			Inputs: []int64{0, 1, 2, 1, 0}, Scheduler: sched.NewRandom(11),
+		}},
+	} {
+		pr, err := RunPipeline(tc.cfg)
+		if err == nil {
+			t.Errorf("%s: RunPipeline returned no error (decided %v)", tc.name, pr.Decided)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -18,31 +19,41 @@ import (
 //
 // Explore stops early and returns ErrExploreLimit if more than maxRuns
 // executions are visited (maxRuns <= 0 means no limit). If visit returns
-// false, exploration stops without error.
+// false, exploration stops without error. Each visited Result is the
+// run's own, but its Schedule is valid only until visit returns.
 func Explore(factory func() []ProcFunc, maxSteps, maxRuns int, visit func(*Result) bool) (int, error) {
 	runs := 0
-	var dfs func(prefix []int) (bool, error)
-	dfs = func(prefix []int) (bool, error) {
+	// frames[d] is the replay record of DFS depth d: a frame's record
+	// stays intact while its branches are explored one depth down, and
+	// sibling subtrees reuse it.
+	var frames []*Replay
+	var dfs func(prefix []int, depth int) (bool, error)
+	dfs = func(prefix []int, depth int) (bool, error) {
 		if maxRuns > 0 && runs >= maxRuns {
 			return false, ErrExploreLimit
 		}
-		sch := &Replay{Prefix: prefix}
+		if depth == len(frames) {
+			frames = append(frames, &Replay{})
+		}
+		sch := frames[depth]
+		sch.reset(prefix)
 		res, err := Run(Config{Scheduler: sch, MaxSteps: maxSteps}, factory())
 		if err != nil {
 			return false, err
 		}
 		runs++
+		res.Schedule = sch.picks
 		if !visit(res) {
 			return false, nil
 		}
 		cont, cerr := true, error(nil)
-		expandBranches(res, len(prefix), func(branch []int) bool {
-			cont, cerr = dfs(branch)
+		expandBranches(sch, len(prefix), func(branch []int) bool {
+			cont, cerr = dfs(branch, depth+1)
 			return cont && cerr == nil
 		})
 		return cont, cerr
 	}
-	_, err := dfs(nil)
+	_, err := dfs(nil, 0)
 	return runs, err
 }
 
@@ -56,29 +67,28 @@ var ErrExploreLimit = fmt.Errorf("sched: exploration run limit reached")
 // a run would double-count executions, so it is an error instead.
 var ErrPrefixNotLive = errors.New("sched: forced prefix is not a live path of the decision tree")
 
-// expandBranches enumerates the child prefixes of a completed execution:
-// one per scheduler branch not taken after the forced prefix, deepest
-// decision point first (ordering is irrelevant for coverage). It stops
-// early if emit returns false. The serial and parallel explorers share
-// this rule — that is what makes their coverage identical.
-func expandBranches(res *Result, prefixLen int, emit func([]int) bool) {
-	expandBranchesAlloc(res, prefixLen, func(n int) []int { return make([]int, n) }, emit)
+// expandBranches enumerates the child prefixes of a completed execution
+// from its replay record: one per scheduler branch not taken after the
+// forced prefix, deepest decision point first (ordering is irrelevant
+// for coverage). It stops early if emit returns false. The serial and
+// parallel explorers share this rule — that is what makes their
+// coverage identical.
+func expandBranches(rec *Replay, prefixLen int, emit func([]int) bool) {
+	expandBranchesAlloc(rec, prefixLen, func(n int) []int { return make([]int, n) }, emit)
 }
 
 // expandBranchesAlloc is expandBranches with a caller-supplied buffer
 // allocator, letting the frontier loop recycle spent prefix buffers
 // instead of allocating one per branch.
-func expandBranchesAlloc(res *Result, prefixLen int, alloc func(int) []int, emit func([]int) bool) {
-	for i := len(res.Decisions) - 1; i >= prefixLen; i-- {
-		chosen := res.Decisions[i].Pid
-		for _, alt := range res.EnabledSets[i] {
+func expandBranchesAlloc(rec *Replay, prefixLen int, alloc func(int) []int, emit func([]int) bool) {
+	for i := len(rec.picks) - 1; i >= prefixLen; i-- {
+		chosen := rec.picks[i]
+		for _, alt := range rec.set(i) {
 			if alt <= chosen {
 				continue
 			}
 			branch := alloc(i + 1)
-			for j := 0; j < i; j++ {
-				branch[j] = res.Decisions[j].Pid
-			}
+			copy(branch, rec.picks[:i])
 			branch[i] = alt
 			if !emit(branch) {
 				return
@@ -96,13 +106,14 @@ func ExploreAll(factory func() []ProcFunc, maxSteps int, visit func(*Result)) (i
 }
 
 // Instance is one fresh system build for the parallel explorer: the
-// process closures plus a completion callback receiving the run's Result.
-// Done is always invoked under the explorer's lock, so its body may
-// mutate shared state without further synchronization. The Result is
-// pooled: the explorer reuses it for the worker's next replay as soon
-// as Done returns, so Done must copy anything it wants to keep (values
-// read out of Steps/Outs-style fields are fine; retaining the *Result
-// or its slices is not).
+// process closures plus a completion callback receiving the run's Result,
+// with Schedule set to the run's decision path. Done is always invoked
+// under the explorer's lock, so its body may mutate shared state without
+// further synchronization. The Result and the replay record behind
+// Schedule are pooled: the explorer reuses them for the worker's next
+// replay as soon as Done returns, so Done must copy anything it wants to
+// keep (values read out of Steps/Outs-style fields are fine; retaining
+// the *Result or its slices is not).
 type Instance struct {
 	Procs []ProcFunc
 	Done  func(*Result)
@@ -189,9 +200,9 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 	}
 
 	worker := func() {
-		// Per-worker pooled replay state: one Result (decision and
-		// enabled-set buffers), one runner (grant channels), one
-		// Replay scheduler, reused across every run this worker does.
+		// Per-worker pooled replay state: one Result, one runner (grant
+		// channels, enabled-set buffer), one Replay scheduler (the
+		// decision record), reused across every run this worker does.
 		res := &Result{}
 		sch := &Replay{}
 		var rn *runner
@@ -212,9 +223,9 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 			if rn == nil || rn.n != len(inst.Procs) {
 				rn = newRunner(len(inst.Procs))
 			}
-			sch.Prefix, sch.pos = prefix, 0
+			sch.reset(prefix)
 			_, err := runInto(Config{Scheduler: sch, MaxSteps: maxSteps}, inst.Procs, res, rn)
-			if err == nil && !replayedExactly(res, prefix) {
+			if err == nil && !replayedExactly(sch, prefix) {
 				// Only seed roots can fail this: child prefixes are
 				// observed paths of the deterministic system. A seed
 				// that Replay could not follow is a caller mistake
@@ -234,9 +245,10 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 			}
 			runs++
 			if inst.Done != nil {
+				res.Schedule = sch.picks
 				inst.Done(res)
 			}
-			expandBranchesAlloc(res, len(prefix), takeBuf, func(branch []int) bool {
+			expandBranchesAlloc(sch, len(prefix), takeBuf, func(branch []int) bool {
 				frontier = append(frontier, branch)
 				pending++
 				return true
@@ -263,16 +275,8 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 // replayedExactly reports whether an execution actually took every
 // step of its forced prefix — the witness that the prefix is a live
 // path and the run stayed inside the claimed subtree.
-func replayedExactly(res *Result, prefix []int) bool {
-	if len(res.Decisions) < len(prefix) {
-		return false
-	}
-	for i, pid := range prefix {
-		if res.Decisions[i].Pid != pid {
-			return false
-		}
-	}
-	return true
+func replayedExactly(rec *Replay, prefix []int) bool {
+	return len(rec.picks) >= len(prefix) && slices.Equal(rec.picks[:len(prefix)], prefix)
 }
 
 // PartitionRoots enumerates the live prefixes of the decision tree at
@@ -295,36 +299,40 @@ func PartitionRoots(factory func() []ProcFunc, maxSteps, depth int) ([][]int, er
 		return [][]int{{}}, nil
 	}
 	var roots [][]int
-	var descend func(prefix []int, res *Result) error
-	descend = func(prefix []int, res *Result) error {
-		if len(prefix) >= depth || len(res.Decisions) <= len(prefix) {
+	replay := func(prefix []int) (*Replay, error) {
+		rec := &Replay{Prefix: prefix}
+		_, err := Run(Config{Scheduler: rec, MaxSteps: maxSteps}, factory())
+		return rec, err
+	}
+	var descend func(prefix []int, rec *Replay) error
+	descend = func(prefix []int, rec *Replay) error {
+		if len(prefix) >= depth || len(rec.picks) <= len(prefix) {
 			// At the cut, or the execution ends here: this prefix's
 			// subtree is one partition cell.
 			roots = append(roots, prefix)
 			return nil
 		}
-		for _, pid := range res.EnabledSets[len(prefix)] {
+		for _, pid := range rec.set(len(prefix)) {
 			child := append(prefix[:len(prefix):len(prefix)], pid)
-			cres := res
-			if pid != res.Decisions[len(prefix)].Pid {
+			crec := rec
+			if pid != rec.picks[len(prefix)] {
 				// Off the observed path: replay the sibling branch.
-				r, err := Run(Config{Scheduler: &Replay{Prefix: child}, MaxSteps: maxSteps}, factory())
-				if err != nil {
+				var err error
+				if crec, err = replay(child); err != nil {
 					return err
 				}
-				cres = r
 			}
-			if err := descend(child, cres); err != nil {
+			if err := descend(child, crec); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	res, err := Run(Config{Scheduler: &Replay{}, MaxSteps: maxSteps}, factory())
+	rec, err := replay(nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := descend(nil, res); err != nil {
+	if err := descend(nil, rec); err != nil {
 		return nil, err
 	}
 	return roots, nil

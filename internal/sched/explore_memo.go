@@ -36,8 +36,9 @@ type MemoInstance struct {
 	// Required.
 	State func() StateKey
 	// Leaf extracts one complete execution's contribution to the
-	// exploration's aggregate. The Result is pooled — Leaf must not
-	// retain it or its slices — and the returned value becomes shared
+	// exploration's aggregate. The Result, with Schedule set to the
+	// execution's decision path, is pooled — Leaf must not retain it or
+	// its slices — and the returned value becomes shared
 	// immutable memo state: it must be fresh on every call, must be
 	// determined by the leaf's canonical state, and is never mutated
 	// by the explorer afterwards. Nil Leaf — or a Leaf used only for
@@ -98,7 +99,8 @@ type memoEntry struct {
 // memoProbe is the recorder scheduler of one replay: it forces the
 // prefix, records the canonical state at every decision point at or
 // past the prefix, and halts the run the moment a state is already in
-// the memo.
+// the memo. The decisions it lets through are recorded by its replay,
+// whose record gives the DFS the path taken and the branches not.
 type memoProbe struct {
 	replay Replay
 	state  func() StateKey
@@ -108,6 +110,14 @@ type memoProbe struct {
 	keys   []StateKey // keys[d-from] is the state before decision d
 	hit    bool
 	entry  memoEntry
+}
+
+// reset rearms a pooled probe for one replay under prefix, keying
+// decision points with state.
+func (m *memoProbe) reset(prefix []int, state func() StateKey) {
+	m.replay.reset(prefix)
+	m.state, m.from, m.depth = state, len(prefix), 0
+	m.keys, m.hit, m.entry = m.keys[:0], false, memoEntry{}
 }
 
 func (m *memoProbe) Next(enabled []int) Decision {
@@ -167,11 +177,13 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		}
 	}
 
-	// Replay state pools, as in the frontier loop: one Result and one
-	// runner per active DFS frame, recycled across sibling subtrees.
+	// Replay state pools, as in the frontier loop: one Result, one
+	// runner and one probe (the decision record) per active DFS frame,
+	// recycled across sibling subtrees.
 	var (
-		freeRes []*Result
-		freeRun []*runner
+		freeRes   []*Result
+		freeRun   []*runner
+		freeProbe []*memoProbe
 	)
 	getRes := func() *Result {
 		if k := len(freeRes); k > 0 {
@@ -189,6 +201,14 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		}
 		return nil
 	}
+	getProbe := func() *memoProbe {
+		if k := len(freeProbe); k > 0 {
+			p := freeProbe[k-1]
+			freeProbe = freeProbe[:k-1]
+			return p
+		}
+		return &memoProbe{memo: memo}
+	}
 
 	var dfs func(prefix []int, seed bool) (any, int, error)
 	dfs = func(prefix []int, seed bool) (any, int, error) {
@@ -196,12 +216,9 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		if inst.State == nil {
 			return nil, 0, errMemoState
 		}
-		probe := &memoProbe{
-			replay: Replay{Prefix: prefix},
-			state:  inst.State,
-			memo:   memo,
-			from:   len(prefix),
-		}
+		probe := getProbe()
+		probe.reset(prefix, inst.State)
+		rec := &probe.replay
 		res, rn := getRes(), getRun()
 		if rn == nil || rn.n != len(inst.Procs) {
 			rn = newRunner(len(inst.Procs))
@@ -210,13 +227,13 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 			return nil, 0, err
 		}
 		stats.Replays++
-		if seed && !replayedExactly(res, prefix) {
+		if seed && !replayedExactly(rec, prefix) {
 			return nil, 0, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
 		}
 
 		// top is the depth the replay reached: the depth of the memo
 		// hit, or the leaf's depth on a complete execution.
-		top := len(res.Decisions)
+		top := len(rec.picks)
 		var contrib any
 		var leaves int
 		if probe.hit {
@@ -229,6 +246,7 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 			// no decision point — so an equivalent leaf may already be
 			// stored; keep the first.)
 			if inst.Leaf != nil {
+				res.Schedule = rec.picks
 				contrib = inst.Leaf(res)
 			}
 			leaves = 1
@@ -246,15 +264,13 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		// below their own prefix length (> i), so no entry written here
 		// is ever overwritten.
 		for i := top - 1; i >= len(prefix); i-- {
-			chosen := res.Decisions[i].Pid
-			for _, alt := range res.EnabledSets[i] {
+			chosen := rec.picks[i]
+			for _, alt := range rec.set(i) {
 				if alt <= chosen {
 					continue
 				}
 				branch := make([]int, i+1)
-				for j := 0; j < i; j++ {
-					branch[j] = res.Decisions[j].Pid
-				}
+				copy(branch, rec.picks[:i])
 				branch[i] = alt
 				sub, subLeaves, err := dfs(branch, false)
 				if err != nil {
@@ -269,6 +285,7 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 
 		freeRes = append(freeRes, res)
 		freeRun = append(freeRun, rn)
+		freeProbe = append(freeProbe, probe)
 		return contrib, leaves, nil
 	}
 

@@ -25,8 +25,8 @@ func stepper(n, steps int) func() []ProcFunc {
 // schedule renders a result's decision sequence as a comparable key.
 func schedule(r *Result) string {
 	out := ""
-	for _, d := range r.Decisions {
-		out += fmt.Sprintf("%d,", d.Pid)
+	for _, pid := range r.Schedule {
+		out += fmt.Sprintf("%d,", pid)
 	}
 	return out
 }

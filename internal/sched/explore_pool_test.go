@@ -3,8 +3,8 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -29,8 +29,8 @@ func TestExplorePrefixesPooledFrontier(t *testing.T) {
 				Procs: stepSystem(steps),
 				Done: func(r *Result) {
 					// Read everything Done is entitled to: the full
-					// decision sequence, enabled sets, and counters —
-					// stale pooled data would corrupt the fingerprint.
+					// decision sequence and the counters — stale
+					// pooled data would corrupt the fingerprint.
 					fp := fingerprint(r)
 					total := 0
 					for i, s := range r.Steps {
@@ -42,8 +42,8 @@ func TestExplorePrefixesPooledFrontier(t *testing.T) {
 					if total != r.TotalSteps {
 						t.Errorf("Steps sum %d != TotalSteps %d", total, r.TotalSteps)
 					}
-					if len(r.Decisions) != len(r.EnabledSets) {
-						t.Errorf("%d decisions, %d enabled sets", len(r.Decisions), len(r.EnabledSets))
+					if len(r.Schedule) != r.TotalSteps {
+						t.Errorf("schedule of %d decisions, %d steps", len(r.Schedule), r.TotalSteps)
 					}
 					mu.Lock()
 					fps = append(fps, fp)
@@ -71,8 +71,8 @@ func TestExplorePrefixesPooledFrontier(t *testing.T) {
 // scheduler error, a crash of the process holding the step or of a
 // parked one, and processes returning before their first step — match
 // a fresh Run, and a normal run after each on the same runner and
-// Result is unaffected. Consecutive equal enabled sets must be one
-// shared slice.
+// Result is unaffected. A run records no trace, so trace= is the
+// decision sequence a recording scheduler saw.
 func TestRunIntoReuse(t *testing.T) {
 	errEarly := errors.New("early")
 	early := func(*Proc) error { return errEarly }
@@ -129,22 +129,17 @@ func TestRunIntoReuse(t *testing.T) {
 				rn = newRunner(len(procs))
 				runners[len(procs)] = rn
 			}
-			got, err := runInto(Config{Scheduler: sch, MaxSteps: maxSteps}, procs, res, rn)
+			rec := &recorder{inner: sch}
+			got, err := runInto(Config{Scheduler: rec, MaxSteps: maxSteps}, procs, res, rn)
 			if err == nil && got != res {
 				t.Fatalf("%s: runInto did not reuse the provided Result", tc.name)
 			}
-			if err == nil {
-				sets := res.EnabledSets
-				for k := 1; k < len(sets); k++ {
-					if slices.Equal(sets[k], sets[k-1]) && &sets[k][0] != &sets[k-1][0] {
-						t.Errorf("%s: equal enabled sets %d and %d are stored twice", tc.name, k-1, k)
-					}
-				}
-			}
-			return summarize(got, err)
+			return summarize(got, err, rec)
 		}
 		fresh := func(procs []ProcFunc, sch Scheduler, maxSteps int) string {
-			return summarize(Run(Config{Scheduler: sch, MaxSteps: maxSteps}, procs))
+			rec := &recorder{inner: sch}
+			got, err := Run(Config{Scheduler: rec, MaxSteps: maxSteps}, procs)
+			return summarize(got, err, rec)
 		}
 
 		if got := run(tc.procs(), tc.sch(), tc.maxSteps); got != tc.want {
@@ -175,11 +170,26 @@ func (s *script) Next([]int) Decision {
 	return s.ds[s.pos-1]
 }
 
+// recorder wraps a scheduler and records every decision it returns
+// other than Halt — crashes included — as a fingerprint-style trace.
+type recorder struct {
+	inner Scheduler
+	trace strings.Builder
+}
+
+func (s *recorder) Next(enabled []int) Decision {
+	d := s.inner.Next(enabled)
+	if d.Pid != Halt {
+		fmt.Fprintf(&s.trace, "%d.", d.Pid)
+	}
+	return d
+}
+
 // summarize renders a run's outcome, or its error, for comparison.
-func summarize(r *Result, err error) string {
+func summarize(r *Result, err error, rec *recorder) string {
 	if err != nil {
 		return err.Error()
 	}
 	return fmt.Sprintf("steps=%v crashed=%v errs=%v trace=%s deadlock=%v budget=%v",
-		r.Steps, r.Crashed, r.Errs, fingerprint(r), r.Deadlocked, r.BudgetExceeded)
+		r.Steps, r.Crashed, r.Errs, rec.trace.String(), r.Deadlocked, r.BudgetExceeded)
 }

@@ -32,8 +32,8 @@ func stepSystem(steps []int) []ProcFunc {
 // of one interleaving on the deterministic system.
 func fingerprint(r *Result) string {
 	var b strings.Builder
-	for _, d := range r.Decisions {
-		fmt.Fprintf(&b, "%d.", d.Pid)
+	for _, pid := range r.Schedule {
+		fmt.Fprintf(&b, "%d.", pid)
 	}
 	return b.String()
 }

@@ -25,6 +25,10 @@
 //
 // Crashes are scheduler decisions: a process whose step request is answered
 // with a crash unwinds its goroutine and never takes another step.
+//
+// A run records counters and outcomes, not a per-step trace, so its
+// allocations do not grow with its length. The explorers read the path a
+// replay took from the record of the Replay scheduler they drive.
 package sched
 
 import (
@@ -47,7 +51,9 @@ const Halt = -1
 
 // Scheduler chooses the next step among the enabled processes. enabled is
 // sorted ascending and non-empty. The returned Pid must be an element of
-// enabled, or Halt.
+// enabled, or Halt. enabled is valid only during the call: the runner
+// builds every decision's set in one reused buffer, so a Scheduler that
+// keeps a set past Next must copy it (Replay does, for the explorers).
 type Scheduler interface {
 	Next(enabled []int) Decision
 }
@@ -70,7 +76,8 @@ type Config struct {
 // DefaultMaxSteps is the step budget used when Config.MaxSteps is 0.
 const DefaultMaxSteps = 1 << 22
 
-// Result describes a completed execution.
+// Result describes a completed execution by its counters and outcomes,
+// with no per-step trace: the explorers keep theirs in Replay.
 type Result struct {
 	// Steps[i] is the number of steps taken by process i.
 	Steps []int
@@ -80,28 +87,23 @@ type Result struct {
 	Crashed []bool
 	// Errs[i] is the error returned by process i (nil for crashed procs).
 	Errs []error
-	// Decisions is the sequence of scheduler decisions, in order.
-	Decisions []Decision
-	// EnabledSets[k] is the sorted enabled set presented to the scheduler
-	// for Decisions[k]. Used by the exhaustive explorer. Consecutive equal
-	// sets share one slice; treat them as read-only.
-	EnabledSets [][]int
+	// Schedule is the pid of every scheduler decision, in order. The
+	// explorers set it before handing the Result to their callbacks
+	// (Explore's visit, Instance.Done, MemoInstance.Leaf); it aliases
+	// the explorer's replay record, so it is valid only until the
+	// callback returns. Run leaves it nil.
+	Schedule []int
 	// Deadlocked reports that at some point every live process was blocked
 	// on an unsatisfied StepWhen condition. Remaining processes were
 	// crashed to unwind.
 	Deadlocked bool
 	// BudgetExceeded reports that MaxSteps was hit.
 	BudgetExceeded bool
-
-	// enabledArena backs the EnabledSets slices when the Result is
-	// reused across replays (runInto): one flat append-only buffer per
-	// run instead of one allocation per scheduler decision.
-	enabledArena []int
 }
 
-// reset prepares a Result for reuse by runInto, keeping every backing
-// array (Steps, Decisions, EnabledSets, the enabled-set arena) so a
-// replay loop settles into zero per-run allocations.
+// reset prepares a Result for reuse by runInto, keeping the Steps,
+// Crashed and Errs arrays so a replay loop settles into zero per-run
+// allocations.
 func (r *Result) reset(n int) {
 	if cap(r.Steps) < n {
 		r.Steps = make([]int, n)
@@ -118,11 +120,9 @@ func (r *Result) reset(n int) {
 		}
 	}
 	r.TotalSteps = 0
-	r.Decisions = r.Decisions[:0]
-	r.EnabledSets = r.EnabledSets[:0]
+	r.Schedule = nil
 	r.Deadlocked = false
 	r.BudgetExceeded = false
-	r.enabledArena = r.enabledArena[:0]
 }
 
 // Correct reports whether process i is correct in this execution: it was
@@ -213,6 +213,7 @@ type runner struct {
 	sched    Scheduler
 	maxSteps int
 	res      *Result
+	enabled  []int // the current decision's enabled set, rebuilt for each
 	live     int   // processes not yet returned or crashed
 	abort    bool  // the run is over: unwind every parked process
 	err      error // the scheduler broke its contract
@@ -233,10 +234,11 @@ type procSlot struct {
 // across replays of same-arity systems.
 func newRunner(n int) *runner {
 	r := &runner{
-		n:     n,
-		procs: make([]Proc, n),
-		slots: make([]procSlot, n),
-		done:  make(chan struct{}),
+		n:       n,
+		procs:   make([]Proc, n),
+		slots:   make([]procSlot, n),
+		done:    make(chan struct{}),
+		enabled: make([]int, 0, n),
 	}
 	for i := range r.slots {
 		r.procs[i] = Proc{ID: i, N: n, r: r}
@@ -416,8 +418,6 @@ func (r *runner) pass(self int) bool {
 		r.err = fmt.Errorf("sched: scheduler chose pid %d not in enabled set %v", d.Pid, enabled)
 		return r.unwind(self)
 	}
-	res.Decisions = append(res.Decisions, d)
-	res.EnabledSets = append(res.EnabledSets, enabled)
 	s := &r.slots[d.Pid]
 	s.parked = false
 	if d.Crash {
@@ -458,25 +458,17 @@ func (r *runner) unwind(self int) bool {
 	return false
 }
 
-// enabledSet builds the enabled set in pid order in the Result's flat
-// arena, or returns the previous decision's set when they are equal, so
-// a run whose set rarely changes stores it once. The three-index slice
-// keeps later appends from aliasing this set; sets already stored in
-// EnabledSets stay valid even if the arena grows (they keep pointing at
-// the old array).
+// enabledSet builds the enabled set in pid order in the runner's one
+// buffer, which every decision of every run on this runner reuses: the
+// set is valid only until the next decision (the Scheduler.Next
+// contract).
 func (r *runner) enabledSet() []int {
-	res := r.res
-	base := len(res.enabledArena)
+	r.enabled = r.enabled[:0]
 	for pid := range r.slots {
 		s := &r.slots[pid]
 		if s.parked && (s.ready == nil || s.ready()) {
-			res.enabledArena = append(res.enabledArena, pid)
+			r.enabled = append(r.enabled, pid)
 		}
 	}
-	enabled := res.enabledArena[base:len(res.enabledArena):len(res.enabledArena)]
-	if k := len(res.EnabledSets); k > 0 && slices.Equal(res.EnabledSets[k-1], enabled) {
-		res.enabledArena = res.enabledArena[:base]
-		return res.EnabledSets[k-1]
-	}
-	return enabled
+	return r.enabled
 }

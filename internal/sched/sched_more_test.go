@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -126,8 +127,8 @@ func TestProgramOrderPreserved(t *testing.T) {
 	}
 	_, err := ExploreAll(factory, 0, func(r *Result) {
 		count := map[int]int{}
-		for _, d := range r.Decisions {
-			count[d.Pid]++
+		for _, pid := range r.Schedule {
+			count[pid]++
 		}
 		if count[0] != 3 || count[1] != 2 {
 			t.Fatalf("decision counts %v", count)
@@ -186,30 +187,29 @@ func TestStepWhenManyWaiters(t *testing.T) {
 	}
 }
 
-// TestDecisionTraceMatchesSteps: Decisions and EnabledSets line up and
-// only contain legal picks.
+// TestDecisionTraceMatchesSteps: a Replay's record holds one pick per
+// step, each pick inside the enabled set recorded with it — for the
+// forced prefix and for the fallback's choices after it.
 func TestDecisionTraceMatchesSteps(t *testing.T) {
 	var log []int
-	procs := []ProcFunc{counterProc(3, &log), counterProc(4, &log)}
-	res, err := Run(Config{Scheduler: NewRandom(3)}, procs)
+	procs := []ProcFunc{counterProc(3, &log), counterProc(4, &log), counterProc(2, &log)}
+	sch := &Replay{Prefix: []int{2, 1, 1}, Fallback: NewRandom(3)}
+	res, err := Run(Config{Scheduler: sch}, procs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Decisions) != len(res.EnabledSets) {
-		t.Fatal("trace length mismatch")
+	if len(sch.picks) != res.TotalSteps || len(sch.ends) != res.TotalSteps {
+		t.Fatalf("%d picks, %d sets vs %d steps", len(sch.picks), len(sch.ends), res.TotalSteps)
 	}
-	if len(res.Decisions) != res.TotalSteps {
-		t.Fatalf("decisions %d vs steps %d", len(res.Decisions), res.TotalSteps)
+	if !replayedExactly(sch, sch.Prefix) {
+		t.Fatalf("record %v does not start with the prefix %v", sch.picks, sch.Prefix)
 	}
-	for i, d := range res.Decisions {
-		found := false
-		for _, pid := range res.EnabledSets[i] {
-			if pid == d.Pid {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("decision %d picked %d outside enabled %v", i, d.Pid, res.EnabledSets[i])
+	if res.Schedule != nil {
+		t.Fatalf("Run set Schedule %v", res.Schedule)
+	}
+	for i, pid := range sch.picks {
+		if set := sch.set(i); !slices.Contains(set, pid) {
+			t.Fatalf("decision %d picked %d outside enabled %v", i, pid, set)
 		}
 	}
 }

@@ -297,8 +297,8 @@ func TestExploreDistinctSchedules(t *testing.T) {
 	seen := map[string]bool{}
 	_, err := ExploreAll(factory, 0, func(r *Result) {
 		key := ""
-		for _, d := range r.Decisions {
-			key += string(rune('0' + d.Pid))
+		for _, pid := range r.Schedule {
+			key += string(rune('0' + pid))
 		}
 		if seen[key] {
 			t.Errorf("schedule %q visited twice", key)
@@ -410,5 +410,42 @@ func TestRunProcPanic(t *testing.T) {
 			}
 			settleGoroutines(t, base)
 		})
+	}
+}
+
+// TestRunAllocsIndependentOfLength: a plain run records no per-step
+// trace, so its allocations do not grow with its length — a 20,000-step
+// run allocates no more than a 10-step one, whether the step stays with
+// its holder (one process under Lowest) or is handed off on every step
+// (two under RoundRobin).
+func TestRunAllocsIndependentOfLength(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		n    int
+		sch  func() Scheduler
+	}{
+		{"solo", 1, func() Scheduler { return Lowest{} }},
+		{"handoff", 2, func() Scheduler { return &RoundRobin{} }},
+	} {
+		allocs := func(steps int) float64 {
+			procs := make([]ProcFunc, tc.n)
+			for i := range procs {
+				procs[i] = func(p *Proc) error {
+					for s := 0; s < steps/tc.n; s++ {
+						p.Step()
+					}
+					return nil
+				}
+			}
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(Config{Scheduler: tc.sch()}, procs); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		short, long := allocs(10), allocs(20000)
+		if long > short {
+			t.Errorf("%s: a 20,000-step run allocates %v times, a 10-step run %v", tc.name, long, short)
+		}
 	}
 }

@@ -137,6 +137,12 @@ func (s *CrashAt) Next(enabled []int) Decision {
 // (Lowest if nil). If a forced pid is not enabled, the lowest enabled
 // process is chosen instead (the explorer never triggers this: it replays
 // prefixes observed on the same deterministic system).
+//
+// Replay is the scheduler every explorer drives, and it records the run
+// for them: each decision it returns, and a copy of the enabled set it
+// chose from, in flat buffers that reset keeps across replays. The
+// explorers read the path a replay took, and the branches it did not
+// take, from that record; the Result carries no trace.
 type Replay struct {
 	// Prefix is the forced sequence of pids.
 	Prefix []int
@@ -144,10 +150,25 @@ type Replay struct {
 	Fallback Scheduler
 
 	pos int
+	// picks[k] is the pid of decision k, and sets[ends[k-1]:ends[k]]
+	// (from 0 for k = 0) the enabled set it was chosen from.
+	picks []int
+	sets  []int
+	ends  []int
 }
 
 // Next implements Scheduler.
 func (s *Replay) Next(enabled []int) Decision {
+	d := s.choose(enabled)
+	if d.Pid != Halt {
+		s.picks = append(s.picks, d.Pid)
+		s.sets = append(s.sets, enabled...)
+		s.ends = append(s.ends, len(s.sets))
+	}
+	return d
+}
+
+func (s *Replay) choose(enabled []int) Decision {
 	if s.pos < len(s.Prefix) {
 		want := s.Prefix[s.pos]
 		s.pos++
@@ -160,4 +181,20 @@ func (s *Replay) Next(enabled []int) Decision {
 		return Decision{Pid: enabled[0]}
 	}
 	return s.Fallback.Next(enabled)
+}
+
+// reset rearms the scheduler to force prefix from the first decision on,
+// with an empty record whose buffers are kept for the next replay.
+func (s *Replay) reset(prefix []int) {
+	s.Prefix, s.pos = prefix, 0
+	s.picks, s.sets, s.ends = s.picks[:0], s.sets[:0], s.ends[:0]
+}
+
+// set returns the enabled set recorded for decision k.
+func (s *Replay) set(k int) []int {
+	lo := 0
+	if k > 0 {
+		lo = s.ends[k-1]
+	}
+	return s.sets[lo:s.ends[k]]
 }

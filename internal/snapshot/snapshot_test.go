@@ -96,7 +96,7 @@ func TestAtomicSnapshotExhaustiveTwoProcs(t *testing.T) {
 			t.Fatalf("%v", e)
 		}
 		if err := checkScans(2, 1, scans); err != nil {
-			t.Fatalf("schedule %v: %v", r.Decisions, err)
+			t.Fatalf("schedule %v: %v", r.Schedule, err)
 		}
 	})
 	if err != nil {
@@ -261,7 +261,7 @@ func TestImmediateSnapshotExhaustiveTwoProcs(t *testing.T) {
 			t.Fatal(e)
 		}
 		if err := checkIS(2, snaps, []bool{true, true}); err != nil {
-			t.Fatalf("schedule %v: %v", r.Decisions, err)
+			t.Fatalf("schedule %v: %v", r.Schedule, err)
 		}
 		outcomes[fmt.Sprint(snaps)] = true
 	})

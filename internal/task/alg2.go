@@ -221,7 +221,7 @@ func ExploreAlg2(plan *Plan, input Pair) (int, error) {
 			return
 		}
 		if e := CheckRun(plan.Task, input, sys); e != nil {
-			checkErr = fmt.Errorf("schedule %v: %w", r.Decisions, e)
+			checkErr = fmt.Errorf("schedule %v: %w", r.Schedule, e)
 		}
 	})
 	if err != nil {
@@ -265,7 +265,7 @@ func ExploreAlg2Prefixes(plan *Plan, input Pair, workers int, roots [][]int) (in
 					return
 				}
 				if e := CheckRun(plan.Task, input, sys); e != nil {
-					checkErr = fmt.Errorf("schedule %v: %w", r.Decisions, e)
+					checkErr = fmt.Errorf("schedule %v: %w", r.Schedule, e)
 				}
 			},
 		}
@@ -311,7 +311,7 @@ func ExploreAlg2MemoPrefixes(plan *Plan, input Pair, roots [][]int) (sched.MemoS
 					return nil
 				}
 				if e := CheckRun(plan.Task, input, sys); e != nil {
-					checkErr = fmt.Errorf("schedule %v: %w", r.Decisions, e)
+					checkErr = fmt.Errorf("schedule %v: %w", r.Schedule, e)
 				}
 				return nil
 			},
