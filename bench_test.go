@@ -345,11 +345,13 @@ func BenchmarkExperimentTables(b *testing.B) {
 	}
 }
 
-// BenchmarkSweep runs the full E1–E14 sweep through the experiment
-// engine: jobs=1 is the serial baseline, jobs=NumCPU the concurrent
-// run. On 4+ cores the concurrent arm is ≥2x faster wall-clock while
-// emitting byte-identical tables (TestEngineConcurrentMatchesSerial);
-// on a single core the two arms coincide. Compare with
+// BenchmarkSweep runs the whole E1–E15 registry through the
+// experiment engine: jobs=1 is the serial baseline, jobs=NumCPU the
+// concurrent run, and both emit byte-identical tables
+// (TestEngineConcurrentMatchesSerial). How far apart the arms land
+// depends on the host's cores; no speedup is claimed here, and the
+// sweep is measured by the benchmark of record (sh bench/run.sh
+// -workload sweep). Compare the arms with
 //
 //	go test -run='^$' -bench=BenchmarkSweep -benchtime=3x .
 func BenchmarkSweep(b *testing.B) {
@@ -396,23 +398,49 @@ func BenchmarkExploreParallel(b *testing.B) {
 }
 
 // BenchmarkExploreMemoized measures the canonical-state memoized
-// exploration of the same Algorithm 1 space BenchmarkExploreParallel
-// sweeps exhaustively: the reported executions metric matches the
-// exhaustive run count while replays stays a fraction of it — the
-// reduction BENCH_explore.json tracks over time.
+// exploration behind E2 and E15: alg1 is the Algorithm 1 space
+// BenchmarkExploreParallel sweeps exhaustively, and alg2 is E15's
+// Algorithm 2 sweep (the choice task on input (0, 1)), whose processes
+// run Algorithm 1 inside nested calls, so every replay runs on deep
+// stacks. The executions metric matches the exhaustive run count while
+// replays stays a fraction of it — the counters BENCH_explore.json pins.
 func BenchmarkExploreMemoized(b *testing.B) {
-	var stats sched.MemoStats
-	for i := 0; i < b.N; i++ {
-		_, s, err := agreement.ExploreAlg1Memo(4, [2]uint64{0, 1}, nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		stats = s
+	tk := task.ChoiceTask(2)
+	sub, ok := tk.FindSolvableSubset()
+	if !ok {
+		b.Fatal("choice task not solvable")
 	}
-	b.ReportMetric(float64(stats.Executions), "executions")
-	b.ReportMetric(float64(stats.Replays), "replays")
-	b.ReportMetric(float64(stats.StatesVisited), "states_visited")
-	b.ReportMetric(float64(stats.StatesPruned), "states_pruned")
+	plan, err := tk.BuildPlan(sub)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name    string
+		explore func() (sched.MemoStats, error)
+	}{
+		{"alg1", func() (sched.MemoStats, error) {
+			_, stats, err := agreement.ExploreAlg1Memo(4, [2]uint64{0, 1}, nil, nil)
+			return stats, err
+		}},
+		{"alg2", func() (sched.MemoStats, error) {
+			return task.ExploreAlg2Memo(plan, task.Pair{0, 1})
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var stats sched.MemoStats
+			for i := 0; i < b.N; i++ {
+				s, err := bc.explore()
+				if err != nil {
+					b.Fatal(err)
+				}
+				stats = s
+			}
+			b.ReportMetric(float64(stats.Executions), "executions")
+			b.ReportMetric(float64(stats.Replays), "replays")
+			b.ReportMetric(float64(stats.StatesVisited), "states_visited")
+			b.ReportMetric(float64(stats.StatesPruned), "states_pruned")
+		})
+	}
 }
 
 // BenchmarkSchedHandshake measures the raw cost of one scheduler-gated

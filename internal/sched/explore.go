@@ -20,13 +20,16 @@ import (
 // Explore stops early and returns ErrExploreLimit if more than maxRuns
 // executions are visited (maxRuns <= 0 means no limit). If visit returns
 // false, exploration stops without error. Each visited Result is the
-// run's own, but its Schedule is valid only until visit returns.
+// run's own, but its Schedule is valid only until visit returns. A
+// panic in a process is raised again on the caller, as by Run.
 func Explore(factory func() []ProcFunc, maxSteps, maxRuns int, visit func(*Result) bool) (int, error) {
 	runs := 0
 	// frames[d] is the replay record of DFS depth d: a frame's record
 	// stays intact while its branches are explored one depth down, and
-	// sibling subtrees reuse it.
+	// sibling subtrees reuse it. Every replay runs on one kept runner.
 	var frames []*Replay
+	var rn *runner
+	defer func() { rn.stop() }()
 	var dfs func(prefix []int, depth int) (bool, error)
 	dfs = func(prefix []int, depth int) (bool, error) {
 		if maxRuns > 0 && runs >= maxRuns {
@@ -37,7 +40,9 @@ func Explore(factory func() []ProcFunc, maxSteps, maxRuns int, visit func(*Resul
 		}
 		sch := frames[depth]
 		sch.reset(prefix)
-		res, err := Run(Config{Scheduler: sch, MaxSteps: maxSteps}, factory())
+		procs := factory()
+		rn = keptRunner(rn, len(procs))
+		res, err := runInto(Config{Scheduler: sch, MaxSteps: maxSteps}, procs, nil, rn)
 		if err != nil {
 			return false, err
 		}
@@ -138,7 +143,10 @@ func DefaultExploreWorkers() int { return runtime.GOMAXPROCS(0) }
 // only order-insensitive aggregations produce deterministic results.
 //
 // On an execution error the explorer drains and returns the first
-// error; visits already made are not undone. workers <= 0 means
+// error; visits already made are not undone. A panic on a worker (in a
+// process, the factory or Done) stops the exploration the same way and
+// is raised again on the caller's goroutine once every worker has
+// stopped, as Run raises a process panic. workers <= 0 means
 // DefaultExploreWorkers.
 func ExploreParallel(factory func() Instance, maxSteps, workers int) (int, error) {
 	return ExplorePrefixes(factory, maxSteps, workers, [][]int{{}})
@@ -176,6 +184,7 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 		pending  int     // prefixes popped but not yet expanded, plus frontier
 		runs     int
 		firstErr error
+		panicked any // the first worker panic, raised again on the caller
 	)
 	// Copy the seed roots into explorer-owned buffers so every prefix
 	// in the frontier — seed or expanded branch — can be recycled
@@ -199,30 +208,69 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 		return make([]int, n)
 	}
 
+	// next pops the next prefix to replay, and reports false once the
+	// exploration is over or has failed.
+	next := func() ([]int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		for len(frontier) == 0 && pending > 0 && firstErr == nil && panicked == nil {
+			cond.Wait()
+		}
+		if pending == 0 || firstErr != nil || panicked != nil {
+			return nil, false
+		}
+		prefix := frontier[len(frontier)-1]
+		frontier = frontier[:len(frontier)-1]
+		return prefix, true
+	}
+
+	// fold records the replay of prefix: on err it fails the
+	// exploration; otherwise it hands the run to done and pushes one
+	// branch per untaken decision. It reports whether to go on. Done
+	// runs with mu held, which a panic in it releases.
+	fold := func(prefix []int, sch *Replay, res *Result, done func(*Result), err error) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		defer cond.Broadcast()
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			pending--
+			return false
+		}
+		runs++
+		if done != nil {
+			res.Schedule = sch.picks
+			done(res)
+		}
+		expandBranchesAlloc(sch, len(prefix), takeBuf, func(branch []int) bool {
+			frontier = append(frontier, branch)
+			pending++
+			return true
+		})
+		freeBufs = append(freeBufs, prefix)
+		pending--
+		return true
+	}
+
 	worker := func() {
-		// Per-worker pooled replay state: one Result, one runner (grant
-		// channels, enabled-set buffer), one Replay scheduler (the
-		// decision record), reused across every run this worker does.
+		// Per-worker pooled replay state: one Result, one kept runner
+		// (process goroutines, grant channels, enabled-set buffer), one
+		// Replay scheduler (the decision record), reused across every
+		// run this worker does. The runner is stopped however the
+		// worker ends, a panic included.
 		res := &Result{}
 		sch := &Replay{}
 		var rn *runner
+		defer func() { rn.stop() }()
 		for {
-			mu.Lock()
-			for len(frontier) == 0 && pending > 0 && firstErr == nil {
-				cond.Wait()
-			}
-			if pending == 0 || firstErr != nil {
-				mu.Unlock()
+			prefix, ok := next()
+			if !ok {
 				return
 			}
-			prefix := frontier[len(frontier)-1]
-			frontier = frontier[:len(frontier)-1]
-			mu.Unlock()
-
 			inst := factory()
-			if rn == nil || rn.n != len(inst.Procs) {
-				rn = newRunner(len(inst.Procs))
-			}
+			rn = keptRunner(rn, len(inst.Procs))
 			sch.reset(prefix)
 			_, err := runInto(Config{Scheduler: sch, MaxSteps: maxSteps}, inst.Procs, res, rn)
 			if err == nil && !replayedExactly(sch, prefix) {
@@ -232,31 +280,9 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 				// (or a hostile ?prefixes= request upstream).
 				err = fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
 			}
-
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				pending--
-				cond.Broadcast()
-				mu.Unlock()
+			if !fold(prefix, sch, res, inst.Done, err) {
 				return
 			}
-			runs++
-			if inst.Done != nil {
-				res.Schedule = sch.picks
-				inst.Done(res)
-			}
-			expandBranchesAlloc(sch, len(prefix), takeBuf, func(branch []int) bool {
-				frontier = append(frontier, branch)
-				pending++
-				return true
-			})
-			freeBufs = append(freeBufs, prefix)
-			pending--
-			cond.Broadcast()
-			mu.Unlock()
 		}
 	}
 
@@ -265,10 +291,23 @@ func ExplorePrefixes(factory func() Instance, maxSteps, workers int, roots [][]i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if rec := recover(); rec != nil {
+					mu.Lock()
+					if panicked == nil {
+						panicked = rec
+					}
+					cond.Broadcast()
+					mu.Unlock()
+				}
+			}()
 			worker()
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 	return runs, firstErr
 }
 
@@ -299,9 +338,16 @@ func PartitionRoots(factory func() []ProcFunc, maxSteps, depth int) ([][]int, er
 		return [][]int{{}}, nil
 	}
 	var roots [][]int
+	// Every replay runs on one kept runner into one Result; each keeps
+	// its own record, which the descent below it reads.
+	res := &Result{}
+	var rn *runner
+	defer func() { rn.stop() }()
 	replay := func(prefix []int) (*Replay, error) {
 		rec := &Replay{Prefix: prefix}
-		_, err := Run(Config{Scheduler: rec, MaxSteps: maxSteps}, factory())
+		procs := factory()
+		rn = keptRunner(rn, len(procs))
+		_, err := runInto(Config{Scheduler: rec, MaxSteps: maxSteps}, procs, res, rn)
 		return rec, err
 	}
 	var descend func(prefix []int, rec *Replay) error

@@ -177,30 +177,17 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		}
 	}
 
-	// Replay state pools, as in the frontier loop: one Result, one
-	// runner and one probe (the decision record) per active DFS frame,
-	// recycled across sibling subtrees.
-	var (
-		freeRes   []*Result
-		freeRun   []*runner
-		freeProbe []*memoProbe
-	)
-	getRes := func() *Result {
-		if k := len(freeRes); k > 0 {
-			r := freeRes[k-1]
-			freeRes = freeRes[:k-1]
-			return r
-		}
-		return &Result{}
-	}
-	getRun := func() *runner {
-		if k := len(freeRun); k > 0 {
-			r := freeRun[k-1]
-			freeRun = freeRun[:k-1]
-			return r
-		}
-		return nil
-	}
+	// Replay state: a frame's probe (its decision record and state
+	// keys) is read while its branches are explored, so probes are
+	// pooled per active DFS frame and recycled across sibling subtrees.
+	// The Result and the runner are idle once a replay's Leaf has run,
+	// so the whole DFS shares one of each: one kept runner whose
+	// process goroutines serve every replay, stopped however the
+	// exploration returns.
+	res := &Result{}
+	var rn *runner
+	defer func() { rn.stop() }()
+	var freeProbe []*memoProbe
 	getProbe := func() *memoProbe {
 		if k := len(freeProbe); k > 0 {
 			p := freeProbe[k-1]
@@ -219,10 +206,7 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		probe := getProbe()
 		probe.reset(prefix, inst.State)
 		rec := &probe.replay
-		res, rn := getRes(), getRun()
-		if rn == nil || rn.n != len(inst.Procs) {
-			rn = newRunner(len(inst.Procs))
-		}
+		rn = keptRunner(rn, len(inst.Procs))
 		if _, err := runInto(Config{Scheduler: probe, MaxSteps: opts.MaxSteps}, inst.Procs, res, rn); err != nil {
 			return nil, 0, err
 		}
@@ -283,8 +267,6 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 			stats.StatesVisited++
 		}
 
-		freeRes = append(freeRes, res)
-		freeRun = append(freeRun, rn)
 		freeProbe = append(freeProbe, probe)
 		return contrib, leaves, nil
 	}

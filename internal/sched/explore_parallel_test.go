@@ -2,7 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -101,5 +103,30 @@ func TestExploreParallelPropagatesError(t *testing.T) {
 	}
 	if _, err := ExploreParallel(factory, 0, 4); err == nil {
 		t.Fatal("empty system accepted")
+	}
+}
+
+// TestExploreParallelProcessPanic: a process panic on a worker stops
+// the exploration and is raised again on the caller's goroutine, naming
+// the process, as Run raises it, so a caller's recover sees it and the
+// program lives on; no worker or process goroutine is left behind.
+func TestExploreParallelProcessPanic(t *testing.T) {
+	factory := func() Instance {
+		return Instance{Procs: []ProcFunc{func(p *Proc) error {
+			p.Step()
+			panic("boom")
+		}}}
+	}
+	for _, workers := range []int{1, 4} {
+		base := runtime.NumGoroutine()
+		rec := func() (rec any) {
+			defer func() { rec = recover() }()
+			_, _ = ExploreParallel(factory, 0, workers)
+			return nil
+		}()
+		if got := fmt.Sprint(rec); !strings.Contains(got, "process 0 panicked: boom") {
+			t.Fatalf("workers=%d: recovered %q, want the process panic", workers, got)
+		}
+		settleGoroutines(t, base)
 	}
 }

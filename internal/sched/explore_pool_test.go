@@ -3,9 +3,11 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -66,14 +68,17 @@ func TestExplorePrefixesPooledFrontier(t *testing.T) {
 }
 
 // TestRunIntoReuse pins the runInto contract directly: one Result and
-// one runner per arity, recycled across differently-shaped runs —
+// one kept runner per arity, recycled across differently-shaped runs —
 // including runs ending in a halt, a deadlock, the step budget or a
 // scheduler error, a crash of the process holding the step or of a
 // parked one, and processes returning before their first step — match
 // a fresh Run, and a normal run after each on the same runner and
-// Result is unaffected. A run records no trace, so trace= is the
-// decision sequence a recording scheduler saw.
+// Result is unaffected. Each runner's process goroutines serve every
+// run after its first, and stopping the runners leaves none behind. A
+// run records no trace, so trace= is the decision sequence a recording
+// scheduler saw.
 func TestRunIntoReuse(t *testing.T) {
+	base := runtime.NumGoroutine()
 	errEarly := errors.New("early")
 	early := func(*Proc) error { return errEarly }
 	blocked := func(p *Proc) error {
@@ -126,7 +131,7 @@ func TestRunIntoReuse(t *testing.T) {
 			t.Helper()
 			rn := runners[len(procs)]
 			if rn == nil {
-				rn = newRunner(len(procs))
+				rn = newRunner(len(procs), true)
 				runners[len(procs)] = rn
 			}
 			rec := &recorder{inner: sch}
@@ -157,6 +162,10 @@ func TestRunIntoReuse(t *testing.T) {
 			t.Errorf("after %s: reused runner gave %q, fresh Run %q", tc.name, got, want)
 		}
 	}
+	for _, rn := range runners {
+		rn.stop()
+	}
+	settleGoroutines(t, base)
 }
 
 // script replays a fixed sequence of decisions.
@@ -192,4 +201,168 @@ func summarize(r *Result, err error, rec *recorder) string {
 	}
 	return fmt.Sprintf("steps=%v crashed=%v errs=%v trace=%s deadlock=%v budget=%v",
 		r.Steps, r.Crashed, r.Errs, rec.trace.String(), r.Deadlocked, r.BudgetExceeded)
+}
+
+// lifetimeSys builds two-process systems whose processes take two steps
+// each and whose memo state is the steps each has taken. Its boom-th
+// instance (counting from 1) has process 1 panic after its first step,
+// so the panic reaches a runner that has already served replays.
+type lifetimeSys struct {
+	calls atomic.Int32
+	boom  int32
+}
+
+func (s *lifetimeSys) instance() MemoInstance {
+	panics := s.calls.Add(1) == s.boom
+	taken := make([]uint64, 2)
+	procs := make([]ProcFunc, 2)
+	for i := range procs {
+		procs[i] = func(p *Proc) error {
+			for k := 0; k < 2; k++ {
+				p.Step()
+				if panics && p.ID == 1 {
+					panic("boom")
+				}
+				taken[p.ID]++
+			}
+			return nil
+		}
+	}
+	return MemoInstance{Procs: procs, State: func() StateKey {
+		var c Canonicalizer
+		c.Proc(taken[0])
+		c.Proc(taken[1])
+		return c.KeyOrdered()
+	}}
+}
+
+func (s *lifetimeSys) procs() []ProcFunc { return s.instance().Procs }
+
+func (s *lifetimeSys) parallel() Instance { return Instance{Procs: s.procs()} }
+
+// TestRunnerGoroutineLifetime: every explorer stops the runners whose
+// process goroutines it keeps across replays, on every way it returns
+// — cleanly, with an error, by stopping early, and through a panic
+// raised again on its caller — so the goroutine count settles back to
+// where it started. A runner left running would hold its goroutines
+// parked forever.
+func TestRunnerGoroutineLifetime(t *testing.T) {
+	sys := func(boom int32) *lifetimeSys { return &lifetimeSys{boom: boom} }
+	all := func(*Result) bool { return true }
+	notLive := [][]int{{7}}
+	for _, tc := range []struct {
+		name    string
+		explore func() error
+		want    string // the error, or "panic: " and the panic; "" for none
+	}{
+		{"Explore/clean", func() error {
+			_, err := Explore(sys(0).procs, 0, 0, all)
+			return err
+		}, ""},
+		{"Explore/run limit", func() error {
+			_, err := Explore(sys(0).procs, 0, 3, all)
+			return err
+		}, ErrExploreLimit.Error()},
+		{"Explore/visit stops", func() error {
+			visits := 0
+			_, err := Explore(sys(0).procs, 0, 0, func(*Result) bool { visits++; return visits < 2 })
+			return err
+		}, ""},
+		{"Explore/arity changes", func() error {
+			calls := 0
+			_, err := Explore(func() []ProcFunc {
+				if calls++; calls == 1 {
+					return stepSystem([]int{2, 2})
+				}
+				return stepSystem([]int{1, 1, 1})
+			}, 0, 0, all)
+			return err
+		}, ""},
+		{"Explore/process panic", func() error {
+			_, err := Explore(sys(3).procs, 0, 0, all)
+			return err
+		}, "panic: sched: process 1 panicked: boom"},
+		{"ExplorePrefixes/clean", func() error {
+			_, err := ExplorePrefixes(sys(0).parallel, 0, 2, [][]int{{}})
+			return err
+		}, ""},
+		{"ExplorePrefixes/prefix not live", func() error {
+			_, err := ExplorePrefixes(sys(0).parallel, 0, 2, notLive)
+			return err
+		}, ErrPrefixNotLive.Error()},
+		{"ExplorePrefixes/process panic", func() error {
+			_, err := ExplorePrefixes(sys(3).parallel, 0, 2, [][]int{{}})
+			return err
+		}, "panic: sched: process 1 panicked: boom"},
+		{"ExplorePrefixes/Done panic", func() error {
+			var done atomic.Int32
+			_, err := ExplorePrefixes(func() Instance {
+				return Instance{Procs: sys(0).procs(), Done: func(*Result) {
+					if done.Add(1) == 3 {
+						panic("done boom")
+					}
+				}}
+			}, 0, 2, [][]int{{}})
+			return err
+		}, "panic: done boom"},
+		{"ExploreMemoPrefixes/clean", func() error {
+			_, _, err := ExploreMemo(sys(0).instance, MemoOptions{})
+			return err
+		}, ""},
+		{"ExploreMemoPrefixes/prefix not live", func() error {
+			_, _, err := ExploreMemoPrefixes(sys(0).instance, MemoOptions{}, notLive)
+			return err
+		}, ErrPrefixNotLive.Error()},
+		{"ExploreMemoPrefixes/missing State", func() error {
+			s := sys(0)
+			_, _, err := ExploreMemo(func() MemoInstance {
+				inst := s.instance()
+				if s.calls.Load() > 1 {
+					inst.State = nil
+				}
+				return inst
+			}, MemoOptions{})
+			return err
+		}, errMemoState.Error()},
+		{"ExploreMemoPrefixes/missing Merge", func() error {
+			s := sys(0)
+			_, _, err := ExploreMemo(func() MemoInstance {
+				inst := s.instance()
+				inst.Leaf = func(*Result) any { return 1 }
+				return inst
+			}, MemoOptions{})
+			return err
+		}, "MemoOptions.Merge is required"},
+		{"ExploreMemoPrefixes/process panic", func() error {
+			_, _, err := ExploreMemo(sys(3).instance, MemoOptions{})
+			return err
+		}, "panic: sched: process 1 panicked: boom"},
+		{"PartitionRoots/clean", func() error {
+			_, err := PartitionRoots(sys(0).procs, 0, 2)
+			return err
+		}, ""},
+		{"PartitionRoots/process panic", func() error {
+			_, err := PartitionRoots(sys(3).procs, 0, 2)
+			return err
+		}, "panic: sched: process 1 panicked: boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			got := func() (got string) {
+				defer func() {
+					if rec := recover(); rec != nil {
+						got = fmt.Sprint("panic: ", rec)
+					}
+				}()
+				if err := tc.explore(); err != nil {
+					return err.Error()
+				}
+				return ""
+			}()
+			if (got == "") != (tc.want == "") || !strings.Contains(got, tc.want) {
+				t.Fatalf("ended with %q, want %q", got, tc.want)
+			}
+			settleGoroutines(t, base)
+		})
+	}
 }

@@ -26,6 +26,14 @@
 // Crashes are scheduler decisions: a process whose step request is answered
 // with a crash unwinds its goroutine and never takes another step.
 //
+// A one-shot Run starts its process goroutines and they end with it. The
+// explorers replay one system thousands of times, so each keeps one runner
+// whose process goroutines outlive a run: the first replay starts them,
+// every later one hands each goroutine its next process function over a
+// per-slot channel, and the explorer stops the runner on every way it
+// returns, panics included. A replay then starts no goroutine and runs on
+// stacks already grown by the ones before it.
+//
 // A run records counters and outcomes, not a per-step trace, so its
 // allocations do not grow with its length. The explorers read the path a
 // replay took from the record of the Replay scheduler they drive.
@@ -35,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -199,12 +208,12 @@ func (p *Proc) StepWhen(ready func() bool) {
 
 // runner is the shared state of one run. Once every process has arrived
 // at its first step (or returned before it), only the goroutine holding
-// the step reads or writes it.
+// the step reads or writes it. Its process count is len(slots).
 type runner struct {
-	n     int
 	procs []Proc
 	slots []procSlot
 	done  chan struct{}
+	keep  *keeper // nil on a one-shot runner (Run's)
 
 	// arrivals counts processes that reached their first step or
 	// returned before it; the n-th arrival takes the step.
@@ -219,6 +228,17 @@ type runner struct {
 	err      error // the scheduler broke its contract
 }
 
+// keeper is the part of a kept runner that outlives a run: the first run
+// starts the process goroutines, each later run hands goroutine i its
+// function over start[i], and stop ends them. The explorer that owns a
+// kept runner calls stop on every way it returns. A one-shot runner has
+// none, and its goroutines end with their run.
+type keeper struct {
+	start   []chan ProcFunc
+	started bool           // the first run has started the goroutines
+	exited  sync.WaitGroup // counts the goroutines out after stop
+}
+
 // procSlot is one process's part of the runner. Before the n-th arrival
 // each process writes only its own slot.
 type procSlot struct {
@@ -229,12 +249,12 @@ type procSlot struct {
 	panicked any         // a panic recovered from the process goroutine
 }
 
-// newRunner builds the grant channels for an n-process run. Every
-// channel is drained by the time a run returns, so a runner is reusable
-// across replays of same-arity systems.
-func newRunner(n int) *runner {
+// newRunner builds the grant channels for an n-process run, and a
+// keeper if the runner is kept. Every channel is drained by the time a
+// run returns, so a runner is reusable across replays of same-arity
+// systems.
+func newRunner(n int, kept bool) *runner {
 	r := &runner{
-		n:       n,
 		procs:   make([]Proc, n),
 		slots:   make([]procSlot, n),
 		done:    make(chan struct{}),
@@ -244,7 +264,40 @@ func newRunner(n int) *runner {
 		r.procs[i] = Proc{ID: i, N: n, r: r}
 		r.slots[i].grant = make(chan bool)
 	}
+	if kept {
+		r.keep = &keeper{start: make([]chan ProcFunc, n)}
+		for i := range r.keep.start {
+			// One slot of buffer: a replay hands out its functions
+			// without waiting for a goroutine still returning from the
+			// last run.
+			r.keep.start[i] = make(chan ProcFunc, 1)
+		}
+	}
 	return r
+}
+
+// keptRunner returns rn if it runs n processes. Otherwise it stops rn
+// (nil is fine) and returns a new kept runner for n; an explorer's
+// factory builds the same system every time, so that happens once.
+func keptRunner(rn *runner, n int) *runner {
+	if rn != nil && len(rn.slots) == n {
+		return rn
+	}
+	rn.stop()
+	return newRunner(n, true)
+}
+
+// stop ends a kept runner's process goroutines after its last run: it
+// closes their start channels and returns once every one has exited. It
+// is a no-op on a nil runner or one that never ran.
+func (r *runner) stop() {
+	if r == nil || !r.keep.started {
+		return
+	}
+	for _, c := range r.keep.start {
+		close(c)
+	}
+	r.keep.exited.Wait()
 }
 
 // Run executes the processes under the configured scheduler until every
@@ -259,8 +312,11 @@ func Run(cfg Config, procs []ProcFunc) (*Result, error) {
 
 // runInto is Run with reusable buffers for replay loops: res is reset
 // and reused when non-nil (its contents are valid until the next
-// runInto call with the same res), and rn is reused when its process
-// count matches. Passing nil for both is Run.
+// runInto call with the same res), and rn, which must run len(procs)
+// processes, is reused when non-nil. Passing nil for both is Run. On a
+// kept rn the first run starts the process goroutines and every later
+// one hands them procs; a panic raised here leaves rn idle, ready for
+// its owner's stop.
 func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, error) {
 	n := len(procs)
 	if n == 0 {
@@ -275,8 +331,8 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 	}
 
 	r := rn
-	if r == nil || r.n != n {
-		r = newRunner(n)
+	if r == nil {
+		r = newRunner(n, false)
 	}
 	if res == nil {
 		res = &Result{}
@@ -290,8 +346,21 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 		s.ready, s.parked, s.arrived, s.panicked = nil, false, false, nil
 	}
 
-	for i, fn := range procs {
-		go r.runProc(i, fn)
+	switch k := r.keep; {
+	case k == nil:
+		for i, fn := range procs {
+			go r.runProc(i, fn)
+		}
+	case !k.started:
+		k.started = true
+		k.exited.Add(n)
+		for i, fn := range procs {
+			go r.serve(i, fn)
+		}
+	default:
+		for i, fn := range procs {
+			k.start[i] <- fn
+		}
 	}
 	<-r.done
 
@@ -307,8 +376,19 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 	return res, nil
 }
 
-// runProc is one process goroutine: it runs fn, records how it ended,
-// and passes the step on.
+// serve is one process goroutine of a kept runner: it runs fn, then the
+// function each later run hands it, until stop closes its channel.
+func (r *runner) serve(pid int, fn ProcFunc) {
+	defer r.keep.exited.Done()
+	for ok := true; ok; fn, ok = <-r.keep.start[pid] {
+		r.runProc(pid, fn)
+	}
+}
+
+// runProc runs one process of a run on its goroutine: it runs fn,
+// records how it ended, and passes the step on. It touches no runner
+// state after passing the step, so the next run may reset the runner
+// while this goroutine is still returning.
 func (r *runner) runProc(pid int, fn ProcFunc) {
 	rec, err := call(fn, &r.procs[pid])
 	s := &r.slots[pid]
@@ -350,7 +430,7 @@ func call(fn ProcFunc, p *Proc) (rec any, err error) {
 // case the caller takes the step: it tallies the live processes and
 // aborts the run if one panicked before its first step.
 func (r *runner) arrive() bool {
-	if int(r.arrivals.Add(1)) < r.n {
+	if int(r.arrivals.Add(1)) < len(r.slots) {
 		return false
 	}
 	for i := range r.slots {
