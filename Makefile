@@ -1,7 +1,7 @@
 # Makefile — the commands CI runs are exactly the commands humans run.
 GO ?= go
 
-.PHONY: build test test-short race-sched bench lint figures cover fuzz-smoke reduce-gate cache-surgery
+.PHONY: build test test-short race-sched race-cache bench lint figures cover fuzz-smoke reduce-gate cache-surgery
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,14 @@ test-short:
 # pooled runners of the parallel explorers are exercised repeatedly.
 race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
+
+# race-cache runs the artifact store's concurrency tests ten times
+# under the race detector: readers filling the memory tier race the
+# writes that drop its keys (internal/cache), and the server's mixed
+# traffic and rejected-slice overwrite go through the same tier
+# (internal/server).
+race-cache:
+	$(GO) test -race -count=10 -run '^(TestConcurrent|TestParamEmptyDelegatesToFixed|TestSliceStoreRejectedAggregateRecomputed)' ./internal/cache ./internal/server
 
 # bench runs every go test benchmark once, so a benchmark that breaks
 # fails CI. It is a smoke run, not a measurement: speed is measured by

@@ -21,8 +21,24 @@
 // reported as misses so corruption always falls back to re-computing
 // that artifact (and only that artifact: a corrupt slice re-explores
 // one range, not the whole space), never to serving bad bytes. A
-// byte-size cap evicts least-recently-used entries of either kind
-// (Get and GetSlice refresh an entry's mtime) on write.
+// byte-size cap evicts least-recently-used entries of either kind on
+// write.
+//
+// Each artifact is verified once per process. A read that passes every
+// check keeps the decoded value in memory, keyed by its ArtifactKey,
+// and every later read of that key in the same Store is one map
+// lookup: no file I/O, no envelope parse, no SHA-256, no decode, no
+// allocation. The memory tier holds at most memEntries artifacts (a
+// fill past the cap drops an arbitrary one) and stays consistent with
+// this process's own writes: Put, PutSlice, a rejected entry and an
+// eviction each drop the key, so the next read goes back to disk. It
+// never fills from a Put, so a file corrupted after it was written is
+// still a corrupt miss. Only the read that fills the tier refreshes
+// the entry's mtime; repeat hits touch nothing on disk. A change made
+// to the directory by another process (an overwrite, a corruption, an
+// eviction) is not seen for an artifact this Store already holds until
+// a fresh Store is opened. Values returned from the tier are shared:
+// callers must not mutate them.
 //
 // Store implements experiments.Cache — whole results by (id, parameter
 // point) and slice envelopes by (id, point, prefixes) — so it plugs
@@ -31,7 +47,8 @@
 // are the default-point shorthands. cmd/figures (-cache-dir) and
 // cmd/figuresd wire it up.
 // Stats counts hits, misses, corruption, and evictions since Open —
-// the counters internal/server republishes on its /stats endpoint.
+// the counters internal/server republishes on its /stats endpoint. A
+// hit served from memory counts exactly as one served from disk.
 package cache
 
 import (
@@ -44,6 +61,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,6 +74,12 @@ import (
 // orphans every existing entry (they fail the envelope check and are
 // removed on first read).
 const schemaVersion = 1
+
+// memEntries caps the number of verified artifacts a Store keeps in
+// memory. Entries are a few KiB decoded (E1–E15 tables and their slice
+// aggregates), so a full tier is a few MiB; a warm figuresd serving
+// the whole registry holds a few dozen.
+const memEntries = 256
 
 // DefaultMaxBytes caps the store at 256 MiB unless Options.MaxBytes
 // overrides it — two orders of magnitude above a full E1–E15 table
@@ -89,9 +113,9 @@ type Options struct {
 // aggregates are counted separately — a sharded run's warmth is
 // visible even when its whole-result entry was never written.
 type Stats struct {
-	Hits        int64 // Get served a stored whole result
+	Hits        int64 // Get served a stored whole result (from disk or memory)
 	Misses      int64 // Get found nothing usable
-	SliceHits   int64 // GetSlice served a stored slice aggregate
+	SliceHits   int64 // GetSlice served a stored slice aggregate (from disk or memory)
 	SliceMisses int64 // GetSlice found nothing usable
 	SliceStores int64 // PutSlice wrote a slice aggregate
 	Corrupt     int64 // subset of the misses: an entry existed but failed a check
@@ -168,9 +192,10 @@ type envelope struct {
 	Payload json.RawMessage `json:"payload"`
 }
 
-// Store is an on-disk artifact cache. It is safe for concurrent use by
-// multiple goroutines; concurrent processes sharing a directory are
-// safe too (atomic renames), though their evictions race benignly.
+// Store is an on-disk artifact cache with an in-memory tier of the
+// artifacts it has verified. It is safe for concurrent use by multiple
+// goroutines; concurrent processes sharing a directory are safe too
+// (atomic renames), though their evictions race benignly.
 type Store struct {
 	dir      string
 	maxBytes int64
@@ -181,6 +206,22 @@ type Store struct {
 
 	mu    sync.Mutex
 	stats Stats
+	// mem is the memory tier: every artifact a read has verified from
+	// disk, at most memEntries of them.
+	mem map[ArtifactKey]*verified
+	// gen advances whenever a key leaves the tier, so a disk read that
+	// raced the write, rejection or eviction that dropped it cannot put
+	// back what it read before (remember).
+	gen uint64
+}
+
+// verified is one artifact that passed every check on its way from
+// disk: the decoded value a repeat read serves. result is set for a
+// whole-result key, slice for a slice key.
+type verified struct {
+	path   string // the entry's file, so an eviction can drop it
+	result experiments.Result
+	slice  experiments.ShardEnvelope
 }
 
 var _ experiments.Cache = (*Store)(nil)
@@ -219,6 +260,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		dir:          dir,
 		maxBytes:     opts.MaxBytes,
 		spaceVersion: spaceVersion,
+		mem:          make(map[ArtifactKey]*verified),
 		key: ArtifactKey{
 			GoVersion:     opts.GoVersion,
 			ModuleVersion: opts.ModuleVersion,
@@ -251,30 +293,74 @@ func (s *Store) path(k ArtifactKey) string {
 	return filepath.Join(s.dir, k.Fingerprint()+".json")
 }
 
-// readEntry loads and validates the envelope stored under k, returning
-// its payload. A missing file is a plain miss (ok false, corrupt
-// false); an entry failing any envelope check — schema, recorded key,
-// checksum — is deleted and reported corrupt. Payload-level decoding
-// belongs to the caller (the two artifact kinds decode differently);
-// rejectEntry is its counterpart for payloads that fail there.
-func (s *Store) readEntry(k ArtifactKey) (payload []byte, ok, corrupt bool) {
-	path := s.path(k)
+// recall serves k from the memory tier, counting the hit by kind, or
+// returns nil together with the tier's generation for remember.
+func (s *Store) recall(k ArtifactKey) (*verified, uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v := s.mem[k]
+	if v != nil {
+		if k.Prefixes == "" {
+			s.stats.Hits++
+		} else {
+			s.stats.SliceHits++
+		}
+	}
+	return v, s.gen
+}
+
+// remember keeps an artifact that a read just verified from disk. It
+// keeps nothing when a key has left the tier since recall returned gen:
+// the read may have raced that change, and what it read may be older
+// than the file now on disk.
+func (s *Store) remember(k ArtifactKey, gen uint64, v *verified) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.gen != gen {
+		return
+	}
+	if _, ok := s.mem[k]; !ok && len(s.mem) >= memEntries {
+		for old := range s.mem {
+			delete(s.mem, old)
+			break
+		}
+	}
+	s.mem[k] = v
+}
+
+// forget drops k from the memory tier, so the next read of k goes to
+// disk.
+func (s *Store) forget(k ArtifactKey) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.mem, k)
+	s.gen++
+}
+
+// readEntry loads and validates the envelope stored at path under k,
+// returning its payload. A missing file is a plain miss (ok false,
+// corrupt false); an entry failing any envelope check — schema,
+// recorded key, checksum — is deleted and reported corrupt. Payload-
+// level decoding belongs to the caller (the two artifact kinds decode
+// differently); rejectEntry is its counterpart for payloads that fail
+// there.
+func (s *Store) readEntry(k ArtifactKey, path string) (payload []byte, ok, corrupt bool) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false, false
 	}
 	var env envelope
 	if err := json.Unmarshal(raw, &env); err != nil {
-		s.rejectEntry(k)
+		s.rejectEntry(k, path)
 		return nil, false, true
 	}
 	if env.Schema != schemaVersion || env.Key != k {
-		s.rejectEntry(k)
+		s.rejectEntry(k, path)
 		return nil, false, true
 	}
 	sum := sha256.Sum256(env.Payload)
 	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		s.rejectEntry(k)
+		s.rejectEntry(k, path)
 		return nil, false, true
 	}
 	// Refresh the entry's recency for LRU eviction; best-effort.
@@ -285,8 +371,9 @@ func (s *Store) readEntry(k ArtifactKey) (payload []byte, ok, corrupt bool) {
 
 // rejectEntry removes an untrustworthy entry so the artifact silently
 // recomputes instead of failing the same way on every lookup.
-func (s *Store) rejectEntry(k ArtifactKey) {
-	os.Remove(s.path(k))
+func (s *Store) rejectEntry(k ArtifactKey, path string) {
+	s.forget(k)
+	os.Remove(path)
 }
 
 // Get returns the stored whole result at an experiment's default
@@ -303,14 +390,20 @@ func (s *Store) Get(id string) (experiments.Result, bool) {
 // deleted and reported as corrupt misses.
 func (s *Store) GetParam(id, params string) (experiments.Result, bool) {
 	k := s.keyFor(id, params, "")
-	payload, ok, corrupt := s.readEntry(k)
+	v, gen := s.recall(k)
+	if v != nil {
+		return v.result, true
+	}
+	path := s.path(k)
+	payload, ok, corrupt := s.readEntry(k, path)
 	if ok {
 		res, err := decodeResult(payload, id)
 		if err == nil {
+			s.remember(k, gen, &verified{path: path, result: res})
 			s.count(func(st *Stats) { st.Hits++ })
 			return res, true
 		}
-		s.rejectEntry(k)
+		s.rejectEntry(k, path)
 		corrupt = true
 	}
 	s.count(func(st *Stats) {
@@ -353,15 +446,21 @@ func (s *Store) GetSlice(id, params, prefixes string) (experiments.ShardEnvelope
 		return experiments.ShardEnvelope{}, false
 	}
 	k := s.keyFor(id, params, prefixes)
-	payload, ok, corrupt := s.readEntry(k)
+	v, gen := s.recall(k)
+	if v != nil {
+		return v.slice, true
+	}
+	path := s.path(k)
+	payload, ok, corrupt := s.readEntry(k, path)
 	if ok {
 		env, err := experiments.DecodeShard(bytes.NewReader(payload))
 		if err == nil && env.ID == id && env.Prefixes == prefixes &&
 			env.Params == params && env.SpaceVersion == k.SpaceVersion {
+			s.remember(k, gen, &verified{path: path, slice: env})
 			s.count(func(st *Stats) { st.SliceHits++ })
 			return env, true
 		}
-		s.rejectEntry(k)
+		s.rejectEntry(k, path)
 		corrupt = true
 	}
 	s.count(func(st *Stats) {
@@ -420,7 +519,9 @@ func (s *Store) PutSlice(env experiments.ShardEnvelope) error {
 
 // write stores one artifact payload under its key — the single code
 // path both artifact kinds share: compact, checksum, envelope, atomic
-// write, evict.
+// write, drop the key from the memory tier, evict. The key is dropped
+// after the rename, so no read can refill the tier with the bytes the
+// write replaced.
 func (s *Store) write(k ArtifactKey, encoded []byte) error {
 	// Compact before checksumming: json.Marshal compacts RawMessage
 	// fields when writing the envelope, and the checksum must cover
@@ -442,6 +543,7 @@ func (s *Store) write(k ArtifactKey, encoded []byte) error {
 	if err := writeAtomic(s.dir, s.path(k), raw); err != nil {
 		return err
 	}
+	s.forget(k)
 	return s.evict()
 }
 
@@ -501,10 +603,12 @@ func removeIfStaleTemp(dir string, de os.DirEntry, cutoff time.Time) bool {
 
 // evict removes least-recently-used entries until the store fits the
 // byte cap, sweeping stale temp files on the same directory scan.
-// Get and GetSlice refresh mtimes, so mtime order is use order; whole
-// results and slice aggregates share the one cap and the one recency
-// order — a run that only ever touches slices ages whole entries out,
-// and vice versa.
+// A Get or GetSlice that reads an entry from disk refreshes its mtime,
+// so mtime order is the order in which processes last loaded entries
+// (repeat hits from a Store's memory tier touch nothing on disk);
+// whole results and slice aggregates share the one cap and the one
+// recency order — a run that only ever touches slices ages whole
+// entries out, and vice versa.
 func (s *Store) evict() error {
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
@@ -538,16 +642,35 @@ func (s *Store) evict() error {
 		return nil
 	}
 	sort.Slice(files, func(a, b int) bool { return files[a].mtime.Before(files[b].mtime) })
+	var removed []string
 	for _, f := range files {
 		if total <= s.maxBytes {
 			break
 		}
 		if os.Remove(f.path) == nil {
 			total -= f.size
-			s.count(func(st *Stats) { st.Evicted++ })
+			removed = append(removed, f.path)
 		}
 	}
+	s.dropEvicted(removed)
 	return nil
+}
+
+// dropEvicted counts the evicted files and drops their artifacts from
+// the memory tier, so the tier never serves what the disk cap removed.
+func (s *Store) dropEvicted(paths []string) {
+	if len(paths) == 0 {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.Evicted += int64(len(paths))
+	for k, v := range s.mem {
+		if slices.Contains(paths, v.path) {
+			delete(s.mem, k)
+		}
+	}
+	s.gen++
 }
 
 // Stats returns a snapshot of the store's counters.

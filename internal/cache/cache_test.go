@@ -326,9 +326,14 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
+// TestConcurrentPutGet races writers and readers of whole results and
+// of one slice key: under -race (make race-cache) memory-tier fills,
+// the drops every write makes, and disk reads interleave. Every read
+// that hits must serve a complete, correct value.
 func TestConcurrentPutGet(t *testing.T) {
 	s := mustOpen(t, Options{})
-	done := make(chan error, 8)
+	slice := sliceEnvelope(t, "E2", "0.1,1")
+	done := make(chan error, 12)
 	for w := 0; w < 8; w++ {
 		go func(w int) {
 			id := []string{"E1", "E2"}[w%2]
@@ -345,10 +350,32 @@ func TestConcurrentPutGet(t *testing.T) {
 			done <- nil
 		}(w)
 	}
-	for w := 0; w < 8; w++ {
+	// Two goroutines rewrite and reread the slice while two others
+	// only read it.
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			for i := 0; i < 25; i++ {
+				if w < 2 {
+					if err := s.PutSlice(slice); err != nil {
+						done <- err
+						return
+					}
+				}
+				if env, ok := s.GetSlice("E2", "", slice.Prefixes); ok && string(env.Aggregate) != string(slice.Aggregate) {
+					done <- fmt.Errorf("torn slice read: %s", env.Aggregate)
+					return
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	for w := 0; w < 12; w++ {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if env, ok := s.GetSlice("E2", "", slice.Prefixes); !ok || string(env.Aggregate) != string(slice.Aggregate) {
+		t.Fatalf("slice after the race: ok=%v env=%+v", ok, env)
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
 
 	"repro/internal/sched"
 	"repro/internal/task"
@@ -34,11 +35,30 @@ const (
 
 var e15Input = task.Pair{0, 1}
 
-// e15Plan builds E15's execution plan at one choice-task size. Plan
-// construction is deterministic and cheap next to the exploration, so
-// every caller (runner, roots, explore, finish) rebuilds it rather
-// than sharing mutable state.
+// e15Plans memoizes E15's execution plan at each choice-task size its
+// schema allows (c ∈ {2, 3}), built on first use, never at init. Plan
+// construction (FindSolvableSubset + BuildPlan) is deterministic, and
+// a plan is read-only once built — Algorithm 2 and its explorers only
+// read DeltaFull, DeltaPartial and Paths — so every caller (Check,
+// runner, roots, explore, finish), concurrent ones included, shares
+// one plan per size.
+var e15Plans = map[int]func() (*task.Plan, error){
+	2: sync.OnceValues(func() (*task.Plan, error) { return buildE15Plan(2) }),
+	3: sync.OnceValues(func() (*task.Plan, error) { return buildE15Plan(3) }),
+}
+
+// e15Plan returns E15's execution plan at one choice-task size: the
+// shared memoized plan for a schema-allowed size, a fresh one
+// otherwise.
 func e15Plan(choice int) (*task.Plan, error) {
+	if plan, ok := e15Plans[choice]; ok {
+		return plan()
+	}
+	return buildE15Plan(choice)
+}
+
+// buildE15Plan constructs E15's execution plan at one choice-task size.
+func buildE15Plan(choice int) (*task.Plan, error) {
 	tk := task.ChoiceTask(choice)
 	sub, ok := tk.FindSolvableSubset()
 	if !ok {

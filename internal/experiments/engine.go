@@ -41,11 +41,17 @@ var registry = Registry()
 // point, and canonical prefix set. Implementations
 // (internal/cache.Store) own the rest of the key — space, Go, and
 // module versions — so a stale store simply misses.
+//
+// Values the Get methods return are shared with the implementation
+// and with every other caller (cache.Store serves repeat reads from
+// one decoded copy in memory): a caller may overwrite fields of the
+// returned struct, but must not mutate what it points to — the
+// Table, its rows and notes, or an envelope's Aggregate bytes.
 type Cache interface {
 	// GetParam returns the stored whole result of one experiment at one
 	// parameter point. ok reports a usable hit; implementations must
 	// return ok == false (never a stale or corrupted result) when the
-	// entry cannot be trusted.
+	// entry cannot be trusted. The result's Table is shared: read-only.
 	GetParam(id, params string) (Result, bool)
 	// PutParam stores a successful result for one point.
 	// Implementations may refuse (e.g. failed results); callers ignore
@@ -54,7 +60,8 @@ type Cache interface {
 	// GetSlice returns the stored envelope for one slice of one point's
 	// exploration space, the prefixes string in canonical
 	// FormatPrefixes rendering. Same trust contract as GetParam: never
-	// a stale, corrupt, or wrong-generation envelope.
+	// a stale, corrupt, or wrong-generation envelope. The envelope's
+	// Aggregate bytes are shared: read-only.
 	GetSlice(id, params, prefixes string) (ShardEnvelope, bool)
 	// PutSlice stores one slice's envelope. Implementations may refuse
 	// (incomplete or wrong-generation envelopes); callers treat errors

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/task"
 )
 
 // withBumps replaces the link-time bump table for one test. The Once
@@ -268,6 +269,37 @@ func TestE15FamilyDifferentialDefaultPoint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("family default point differs from fixed E15:\n%s\nvs\n%s", got.Format(), want.Format())
+	}
+}
+
+// TestE15PlanBuiltOncePerChoice: every E15 caller at one choice size —
+// Check on each ParseParams, the runner, Roots, Explore, Finish —
+// shares one plan, and a repeat parse of a point builds none.
+func TestE15PlanBuiltOncePerChoice(t *testing.T) {
+	plans := map[int]*task.Plan{}
+	for _, c := range []int{2, 3, 2, 3} {
+		p, err := e15Plan(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Task.Name != task.ChoiceTask(c).Name {
+			t.Fatalf("c=%d: plan for task %s", c, p.Task.Name)
+		}
+		if prev, ok := plans[c]; ok && prev != p {
+			t.Fatalf("c=%d: a second plan was built", c)
+		}
+		plans[c] = p
+	}
+	fam := Registry()["E15"]
+	q := url.Values{"c": {"3"}}
+	// Building the c=3 plan costs about 700 allocations; a parse that
+	// checks the point against the shared plan costs a few dozen.
+	if n := testing.AllocsPerRun(20, func() {
+		if _, err := ParseParams(fam, q); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 100 {
+		t.Fatalf("ParseParams(E15, c=3) allocates %v: the plan is being rebuilt", n)
 	}
 }
 

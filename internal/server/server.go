@@ -12,7 +12,8 @@
 //   - a per-execution timeout detached from the request context, so a
 //     client disconnect cannot poison the result other waiters share;
 //   - optional cache backing (internal/cache): warm experiments are
-//     served from disk without executing anything.
+//     served from the store, from memory after each artifact's first
+//     read, without executing anything.
 //
 // Every request is (id, parameter point, prefixes) resolved through one
 // experiment registry: a whole request at any point (the zero ParamSet
