@@ -18,8 +18,10 @@ test-short:
 # race-sched runs the step runner's tests ten times under the race
 # detector. The step, and the runner state with it, passes from process
 # goroutine to process goroutine, so every way a step changes hands
-# (grant, crash, halt, deadlock, budget, scheduler error, panic) and the
-# pooled runners of the parallel explorers are exercised repeatedly.
+# (grant, crash, halt, deadlock, budget, scheduler error, panic) is
+# exercised repeatedly, and so are the kept runners of serial
+# explorations running side by side (TestExplorePrefixesPooledFrontier,
+# TestExploreParallel*).
 race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
 

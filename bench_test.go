@@ -16,6 +16,7 @@ import (
 	"repro/internal/memory"
 	"repro/internal/msgpass"
 	"repro/internal/sched"
+	"repro/internal/sched/schedtest"
 	"repro/internal/task"
 )
 
@@ -374,25 +375,42 @@ func BenchmarkSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkExploreParallel measures the bounded fan-out over disjoint
-// schedule prefixes on the Algorithm 1 interleaving space: the
-// exhaustive walk the memoized explorer's tests use as their oracle.
+// BenchmarkExploreParallel measures the exhaustive walk of the
+// Algorithm 1 interleaving space (the oracle the memoized explorer's
+// tests hold it to) spread over concurrent callers: the space's
+// Alg1Roots carve is split into one range per caller, and each caller
+// runs its own serial ExploreAlg1Prefixes, as the engine, the server
+// and a shard fleet run explorations side by side.
 func BenchmarkExploreParallel(b *testing.B) {
-	workerCounts := []int{1}
-	if n := runtime.NumCPU(); n > 1 {
-		workerCounts = append(workerCounts, n)
+	const k = 4
+	inputs := [2]uint64{0, 1}
+	roots, err := agreement.Alg1Roots(k, inputs, 4)
+	if err != nil {
+		b.Fatal(err)
 	}
-	for _, workers := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			var runs int
+	callerCounts := []int{1}
+	if n := runtime.NumCPU(); n > 1 {
+		callerCounts = append(callerCounts, n)
+	}
+	for _, callers := range callerCounts {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			ranges := schedtest.Ranges(roots, callers)
+			runs := make([]int, len(ranges))
+			errs := make([]error, len(ranges))
+			var total int
 			for i := 0; i < b.N; i++ {
-				r, err := agreement.ExploreAlg1Prefixes(4, [2]uint64{0, 1}, workers, [][]int{{}}, func(*agreement.Alg1Run) {})
-				if err != nil {
-					b.Fatal(err)
+				schedtest.Concurrently(len(ranges), func(r int) {
+					runs[r], errs[r] = agreement.ExploreAlg1Prefixes(k, inputs, ranges[r], func(*agreement.Alg1Run) {})
+				})
+				total = 0
+				for r := range ranges {
+					if errs[r] != nil {
+						b.Fatal(errs[r])
+					}
+					total += runs[r]
 				}
-				runs = r
 			}
-			b.ReportMetric(float64(runs), "executions")
+			b.ReportMetric(float64(total), "executions")
 		})
 	}
 }

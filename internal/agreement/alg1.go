@@ -197,16 +197,7 @@ func RunAlg1(k int, inputs [2]uint64, scheduler sched.Scheduler) (*Alg1Run, erro
 // the given inputs and calls visit on each completed run. It returns the
 // number of executions explored.
 func ExploreAlg1(k int, inputs [2]uint64, visit func(*Alg1Run)) (int, error) {
-	var cur *Alg1Run
-	factory := func() []sched.ProcFunc {
-		var procs []sched.ProcFunc
-		cur, procs = newAlg1Run(k, inputs)
-		return procs
-	}
-	return sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		cur.Result = r
-		visit(cur)
-	})
+	return ExploreAlg1Prefixes(k, inputs, [][]int{{}}, visit)
 }
 
 // ExploreAlg1Prefixes explores exactly the Algorithm 1 executions
@@ -214,21 +205,21 @@ func ExploreAlg1(k int, inputs [2]uint64, visit func(*Alg1Run)) (int, error) {
 // slice of the exploration space one shard of a distributed run owns.
 // Roots come from Alg1Roots; the union of visits over any partition of
 // those roots is exactly the ExploreAlg1 execution set, and the single
-// empty prefix is the whole tree. visit runs serially under the
-// explorer's lock but in nondeterministic order, so it must aggregate
-// order-insensitively. workers <= 0 means sched.DefaultExploreWorkers.
-func ExploreAlg1Prefixes(k int, inputs [2]uint64, workers int, roots [][]int, visit func(*Alg1Run)) (int, error) {
-	factory := func() sched.Instance {
-		cur, procs := newAlg1Run(k, inputs)
-		return sched.Instance{
-			Procs: procs,
-			Done: func(r *sched.Result) {
-				cur.Result = r
-				visit(cur)
-			},
-		}
+// empty prefix is the whole tree. visit runs on the caller's
+// goroutine, one run at a time in DFS order, so it needs no lock; the
+// run's Result.Schedule is valid only until visit returns.
+func ExploreAlg1Prefixes(k int, inputs [2]uint64, roots [][]int, visit func(*Alg1Run)) (int, error) {
+	var cur *Alg1Run
+	factory := func() []sched.ProcFunc {
+		var procs []sched.ProcFunc
+		cur, procs = newAlg1Run(k, inputs)
+		return procs
 	}
-	return sched.ExplorePrefixes(factory, 0, workers, roots)
+	return sched.ExplorePrefixes(factory, 0, roots, func(r *sched.Result) bool {
+		cur.Result = r
+		visit(cur)
+		return true
+	})
 }
 
 // ExploreAlg1Memo is the memoized analogue of ExploreAlg1

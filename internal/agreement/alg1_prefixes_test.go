@@ -48,7 +48,7 @@ func TestAlg1PrefixUnionMatchesExplore(t *testing.T) {
 		for _, root := range roots {
 			root := root
 			union = append(union, alg1Fingerprints(t, func(visit func(*Alg1Run)) (int, error) {
-				return ExploreAlg1Prefixes(k, inputs, 2, [][]int{root}, visit)
+				return ExploreAlg1Prefixes(k, inputs, [][]int{root}, visit)
 			})...)
 		}
 		sort.Strings(union)

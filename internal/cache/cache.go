@@ -98,10 +98,6 @@ type Options struct {
 	// experiments.SpaceVersion, the per-experiment resolver — bumping
 	// one experiment's code version moves only its fingerprints.
 	SpaceVersion func(id string) string
-	// RegistryVersion, when non-empty, pins every experiment to one
-	// constant version instead (the pre-family behaviour; tests use
-	// it). Ignored when SpaceVersion is set.
-	RegistryVersion string
 	// GoVersion defaults to runtime.Version().
 	GoVersion string
 	// ModuleVersion defaults to the main module's path@version from
@@ -237,17 +233,8 @@ func Open(dir string, opts Options) (*Store, error) {
 	if opts.MaxBytes <= 0 {
 		opts.MaxBytes = DefaultMaxBytes
 	}
-	// Identity resolution order: an explicit per-space resolver, a
-	// pinned constant (tests and byte-compat callers), then the
-	// per-experiment default.
-	spaceVersion := opts.SpaceVersion
-	if spaceVersion == nil {
-		if opts.RegistryVersion != "" {
-			pinned := opts.RegistryVersion
-			spaceVersion = func(string) string { return pinned }
-		} else {
-			spaceVersion = experiments.SpaceVersion
-		}
+	if opts.SpaceVersion == nil {
+		opts.SpaceVersion = experiments.SpaceVersion
 	}
 	if opts.GoVersion == "" {
 		opts.GoVersion = runtime.Version()
@@ -259,7 +246,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	return &Store{
 		dir:          dir,
 		maxBytes:     opts.MaxBytes,
-		spaceVersion: spaceVersion,
+		spaceVersion: opts.SpaceVersion,
 		mem:          make(map[ArtifactKey]*verified),
 		key: ArtifactKey{
 			GoVersion:     opts.GoVersion,

@@ -128,7 +128,7 @@ func TestCorruptedEntryIsAMissAndRemoved(t *testing.T) {
 func TestVersionBumpInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	bumps := map[string]Options{
-		"registry": {RegistryVersion: "e1-e14/v2"},
+		"registry": {SpaceVersion: func(string) string { return "v2" }},
 		"go":       {GoVersion: "go9.9.9"},
 		"module":   {ModuleVersion: "repro@v2.0.0"},
 	}
@@ -162,14 +162,14 @@ func TestVersionBumpInvalidates(t *testing.T) {
 // intact.
 func TestMismatchedEntryKeyRejected(t *testing.T) {
 	dir := t.TempDir()
-	v1, err := Open(dir, Options{RegistryVersion: "v1"})
+	v1, err := Open(dir, Options{SpaceVersion: func(string) string { return "v1" }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := v1.Put("E1", tableResult("E1", "from v1")); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := Open(dir, Options{RegistryVersion: "v2"})
+	v2, err := Open(dir, Options{SpaceVersion: func(string) string { return "v2" }})
 	if err != nil {
 		t.Fatal(err)
 	}

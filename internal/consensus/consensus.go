@@ -87,7 +87,7 @@ func FindRoundingViolation(k int) (*Violation, error) {
 		}
 		return true
 	})
-	if err != nil && err != sched.ErrExploreLimit {
+	if err != nil {
 		return nil, err
 	}
 	if found == nil {

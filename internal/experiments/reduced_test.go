@@ -60,12 +60,13 @@ func servedPoints(t *testing.T, fam Experiment) []ParamSet {
 // exhaustiveE2 is the oracle side for E2: the exhaustive explorer over
 // roots, folded by a collector of its own rather than the memo's leaf
 // function, so the two sides share only finishE2 and the aggregate's
-// wire form.
+// wire form. The explorer visits serially on this goroutine, so the
+// collector needs no lock.
 func exhaustiveE2(t *testing.T, k int, inputs [2]uint64, roots [][]int) *alg1SweepAgg {
 	t.Helper()
 	agg := &alg1SweepAgg{}
 	seen := map[int]bool{}
-	_, err := agreement.ExploreAlg1Prefixes(k, inputs, 0, roots, func(ar *agreement.Alg1Run) {
+	_, err := agreement.ExploreAlg1Prefixes(k, inputs, roots, func(ar *agreement.Alg1Run) {
 		agg.Execs++
 		for i := 0; i < 2; i++ {
 			seen[ar.Outs[i].Num] = true
@@ -92,7 +93,7 @@ func exhaustiveE15(t *testing.T, choice int, input task.Pair, roots [][]int) *al
 	if err != nil {
 		t.Fatal(err)
 	}
-	execs, err := task.ExploreAlg2Prefixes(plan, input, 0, roots)
+	execs, err := task.ExploreAlg2Prefixes(plan, input, roots)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,20 +123,21 @@ func carves(roots [][]int) map[string][][][]int {
 // same finish function; and on E2 points with k ≤ 4 and every E15
 // point, each range of three carves of Roots() gives the exhaustive
 // range's aggregate and envelope bytes. The served space is finite, so
-// this is a complete check.
+// this is a complete check. The explorers are serial; the points run
+// as parallel subtests, each oracle call reporting to its own point.
 func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive exploration")
 	}
 	type oracle struct {
-		whole  func(ps ParamSet, roots [][]int) Aggregate
+		whole  func(t *testing.T, ps ParamSet, roots [][]int) Aggregate
 		finish func(ps ParamSet, agg Aggregate) (*Table, error)
 		carve  func(ps ParamSet) bool
 		points int
 	}
 	oracles := map[string]oracle{
 		"E2": {
-			whole: func(ps ParamSet, roots [][]int) Aggregate {
+			whole: func(t *testing.T, ps ParamSet, roots [][]int) Aggregate {
 				return exhaustiveE2(t, ps.Int("k"), e2InputsOf(ps), roots)
 			},
 			finish: func(ps ParamSet, agg Aggregate) (*Table, error) {
@@ -145,7 +147,7 @@ func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 			points: 24,
 		},
 		"E15": {
-			whole: func(ps ParamSet, roots [][]int) Aggregate {
+			whole: func(t *testing.T, ps ParamSet, roots [][]int) Aggregate {
 				return exhaustiveE15(t, ps.Int("c"), e15InputOf(ps), roots)
 			},
 			finish: func(ps ParamSet, agg Aggregate) (*Table, error) {
@@ -167,11 +169,12 @@ func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 				name = "defaults"
 			}
 			t.Run(id+"/"+name, func(t *testing.T) {
+				t.Parallel()
 				got, stats, err := fam.Run(ps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := o.finish(ps, o.whole(ps, [][]int{{}}))
+				want, err := o.finish(ps, o.whole(t, ps, [][]int{{}}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +207,7 @@ func TestReducedMatchesExhaustiveBytes(t *testing.T) {
 						if err := EncodeShard(&gotEnv, id, ps.Canonical(), rng, agg); err != nil {
 							t.Fatal(err)
 						}
-						if err := EncodeShard(&wantEnv, id, ps.Canonical(), rng, o.whole(ps, rng)); err != nil {
+						if err := EncodeShard(&wantEnv, id, ps.Canonical(), rng, o.whole(t, ps, rng)); err != nil {
 							t.Fatal(err)
 						}
 						if gotEnv.String() != wantEnv.String() {

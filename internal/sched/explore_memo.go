@@ -55,8 +55,8 @@ type MemoOptions struct {
 	// must be pure: no mutation of either argument (they remain live
 	// as memoized contributions of other nodes), associativity and
 	// commutativity up to the final aggregate's equality — the same
-	// order-insensitivity the parallel explorers demand. Required
-	// whenever Leaf returns non-nil contributions.
+	// order-insensitivity merging a sharded run's ranges demands.
+	// Required whenever Leaf returns non-nil contributions.
 	Merge func(a, b any) any
 }
 

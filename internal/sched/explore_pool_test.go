@@ -6,62 +6,67 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // TestExplorePrefixesPooledFrontier hammers the pooled replay path:
-// many workers share the frontier's recycled prefix buffers while each
-// worker reuses one Result and one runner across every replay. Done
-// must observe each run's data intact (the pooling contract: valid
-// until Done returns), and repeated runs must agree with the serial
-// explorer exactly. Run under -race in CI (make test-short), this is
-// the pooled-frontier race gate.
+// eight explorations run at once, each over one range of a
+// PartitionRoots carve, and each reuses its per-depth decision records
+// and one runner across every replay. visit must observe each run's
+// data intact (the pooling contract: valid until visit returns), and
+// repeated rounds must agree with the lone explorer exactly. Run under
+// -race (make race-sched), this is the pooled-replay race gate.
 func TestExplorePrefixesPooledFrontier(t *testing.T) {
 	steps := []int{3, 3, 2}
 	want := collectAll(t, steps)
+	factory := func() []ProcFunc { return stepSystem(steps) }
+	roots, err := PartitionRoots(factory, 0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := carve(roots, 8)
 	for round := 0; round < 3; round++ {
-		var (
-			mu  sync.Mutex
-			fps []string
-		)
-		factory := func() Instance {
-			return Instance{
-				Procs: stepSystem(steps),
-				Done: func(r *Result) {
-					// Read everything Done is entitled to: the full
-					// decision sequence and the counters — stale
-					// pooled data would corrupt the fingerprint.
-					fp := fingerprint(r)
-					total := 0
-					for i, s := range r.Steps {
-						if r.Crashed[i] || r.Errs[i] != nil {
-							t.Errorf("unexpected crash/error for pid %d", i)
-						}
-						total += s
+		fps := make([][]string, len(ranges))
+		runs := make([]int, len(ranges))
+		errs := make([]error, len(ranges))
+		atOnce(len(ranges), func(i int) {
+			runs[i], errs[i] = ExplorePrefixes(factory, 0, ranges[i], func(r *Result) bool {
+				// Read everything visit is entitled to: the full
+				// decision sequence and the counters — stale pooled
+				// data would corrupt the fingerprint.
+				fp := fingerprint(r)
+				total := 0
+				for pid, s := range r.Steps {
+					if r.Crashed[pid] || r.Errs[pid] != nil {
+						t.Errorf("unexpected crash/error for pid %d", pid)
 					}
-					if total != r.TotalSteps {
-						t.Errorf("Steps sum %d != TotalSteps %d", total, r.TotalSteps)
-					}
-					if len(r.Schedule) != r.TotalSteps {
-						t.Errorf("schedule of %d decisions, %d steps", len(r.Schedule), r.TotalSteps)
-					}
-					mu.Lock()
-					fps = append(fps, fp)
-					mu.Unlock()
-				},
+					total += s
+				}
+				if total != r.TotalSteps {
+					t.Errorf("Steps sum %d != TotalSteps %d", total, r.TotalSteps)
+				}
+				if len(r.Schedule) != r.TotalSteps {
+					t.Errorf("schedule of %d decisions, %d steps", len(r.Schedule), r.TotalSteps)
+				}
+				fps[i] = append(fps[i], fp)
+				return true
+			})
+		})
+		var union []string
+		n := 0
+		for i := range ranges {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
 			}
-		}
-		n, err := ExplorePrefixes(factory, 0, 8, [][]int{{}})
-		if err != nil {
-			t.Fatal(err)
+			union = append(union, fps[i]...)
+			n += runs[i]
 		}
 		if n != len(want) {
 			t.Fatalf("round %d: %d runs, want %d", round, n, len(want))
 		}
-		sort.Strings(fps)
-		if !equalStrings(fps, want) {
+		sort.Strings(union)
+		if !equalStrings(union, want) {
 			t.Fatalf("round %d: pooled fingerprint multiset diverged from serial", round)
 		}
 	}
@@ -238,8 +243,6 @@ func (s *lifetimeSys) instance() MemoInstance {
 
 func (s *lifetimeSys) procs() []ProcFunc { return s.instance().Procs }
 
-func (s *lifetimeSys) parallel() Instance { return Instance{Procs: s.procs()} }
-
 // TestRunnerGoroutineLifetime: every explorer stops the runners whose
 // process goroutines it keeps across replays, on every way it returns
 // — cleanly, with an error, by stopping early, and through a panic
@@ -283,28 +286,27 @@ func TestRunnerGoroutineLifetime(t *testing.T) {
 			return err
 		}, "panic: sched: process 1 panicked: boom"},
 		{"ExplorePrefixes/clean", func() error {
-			_, err := ExplorePrefixes(sys(0).parallel, 0, 2, [][]int{{}})
+			_, err := ExplorePrefixes(sys(0).procs, 0, [][]int{{0}, {1}}, all)
 			return err
 		}, ""},
 		{"ExplorePrefixes/prefix not live", func() error {
-			_, err := ExplorePrefixes(sys(0).parallel, 0, 2, notLive)
+			_, err := ExplorePrefixes(sys(0).procs, 0, notLive, all)
 			return err
 		}, ErrPrefixNotLive.Error()},
 		{"ExplorePrefixes/process panic", func() error {
-			_, err := ExplorePrefixes(sys(3).parallel, 0, 2, [][]int{{}})
+			_, err := ExplorePrefixes(sys(3).procs, 0, [][]int{{}}, all)
 			return err
 		}, "panic: sched: process 1 panicked: boom"},
-		{"ExplorePrefixes/Done panic", func() error {
-			var done atomic.Int32
-			_, err := ExplorePrefixes(func() Instance {
-				return Instance{Procs: sys(0).procs(), Done: func(*Result) {
-					if done.Add(1) == 3 {
-						panic("done boom")
-					}
-				}}
-			}, 0, 2, [][]int{{}})
+		{"ExplorePrefixes/visit panic", func() error {
+			visits := 0
+			_, err := ExplorePrefixes(sys(0).procs, 0, [][]int{{}}, func(*Result) bool {
+				if visits++; visits == 3 {
+					panic("visit boom")
+				}
+				return true
+			})
 			return err
-		}, "panic: done boom"},
+		}, "panic: visit boom"},
 		{"ExploreMemoPrefixes/clean", func() error {
 			_, _, err := ExploreMemo(sys(0).instance, MemoOptions{})
 			return err

@@ -5,15 +5,13 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 )
 
 // stepSystem builds a deterministic n-process system where process i
-// takes steps[i] plain steps and records the global grant order into
-// trace (appended under the explorer's Done lock by the caller). The
-// decision tree is the full interleaving tree of the step counts —
-// branchy enough to exercise every partition shape.
+// takes steps[i] plain steps. The decision tree is the full
+// interleaving tree of the step counts — branchy enough to exercise
+// every partition shape.
 func stepSystem(steps []int) []ProcFunc {
 	procs := make([]ProcFunc, len(steps))
 	for i, k := range steps {
@@ -58,23 +56,13 @@ func collectAll(t *testing.T, steps []int) []string {
 
 // collectPrefixes runs ExplorePrefixes over the given roots and
 // returns the sorted fingerprint multiset.
-func collectPrefixes(t *testing.T, steps []int, workers int, roots [][]int) []string {
+func collectPrefixes(t *testing.T, steps []int, roots [][]int) []string {
 	t.Helper()
-	var (
-		mu  sync.Mutex
-		fps []string
-	)
-	factory := func() Instance {
-		return Instance{
-			Procs: stepSystem(steps),
-			Done: func(r *Result) {
-				mu.Lock()
-				fps = append(fps, fingerprint(r))
-				mu.Unlock()
-			},
-		}
-	}
-	n, err := ExplorePrefixes(factory, 0, workers, roots)
+	var fps []string
+	n, err := ExplorePrefixes(func() []ProcFunc { return stepSystem(steps) }, 0, roots, func(r *Result) bool {
+		fps = append(fps, fingerprint(r))
+		return true
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +115,7 @@ func TestPartitionUnionEqualsExploreAll(t *testing.T) {
 				}
 			}
 			// The whole partition in one call...
-			got := collectPrefixes(t, steps, 4, roots)
+			got := collectPrefixes(t, steps, roots)
 			if !equalStrings(got, want) {
 				t.Fatalf("steps=%v depth=%d: partition visits %d executions, want %d",
 					steps, depth, len(got), len(want))
@@ -136,7 +124,7 @@ func TestPartitionUnionEqualsExploreAll(t *testing.T) {
 			// the sharded shape, one call per range.
 			var union []string
 			for _, root := range roots {
-				union = append(union, collectPrefixes(t, steps, 2, [][]int{root})...)
+				union = append(union, collectPrefixes(t, steps, [][]int{root})...)
 			}
 			sort.Strings(union)
 			if !equalStrings(union, want) {
@@ -164,32 +152,70 @@ func isPrefix(a, b []int) bool {
 // execution) must fail with ErrPrefixNotLive, never silently explore
 // the substituted subtree.
 func TestExplorePrefixesRejectsDeadPrefix(t *testing.T) {
-	factory := func() Instance {
-		return Instance{Procs: stepSystem([]int{1, 1})}
-	}
+	factory := func() []ProcFunc { return stepSystem([]int{1, 1}) }
+	all := func(*Result) bool { return true }
 	for _, root := range [][]int{
 		{5},          // pid 5 does not exist
 		{0, 0, 0, 0}, // longer than any execution
 	} {
-		_, err := ExplorePrefixes(factory, 0, 2, [][]int{root})
+		_, err := ExplorePrefixes(factory, 0, [][]int{root}, all)
 		if !errors.Is(err, ErrPrefixNotLive) {
 			t.Errorf("root %v: err = %v, want ErrPrefixNotLive", root, err)
 		}
 	}
 	// And a live prefix still explores cleanly.
-	if _, err := ExplorePrefixes(factory, 0, 2, [][]int{{1}}); err != nil {
+	if _, err := ExplorePrefixes(factory, 0, [][]int{{1}}, all); err != nil {
 		t.Errorf("live root: %v", err)
 	}
 }
 
 // TestExplorePrefixesEmptyRoots pins the no-op contract.
 func TestExplorePrefixesEmptyRoots(t *testing.T) {
-	n, err := ExplorePrefixes(func() Instance {
+	n, err := ExplorePrefixes(func() []ProcFunc {
 		t.Fatal("factory called with no roots")
-		return Instance{}
-	}, 0, 2, nil)
+		return nil
+	}, 0, nil, func(*Result) bool {
+		t.Fatal("visit called with no roots")
+		return true
+	})
 	if err != nil || n != 0 {
 		t.Fatalf("ExplorePrefixes(nil roots) = %d, %v; want 0, nil", n, err)
+	}
+}
+
+// TestExplorePrefixesSerialOrder pins the serial contract: over the
+// single empty root, ExplorePrefixes visits exactly ExploreAll's
+// schedules in the same order, on every call, and a visit that
+// returns false after m visits stops it with (m, nil).
+func TestExplorePrefixesSerialOrder(t *testing.T) {
+	factory := func() []ProcFunc { return stepSystem([]int{2, 2, 1}) }
+	var want []string
+	if _, err := ExploreAll(factory, 0, func(r *Result) { want = append(want, fingerprint(r)) }); err != nil {
+		t.Fatal(err)
+	}
+	for call := 0; call < 3; call++ {
+		var got []string
+		n, err := ExplorePrefixes(factory, 0, [][]int{{}}, func(r *Result) bool {
+			got = append(got, fingerprint(r))
+			return true
+		})
+		if err != nil || n != len(want) || !equalStrings(got, want) {
+			t.Fatalf("call %d: %d runs (%v), visit order differs from ExploreAll's %d:\n%v\n%v",
+				call, n, err, len(want), got, want)
+		}
+	}
+	for _, m := range []int{1, 2, len(want) / 2, len(want)} {
+		visits := 0
+		n, err := ExplorePrefixes(factory, 0, [][]int{{}}, func(r *Result) bool {
+			if fingerprint(r) != want[visits] {
+				t.Errorf("stop at %d: visit %d is %s, want %s", m, visits, fingerprint(r), want[visits])
+			}
+			visits++
+			return visits < m
+		})
+		if n != m || err != nil || visits != m {
+			t.Fatalf("stop at %d: ExplorePrefixes = %d, %v after %d visits; want %d, nil", m, n, err, visits, m)
+		}
 	}
 }
 

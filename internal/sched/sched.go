@@ -26,6 +26,13 @@
 // Crashes are scheduler decisions: a process whose step request is answered
 // with a crash unwinds its goroutine and never takes another step.
 //
+// Every explorer is serial: the exhaustive replay DFS (Explore, ExploreAll,
+// ExplorePrefixes), the canonical-state memo (ExploreMemo,
+// ExploreMemoPrefixes) and PartitionRoots replay one run at a time and call
+// back on the caller's goroutine, in DFS order. Concurrency is the
+// caller's: several explorations at once are several calls, each over its
+// own freshly built systems.
+//
 // A one-shot Run starts its process goroutines and they end with it. The
 // explorers replay one system thousands of times, so each keeps one runner
 // whose process goroutines outlive a run: the first replay starts them,
@@ -98,7 +105,7 @@ type Result struct {
 	Errs []error
 	// Schedule is the pid of every scheduler decision, in order. The
 	// explorers set it before handing the Result to their callbacks
-	// (Explore's visit, Instance.Done, MemoInstance.Leaf); it aliases
+	// (the exhaustive explorers' visit, MemoInstance.Leaf); it aliases
 	// the explorer's replay record, so it is valid only until the
 	// callback returns. Run leaves it nil.
 	Schedule []int

@@ -26,12 +26,12 @@
 //     error (connection refused, reset, EOF — a killed worker) evicts
 //     the worker; an HTTP-level failure (non-200, undecodable body,
 //     mismatched id) only fails the attempt. Either way the
-//     experiment fails over to the next worker, bounded by
-//     Options.Retries distinct workers. Eviction is not forever: a
-//     coordinator can outlive a worker restart (cmd/figuresd -peers
-//     runs one for the daemon's whole life), so after ReviveAfter a
-//     live request is allowed to re-try an evicted worker, and one
-//     success restores it to full rotation.
+//     experiment fails over to the next worker, trying each worker at
+//     most once. Eviction is not forever: a coordinator can outlive a
+//     worker restart (cmd/figuresd -peers runs one for the daemon's
+//     whole life), so after DefaultReviveAfter a live request is
+//     allowed to re-try an evicted worker, and one success restores it
+//     to full rotation.
 //   - fallback: an experiment that exhausts the fleet — including the
 //     whole fleet being unreachable — runs locally through the
 //     in-process engine with the coordinator's Local options, so a
@@ -112,26 +112,9 @@ type Options struct {
 	// URL is accepted too). Order is irrelevant: selection is by
 	// load, not position.
 	Workers []string
-	// Client overrides the HTTP client; nil means a default client
-	// (per-request timeouts come from RequestTimeout, not the client).
-	Client *http.Client
 	// RequestTimeout bounds each remote experiment fetch; <= 0 means
 	// DefaultRequestTimeout.
 	RequestTimeout time.Duration
-	// ProbeTimeout bounds the startup health probes; <= 0 means
-	// DefaultProbeTimeout.
-	ProbeTimeout time.Duration
-	// MaxInFlight caps concurrent requests per worker; <= 0 means
-	// DefaultMaxInFlight.
-	MaxInFlight int
-	// Retries is the number of distinct workers tried per experiment
-	// before falling back to local execution; <= 0 means every
-	// worker.
-	Retries int
-	// ReviveAfter is how long an evicted worker stays unselectable
-	// before a live request may re-try it; <= 0 means
-	// DefaultReviveAfter.
-	ReviveAfter time.Duration
 	// Local configures the in-process fallback engine and the
 	// coordinator's view of the experiments: Registry (nil means
 	// experiments.Registry()) resolves every id, its entries' Shardable
@@ -251,18 +234,16 @@ func (w *worker) load(now time.Time) int64 {
 // safe for concurrent use; one coordinator can serve many Run/RunParam
 // calls at once (cmd/figuresd -peers does exactly that).
 type Coordinator struct {
-	workers     []*worker
-	client      *http.Client
-	reqTimeout  time.Duration
-	retries     int
-	reviveAfter time.Duration
-	reg         map[string]experiments.Experiment
-	local       experiments.Options
-	localSem    chan struct{}
-	exploreSem  chan struct{}
-	journal     *trace.Journal
-	now         func() time.Time
-	logf        func(format string, args ...any)
+	workers    []*worker
+	client     *http.Client
+	reqTimeout time.Duration
+	reg        map[string]experiments.Experiment
+	local      experiments.Options
+	localSem   chan struct{}
+	exploreSem chan struct{}
+	journal    *trace.Journal
+	now        func() time.Time
+	logf       func(format string, args ...any)
 
 	pickMu           sync.Mutex
 	remote           atomic.Int64
@@ -275,19 +256,19 @@ type Coordinator struct {
 	rangesReassigned atomic.Int64
 }
 
-// defaultClient builds the coordinator's HTTP client when Options
-// leaves it nil: the default transport's dialer and keep-alive
-// settings, with the per-host idle pool widened to the per-worker
-// in-flight cap. The stock DefaultTransport keeps only 2 idle
-// connections per host, so a coordinator pushing maxInFlight
-// concurrent range fetches at one worker would close and re-dial the
-// rest of the burst on every wave; sizing the pool to the cap lets
-// the whole burst reuse warm connections.
-func defaultClient(maxInFlight int) *http.Client {
+// defaultClient builds the coordinator's HTTP client: the default
+// transport's dialer and keep-alive settings, with the per-host idle
+// pool widened to the per-worker in-flight cap. The stock
+// DefaultTransport keeps only 2 idle connections per host, so a
+// coordinator pushing DefaultMaxInFlight concurrent range fetches at
+// one worker would close and re-dial the rest of the burst on every
+// wave; sizing the pool to the cap lets the whole burst reuse warm
+// connections.
+func defaultClient() *http.Client {
 	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.MaxIdleConnsPerHost = maxInFlight
-	if tr.MaxIdleConns < maxInFlight {
-		tr.MaxIdleConns = maxInFlight
+	tr.MaxIdleConnsPerHost = DefaultMaxInFlight
+	if tr.MaxIdleConns < DefaultMaxInFlight {
+		tr.MaxIdleConns = DefaultMaxInFlight
 	}
 	tr.IdleConnTimeout = 90 * time.Second
 	return &http.Client{Transport: tr}
@@ -304,26 +285,6 @@ func New(opts Options) (*Coordinator, error) {
 	reqTimeout := opts.RequestTimeout
 	if reqTimeout <= 0 {
 		reqTimeout = DefaultRequestTimeout
-	}
-	probeTimeout := opts.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = DefaultProbeTimeout
-	}
-	maxInFlight := opts.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = DefaultMaxInFlight
-	}
-	client := opts.Client
-	if client == nil {
-		client = defaultClient(maxInFlight)
-	}
-	retries := opts.Retries
-	if retries <= 0 {
-		retries = len(opts.Workers)
-	}
-	reviveAfter := opts.ReviveAfter
-	if reviveAfter <= 0 {
-		reviveAfter = DefaultReviveAfter
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -342,22 +303,20 @@ func New(opts Options) (*Coordinator, error) {
 		now = time.Now
 	}
 	c := &Coordinator{
-		client:      client,
-		reqTimeout:  reqTimeout,
-		retries:     retries,
-		reviveAfter: reviveAfter,
-		reg:         reg,
-		local:       opts.Local,
-		localSem:    make(chan struct{}, jobs),
-		exploreSem:  make(chan struct{}, 1),
-		journal:     opts.Journal,
-		now:         now,
-		logf:        logf,
+		client:     defaultClient(),
+		reqTimeout: reqTimeout,
+		reg:        reg,
+		local:      opts.Local,
+		localSem:   make(chan struct{}, jobs),
+		exploreSem: make(chan struct{}, 1),
+		journal:    opts.Journal,
+		now:        now,
+		logf:       logf,
 	}
 	for _, addr := range opts.Workers {
 		c.workers = append(c.workers, &worker{
 			base: baseURL(addr),
-			sem:  make(chan struct{}, maxInFlight),
+			sem:  make(chan struct{}, DefaultMaxInFlight),
 		})
 	}
 	var wg sync.WaitGroup
@@ -365,7 +324,7 @@ func New(opts Options) (*Coordinator, error) {
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			c.probe(w, probeTimeout)
+			c.probe(w)
 		}(w)
 	}
 	wg.Wait()
@@ -396,14 +355,14 @@ func SplitList(s string) []string {
 	return out
 }
 
-// probe marks w healthy if its /healthz answers 200 within the
-// timeout, then seeds the load accounting from its /stats in-flight
-// count (best-effort: a worker without /stats just starts at zero).
-// A failed probe schedules revival like any other eviction, so a
-// worker that was merely slow to boot rejoins a long-lived
+// probe marks w healthy if its /healthz answers 200 within
+// DefaultProbeTimeout, then seeds the load accounting from its /stats
+// in-flight count (best-effort: a worker without /stats just starts at
+// zero). A failed probe schedules revival like any other eviction, so
+// a worker that was merely slow to boot rejoins a long-lived
 // coordinator.
-func (c *Coordinator) probe(w *worker, timeout time.Duration) {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+func (c *Coordinator) probe(w *worker) {
+	ctx, cancel := context.WithTimeout(context.Background(), DefaultProbeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/healthz", nil)
 	if err != nil {
@@ -444,7 +403,7 @@ func (c *Coordinator) probe(w *worker, timeout time.Duration) {
 // request may try it again.
 func (c *Coordinator) evict(w *worker) {
 	w.healthy.Store(false)
-	w.retryAt.Store(c.now().Add(c.reviveAfter).UnixNano())
+	w.retryAt.Store(c.now().Add(DefaultReviveAfter).UnixNano())
 }
 
 // revive returns w to full rotation after a successful request,
@@ -573,8 +532,8 @@ func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.Pa
 	return c.runWhole(ctx, exp, ps, name)
 }
 
-// runWhole fetches one point whole from up to c.retries distinct
-// workers, least-loaded first, then falls back to local evaluation
+// runWhole fetches one point whole from the workers, least-loaded
+// first and each at most once, then falls back to local evaluation
 // through experiments.RunParam (which owns the point's cache
 // read-through), bounded by the local-fallback concurrency
 // (Options.Local.Jobs).
@@ -582,7 +541,7 @@ func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, 
 	id := exp.ID
 	reqID := trace.IDFrom(ctx)
 	tried := make(map[*worker]bool)
-	for attempt := 0; attempt < c.retries; attempt++ {
+	for {
 		w := c.pick(tried)
 		if w == nil {
 			break // fleet exhausted (or entirely unhealthy)
@@ -729,8 +688,8 @@ func splitRanges(roots [][]int, n int) [][][]int {
 
 // runRange computes one prefix range's aggregate. The coordinator's
 // own artifact store is consulted first (read-through: a range served
-// from disk never touches the fleet), then up to c.retries distinct
-// workers with the whole-experiment failover rules (a transport error
+// from disk never touches the fleet), then each worker at most once
+// with the whole-experiment failover rules (a transport error
 // evicts, an HTTP error only fails the attempt), then the local
 // explorer. Every failed attempt reassigns the range — it is never
 // dropped — and every computed aggregate, remote or local, is stored
@@ -755,7 +714,7 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 			Detail: "coordinator artifact store"})
 	}
 	tried := make(map[*worker]bool)
-	for attempt := 0; attempt < c.retries; attempt++ {
+	for {
 		w := c.pick(tried)
 		if w == nil {
 			break // fleet exhausted for this range

@@ -505,7 +505,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 }
 
 // TestEvictedWorkerRevives: eviction is not forever — after
-// ReviveAfter a live request may re-try the worker, and one success
+// DefaultReviveAfter a live request may re-try the worker, and one success
 // restores it to full rotation (the property that lets a figuresd
 // -peers front daemon survive worker restarts). The coordinator runs
 // on an injected clock: no real sleeps.
@@ -515,10 +515,9 @@ func TestEvictedWorkerRevives(t *testing.T) {
 	localReg, _ := syntheticRegistry("E1")
 	clk := newFakeClock()
 	coord, err := New(Options{
-		Workers:     []string{w.URL},
-		ReviveAfter: time.Minute,
-		Now:         clk.Now,
-		Local:       experiments.Options{Registry: localReg, Jobs: 1},
+		Workers: []string{w.URL},
+		Now:     clk.Now,
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,10 +531,15 @@ func TestEvictedWorkerRevives(t *testing.T) {
 		got.inflight.Add(-1)
 		t.Fatal("pick returned an evicted worker inside the revive window")
 	}
-	clk.Advance(time.Minute + time.Second)
+	clk.Advance(DefaultReviveAfter - time.Second)
+	if got := coord.pick(nil); got != nil {
+		got.inflight.Add(-1)
+		t.Fatal("pick returned an evicted worker a second before DefaultReviveAfter")
+	}
+	clk.Advance(2 * time.Second)
 	got := coord.pick(nil)
 	if got != wk {
-		t.Fatal("evicted worker not offered for revival after ReviveAfter")
+		t.Fatal("evicted worker not offered for revival after DefaultReviveAfter")
 	}
 	got.inflight.Add(-1)
 	// A real request through the revival path restores full health.

@@ -25,7 +25,7 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	client := defaultClient(DefaultMaxInFlight)
+	client := defaultClient()
 	if tr, ok := client.Transport.(*http.Transport); !ok {
 		t.Fatalf("default client transport is %T, want *http.Transport", client.Transport)
 	} else {

@@ -202,32 +202,24 @@ func CheckRun(t *Task, input Pair, sys *Alg2System) error {
 	return nil
 }
 
+// validate is the first-failure check an Algorithm 2 sweep runs on
+// every visited execution, exhaustive or memoized: the run's own
+// error, else CheckRun's verdict tagged with the execution's schedule.
+func validate(plan *Plan, input Pair, sys *Alg2System, r *sched.Result) error {
+	if err := r.Err(); err != nil {
+		return err
+	}
+	if err := CheckRun(plan.Task, input, sys); err != nil {
+		return fmt.Errorf("schedule %v: %w", r.Schedule, err)
+	}
+	return nil
+}
+
 // ExploreAlg2 enumerates all crash-free interleavings of Algorithm 2 on
 // the given input and validates each execution, returning the number of
 // executions explored.
 func ExploreAlg2(plan *Plan, input Pair) (int, error) {
-	var sys *Alg2System
-	factory := func() []sched.ProcFunc {
-		sys = NewAlg2System(plan)
-		return []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])}
-	}
-	var checkErr error
-	runs, err := sched.ExploreAll(factory, 0, func(r *sched.Result) {
-		if checkErr != nil {
-			return
-		}
-		if e := r.Err(); e != nil {
-			checkErr = e
-			return
-		}
-		if e := CheckRun(plan.Task, input, sys); e != nil {
-			checkErr = fmt.Errorf("schedule %v: %w", r.Schedule, e)
-		}
-	})
-	if err != nil {
-		return runs, err
-	}
-	return runs, checkErr
+	return ExploreAlg2Prefixes(plan, input, [][]int{{}})
 }
 
 // Alg2Roots enumerates the live schedule prefixes of the exhaustive
@@ -243,34 +235,26 @@ func Alg2Roots(plan *Plan, input Pair, depth int) ([][]int, error) {
 }
 
 // ExploreAlg2Prefixes validates exactly the Algorithm 2 executions
-// extending the given schedule prefixes, with a bounded goroutine
-// fan-out (sched.ExplorePrefixes). The run count is the shard's
-// order-insensitive aggregate: counts from any partition of an
-// Alg2Roots root set sum to the ExploreAlg2 total, and a violation in
-// any slice surfaces as that slice's error.
-func ExploreAlg2Prefixes(plan *Plan, input Pair, workers int, roots [][]int) (int, error) {
-	// Done runs serially under the explorer's lock, so checkErr needs
-	// no further synchronization.
-	var checkErr error
-	factory := func() sched.Instance {
-		sys := NewAlg2System(plan)
-		return sched.Instance{
-			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
-			Done: func(r *sched.Result) {
-				if checkErr != nil {
-					return
-				}
-				if e := r.Err(); e != nil {
-					checkErr = e
-					return
-				}
-				if e := CheckRun(plan.Task, input, sys); e != nil {
-					checkErr = fmt.Errorf("schedule %v: %w", r.Schedule, e)
-				}
-			},
-		}
+// extending the given schedule prefixes (sched.ExplorePrefixes). The
+// run count is the shard's order-insensitive aggregate: counts from
+// any partition of an Alg2Roots root set sum to the ExploreAlg2 total,
+// and a violation in any slice surfaces as that slice's error — the
+// first in DFS order, with every execution still counted.
+func ExploreAlg2Prefixes(plan *Plan, input Pair, roots [][]int) (int, error) {
+	// Visits come one at a time on this goroutine, so sys is the
+	// visited run's system and checkErr needs no lock.
+	var sys *Alg2System
+	factory := func() []sched.ProcFunc {
+		sys = NewAlg2System(plan)
+		return []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])}
 	}
-	runs, err := sched.ExplorePrefixes(factory, 0, workers, roots)
+	var checkErr error
+	runs, err := sched.ExplorePrefixes(factory, 0, roots, func(r *sched.Result) bool {
+		if checkErr == nil {
+			checkErr = validate(plan, input, sys, r)
+		}
+		return true
+	})
 	if err != nil {
 		return runs, err
 	}
@@ -303,15 +287,8 @@ func ExploreAlg2MemoPrefixes(plan *Plan, input Pair, roots [][]int) (sched.MemoS
 			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
 			State: sys.StateKey,
 			Leaf: func(r *sched.Result) any {
-				if checkErr != nil {
-					return nil
-				}
-				if e := r.Err(); e != nil {
-					checkErr = e
-					return nil
-				}
-				if e := CheckRun(plan.Task, input, sys); e != nil {
-					checkErr = fmt.Errorf("schedule %v: %w", r.Schedule, e)
+				if checkErr == nil {
+					checkErr = validate(plan, input, sys, r)
 				}
 				return nil
 			},

@@ -28,7 +28,7 @@ func TestAlg2PrefixShardingDifferential(t *testing.T) {
 		}
 		total := 0
 		for _, root := range roots {
-			n, err := ExploreAlg2Prefixes(plan, input, 2, [][]int{root})
+			n, err := ExploreAlg2Prefixes(plan, input, [][]int{root})
 			if err != nil {
 				t.Fatalf("slice %v: %v", root, err)
 			}
