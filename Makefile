@@ -1,7 +1,7 @@
 # Makefile — the commands CI runs are exactly the commands humans run.
 GO ?= go
 
-.PHONY: build test test-short race-sched race-cache bench lint figures cover fuzz-smoke reduce-gate cache-surgery
+.PHONY: build test test-short race-sched race-cache bench lint figures cover fuzz-smoke reduce-gate cache-surgery warm-bytes
 
 build:
 	$(GO) build ./...
@@ -26,7 +26,8 @@ race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
 
 # race-cache runs the artifact store's concurrency tests ten times
-# under the race detector: readers filling the memory tier race the
+# under the race detector: readers filling the memory tier, and the
+# first request of each format filling a table's stored body, race the
 # writes that drop its keys (internal/cache), and the server's mixed
 # traffic and rejected-slice overwrite go through the same tier
 # (internal/server).
@@ -66,6 +67,15 @@ cover:
 # families never reaching the fleet, bytes identical throughout.
 cache-surgery:
 	./scripts/cache-surgery.sh
+
+# warm-bytes proves a warm daemon serves the CLI's bytes: a
+# cache-backed figuresd serves E1, E2, E7, E15, E2?k=3 and E15?c=3 in
+# every format, and a daemon restarted on the same store serves each
+# twice (the tier and the format's stored body fill, then a
+# stored-bytes hit). Every body must equal `figures` output, and the
+# restarted daemon's /stats must read 36 hits and 0 misses.
+warm-bytes:
+	./scripts/warm-bytes.sh
 
 # reduce-gate is the oracle gate of the memoized production explorer:
 # the exhaustive explorers must render E2 and E15 byte-identically to

@@ -40,6 +40,13 @@
 // a fresh Store is opened. Values returned from the tier are shared:
 // callers must not mutate them.
 //
+// Each whole result the tier holds also keeps its response body per
+// format (experiments.WithBodies): the first experiments.Body call in
+// a format encodes it, and every later one, on any copy the tier
+// returned, serves those bytes. The bodies live and die with their
+// entry — a write, a rejected read or an eviction drops them — and,
+// like the tier, never fill from a Put. Slice envelopes keep no body.
+//
 // Store implements experiments.Cache — whole results by (id, parameter
 // point) and slice envelopes by (id, point, prefixes) — so it plugs
 // directly into experiments.Options, internal/server, and
@@ -213,7 +220,8 @@ type Store struct {
 
 // verified is one artifact that passed every check on its way from
 // disk: the decoded value a repeat read serves. result is set for a
-// whole-result key, slice for a slice key.
+// whole-result key, with its body store attached, slice for a slice
+// key.
 type verified struct {
 	path   string // the entry's file, so an eviction can drop it
 	result experiments.Result
@@ -386,6 +394,7 @@ func (s *Store) GetParam(id, params string) (experiments.Result, bool) {
 	if ok {
 		res, err := decodeResult(payload, id)
 		if err == nil {
+			res = experiments.WithBodies(res)
 			s.remember(k, gen, &verified{path: path, result: res})
 			s.count(func(st *Stats) { st.Hits++ })
 			return res, true

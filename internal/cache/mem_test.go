@@ -1,10 +1,14 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/experiments"
 )
 
 // TestMemoryHitAllocatesNothing: once a read has verified an entry, a
@@ -153,4 +157,60 @@ func TestRacedFillKeepsNothing(t *testing.T) {
 	if got, ok := s.Get("E1"); !ok || got.Table.Title != "newer" {
 		t.Fatalf("a raced fill served the value the write replaced: ok=%v got=%+v", ok, got)
 	}
+}
+
+// TestConcurrentBodyFills: readers take one freshly written entry in
+// all three formats at once, so the read that fills the tier and the
+// first Body call of each format race, while a writer keeps replacing
+// the entry with another table. Every body is the encoding, in its
+// format, of the very result its reader was handed.
+func TestConcurrentBodyFills(t *testing.T) {
+	s := mustOpen(t, Options{})
+	titles := []string{"first", "second"}
+	if err := s.PutParam("E2", "k=3", tableResult("E2", titles[0])); err != nil {
+		t.Fatal(err)
+	}
+	formats := []string{"text", "json", "csv"}
+	const readers, rounds = 6, 20
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 1; i <= rounds; i++ {
+			if err := s.PutParam("E2", "k=3", tableResult("E2", titles[i%2])); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				r, ok := s.GetParam("E2", "k=3")
+				if !ok {
+					t.Error("read missed while the entry was rewritten")
+					return
+				}
+				for f := range formats {
+					format := formats[(g+f)%len(formats)]
+					var want bytes.Buffer
+					if err := experiments.Encoders[format](&want, []experiments.Result{r}); err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := experiments.Body(format, r); err != nil || !bytes.Equal(got, want.Bytes()) {
+						t.Errorf("%s body of %q = %q, %v; want %q", format, r.Table.Title, got, err, want.Bytes())
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
 }

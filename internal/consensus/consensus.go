@@ -77,7 +77,7 @@ func FindRoundingViolation(k int) (*Violation, error) {
 		}
 	}
 	var found *Violation
-	_, err := sched.Explore(factory, 0, 0, func(r *sched.Result) bool {
+	_, err := sched.Explore(factory, 0, func(r *sched.Result) bool {
 		if e := r.Err(); e != nil {
 			return true
 		}

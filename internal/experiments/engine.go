@@ -46,12 +46,16 @@ var registry = Registry()
 // and with every other caller (cache.Store serves repeat reads from
 // one decoded copy in memory): a caller may overwrite fields of the
 // returned struct, but must not mutate what it points to — the
-// Table, its rows and notes, or an envelope's Aggregate bytes.
+// Table, its rows and notes, or an envelope's Aggregate bytes. A
+// returned Result may carry stored response bodies (WithBodies); the
+// bytes Body serves from them are shared and read-only in the same
+// way.
 type Cache interface {
 	// GetParam returns the stored whole result of one experiment at one
 	// parameter point. ok reports a usable hit; implementations must
 	// return ok == false (never a stale or corrupted result) when the
-	// entry cannot be trusted. The result's Table is shared: read-only.
+	// entry cannot be trusted. The result's Table and stored bodies
+	// are shared: read-only.
 	GetParam(id, params string) (Result, bool)
 	// PutParam stores a successful result for one point.
 	// Implementations may refuse (e.g. failed results); callers ignore
@@ -91,6 +95,9 @@ type Result struct {
 	Memo sched.MemoStats
 	// Duration is the experiment's wall-clock time.
 	Duration time.Duration
+	// bodies, when set (WithBodies), keeps this result's encoded
+	// response body per format for Body. Copies share it.
+	bodies *bodies
 }
 
 // FirstError returns the first failed result's error in result order.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // EncodeText writes the aligned-text tables, one per successful result
@@ -152,4 +154,79 @@ func LookupEncoder(format string) (func(io.Writer, []Result) error, error) {
 	}
 	sort.Strings(known)
 	return nil, fmt.Errorf("unknown format %q (have %s)", format, strings.Join(known, ", "))
+}
+
+// bodies is one shared Result's response body per format, each
+// encoded on its first use. It names the ID and Table it was made
+// for, so a copy of the Result that a caller pointed elsewhere is
+// encoded afresh instead of served another table's bytes.
+type bodies struct {
+	id              string
+	table           *Table
+	text, json, csv storedBody
+}
+
+// storedBody is one format's encoding, filled once.
+type storedBody struct {
+	once sync.Once
+	b    []byte
+	err  error
+}
+
+// WithBodies returns r carrying an empty per-format body store, which
+// Body fills on first use per format and serves from after. It is for
+// a Result that is verified once and then shared read-only:
+// cache.Store attaches one to each Result its memory tier fills with.
+// A failed result gets none.
+func WithBodies(r Result) Result {
+	if r.Err == nil && r.Table != nil {
+		r.bodies = &bodies{id: r.ID, table: r.Table}
+	}
+	return r
+}
+
+// Body returns the response body of r alone in format: what the
+// format's encoder writes for []Result{r}. A Result carrying a body
+// store (WithBodies), with the ID and Table it was made for and no
+// Err, is encoded once per format, and every later call returns the
+// same stored bytes: they are shared, like the Table, and read-only.
+// Any other Result — a fresh run, a failure, an altered copy — is
+// encoded on every call.
+func Body(format string, r Result) ([]byte, error) {
+	encode, err := LookupEncoder(format)
+	if err != nil {
+		return nil, err
+	}
+	sb := r.bodies.slot(format, r)
+	if sb == nil {
+		return encodeOne(encode, r)
+	}
+	sb.once.Do(func() { sb.b, sb.err = encodeOne(encode, r) })
+	return sb.b, sb.err
+}
+
+// slot returns the store's entry for format when the store belongs to
+// r, and nil otherwise.
+func (bs *bodies) slot(format string, r Result) *storedBody {
+	if bs == nil || r.Err != nil || r.ID != bs.id || r.Table != bs.table {
+		return nil
+	}
+	switch format {
+	case "text":
+		return &bs.text
+	case "json":
+		return &bs.json
+	case "csv":
+		return &bs.csv
+	}
+	return nil
+}
+
+// encodeOne encodes the single result r, capping the returned slice at
+// its length so an append by a reader cannot write into shared bytes.
+func encodeOne(encode func(io.Writer, []Result) error, r Result) ([]byte, error) {
+	var buf bytes.Buffer
+	err := encode(&buf, []Result{r})
+	b := buf.Bytes()
+	return b[:len(b):len(b)], err
 }

@@ -129,3 +129,58 @@ func TestEncodeCSVEscaping(t *testing.T) {
 		t.Errorf("note record = %q", note)
 	}
 }
+
+// TestBodyStoredOncePerFormat: Body writes what each format's encoder
+// writes for the one result. A result carrying a body store is encoded
+// once per format, and every copy of it is served those same bytes;
+// a copy pointed at another ID or table, a failed copy, a result with
+// no store, and an unknown format are each handled afresh.
+func TestBodyStoredOncePerFormat(t *testing.T) {
+	for _, r := range roundTripResults() {
+		stored := WithBodies(r)
+		if (stored.bodies != nil) != (r.Err == nil) {
+			t.Errorf("%s: WithBodies attached a store %v, want one only to a successful result", r.ID, stored.bodies != nil)
+		}
+		for format, encode := range Encoders {
+			var want bytes.Buffer
+			if err := encode(&want, []Result{r}); err != nil {
+				t.Fatal(err)
+			}
+			first, err := Body(format, stored)
+			if err != nil || !bytes.Equal(first, want.Bytes()) {
+				t.Fatalf("%s %s: Body = %q, %v; want %q", r.ID, format, first, err, want.Bytes())
+			}
+			copied := stored
+			copied.Cached = true
+			again, _ := Body(format, copied)
+			fresh, _ := Body(format, r)
+			if stored.bodies != nil && &again[0] != &first[0] {
+				t.Errorf("%s %s: a copy of a stored result was encoded again", r.ID, format)
+			}
+			if &fresh[0] == &first[0] || !bytes.Equal(again, want.Bytes()) || !bytes.Equal(fresh, want.Bytes()) {
+				t.Errorf("%s %s: stored %q, fresh %q, want %q from separate encodings", r.ID, format, again, fresh, want.Bytes())
+			}
+		}
+	}
+
+	stored := WithBodies(roundTripResults()[0])
+	if _, err := Body("json", stored); err != nil {
+		t.Fatal(err)
+	}
+	altered := []Result{stored, stored, stored}
+	altered[0].ID = "E9"
+	altered[1].Table = &Table{ID: "E1", Title: "another table"}
+	altered[2].Err = errors.New("failed after all")
+	for _, r := range altered {
+		var want bytes.Buffer
+		if err := EncodeJSON(&want, []Result{r}); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := Body("json", r); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("altered copy %+v served %q, want %q", r, got, want.Bytes())
+		}
+	}
+	if _, err := Body("yaml", stored); err == nil || !strings.Contains(err.Error(), `unknown format "yaml"`) {
+		t.Errorf("unknown format: err = %v", err)
+	}
+}

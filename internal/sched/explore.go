@@ -15,16 +15,15 @@ import (
 // factory must build a fresh, deterministic instance of the system (fresh
 // shared memory and process closures) on every call.
 //
-// Explore stops early and returns ErrExploreLimit if more than maxRuns
-// executions are visited (maxRuns <= 0 means no limit). If visit returns
-// false, exploration stops without error. Each visited Result is the
-// run's own, but its Schedule is valid only until visit returns. A
-// panic in a process is raised again on the caller, as by Run.
-func Explore(factory func() []ProcFunc, maxSteps, maxRuns int, visit func(*Result) bool) (int, error) {
-	return explore(factory, maxSteps, maxRuns, [][]int{{}}, visit)
+// If visit returns false, exploration stops without error. Each visited
+// Result is the run's own, but its Schedule is valid only until visit
+// returns. A panic in a process is raised again on the caller, as by
+// Run. Explore is ExplorePrefixes over the single empty prefix.
+func Explore(factory func() []ProcFunc, maxSteps int, visit func(*Result) bool) (int, error) {
+	return ExplorePrefixes(factory, maxSteps, [][]int{{}}, visit)
 }
 
-// ExploreAll is Explore with visit always continuing and no run limit.
+// ExploreAll is Explore with visit always continuing.
 func ExploreAll(factory func() []ProcFunc, maxSteps int, visit func(*Result)) (int, error) {
 	return ExplorePrefixes(factory, maxSteps, [][]int{{}}, func(r *Result) bool {
 		visit(r)
@@ -33,13 +32,13 @@ func ExploreAll(factory func() []ProcFunc, maxSteps int, visit func(*Result)) (i
 }
 
 // ExplorePrefixes is Explore restricted to the subtrees under the
-// given forced prefixes, with no run limit: it visits exactly the
-// executions whose scheduler-decision sequence extends one of roots,
-// root by root in the order given and each subtree in DFS order, all
-// on the caller's goroutine. With the single empty prefix it walks
-// the whole tree as ExploreAll does; with a PartitionRoots partition
-// split across calls (or
-// machines), the union of all visits is exactly the ExploreAll
+// given forced prefixes: it visits exactly the executions whose
+// scheduler-decision sequence extends one of roots, root by root in
+// the order given and each subtree in DFS order, all on the caller's
+// goroutine, and stops early, without error, when visit returns
+// false. With the single empty prefix it walks the whole tree as
+// ExploreAll does; with a PartitionRoots partition split across calls
+// (or machines), the union of all visits is exactly the ExploreAll
 // execution set, each execution visited once — the property the
 // distributed sharding layers are built on. Every explorer is serial:
 // a caller that wants several explorations at once runs several
@@ -54,12 +53,6 @@ func ExploreAll(factory func() []ProcFunc, maxSteps int, visit func(*Result)) (i
 // caller's contract. An empty roots slice explores nothing and
 // returns 0.
 func ExplorePrefixes(factory func() []ProcFunc, maxSteps int, roots [][]int, visit func(*Result) bool) (int, error) {
-	return explore(factory, maxSteps, 0, roots, visit)
-}
-
-// explore is the replay DFS behind every exhaustive explorer: each
-// root's subtree in turn, at most maxRuns executions in all.
-func explore(factory func() []ProcFunc, maxSteps, maxRuns int, roots [][]int, visit func(*Result) bool) (int, error) {
 	runs := 0
 	// frames[d] is the replay record of DFS depth d: a frame's record
 	// stays intact while its branches are explored one depth down, and
@@ -69,9 +62,6 @@ func explore(factory func() []ProcFunc, maxSteps, maxRuns int, roots [][]int, vi
 	defer func() { rn.stop() }()
 	var dfs func(prefix []int, depth int) (bool, error)
 	dfs = func(prefix []int, depth int) (bool, error) {
-		if maxRuns > 0 && runs >= maxRuns {
-			return false, ErrExploreLimit
-		}
 		if depth == len(frames) {
 			frames = append(frames, &Replay{})
 		}
@@ -119,9 +109,6 @@ func explore(factory func() []ProcFunc, maxSteps, maxRuns int, roots [][]int, vi
 	}
 	return runs, nil
 }
-
-// ErrExploreLimit reports that Explore hit its maxRuns bound.
-var ErrExploreLimit = fmt.Errorf("sched: exploration run limit reached")
 
 // ErrPrefixNotLive reports that a forced prefix handed to
 // ExplorePrefixes is not a live path of the system's decision tree —

@@ -259,16 +259,12 @@ func TestRunnerGoroutineLifetime(t *testing.T) {
 		want    string // the error, or "panic: " and the panic; "" for none
 	}{
 		{"Explore/clean", func() error {
-			_, err := Explore(sys(0).procs, 0, 0, all)
+			_, err := Explore(sys(0).procs, 0, all)
 			return err
 		}, ""},
-		{"Explore/run limit", func() error {
-			_, err := Explore(sys(0).procs, 0, 3, all)
-			return err
-		}, ErrExploreLimit.Error()},
 		{"Explore/visit stops", func() error {
 			visits := 0
-			_, err := Explore(sys(0).procs, 0, 0, func(*Result) bool { visits++; return visits < 2 })
+			_, err := Explore(sys(0).procs, 0, func(*Result) bool { visits++; return visits < 2 })
 			return err
 		}, ""},
 		{"Explore/arity changes", func() error {
@@ -278,11 +274,11 @@ func TestRunnerGoroutineLifetime(t *testing.T) {
 					return stepSystem([]int{2, 2})
 				}
 				return stepSystem([]int{1, 1, 1})
-			}, 0, 0, all)
+			}, 0, all)
 			return err
 		}, ""},
 		{"Explore/process panic", func() error {
-			_, err := Explore(sys(3).procs, 0, 0, all)
+			_, err := Explore(sys(3).procs, 0, all)
 			return err
 		}, "panic: sched: process 1 panicked: boom"},
 		{"ExplorePrefixes/clean", func() error {

@@ -28,7 +28,7 @@ func TestExploreVisitStops(t *testing.T) {
 		return []ProcFunc{counterProc(3, &sink), counterProc(3, &sink)}
 	}
 	seen := 0
-	runs, err := Explore(factory, 0, 0, func(*Result) bool {
+	runs, err := Explore(factory, 0, func(*Result) bool {
 		seen++
 		return seen < 2
 	})

@@ -313,20 +313,6 @@ func TestExploreDistinctSchedules(t *testing.T) {
 	}
 }
 
-func TestExploreRunLimit(t *testing.T) {
-	factory := func() []ProcFunc {
-		var sink []int
-		return []ProcFunc{counterProc(4, &sink), counterProc(4, &sink)}
-	}
-	runs, err := Explore(factory, 0, 3, func(*Result) bool { return true })
-	if !errors.Is(err, ErrExploreLimit) {
-		t.Fatalf("err = %v, want ErrExploreLimit", err)
-	}
-	if runs != 3 {
-		t.Fatalf("runs = %d, want 3", runs)
-	}
-}
-
 // badPid breaks the Scheduler contract by choosing a pid outside the
 // enabled set.
 type badPid struct{}

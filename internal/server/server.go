@@ -15,6 +15,14 @@
 //     served from the store, from memory after each artifact's first
 //     read, without executing anything.
 //
+// A warm whole or parameter-point hit writes the response body the
+// cache's memory tier stored for its format (experiments.Body),
+// encoding only the first request in each format; the same holds for
+// a -peers front door's coordinator front-cache hits. Those bytes are
+// shared with every other request for that entry and are read-only,
+// like the Result they belong to. A fresh or failed result and a
+// ?prefixes= slice envelope are encoded on every request.
+//
 // Every request is (id, parameter point, prefixes) resolved through one
 // experiment registry: a whole request at any point (the zero ParamSet
 // is the default point, the plain id) takes the one execute path, and a
@@ -316,8 +324,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if format == "" {
 		format = "text"
 	}
-	encode, err := experiments.LookupEncoder(format)
-	if err != nil {
+	if _, err := experiments.LookupEncoder(format); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -352,9 +359,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	// Encode before writing headers so an encoder error cannot corrupt
 	// a 200 response, and a failed experiment can carry a 500 status
-	// around its encoded error form.
-	var body bytes.Buffer
-	if err := encode(&body, []experiments.Result{res}); err != nil {
+	// around its encoded error form. A result the cache tier shares
+	// carries its stored body, encoded once per format; a fresh or
+	// failed one is encoded here.
+	body, err := experiments.Body(format, res)
+	if err != nil {
 		s.traceDone(reqID, http.StatusInternalServerError, start)
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -367,9 +376,18 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", contentTypes[format])
 	w.Header().Set(RegistryVersionHeader, experiments.RegistryVersion)
 	w.WriteHeader(status)
-	w.Write(body.Bytes())
-	s.logf("figuresd: GET %s format=%s status=%d cached=%v shared=%v trace=%s in %v",
-		r.URL.Path, format, status, res.Cached, shared, reqID, time.Since(start).Round(time.Millisecond))
+	w.Write(body)
+	s.logf("figuresd: GET %s%s format=%s status=%d cached=%v shared=%v trace=%s in %v",
+		r.URL.Path, paramsField(ps), format, status, res.Cached, shared, reqID, time.Since(start).Round(time.Millisecond))
+}
+
+// paramsField renders a request's parameter point for its log line —
+// " params=k=3" — and nothing at the default point, however spelled.
+func paramsField(ps experiments.ParamSet) string {
+	if params := ps.Canonical(); params != "" {
+		return " params=" + params
+	}
+	return ""
 }
 
 // traceDone closes a request's span with its status and duration.
@@ -466,8 +484,8 @@ func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp expe
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(RegistryVersionHeader, experiments.RegistryVersion)
 	w.Write(body.Bytes())
-	s.logf("figuresd: GET %s prefixes=%s roots=%d cached=%v shared=%v trace=%s in %v",
-		r.URL.Path, canonical, len(roots), out.cached, shared, reqID, time.Since(start).Round(time.Millisecond))
+	s.logf("figuresd: GET %s%s prefixes=%s roots=%d cached=%v shared=%v trace=%s in %v",
+		r.URL.Path, paramsField(ps), canonical, len(roots), out.cached, shared, reqID, time.Since(start).Round(time.Millisecond))
 }
 
 // sliceEnvelope produces one slice's wire envelope: from the artifact
