@@ -21,9 +21,13 @@ test-short:
 # (grant, crash, halt, deadlock, budget, scheduler error, panic) is
 # exercised repeatedly, and so are the kept runners of serial
 # explorations running side by side (TestExplorePrefixesPooledFrontier,
-# TestExploreParallel*).
+# TestExploreParallel*). It also runs Algorithm 1's memo tests
+# (internal/agreement, TestAlg1Memo*, about 35 s): a memo exploration
+# resets one system's memory between replays while the kept runner's
+# goroutines are still returning from the last one.
 race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
+	$(GO) test -race -count=10 -run '^TestAlg1Memo' ./internal/agreement
 
 # race-cache runs the artifact store's concurrency tests ten times
 # under the race detector: readers filling the memory tier, and the

@@ -422,6 +422,8 @@ func BenchmarkExploreParallel(b *testing.B) {
 // run Algorithm 1 inside nested calls, so every replay runs on deep
 // stacks. The executions metric matches the exhaustive run count while
 // replays stays a fraction of it — the counters BENCH_explore.json pins.
+// It reports allocations: an exploration builds its system once, so
+// they count the explorer's own bookkeeping, not a build per replay.
 func BenchmarkExploreMemoized(b *testing.B) {
 	tk := task.ChoiceTask(2)
 	sub, ok := tk.FindSolvableSubset()
@@ -445,6 +447,7 @@ func BenchmarkExploreMemoized(b *testing.B) {
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var stats sched.MemoStats
 			for i := 0; i < b.N; i++ {
 				s, err := bc.explore()

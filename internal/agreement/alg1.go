@@ -234,7 +234,9 @@ func ExploreAlg1Prefixes(k int, inputs [2]uint64, roots [][]int, visit func(*Alg
 // run's final state, never retain the Alg1Run or its pooled
 // Result, and — because the memory's canonical key applies the
 // process-relabelling reduction — be invariant under swapping the two
-// processes' roles whenever the inputs are equal. merge must be pure
+// processes' roles whenever the inputs are equal. The exploration
+// resets one Alg1Run, memory included, for every replay, so the run
+// leaf receives is valid only until leaf returns. merge must be pure
 // (sched.MemoOptions.Merge).
 func ExploreAlg1Memo(k int, inputs [2]uint64, leaf func(*Alg1Run) any, merge func(a, b any) any) (any, sched.MemoStats, error) {
 	return ExploreAlg1MemoPrefixes(k, inputs, [][]int{{}}, leaf, merge)
@@ -249,21 +251,31 @@ func ExploreAlg1MemoPrefixes(k int, inputs [2]uint64, roots [][]int, leaf func(*
 	return sched.ExploreMemoPrefixes(alg1MemoFactory(k, inputs, leaf), sched.MemoOptions{Merge: merge}, roots)
 }
 
+// reset puts a run back in the state newAlg1Run built it in, keeping
+// its memory and the process closures wired into it.
+func (ar *Alg1Run) reset() {
+	ar.Outs, ar.Decided, ar.Result = [2]Decision{}, [2]bool{}, nil
+	ar.Mem.Reset()
+}
+
 // alg1MemoFactory builds the memoized explorer's MemoInstance
-// factory: a fresh Algorithm 1 run per instance, fingerprinted by the
+// factory: one Algorithm 1 run per exploration, built on the first
+// call and reset in place on every later one, fingerprinted by the
 // memory's canonical (relabelling-reduced) key, with leaf wrapped to
-// see the current run.
+// see the run.
 func alg1MemoFactory(k int, inputs [2]uint64, leaf func(*Alg1Run) any) func() sched.MemoInstance {
+	var cur *Alg1Run
+	var inst sched.MemoInstance
 	return func() sched.MemoInstance {
-		cur, procs := newAlg1Run(k, inputs)
-		inst := sched.MemoInstance{
-			Procs: procs,
-			State: cur.Mem.CanonicalKey,
+		if cur != nil {
+			cur.reset()
+			return inst
 		}
+		cur, inst.Procs = newAlg1Run(k, inputs)
+		inst.State = cur.Mem.CanonicalKey
 		if leaf != nil {
 			inst.Leaf = func(r *sched.Result) any {
 				cur.Result = r
-				defer func() { cur.Result = nil }()
 				return leaf(cur)
 			}
 		}

@@ -161,3 +161,34 @@ func TestAlg1MemoAggregatesSpec(t *testing.T) {
 		}
 	}
 }
+
+// TestAlg1MemoAllocsPerReplay pins the per-replay cost of E2's memo:
+// an exploration builds its Algorithm 1 system once and resets it in
+// place for every later replay, so a replay allocates only the
+// explorer's own bookkeeping. Between k=2 and k=6 (74 and 218
+// replays) the allocations grow by fewer than 8 per extra replay;
+// rebuilding the system on every replay costs about 17. Comparing two
+// explorations, rather than pinning one count, keeps the bound
+// independent of the Go release.
+func TestAlg1MemoAllocsPerReplay(t *testing.T) {
+	explore := func(k int) (allocs float64, replays int) {
+		allocs = testing.AllocsPerRun(3, func() {
+			_, stats, err := ExploreAlg1Memo(k, [2]uint64{0, 1}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			replays = stats.Replays
+		})
+		return allocs, replays
+	}
+	smallAllocs, smallReplays := explore(2)
+	largeAllocs, largeReplays := explore(6)
+	if largeReplays <= smallReplays {
+		t.Fatalf("k=6 replays %d, k=2 replays %d: no growth to measure", largeReplays, smallReplays)
+	}
+	slope := (largeAllocs - smallAllocs) / float64(largeReplays-smallReplays)
+	if slope >= 8 {
+		t.Errorf("%.1f allocations per extra replay (k=2: %v over %d replays, k=6: %v over %d), want under 8",
+			slope, smallAllocs, smallReplays, largeAllocs, largeReplays)
+	}
+}

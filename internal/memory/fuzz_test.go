@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -22,7 +23,9 @@ var fuzzKeys = struct {
 // 2-process bounded memory and checks the canonicalization contract:
 // idempotent, invariant under process relabelling (the mirrored
 // stream lands on the same key), and collision-free across every
-// distinct state the corpus reaches.
+// distinct state the corpus reaches. It also checks Reset: the memory
+// it leaves matches a fresh one, and replaying the stream on it
+// reproduces the first key.
 func FuzzCanonicalState(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x00, 0x29, 0x12, 0x3b, 0x04})
@@ -44,30 +47,22 @@ func FuzzCanonicalState(f *testing.F) {
 			j := int(b>>4) & 1
 			val := uint64(b>>5) & 1
 			rel := (j - pid + 2) % 2
+			err, merr := fuzzOp(m, b, 0), fuzzOp(mir, b, 1)
+			if (err == nil) != (merr == nil) {
+				t.Fatalf("mirror diverged on op %#x: %v vs %v", b, err, merr)
+			}
 			switch b % 5 {
 			case 0: // write own register
-				if err := m.write(pid, val); err != nil {
+				if err != nil {
 					t.Fatalf("width-1 write of %d failed: %v", val, err)
-				}
-				if err := mir.write(pid^1, val); err != nil {
-					t.Fatal(err)
 				}
 				regs[pid] = val
 				logs[pid] = append(logs[pid], fmt.Sprintf("w%d", val))
 			case 1: // read register j
-				m.read(pid, j)
-				mir.read(pid^1, j^1)
 				logs[pid] = append(logs[pid], fmt.Sprintf("r%d=%d", rel, regs[j]))
 			case 2: // snapshot
-				m.snapshot(pid)
-				mir.snapshot(pid ^ 1)
 				logs[pid] = append(logs[pid], fmt.Sprintf("s%d,%d", regs[pid], regs[pid^1]))
 			case 3: // write input
-				err := m.writeInput(pid, val)
-				merr := mir.writeInput(pid^1, val)
-				if (err == nil) != (merr == nil) {
-					t.Fatalf("mirror diverged on writeInput: %v vs %v", err, merr)
-				}
 				if err != nil {
 					logs[pid] = append(logs[pid], fmt.Sprintf("wi!%d", val))
 				} else {
@@ -75,8 +70,6 @@ func FuzzCanonicalState(f *testing.F) {
 					logs[pid] = append(logs[pid], fmt.Sprintf("wi%d", val))
 				}
 			case 4: // read input j
-				m.readInput(pid, j)
-				mir.readInput(pid^1, j^1)
 				if inputs[j] == nil {
 					logs[pid] = append(logs[pid], fmt.Sprintf("ri%d=bot", rel))
 				} else {
@@ -91,6 +84,34 @@ func FuzzCanonicalState(f *testing.F) {
 		}
 		if mk := mir.CanonicalKey(); mk != key {
 			t.Fatalf("mirrored stream landed on %x, original on %x", mk, key)
+		}
+
+		// A reset memory is indistinguishable from a fresh one, and
+		// the same stream replayed on it lands on the same key.
+		m.Reset()
+		fresh := New(2, 1)
+		if got, want := m.CanonicalKey(), fresh.CanonicalKey(); got != want {
+			t.Fatalf("reset memory keys %x, a fresh one %x", got, want)
+		}
+		for i := 0; i < 2; i++ {
+			if got, want := m.Component(i), fresh.Component(i); got != want {
+				t.Fatalf("reset component %d = %x, fresh %x", i, got, want)
+			}
+			if m.InputWritten(i) != fresh.InputWritten(i) {
+				t.Fatalf("reset input register %d written = %v", i, m.InputWritten(i))
+			}
+		}
+		if got, want := m.PeekAll(), fresh.PeekAll(); !slices.Equal(got, want) {
+			t.Fatalf("reset registers %v, fresh %v", got, want)
+		}
+		if r, w, sn := m.Ops(); r != 0 || w != 0 || sn != 0 {
+			t.Fatalf("reset Ops = (%d,%d,%d), want (0,0,0)", r, w, sn)
+		}
+		for _, b := range ops {
+			fuzzOp(m, b, 0)
+		}
+		if again := m.CanonicalKey(); again != key {
+			t.Fatalf("stream replayed after Reset landed on %x, first run on %x", again, key)
 		}
 
 		// Collision check: the canonical description (sorted
@@ -116,4 +137,26 @@ func FuzzCanonicalState(f *testing.F) {
 			fuzzKeys.m[key] = state
 		}
 	})
+}
+
+// fuzzOp applies the operation fuzz byte b encodes to m, with the
+// process and register indices xored with flip (1 runs the mirrored
+// stream), and returns the operation's error.
+func fuzzOp(m *Shared, b byte, flip int) error {
+	pid := int(b>>3)&1 ^ flip
+	j := int(b>>4)&1 ^ flip
+	val := uint64(b>>5) & 1
+	switch b % 5 {
+	case 0: // write own register
+		return m.write(pid, val)
+	case 1: // read register j
+		m.read(pid, j)
+	case 2: // snapshot
+		m.snapshot(pid)
+	case 3: // write input
+		return m.writeInput(pid, val)
+	case 4: // read input j
+		m.readInput(pid, j)
+	}
+	return nil
 }

@@ -79,6 +79,21 @@ func New(n, width int) *Shared {
 	return m
 }
 
+// Reset puts the memory back in the state New built it in, without
+// allocating: every register holds its initial word (nil when
+// unbounded), every input register is unwritten, every history hash is
+// back at its seed, and the operation counters read zero. It lets an
+// explorer's factory run every replay on one memory; no process may be
+// mid-run on m while it resets.
+func (m *Shared) Reset() {
+	for i := range m.regs {
+		m.regs[i].Reset()
+		m.inputs[i].Reset()
+		m.hist[i] = sched.KeySeed()
+	}
+	m.reads, m.writes, m.snapshots = 0, 0, 0
+}
+
 // N returns the number of processes (and registers).
 func (m *Shared) N() int { return len(m.regs) }
 

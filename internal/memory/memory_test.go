@@ -32,6 +32,41 @@ func TestSharedUnboundedInit(t *testing.T) {
 	}
 }
 
+// TestSharedResetUnbounded: Reset puts an unbounded memory's registers
+// back to nil, unwrites its inputs and zeroes its counters, leaving
+// the key of a fresh memory, and it allocates nothing.
+func TestSharedResetUnbounded(t *testing.T) {
+	m := New(2, 0)
+	res := runOne(t, m, 2, func(pm Mem) error {
+		if err := pm.Write("v"); err != nil {
+			return err
+		}
+		_ = pm.Read(1)
+		return pm.WriteInput(7)
+	})
+	if err := res.Err(); err != nil {
+		t.Fatal(err)
+	}
+	m.Reset()
+	for j := 0; j < 2; j++ {
+		if got := m.Peek(j); got != nil {
+			t.Errorf("R%d after Reset = %v, want nil", j, got)
+		}
+		if m.InputWritten(j) {
+			t.Errorf("I%d written after Reset", j)
+		}
+	}
+	if r, w, s := m.Ops(); r != 0 || w != 0 || s != 0 {
+		t.Errorf("Ops after Reset = (%d,%d,%d), want (0,0,0)", r, w, s)
+	}
+	if got, want := m.CanonicalKey(), New(2, 0).CanonicalKey(); got != want {
+		t.Errorf("reset memory keys %x, a fresh one %x", got, want)
+	}
+	if n := testing.AllocsPerRun(10, m.Reset); n != 0 {
+		t.Errorf("Reset allocates %v times, want 0", n)
+	}
+}
+
 // runOne runs a single process against the memory with a trivial scheduler.
 func runOne(t *testing.T, m *Shared, n int, body func(pm Mem) error) *sched.Result {
 	t.Helper()

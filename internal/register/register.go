@@ -51,17 +51,22 @@ func Fits(v Value, width int) bool {
 // only one process takes a step at a time, so plain field access is atomic
 // in the model's sense.
 type SWMR struct {
-	width  int // bits; 0 = unbounded
-	val    Value
-	writes int
+	width   int // bits; 0 = unbounded
+	initial Value
+	val     Value
+	writes  int
 }
 
 // NewSWMR returns a register of the given width in bits (0 = unbounded),
 // initialized to initial. Registers in the paper are initialized to 0
 // (bounded coordination registers) or ⊥/nil (input registers, views).
 func NewSWMR(width int, initial Value) *SWMR {
-	return &SWMR{width: width, val: initial}
+	return &SWMR{width: width, initial: initial, val: initial}
 }
+
+// Reset puts the register back to the content it was built with and
+// zeroes its write count.
+func (r *SWMR) Reset() { r.val, r.writes = r.initial, 0 }
 
 // Width returns the register width in bits (0 = unbounded).
 func (r *SWMR) Width() int { return r.width }
@@ -112,3 +117,6 @@ func (r *WriteOnce) Read() Value { return r.val }
 
 // Written reports whether the register has been written.
 func (r *WriteOnce) Written() bool { return r.written }
+
+// Reset makes the register unwritten again, with content ⊥.
+func (r *WriteOnce) Reset() { r.val, r.written = nil, false }

@@ -158,3 +158,25 @@ func TestWriteOnce(t *testing.T) {
 		t.Fatalf("Read after rejected rewrite = %v", got)
 	}
 }
+
+func TestReset(t *testing.T) {
+	r := NewSWMR(2, uint64(1))
+	if err := r.Write(uint64(3)); err != nil {
+		t.Fatal(err)
+	}
+	r.Reset()
+	if got := r.Read(); got != uint64(1) || r.Writes() != 0 {
+		t.Fatalf("after Reset: Read = %v, Writes = %d; want 1, 0", got, r.Writes())
+	}
+	in := NewWriteOnce()
+	if err := in.Write("x"); err != nil {
+		t.Fatal(err)
+	}
+	in.Reset()
+	if in.Read() != nil || in.Written() {
+		t.Fatalf("after Reset: Read = %v, Written = %v; want ⊥, false", in.Read(), in.Written())
+	}
+	if err := in.Write("y"); err != nil {
+		t.Fatalf("Write after Reset: %v", err)
+	}
+}

@@ -25,7 +25,12 @@ import (
 // reduction, see Canonicalizer), which is why Leaf contributions and
 // Merge must be relabelling-invariant for reduced systems.
 
-// MemoInstance is one fresh system build for the memoized explorer.
+// MemoInstance is one system in its initial state, as the memoized
+// explorer's factory returns it for a replay: a fresh build, or the
+// previous replay's instance reset in place. The explorer is done with
+// an instance before it calls the factory again — every process has
+// returned or unwound, and the replay's State and Leaf calls have
+// returned — so a factory may keep one system for a whole exploration.
 type MemoInstance struct {
 	// Procs are the process closures, as for the other explorers.
 	Procs []ProcFunc
@@ -136,7 +141,9 @@ func (m *memoProbe) Next(enabled []int) Decision {
 // ExploreMemo explores the whole schedule tree of a deterministic
 // system in memoized mode, returning the merged contribution of every
 // leaf, the exploration counters, and the first error. factory must
-// build a fresh, fully deterministic instance on every call.
+// return a fully deterministic instance in its initial state on every
+// call; it may return the previous instance reset in place (see
+// MemoInstance).
 func ExploreMemo(factory func() MemoInstance, opts MemoOptions) (any, MemoStats, error) {
 	return ExploreMemoPrefixes(factory, opts, [][]int{{}})
 }
@@ -150,7 +157,8 @@ func ExploreMemo(factory func() MemoInstance, opts MemoOptions) (any, MemoStats,
 // follow fails with ErrPrefixNotLive. The memoized union over any
 // partition of roots equals the exhaustive whole-tree aggregate,
 // which is what lets the sharded layers adopt the mode slice by
-// slice. An empty roots slice explores nothing.
+// slice. An empty roots slice explores nothing. factory follows the
+// ExploreMemo contract, across roots as within one.
 func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots [][]int) (any, MemoStats, error) {
 	var stats MemoStats
 	if len(roots) == 0 {

@@ -30,6 +30,8 @@ type Alg2System struct {
 
 	Outs    [2]int
 	Decided [2]bool
+
+	canon sched.Canonicalizer
 }
 
 // NewAlg2System builds a fresh instance for one execution.
@@ -49,13 +51,22 @@ func NewAlg2System(plan *Plan) *Alg2System {
 // including a decided output — is a function of the fixed plan, its
 // input, and its joint observation history, all of which the
 // components capture, so equal keys at equal depth imply isomorphic
-// continuations.
+// continuations. It reuses one canonicalizer per system, so calls on
+// one system must not overlap.
 func (s *Alg2System) StateKey() sched.StateKey {
-	var c sched.Canonicalizer
+	s.canon.Reset()
 	for i := 0; i < 2; i++ {
-		c.Proc(sched.MixKey(s.memTask.Component(i), s.memAgree.Component(i)))
+		s.canon.Proc(sched.MixKey(s.memTask.Component(i), s.memAgree.Component(i)))
 	}
-	return c.Key()
+	return s.canon.Key()
+}
+
+// reset puts the system back in the state NewAlg2System built it in,
+// keeping its memories.
+func (s *Alg2System) reset() {
+	s.memTask.Reset()
+	s.memAgree.Reset()
+	s.Outs, s.Decided = [2]int{}, [2]bool{}
 }
 
 // Proc returns the code of process me ∈ {0,1} with the given task input.
@@ -279,11 +290,18 @@ func ExploreAlg2Memo(plan *Plan, input Pair) (sched.MemoStats, error) {
 func ExploreAlg2MemoPrefixes(plan *Plan, input Pair, roots [][]int) (sched.MemoStats, error) {
 	// Leaf runs serially inside the explorer's DFS, so checkErr needs
 	// no synchronization. It returns no contribution: the execution
-	// count in MemoStats is the aggregate.
+	// count in MemoStats is the aggregate. The first call builds the
+	// exploration's one system; every later call resets it in place.
 	var checkErr error
+	var sys *Alg2System
+	var inst sched.MemoInstance
 	factory := func() sched.MemoInstance {
-		sys := NewAlg2System(plan)
-		return sched.MemoInstance{
+		if sys != nil {
+			sys.reset()
+			return inst
+		}
+		sys = NewAlg2System(plan)
+		inst = sched.MemoInstance{
 			Procs: []sched.ProcFunc{sys.Proc(0, input[0]), sys.Proc(1, input[1])},
 			State: sys.StateKey,
 			Leaf: func(r *sched.Result) any {
@@ -293,6 +311,7 @@ func ExploreAlg2MemoPrefixes(plan *Plan, input Pair, roots [][]int) (sched.MemoS
 				return nil
 			},
 		}
+		return inst
 	}
 	_, stats, err := sched.ExploreMemoPrefixes(factory, sched.MemoOptions{}, roots)
 	if err != nil {

@@ -28,8 +28,8 @@ func alg2FP(sys *Alg2System, input Pair) string {
 // TestAlg2MemoMatchesExhaustive pins the memoized Algorithm 2
 // exploration to the exhaustive one across tasks and inputs: identical
 // fingerprint multisets (via a sched-level differential on the same
-// system factory), identical execution counts from the public
-// ExploreAlg2Memo, and real pruning.
+// system factory), real pruning, and identical counters from the
+// public ExploreAlg2Memo.
 func TestAlg2MemoMatchesExhaustive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive exploration")
@@ -81,13 +81,14 @@ func TestAlg2MemoMatchesExhaustive(t *testing.T) {
 					t.Errorf("no subtree pruned on a %d-execution space", runs)
 				}
 
-				// The public validating sweep agrees on the count.
+				// The public validating sweep, which resets one system
+				// for every replay, does exactly the same work.
 				mstats, err := ExploreAlg2Memo(plan, input)
 				if err != nil {
 					t.Fatalf("ExploreAlg2Memo: %v", err)
 				}
-				if mstats.Executions != runs {
-					t.Fatalf("ExploreAlg2Memo accounts for %d executions, want %d", mstats.Executions, runs)
+				if mstats != stats {
+					t.Fatalf("ExploreAlg2Memo counters %+v, a fresh system per replay %+v", mstats, stats)
 				}
 			})
 		}
@@ -154,5 +155,27 @@ func TestAlg2MemoSurfacesViolation(t *testing.T) {
 
 	if _, err := ExploreAlg2Memo(&doctored, input); err == nil {
 		t.Fatal("memoized sweep accepted a plan whose outputs are all illegal")
+	}
+}
+
+// TestAlg2MemoAllocsPerReplay pins the per-replay cost of E15's memo:
+// an exploration builds its Algorithm 2 system once and resets it in
+// place for every later replay, and StateKey keys every decision
+// point with the system's one canonicalizer, so the whole exploration
+// of the choice task allocates fewer than 6 times per replay.
+// Rebuilding the system on every replay costs about 29. The bound is
+// a ratio of two counts, so it holds across Go releases.
+func TestAlg2MemoAllocsPerReplay(t *testing.T) {
+	plan := planFor(t, ChoiceTask(2))
+	var replays int
+	allocs := testing.AllocsPerRun(3, func() {
+		stats, err := ExploreAlg2Memo(plan, Pair{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replays = stats.Replays
+	})
+	if perReplay := allocs / float64(replays); perReplay >= 6 {
+		t.Errorf("%v allocations over %d replays (%.1f per replay), want under 6", allocs, replays, perReplay)
 	}
 }
