@@ -72,12 +72,16 @@ cover:
 cache-surgery:
 	./scripts/cache-surgery.sh
 
-# warm-bytes proves a warm daemon serves the CLI's bytes: a
-# cache-backed figuresd serves E1, E2, E7, E15, E2?k=3 and E15?c=3 in
-# every format, and a daemon restarted on the same store serves each
-# twice (the tier and the format's stored body fill, then a
-# stored-bytes hit). Every body must equal `figures` output, and the
-# restarted daemon's /stats must read 36 hits and 0 misses.
+# warm-bytes proves a warm daemon and a long-lived front door serve
+# the CLI's bytes: a cache-backed figuresd serves E1, E2, E7, E15,
+# E2?k=3 and E15?c=3 in every format, a daemon restarted on the same
+# store serves each twice (the tier and the format's stored body fill,
+# then a stored-bytes hit), and a storeless figuresd -peers front door
+# over two workers on that store serves each twice more (every E2 and
+# E15 point carved once, its later requests reusing the carve). Every
+# body must equal `figures` output, the restarted daemon's /stats must
+# read 36 hits and 0 misses, and the workers' /stats four slice lookups
+# per carved front-door request.
 warm-bytes:
 	./scripts/warm-bytes.sh
 

@@ -464,6 +464,41 @@ func BenchmarkExploreMemoized(b *testing.B) {
 	}
 }
 
+// BenchmarkCarve measures the carve a shard coordinator pays on the
+// first request for each point of a prefix-shardable experiment: the
+// point's Shardable.Roots, sched.PartitionRoots at the experiment's
+// cut depth, one replay of a freshly built system per interior node
+// above the cut. Later requests for the point reuse the coordinator's
+// memoized roots, so this is a once-per-point price, not a per-request
+// one.
+func BenchmarkCarve(b *testing.B) {
+	reg := experiments.Registry()
+	for _, bc := range []struct{ name, id, params string }{
+		{"E2", "E2", ""},
+		{"E15", "E15", ""},
+		{"E2?k=3", "E2", "k=3"},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			ps, err := experiments.ParseParamList(reg[bc.id], bc.params)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sh, ok := reg[bc.id].ShardableAt(ps)
+			if !ok {
+				b.Fatalf("%s does not shard", bc.name)
+			}
+			b.ReportAllocs()
+			var roots [][]int
+			for i := 0; i < b.N; i++ {
+				if roots, err = sh.Roots(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(roots)), "roots")
+		})
+	}
+}
+
 // BenchmarkSchedHandshake measures the raw cost of one scheduler-gated
 // step (the simulator's unit of work), 1000 steps per op. With one
 // process the stepping goroutine keeps the step every time (no

@@ -37,7 +37,12 @@ type Aggregate interface {
 // the wire, and render the merged whole.
 type Shardable struct {
 	// Roots enumerates the partition of the experiment's exploration
-	// space at its preferred cut depth, in deterministic order.
+	// space at its preferred cut depth, in deterministic order. It must
+	// be deterministic per point and do no I/O: internal/shard's
+	// coordinator relies on that to call it once per point and hand the
+	// same roots to every later request. The roots it hands out are
+	// shared and read-only — callers may sub-slice and read them, never
+	// write them.
 	Roots func() ([][]int, error)
 	// Explore computes the aggregate over the subtrees under roots —
 	// the whole experiment when roots is the full partition (or the
@@ -233,9 +238,10 @@ func DecodeShard(r io.Reader) (ShardEnvelope, error) {
 
 // e2K and e2Inputs pin Figure 2's instance: Algorithm 1 with k = 4 on
 // inputs (0, 1). e2ShardDepth is the partition cut — depth 5 carves
-// the ~22k-execution tree into ~2^5 ranges, fine-grained enough to
-// balance a small fleet, coarse enough that carving costs almost
-// nothing.
+// the ~22k-execution tree into 32 roots, fine-grained enough to
+// balance a small fleet. Carving is not free: it replays the system
+// 32 times, about 0.3 ms (BenchmarkCarve), which a coordinator pays
+// once per point, on the point's first request.
 const (
 	e2K          = 4
 	e2ShardDepth = 5

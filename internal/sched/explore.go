@@ -137,8 +137,10 @@ func replayedExactly(rec *Replay, prefix []int) bool {
 // sorted), so every caller carves the same tree identically. depth <=
 // 0 returns the single empty prefix (the whole tree as one range); a
 // depth beyond the tree height returns one root per execution. The
-// cost is one replay run per interior node above the cut — for a
-// shallow cut, a vanishing fraction of the exploration it partitions.
+// cost is one replay of a freshly built system per interior node above
+// the cut: a vanishing fraction of an exhaustive exploration, but not
+// of a memoized one — E2's depth-5 carve (32 replays, BenchmarkCarve)
+// costs about a fifth of E2's whole memoized exploration.
 func PartitionRoots(factory func() []ProcFunc, maxSteps, depth int) ([][]int, error) {
 	if depth <= 0 {
 		return [][]int{{}}, nil

@@ -204,6 +204,19 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 		}
 		return &memoProbe{memo: memo}
 	}
+	// branches[n] is the one buffer every forced prefix of length n is
+	// built in. Prefixes strictly lengthen down the active recursion, so
+	// no live frame's prefix shares a buffer with a deeper one, and
+	// nothing reads a prefix after its dfs returns (a pooled probe's
+	// Replay.Prefix is overwritten by its next reset), so siblings reuse
+	// it.
+	var branches [][]int
+	branchBuf := func(n int) []int {
+		for len(branches) <= n {
+			branches = append(branches, make([]int, len(branches)))
+		}
+		return branches[n]
+	}
 
 	var dfs func(prefix []int, seed bool) (any, int, error)
 	dfs = func(prefix []int, seed bool) (any, int, error) {
@@ -261,7 +274,7 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 				if alt <= chosen {
 					continue
 				}
-				branch := make([]int, i+1)
+				branch := branchBuf(i + 1)
 				copy(branch, rec.picks[:i])
 				branch[i] = alt
 				sub, subLeaves, err := dfs(branch, false)

@@ -16,13 +16,16 @@ import (
 )
 
 // paramFixture builds a registry of one synthetic parameterized
-// family (integer parameter x, default 1) and an execution counter. With shardable set, every point of the family
-// prefix-shards over the synthetic 8-root partition, with x folded
-// into the aggregate so distinct points render distinct tables.
-func paramFixture(id string, shardable bool) (map[string]experiments.Experiment, *atomic.Int64) {
-	execs := new(atomic.Int64)
+// family (integer parameter x, default 1), an execution counter, and a
+// counter of Roots calls summed over every point. With shardable set,
+// every point of the family prefix-shards over the synthetic 8-root
+// partition, with x folded into the aggregate so distinct points
+// render distinct tables.
+func paramFixture(id string, shardable bool) (reg map[string]experiments.Experiment, execs, carves *atomic.Int64) {
+	execs = new(atomic.Int64)
+	base, _, carves := newTestShardable(id)
 	shAt := func(x int) experiments.Shardable {
-		sh, _ := newTestShardable(id)
+		sh := base
 		inner := sh.Explore
 		sh.Explore = func(roots [][]int) (experiments.Aggregate, error) {
 			execs.Add(1)
@@ -71,14 +74,14 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Experiment,
 			return shAt(ps.Int("x"))
 		}
 	}
-	return map[string]experiments.Experiment{id: fam}, execs
+	return map[string]experiments.Experiment{id: fam}, execs, carves
 }
 
 // newParamWorker stands up a worker serving the synthetic family's
 // points, the default one included.
 func newParamWorker(t *testing.T, id string, shardable bool) (addr string, execs *atomic.Int64) {
 	t.Helper()
-	reg, execs := paramFixture(id, shardable)
+	reg, execs, _ := paramFixture(id, shardable)
 	ts := httptest.NewServer(server.New(server.Options{Registry: reg}))
 	t.Cleanup(ts.Close)
 	return ts.URL, execs
@@ -100,7 +103,7 @@ func paramPoint(t *testing.T, reg map[string]experiments.Experiment, id, list st
 func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 	const id = "E1"
 	w, fleetExecs := newParamWorker(t, id, false)
-	localReg, localExecs := paramFixture(id, false)
+	localReg, localExecs, _ := paramFixture(id, false)
 	coord, err := New(Options{
 		Workers: []string{w},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
@@ -137,7 +140,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localReg, localExecs := paramFixture(id, false)
+	localReg, localExecs, _ := paramFixture(id, false)
 	coord, err := New(Options{
 		Workers: []string{w},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
@@ -179,7 +182,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 // degrades to local evaluation exactly like a fixed experiment.
 func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	const id = "E1"
-	localReg, localExecs := paramFixture(id, false)
+	localReg, localExecs, _ := paramFixture(id, false)
 	coord, err := New(Options{
 		Workers: []string{"http://" + deadAddr(t)},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
@@ -215,7 +218,7 @@ func TestRunParamUnknownFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, _ := paramFixture("E1", false)
+	fams, _, _ := paramFixture("E1", false)
 	ps := paramPoint(t, fams, "E1", "x=2")
 	if _, err := coord.RunParam(context.Background(), "E1", ps); err == nil ||
 		!strings.Contains(err.Error(), "takes no parameters") {
@@ -230,7 +233,7 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	const id = "E2"
 	w1, execs1 := newParamWorker(t, id, true)
 	w2, execs2 := newParamWorker(t, id, true)
-	localReg, localExecs := paramFixture(id, true)
+	localReg, localExecs, _ := paramFixture(id, true)
 	coord, err := New(Options{
 		Workers: []string{w1, w2},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
@@ -246,7 +249,7 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	baselineReg, _ := paramFixture(id, true)
+	baselineReg, _, _ := paramFixture(id, true)
 	_ = baselineReg
 	want, _, err := baselineReg[id].Run(paramPoint(t, baselineReg, id, "x=5"))
 	if err != nil {

@@ -35,11 +35,13 @@ func (a *sliceAgg) Merge(o experiments.Aggregate) error {
 
 // newTestShardable builds a synthetic prefix-shardable experiment
 // over a fixed 8-root partition, plus a counter of Explore calls (the
-// shard-level analogue of the registries' execution counters).
-func newTestShardable(id string) (experiments.Shardable, *atomic.Int64) {
-	execs := new(atomic.Int64)
-	sh := experiments.Shardable{
+// shard-level analogue of the registries' execution counters) and one
+// of Roots calls (carves).
+func newTestShardable(id string) (sh experiments.Shardable, execs, carves *atomic.Int64) {
+	execs, carves = new(atomic.Int64), new(atomic.Int64)
+	sh = experiments.Shardable{
 		Roots: func() ([][]int, error) {
+			carves.Add(1)
 			return [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}, nil
 		},
 		Explore: func(roots [][]int) (experiments.Aggregate, error) {
@@ -75,7 +77,7 @@ func newTestShardable(id string) (experiments.Shardable, *atomic.Int64) {
 			}, nil
 		},
 	}
-	return sh, execs
+	return sh, execs, carves
 }
 
 // shardableRunner is the whole-space run of a Shardable — the local
@@ -97,7 +99,7 @@ func shardableRunner(sh experiments.Shardable) func() (*experiments.Table, error
 // shardableFixture stands up a registry of one synthetic
 // prefix-shardable experiment, with its slice-exploration counter.
 func shardableFixture(id string) (map[string]experiments.Experiment, *atomic.Int64) {
-	sh, execs := newTestShardable(id)
+	sh, execs, _ := newTestShardable(id)
 	e := experiments.Fixed(id, shardableRunner(sh))
 	e.Shardable = func(experiments.ParamSet) experiments.Shardable { return sh }
 	return map[string]experiments.Experiment{id: e}, execs

@@ -45,10 +45,11 @@
 // Prefix-shardable experiments (those whose registry entry declares a
 // Shardable seam) go further: instead of fetching the whole point from
 // one worker, the coordinator carves the point's own exploration space
-// into disjoint schedule-prefix ranges (sched.PartitionRoots), fans the
-// ranges out with GET /experiments/{id}?[params&]prefixes=..., and
-// merges the order-insensitive aggregates — so the fleet splits a
-// single theorem-scale space and still emits byte-identical tables.
+// into disjoint schedule-prefix ranges (sched.PartitionRoots, computed
+// once per point and reused by every later request), fans the ranges
+// out with GET /experiments/{id}?[params&]prefixes=..., and merges the
+// order-insensitive aggregates — so the fleet splits a single
+// theorem-scale space and still emits byte-identical tables.
 // Ranges inherit the failover rules above; a range whose attempts
 // exhaust the fleet is explored locally, reassigned but never dropped.
 //
@@ -245,6 +246,10 @@ type Coordinator struct {
 	now        func() time.Time
 	logf       func(format string, args ...any)
 
+	// carves holds one memoized Shardable.Roots per point (see carve).
+	carveMu sync.Mutex
+	carves  map[string]func() ([][]int, error)
+
 	pickMu           sync.Mutex
 	remote           atomic.Int64
 	localRuns        atomic.Int64
@@ -312,6 +317,7 @@ func New(opts Options) (*Coordinator, error) {
 		journal:    opts.Journal,
 		now:        now,
 		logf:       logf,
+		carves:     make(map[string]func() ([][]int, error)),
 	}
 	for _, addr := range opts.Workers {
 		c.workers = append(c.workers, &worker{
@@ -609,7 +615,7 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 	if c.selectableCount() < minShardWorkers {
 		return experiments.Result{}, false
 	}
-	roots, err := sh.Roots()
+	roots, err := c.carve(id, ps, sh)
 	if err != nil || len(roots) == 0 {
 		c.logf("shard: %s: partition failed (%v); fetching whole", id, err)
 		return experiments.Result{}, false
@@ -653,6 +659,27 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 		return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
 	}
 	return experiments.Result{ID: id, Table: tab, Duration: c.now().Sub(start)}, true
+}
+
+// carve returns the partition of one point's exploration space,
+// computing it on the point's first request: every later request,
+// concurrent ones included, gets the same roots. Shardable.Roots is
+// deterministic and does no I/O, so its result (and its error) is a
+// constant of the point; only schema-validated points reach here, so
+// the memo stays as small as the registry's parameter spaces. The
+// roots are shared and read-only: splitRanges only sub-slices them,
+// and FormatPrefixes, NewShardEnvelope and the local Explore only
+// read them.
+func (c *Coordinator) carve(id string, ps experiments.ParamSet, sh experiments.Shardable) ([][]int, error) {
+	key := id + "\x00" + ps.Canonical()
+	c.carveMu.Lock()
+	roots, ok := c.carves[key]
+	if !ok {
+		roots = sync.OnceValues(sh.Roots)
+		c.carves[key] = roots
+	}
+	c.carveMu.Unlock()
+	return roots()
 }
 
 // selectableCount reports how many workers may currently receive a
