@@ -29,14 +29,17 @@ race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
 	$(GO) test -race -count=10 -run '^TestAlg1Memo' ./internal/agreement
 
-# race-cache runs the artifact store's concurrency tests ten times
-# under the race detector: readers filling the memory tier, and the
-# first request of each format filling a table's stored body, race the
-# writes that drop its keys (internal/cache), and the server's mixed
-# traffic and rejected-slice overwrite go through the same tier
-# (internal/server).
+# race-cache runs the concurrency tests of the shared, read-only
+# records ten times under the race detector: readers filling the
+# artifact store's memory tier, and the first request of each format
+# filling a table's stored body, race the writes that drop its keys
+# (internal/cache); the server's mixed traffic and rejected-slice
+# overwrite go through the same tier (internal/server); and the shard
+# coordinator's recorded worker answers, decodes and merged results
+# are read by concurrent requests while a flipping worker's answers
+# replace them (internal/shard, TestConcurrentRequestsWhileAnswerFlips).
 race-cache:
-	$(GO) test -race -count=10 -run '^(TestConcurrent|TestParamEmptyDelegatesToFixed|TestSliceStoreRejectedAggregateRecomputed)' ./internal/cache ./internal/server
+	$(GO) test -race -count=10 -run '^(TestConcurrent|TestParamEmptyDelegatesToFixed|TestSliceStoreRejectedAggregateRecomputed)' ./internal/cache ./internal/server ./internal/shard
 
 # bench runs every go test benchmark once, so a benchmark that breaks
 # fails CI. It is a smoke run, not a measurement: speed is measured by
@@ -78,7 +81,9 @@ cache-surgery:
 # store serves each twice (the tier and the format's stored body fill,
 # then a stored-bytes hit), and a storeless figuresd -peers front door
 # over two workers on that store serves each twice more (every E2 and
-# E15 point carved once, its later requests reusing the carve). Every
+# E15 point carved once, its later requests reusing the carve, and
+# every repeated request reusing the decoded worker answers and merged
+# table, whose stored bodies it writes). Every
 # body must equal `figures` output, the restarted daemon's /stats must
 # read 36 hits and 0 misses, and the workers' /stats four slice lookups
 # per carved front-door request.

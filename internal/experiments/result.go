@@ -176,8 +176,9 @@ type storedBody struct {
 // WithBodies returns r carrying an empty per-format body store, which
 // Body fills on first use per format and serves from after. It is for
 // a Result that is verified once and then shared read-only:
-// cache.Store attaches one to each Result its memory tier fills with.
-// A failed result gets none.
+// cache.Store attaches one to each Result its memory tier fills with,
+// and internal/shard's coordinator to each worker answer and merged
+// table it records. A failed result gets none.
 func WithBodies(r Result) Result {
 	if r.Err == nil && r.Table != nil {
 		r.bodies = &bodies{id: r.ID, table: r.Table}

@@ -28,7 +28,9 @@ import (
 // a partition's slices folds to the same value.
 type Aggregate interface {
 	// Merge folds another slice's aggregate (same concrete type) into
-	// the receiver.
+	// the receiver. It mutates only the receiver and keeps no reference
+	// to other: internal/shard's coordinator shares a decoded aggregate
+	// across requests as other, and folds into a value of its own.
 	Merge(other Aggregate) error
 }
 
@@ -48,7 +50,12 @@ type Shardable struct {
 	// the whole experiment when roots is the full partition (or the
 	// single empty prefix).
 	Explore func(roots [][]int) (Aggregate, error)
-	// Decode parses an aggregate from its JSON wire form.
+	// Decode parses an aggregate from its JSON wire form, returning a
+	// fresh value on every call. It must be a pure function of data:
+	// internal/shard's coordinator decodes a worker's answer once and
+	// shares the decode, read-only, with every later request whose
+	// answer is byte-identical, so a merge there folds into a fresh
+	// decode, never a shared one.
 	Decode func(data []byte) (Aggregate, error)
 	// Finish renders the table from a fully-merged aggregate. It must
 	// equal the whole-space Run's table when the aggregate covers

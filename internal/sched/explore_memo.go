@@ -195,14 +195,20 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 	res := &Result{}
 	var rn *runner
 	defer func() { rn.stop() }()
+	// A new probe starts with room for the deepest record any replay of
+	// this exploration has made so far (depth decisions, sets enabled
+	// pids in all), so its record and keys rarely grow by doubling.
 	var freeProbe []*memoProbe
+	var depth, sets int
 	getProbe := func() *memoProbe {
 		if k := len(freeProbe); k > 0 {
 			p := freeProbe[k-1]
 			freeProbe = freeProbe[:k-1]
 			return p
 		}
-		return &memoProbe{memo: memo}
+		p := &memoProbe{memo: memo, keys: make([]StateKey, 0, depth)}
+		p.replay.reserve(depth, sets)
+		return p
 	}
 	// branches[n] is the one buffer every forced prefix of length n is
 	// built in. Prefixes strictly lengthen down the active recursion, so
@@ -232,6 +238,7 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 			return nil, 0, err
 		}
 		stats.Replays++
+		depth, sets = max(depth, len(rec.picks)), max(sets, len(rec.sets))
 		if seed && !replayedExactly(rec, prefix) {
 			return nil, 0, fmt.Errorf("%w: %v", ErrPrefixNotLive, prefix)
 		}

@@ -190,6 +190,13 @@ func (s *Replay) reset(prefix []int) {
 	s.picks, s.sets, s.ends = s.picks[:0], s.sets[:0], s.ends[:0]
 }
 
+// reserve gives an empty record room for depth decisions chosen from
+// sets enabled pids in all.
+func (s *Replay) reserve(depth, sets int) {
+	s.picks, s.ends = make([]int, 0, depth), make([]int, 0, depth)
+	s.sets = make([]int, 0, sets)
+}
+
 // set returns the enabled set recorded for decision k.
 func (s *Replay) set(k int) []int {
 	lo := 0

@@ -90,7 +90,7 @@ func TestCarveOncePerPoint(t *testing.T) {
 			var workers []string
 			var now func() time.Time
 			if tc.deadPeer {
-				reg, _, _ := paramFixture(id, true)
+				reg, _ := paramFixture(id, true)
 				inner := server.New(server.Options{Registry: reg})
 				live := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 					if strings.HasPrefix(r.URL.Query().Get("prefixes"), "0,") {
@@ -107,7 +107,7 @@ func TestCarveOncePerPoint(t *testing.T) {
 				w2, _ := newParamWorker(t, id, true)
 				workers = []string{w1, w2}
 			}
-			localReg, localExecs, carves := paramFixture(id, true)
+			localReg, local := paramFixture(id, true)
 			coord, err := New(Options{
 				Workers: workers,
 				Now:     now,
@@ -128,28 +128,18 @@ func TestCarveOncePerPoint(t *testing.T) {
 				}
 				return results[0], nil
 			}
-			// want renders the local run of one point on a fresh fixture.
-			want := func(list string) []byte {
-				reg, _, _ := paramFixture(id, true)
-				tab, _, err := reg[id].Run(paramPoint(t, reg, id, list))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return encodeAll(t, []experiments.Result{{ID: id, Table: tab}})
-			}
-
 			sent := sendPoint(t, []carveRequest{
 				viaRunParam(experiments.ParamSet{}),
 				viaRunParam(paramPoint(t, localReg, id, "x=1")),
 				viaRun,
-			}, want("x=1"))
-			if n := carves.Load(); n != 1 {
+			}, localPoint(t, id, true, "x=1"))
+			if n := local.carves.Load(); n != 1 {
 				t.Errorf("default point carved %d times over %d requests, want once", n, sent)
 			}
 			sent += sendPoint(t, []carveRequest{
 				viaRunParam(paramPoint(t, localReg, id, "x=5")),
-			}, want("x=5"))
-			if n := carves.Load(); n != 2 {
+			}, localPoint(t, id, true, "x=5"))
+			if n := local.carves.Load(); n != 2 {
 				t.Errorf("two points carved %d times, want twice", n)
 			}
 
@@ -165,7 +155,7 @@ func TestCarveOncePerPoint(t *testing.T) {
 				st.PrefixRangesRemote != int64(4*sent-wantLocal) {
 				t.Errorf("stats = %+v, want %d carved requests with %d ranges explored locally", st, sent, wantLocal)
 			}
-			if n := localExecs.Load(); n != int64(wantLocal) {
+			if n := local.execs.Load(); n != int64(wantLocal) {
 				t.Errorf("local explorations = %d, want %d", n, wantLocal)
 			}
 		})

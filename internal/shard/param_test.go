@@ -16,19 +16,18 @@ import (
 )
 
 // paramFixture builds a registry of one synthetic parameterized
-// family (integer parameter x, default 1), an execution counter, and a
-// counter of Roots calls summed over every point. With shardable set,
+// family (integer parameter x, default 1) and its counters, summed
+// over every point: executions (whole runs and slice explorations),
+// Roots calls and Decode calls. With shardable set,
 // every point of the family prefix-shards over the synthetic 8-root
 // partition, with x folded into the aggregate so distinct points
 // render distinct tables.
-func paramFixture(id string, shardable bool) (reg map[string]experiments.Experiment, execs, carves *atomic.Int64) {
-	execs = new(atomic.Int64)
-	base, _, carves := newTestShardable(id)
+func paramFixture(id string, shardable bool) (map[string]experiments.Experiment, *fixtureCounts) {
+	base, n := newTestShardable(id)
 	shAt := func(x int) experiments.Shardable {
 		sh := base
 		inner := sh.Explore
 		sh.Explore = func(roots [][]int) (experiments.Aggregate, error) {
-			execs.Add(1)
 			agg, err := inner(roots)
 			if err != nil {
 				return nil, err
@@ -60,7 +59,7 @@ func paramFixture(id string, shardable bool) (reg map[string]experiments.Experim
 				tab, err := shardableRunner(shAt(x))()
 				return tab, sched.MemoStats{}, err
 			}
-			execs.Add(1)
+			n.execs.Add(1)
 			return &experiments.Table{
 				ID:      id,
 				Title:   fmt.Sprintf("point x=%d", x),
@@ -74,17 +73,17 @@ func paramFixture(id string, shardable bool) (reg map[string]experiments.Experim
 			return shAt(ps.Int("x"))
 		}
 	}
-	return map[string]experiments.Experiment{id: fam}, execs, carves
+	return map[string]experiments.Experiment{id: fam}, n
 }
 
 // newParamWorker stands up a worker serving the synthetic family's
 // points, the default one included.
 func newParamWorker(t *testing.T, id string, shardable bool) (addr string, execs *atomic.Int64) {
 	t.Helper()
-	reg, execs, _ := paramFixture(id, shardable)
+	reg, n := paramFixture(id, shardable)
 	ts := httptest.NewServer(server.New(server.Options{Registry: reg}))
 	t.Cleanup(ts.Close)
-	return ts.URL, execs
+	return ts.URL, &n.execs
 }
 
 // paramPoint parses "x=N" against the fixture family.
@@ -97,13 +96,25 @@ func paramPoint(t *testing.T, reg map[string]experiments.Experiment, id, list st
 	return ps
 }
 
+// localPoint renders the local run of one point ("x=N") of a fresh
+// paramFixture in every format.
+func localPoint(t *testing.T, id string, shardable bool, list string) []byte {
+	t.Helper()
+	reg, _ := paramFixture(id, shardable)
+	tab, _, err := reg[id].Run(paramPoint(t, reg, id, list))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return encodeAll(t, []experiments.Result{{ID: id, Table: tab}})
+}
+
 // TestRunParamDefaultPointAliasesFixed: the zero ParamSet routes
 // as the plain id — remote fetch of the unparameterized URI,
 // whole-experiment counters.
 func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 	const id = "E1"
 	w, fleetExecs := newParamWorker(t, id, false)
-	localReg, localExecs, _ := paramFixture(id, false)
+	localReg, local := paramFixture(id, false)
 	coord, err := New(Options{
 		Workers: []string{w},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
@@ -118,7 +129,7 @@ func TestRunParamDefaultPointAliasesFixed(t *testing.T) {
 	if res.Err != nil || res.Table == nil || res.Table.Title != "point x=1" {
 		t.Fatalf("default point result = %+v", res)
 	}
-	if n := localExecs.Load(); n != 0 {
+	if n := local.execs.Load(); n != 0 {
 		t.Errorf("%d local executions with a healthy fleet", n)
 	}
 	if fleetExecs.Load() == 0 {
@@ -140,7 +151,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localReg, localExecs, _ := paramFixture(id, false)
+	localReg, local := paramFixture(id, false)
 	coord, err := New(Options{
 		Workers: []string{w},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1, Cache: store},
@@ -173,7 +184,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 	if n := fleetExecs.Load(); n != fetched {
 		t.Errorf("warm call reached the fleet (%d -> %d executions)", fetched, n)
 	}
-	if n := localExecs.Load(); n != 0 {
+	if n := local.execs.Load(); n != 0 {
 		t.Errorf("%d local executions with a healthy fleet", n)
 	}
 }
@@ -182,7 +193,7 @@ func TestRunParamWholeFetchAndFrontCache(t *testing.T) {
 // degrades to local evaluation exactly like a fixed experiment.
 func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	const id = "E1"
-	localReg, localExecs, _ := paramFixture(id, false)
+	localReg, local := paramFixture(id, false)
 	coord, err := New(Options{
 		Workers: []string{"http://" + deadAddr(t)},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
@@ -198,7 +209,7 @@ func TestRunParamDeadFleetRunsLocally(t *testing.T) {
 	if res.Err != nil || res.Table == nil || res.Table.Title != "point x=3" {
 		t.Fatalf("fallback result = %+v", res)
 	}
-	if n := localExecs.Load(); n != 1 {
+	if n := local.execs.Load(); n != 1 {
 		t.Errorf("local executions = %d, want 1", n)
 	}
 	if st := coord.Stats(); st.Local != 1 {
@@ -218,7 +229,7 @@ func TestRunParamUnknownFamily(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fams, _, _ := paramFixture("E1", false)
+	fams, _ := paramFixture("E1", false)
 	ps := paramPoint(t, fams, "E1", "x=2")
 	if _, err := coord.RunParam(context.Background(), "E1", ps); err == nil ||
 		!strings.Contains(err.Error(), "takes no parameters") {
@@ -233,7 +244,7 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	const id = "E2"
 	w1, execs1 := newParamWorker(t, id, true)
 	w2, execs2 := newParamWorker(t, id, true)
-	localReg, localExecs, _ := paramFixture(id, true)
+	localReg, local := paramFixture(id, true)
 	coord, err := New(Options{
 		Workers: []string{w1, w2},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
@@ -249,18 +260,11 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	baselineReg, _, _ := paramFixture(id, true)
-	_ = baselineReg
-	want, _, err := baselineReg[id].Run(paramPoint(t, baselineReg, id, "x=5"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := encodeAll(t, []experiments.Result{res})
-	wantBytes := encodeAll(t, []experiments.Result{{ID: id, Table: want}})
-	if !bytes.Equal(got, wantBytes) {
+	if wantBytes := localPoint(t, id, true, "x=5"); !bytes.Equal(got, wantBytes) {
 		t.Errorf("sharded point differs from local point:\n%s\nvs\n%s", got, wantBytes)
 	}
-	if n := localExecs.Load(); n != 0 {
+	if n := local.execs.Load(); n != 0 {
 		t.Errorf("%d local explorations with a healthy fleet", n)
 	}
 	if execs1.Load()+execs2.Load() == 0 {

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/server"
+	"repro/internal/trace"
 )
 
 // sliceAgg is the synthetic order-insensitive aggregate of the test
@@ -33,19 +34,23 @@ func (a *sliceAgg) Merge(o experiments.Aggregate) error {
 	return nil
 }
 
+// fixtureCounts tallies a synthetic fixture's calls: runs and slice
+// explorations (execs), Roots (carves) and Decode (decodes).
+type fixtureCounts struct{ execs, carves, decodes atomic.Int64 }
+
 // newTestShardable builds a synthetic prefix-shardable experiment
-// over a fixed 8-root partition, plus a counter of Explore calls (the
-// shard-level analogue of the registries' execution counters) and one
-// of Roots calls (carves).
-func newTestShardable(id string) (sh experiments.Shardable, execs, carves *atomic.Int64) {
-	execs, carves = new(atomic.Int64), new(atomic.Int64)
-	sh = experiments.Shardable{
+// over a fixed 8-root partition, with counters of its Explore calls
+// (the shard-level analogue of the registries' execution counters),
+// its Roots calls and its Decode calls.
+func newTestShardable(id string) (experiments.Shardable, *fixtureCounts) {
+	n := new(fixtureCounts)
+	sh := experiments.Shardable{
 		Roots: func() ([][]int, error) {
-			carves.Add(1)
+			n.carves.Add(1)
 			return [][]int{{0}, {1}, {2}, {3}, {4}, {5}, {6}, {7}}, nil
 		},
 		Explore: func(roots [][]int) (experiments.Aggregate, error) {
-			execs.Add(1)
+			n.execs.Add(1)
 			a := &sliceAgg{}
 			for _, r := range roots {
 				a.Count++
@@ -54,6 +59,7 @@ func newTestShardable(id string) (sh experiments.Shardable, execs, carves *atomi
 			return a, nil
 		},
 		Decode: func(data []byte) (experiments.Aggregate, error) {
+			n.decodes.Add(1)
 			var a sliceAgg
 			if err := json.Unmarshal(data, &a); err != nil {
 				return nil, err
@@ -77,7 +83,7 @@ func newTestShardable(id string) (sh experiments.Shardable, execs, carves *atomi
 			}, nil
 		},
 	}
-	return sh, execs, carves
+	return sh, n
 }
 
 // shardableRunner is the whole-space run of a Shardable — the local
@@ -99,10 +105,10 @@ func shardableRunner(sh experiments.Shardable) func() (*experiments.Table, error
 // shardableFixture stands up a registry of one synthetic
 // prefix-shardable experiment, with its slice-exploration counter.
 func shardableFixture(id string) (map[string]experiments.Experiment, *atomic.Int64) {
-	sh, execs, _ := newTestShardable(id)
+	sh, n := newTestShardable(id)
 	e := experiments.Fixed(id, shardableRunner(sh))
 	e.Shardable = func(experiments.ParamSet) experiments.Shardable { return sh }
-	return map[string]experiments.Experiment{id: e}, execs
+	return map[string]experiments.Experiment{id: e}, &n.execs
 }
 
 // unsharded strips every entry's Shardable seam: a worker serving the
@@ -264,20 +270,23 @@ func TestPrefixFleetWithoutSliceSupport(t *testing.T) {
 	defer w2.Close()
 
 	localReg, localExecs := shardableFixture(id)
+	logs := new(logLines)
 	coord, err := New(Options{
 		Workers: []string{w1.URL, w2.URL},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+		Logf:    logs.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := coord.Run(context.Background(), []string{id})
+	results, err := coord.Run(trace.WithID(context.Background(), "req-no-slices"), []string{id})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := encodeAll(t, results), prefixBaseline(t, id); !bytes.Equal(got, want) {
 		t.Errorf("output differs when fleet lacks slice support:\n%s\nvs\n%s", got, want)
 	}
+	logs.checkTraced(t, "req-no-slices", "reassigning", "explored locally")
 	st := coord.Stats()
 	if st.PrefixRangesLocal != 4 || st.PrefixRangesRemote != 0 {
 		t.Errorf("stats = %+v, want all 4 ranges local", st)

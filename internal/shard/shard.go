@@ -60,9 +60,21 @@
 // merged whole is stored last — so a repeated sharded run of the same
 // space executes zero explorations fleet-wide, and a partially warm
 // store re-explores only the ranges it is missing.
+//
+// A worker's answer is a pure function of its point and space version,
+// so the coordinator decodes each answer once: per point it records,
+// for every worker path it fetches, the last body it accepted and what
+// that body decoded to, and for a carved point the merged result.
+// Every fetch is still sent; a body byte-identical to the record's
+// reuses the recorded decode (and, when every range did, the recorded
+// merged result with its stored response bodies), while any other body
+// is decoded and checked as if there were no record. Recorded tables
+// and aggregates are shared across requests and read-only, so a merge
+// folds into an aggregate no record holds.
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -246,9 +258,10 @@ type Coordinator struct {
 	now        func() time.Time
 	logf       func(format string, args ...any)
 
-	// carves holds one memoized Shardable.Roots per point (see carve).
-	carveMu sync.Mutex
-	carves  map[string]func() ([][]int, error)
+	// points holds one record per served point: its carve and the
+	// answers the fleet gave for it (see point).
+	pointsMu sync.Mutex
+	points   map[string]*point
 
 	pickMu           sync.Mutex
 	remote           atomic.Int64
@@ -317,7 +330,7 @@ func New(opts Options) (*Coordinator, error) {
 		journal:    opts.Journal,
 		now:        now,
 		logf:       logf,
-		carves:     make(map[string]func() ([][]int, error)),
+		points:     make(map[string]*point),
 	}
 	for _, addr := range opts.Workers {
 		c.workers = append(c.workers, &worker{
@@ -413,14 +426,21 @@ func (c *Coordinator) evict(w *worker) {
 }
 
 // revive returns w to full rotation after a successful request,
-// reporting whether w was actually evicted (so callers journal real
-// revivals, not every success).
+// reporting whether w was actually evicted (so callers log and journal
+// real revivals, not every success).
 func (c *Coordinator) revive(w *worker) bool {
-	if !w.healthy.Swap(true) {
-		c.logf("shard: worker %s revived", w.base)
-		return true
+	return !w.healthy.Swap(true)
+}
+
+// logReq writes one log line about the request reqID names, ending it
+// with " trace=<id>" when there is an ID, so a coordinator's line can
+// be found in the journal and in every worker's log.
+func (c *Coordinator) logReq(reqID, format string, args ...any) {
+	if reqID != "" {
+		format += " trace=%s"
+		args = append(args, reqID)
 	}
-	return false
+	c.logf(format, args...)
 }
 
 // scrapeStats fetches one worker's /stats snapshot.
@@ -572,7 +592,7 @@ func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, 
 		}
 		c.failovers.Add(1)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Detail: err.Error()})
-		c.logf("shard: %s on %s failed (%v); failing over", name, w.base, err)
+		c.logReq(reqID, "shard: %s on %s failed (%v); failing over", name, w.base, err)
 	}
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback})
 	select {
@@ -586,7 +606,7 @@ func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, 
 		Cache:   c.local.Cache,
 	})
 	c.localRuns.Add(1)
-	c.logf("shard: %s ran locally", name)
+	c.logReq(reqID, "shard: %s ran locally", name)
 	return res, nil
 }
 
@@ -610,76 +630,198 @@ const minShardWorkers = 2
 // reports whether the experiment was handled here; carving problems
 // (partition failure, too few workers) fall back to the
 // whole-experiment path.
+//
+// When every range came from a worker answer the point has recorded,
+// and those are the answers its last merge was made from, that merge's
+// Result is returned again: same Table, same stored bodies.
 func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experiments.ParamSet, sh experiments.Shardable) (experiments.Result, bool) {
 	start := c.now()
 	if c.selectableCount() < minShardWorkers {
 		return experiments.Result{}, false
 	}
-	roots, err := c.carve(id, ps, sh)
+	reqID := trace.IDFrom(ctx)
+	pt := c.point(id, ps)
+	roots, err := pt.carve(sh)
 	if err != nil || len(roots) == 0 {
-		c.logf("shard: %s: partition failed (%v); fetching whole", id, err)
+		c.logReq(reqID, "shard: %s: partition failed (%v); fetching whole", id, err)
 		return experiments.Result{}, false
 	}
 	ranges := splitRanges(roots, 2*c.selectableCount())
-	c.journal.Add(trace.IDFrom(ctx), trace.Event{Kind: trace.KindCarve,
+	c.journal.Add(reqID, trace.Event{Kind: trace.KindCarve,
 		Detail: fmt.Sprintf("%d roots into %d ranges across %d selectable workers",
 			len(roots), len(ranges), c.selectableCount())})
 	// Counted at the carve, not at success: the range counters below
 	// move for this experiment either way, and the stats must agree
 	// that its space was split even if a range later fails.
 	c.prefixSharded.Add(1)
-	aggs := make([]experiments.Aggregate, len(ranges))
+	parts := make([]rangePart, len(ranges))
 	errs := make([]error, len(ranges))
 	var wg sync.WaitGroup
 	for i := range ranges {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			aggs[i], errs[i] = c.runRange(ctx, id, ps, sh, ranges[i])
+			parts[i], errs[i] = c.runRange(ctx, pt, id, ps, sh, ranges[i], i == 0)
 		}(i)
 	}
 	wg.Wait()
+	failed := func(err error) (experiments.Result, bool) {
+		return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
+	}
 	for _, err := range errs {
 		if err != nil {
 			// A range that cannot be computed anywhere (local explore
 			// failed, or the run was cancelled) fails the experiment:
 			// merging a partial space would silently corrupt the
 			// theorem-level counts the table reports.
-			return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
+			return failed(err)
 		}
 	}
-	merged := aggs[0]
-	for _, agg := range aggs[1:] {
-		if err := merged.Merge(agg); err != nil {
-			return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
+	from := make([]*answer, len(parts))
+	for i, p := range parts {
+		from[i] = p.ans
+	}
+	if res, ok := pt.mergedFrom(from); ok {
+		res.Duration = c.now().Sub(start)
+		return res, true
+	}
+	// The fold's receiver is the first range's aggregate, which no
+	// record holds (runRange): Merge mutates it. A first range whose
+	// answer was reused brings only the recorded bytes; their decode
+	// is the receiver.
+	merged := parts[0].agg
+	if merged == nil {
+		if merged, err = sh.Decode(parts[0].ans.env.Aggregate); err != nil {
+			return failed(err)
+		}
+	}
+	for _, p := range parts[1:] {
+		if err := merged.Merge(p.agg); err != nil {
+			return failed(err)
 		}
 	}
 	tab, err := sh.Finish(merged)
 	if err != nil {
-		return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
+		return failed(err)
 	}
-	return experiments.Result{ID: id, Table: tab, Duration: c.now().Sub(start)}, true
+	res := experiments.WithBodies(experiments.Result{ID: id, Table: tab, Duration: c.now().Sub(start)})
+	pt.recordMerged(from, res)
+	return res, true
 }
 
-// carve returns the partition of one point's exploration space,
+// point is one served point's record: its carve, and the answers the
+// fleet gave for it. A worker's answer is a pure function of the point
+// and its space version, so the record keeps, per worker path (the
+// whole point's or one prefix range's), the last body the coordinator
+// accepted and what it decoded to, and for a carved point the last
+// merged Result and the answers it was merged from. Records are
+// replaced, never added to, per path, and only schema-validated points
+// reach here, so they stay bounded by the served space: one per point
+// and fetched path, whose ranges are split from at most as many
+// selectable-worker counts as the fleet has workers. Everything a
+// record holds is shared across requests and read-only.
+type point struct {
+	mu      sync.Mutex
+	roots   func() ([][]int, error)
+	answers map[string]*answer
+	merged  []*answer // the answers res was merged from
+	res     experiments.Result
+}
+
+// answer is one accepted worker body and what it decoded to.
+type answer struct {
+	body []byte
+	// res is a whole fetch's result, carrying stored response bodies.
+	res experiments.Result
+	// env is a prefix range's validated envelope, agg its decoded
+	// aggregate — nil for the first range of a carve, which is a
+	// merge's receiver and so never recorded.
+	env experiments.ShardEnvelope
+	agg experiments.Aggregate
+}
+
+// rangePart is one range's share of a merge: its aggregate, and the
+// worker answer it came from (nil when the artifact store or a local
+// exploration served it). agg is nil only for a first range whose
+// recorded answer was reused.
+type rangePart struct {
+	agg experiments.Aggregate
+	ans *answer
+}
+
+// point returns the record of one point, keyed by id and canonical
+// point, so every spelling of a point shares it.
+func (c *Coordinator) point(id string, ps experiments.ParamSet) *point {
+	key := id + "\x00" + ps.Canonical()
+	c.pointsMu.Lock()
+	defer c.pointsMu.Unlock()
+	pt, ok := c.points[key]
+	if !ok {
+		pt = &point{answers: make(map[string]*answer)}
+		c.points[key] = pt
+	}
+	return pt
+}
+
+// carve returns the partition of the point's exploration space,
 // computing it on the point's first request: every later request,
 // concurrent ones included, gets the same roots. Shardable.Roots is
 // deterministic and does no I/O, so its result (and its error) is a
-// constant of the point; only schema-validated points reach here, so
-// the memo stays as small as the registry's parameter spaces. The
-// roots are shared and read-only: splitRanges only sub-slices them,
-// and FormatPrefixes, NewShardEnvelope and the local Explore only
-// read them.
-func (c *Coordinator) carve(id string, ps experiments.ParamSet, sh experiments.Shardable) ([][]int, error) {
-	key := id + "\x00" + ps.Canonical()
-	c.carveMu.Lock()
-	roots, ok := c.carves[key]
-	if !ok {
-		roots = sync.OnceValues(sh.Roots)
-		c.carves[key] = roots
+// constant of the point. The roots are shared and read-only:
+// splitRanges only sub-slices them, and FormatPrefixes,
+// NewShardEnvelope and the local Explore only read them.
+func (pt *point) carve(sh experiments.Shardable) ([][]int, error) {
+	pt.mu.Lock()
+	if pt.roots == nil {
+		pt.roots = sync.OnceValues(sh.Roots)
 	}
-	c.carveMu.Unlock()
+	roots := pt.roots
+	pt.mu.Unlock()
 	return roots()
+}
+
+// answer returns the recorded answer of one worker path, or nil.
+func (pt *point) answer(path string) *answer {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	return pt.answers[path]
+}
+
+// record makes ans the path's recorded answer.
+func (pt *point) record(path string, ans *answer) {
+	pt.mu.Lock()
+	pt.answers[path] = ans
+	pt.mu.Unlock()
+}
+
+// mergedFrom returns the recorded merged Result when it was merged
+// from exactly the answers in from, range by range.
+func (pt *point) mergedFrom(from []*answer) (experiments.Result, bool) {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if len(pt.merged) != len(from) {
+		return experiments.Result{}, false
+	}
+	for i, ans := range from {
+		if ans == nil || ans != pt.merged[i] {
+			return experiments.Result{}, false
+		}
+	}
+	return pt.res, true
+}
+
+// recordMerged records res as merged from the answers in from, when
+// every range came from a worker answer: a range the store or a local
+// exploration served has no answer a later request could match.
+func (pt *point) recordMerged(from []*answer, res experiments.Result) {
+	for _, ans := range from {
+		if ans == nil {
+			return
+		}
+	}
+	pt.mu.Lock()
+	pt.merged, pt.res = from, res
+	pt.mu.Unlock()
 }
 
 // selectableCount reports how many workers may currently receive a
@@ -720,8 +862,10 @@ func splitRanges(roots [][]int, n int) [][][]int {
 // evicts, an HTTP error only fails the attempt), then the local
 // explorer. Every failed attempt reassigns the range — it is never
 // dropped — and every computed aggregate, remote or local, is stored
-// back so the next run of this space starts warm.
-func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.ParamSet, sh experiments.Shardable, roots [][]int) (experiments.Aggregate, error) {
+// back so the next run of this space starts warm. first marks the
+// carve's first range, whose aggregate the merge folds into: its
+// worker answer is recorded without its decode.
+func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, roots [][]int, first bool) (rangePart, error) {
 	reqID := trace.IDFrom(ctx)
 	prefixes := experiments.FormatPrefixes(roots)
 	params := ps.Canonical()
@@ -734,7 +878,7 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 				c.prefixCached.Add(1)
 				c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceHit, Range: prefixes,
 					Detail: "coordinator artifact store"})
-				return agg, nil
+				return rangePart{agg: agg}, nil
 			}
 		}
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceMiss, Range: prefixes,
@@ -750,23 +894,23 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base, Range: prefixes,
 			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
 		fetchStart := time.Now()
-		agg, env, err := c.fetchSlice(ctx, w, id, ps, sh, prefixes)
+		part, err := c.fetchSlice(ctx, w, pt, id, ps, sh, prefixes, first)
 		w.inflight.Add(-1)
 		if err == nil {
 			c.prefixRemote.Add(1)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base, Range: prefixes,
 				Detail: fmt.Sprintf("fetched slice in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			c.storeSlice(reqID, env)
-			return agg, nil
+			c.storeSlice(reqID, part.ans.env)
+			return part, nil
 		}
 		if ctx.Err() != nil {
-			return nil, ctx.Err()
+			return rangePart{}, ctx.Err()
 		}
 		c.failovers.Add(1)
 		c.rangesReassigned.Add(1)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Range: prefixes,
 			Detail: err.Error()})
-		c.logf("shard: %s range %s on %s failed (%v); reassigning", id, prefixes, w.base, err)
+		c.logReq(reqID, "shard: %s range %s on %s failed (%v); reassigning", id, prefixes, w.base, err)
 	}
 	// Ranges falling back concurrently are serialized on a one-slot
 	// semaphore: each local Explore is a serial memoized exploration,
@@ -776,22 +920,22 @@ func (c *Coordinator) runRange(ctx context.Context, id string, ps experiments.Pa
 	select {
 	case c.exploreSem <- struct{}{}:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return rangePart{}, ctx.Err()
 	}
 	defer func() { <-c.exploreSem }()
 	exploreStart := time.Now()
 	agg, err := sh.Explore(roots)
 	if err != nil {
-		return nil, err
+		return rangePart{}, err
 	}
 	c.prefixLocal.Add(1)
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindExplore, Range: prefixes,
 		Detail: fmt.Sprintf("explored locally in %v", time.Since(exploreStart).Round(time.Microsecond))})
-	c.logf("shard: %s range %s explored locally", id, prefixes)
+	c.logReq(reqID, "shard: %s range %s explored locally", id, prefixes)
 	if env, err := experiments.NewShardEnvelope(id, params, roots, agg); err == nil {
 		c.storeSlice(reqID, env)
 	}
-	return agg, nil
+	return rangePart{agg: agg}, nil
 }
 
 // storeSlice writes one computed range back to the artifact store,
@@ -802,7 +946,7 @@ func (c *Coordinator) storeSlice(reqID string, env experiments.ShardEnvelope) {
 		return
 	}
 	if err := c.local.Cache.PutSlice(env); err != nil {
-		c.logf("shard: storing slice %s %s: %v", env.ID, env.Prefixes, err)
+		c.logReq(reqID, "shard: storing slice %s %s: %v", env.ID, env.Prefixes, err)
 		return
 	}
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceStore, Range: env.Prefixes,
@@ -811,33 +955,48 @@ func (c *Coordinator) storeSlice(reqID string, env experiments.ShardEnvelope) {
 
 // fetchSlice retrieves one prefix range's aggregate from one worker,
 // under the same in-flight cap, timeout, eviction, and revival rules
-// as a whole-experiment fetch, returning the decoded aggregate and
-// the validated wire envelope (the form the artifact store keeps). A
-// worker serving a different generation of this experiment's space
-// (per-family SpaceVersion) fails the attempt: its numbers describe a
-// different space — and because the check is per space, a fleet
-// mid-rollout of one family's code keeps serving every other family.
-func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, id string, ps experiments.ParamSet, sh experiments.Shardable, prefixes string) (experiments.Aggregate, experiments.ShardEnvelope, error) {
-	var agg experiments.Aggregate
-	var env experiments.ShardEnvelope
+// as a whole-experiment fetch, returning the aggregate with the answer
+// it came from, whose validated wire envelope is the form the artifact
+// store keeps. A worker serving a different generation of this
+// experiment's space (per-family SpaceVersion) fails the attempt: its
+// numbers describe a different space — and because the check is per
+// space, a fleet mid-rollout of one family's code keeps serving every
+// other family. For the first range (first, see runRange) a fresh
+// decode goes to the caller alone, and a reused answer brings none;
+// no other range's path can name the first range, so every other
+// recorded answer carries its decode.
+func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, prefixes string, first bool) (rangePart, error) {
+	var own experiments.Aggregate
 	params := ps.Canonical()
-	err := c.fetchWorker(ctx, w, pointPath(id, ps)+"prefixes="+url.QueryEscape(prefixes), func(body io.Reader) error {
-		var err error
-		env, err = experiments.DecodeShard(body)
+	ans, err := c.fetchWorker(ctx, w, pt, pointPath(id, ps)+"prefixes="+url.QueryEscape(prefixes), func(body []byte) (*answer, error) {
+		env, err := experiments.DecodeShard(bytes.NewReader(body))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if env.ID != id || env.Prefixes != prefixes || env.Params != params {
-			return fmt.Errorf("shard envelope for %s %s params %q, want %s %s params %q",
+			return nil, fmt.Errorf("shard envelope for %s %s params %q, want %s %s params %q",
 				env.ID, env.Prefixes, env.Params, id, prefixes, params)
 		}
 		if want := experiments.SpaceVersion(id); env.SpaceVersion != want {
-			return fmt.Errorf("worker space %s, want %s", env.SpaceVersion, want)
+			return nil, fmt.Errorf("worker space %s, want %s", env.SpaceVersion, want)
 		}
-		agg, err = sh.Decode(env.Aggregate)
-		return err
+		agg, err := sh.Decode(env.Aggregate)
+		if err != nil {
+			return nil, err
+		}
+		if first {
+			own = agg
+			return &answer{env: env}, nil
+		}
+		return &answer{env: env, agg: agg}, nil
 	})
-	return agg, env, err
+	if err != nil {
+		return rangePart{}, err
+	}
+	if first {
+		return rangePart{agg: own, ans: ans}, nil
+	}
+	return rangePart{agg: ans.agg, ans: ans}, nil
 }
 
 // pick returns the selectable, untried worker with the lowest load,
@@ -868,15 +1027,21 @@ func (c *Coordinator) pick(tried map[*worker]bool) *worker {
 // policy: a transport failure evicts the worker — unless it is this
 // request's own deadline, because a slow experiment is not a dead
 // worker — a non-200 drains a bounded body prefix and fails the
-// attempt, and a fully decoded success (decode returned nil) restores
-// an evicted worker to rotation. Both the whole-experiment and the
-// prefix-slice paths go through here so the failover policy cannot
-// diverge between them.
-func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pathAndQuery string, decode func(io.Reader) error) error {
+// attempt, and an accepted body restores an evicted worker to
+// rotation. Both the whole-experiment and the prefix-slice paths go
+// through here so the failover policy cannot diverge between them.
+//
+// The body is read whole and returned as pt's answer for
+// pathAndQuery. A body byte-identical to the recorded answer's is that
+// answer: every check decode makes is a function of the body and the
+// path, so none is run again. Any other body goes through decode, and
+// the answer decode builds from it replaces the record; a body decode
+// rejects never enters it.
+func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pt *point, pathAndQuery string, decode func(body []byte) (*answer, error)) (*answer, error) {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 	defer func() { <-w.sem }()
 	// The latency record spans request start to body decoded — queue
@@ -885,22 +1050,27 @@ func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pathAndQuery s
 	// too: a worker failing fast must not look fast and healthy.
 	start := time.Now()
 	w.fetches.Add(1)
-	err := c.fetchWorkerLocked(ctx, w, pathAndQuery, decode)
+	ans, err := c.fetchWorkerLocked(ctx, w, pt, pathAndQuery, decode)
 	w.lat.Record(time.Since(start))
 	if err != nil {
 		w.errors.Add(1)
 	}
-	return err
+	return ans, err
 }
+
+// bodyBufs recycles the buffers worker bodies are read into: a body
+// that matches its record is compared and dropped, so it allocates
+// nothing of its own.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // fetchWorkerLocked is fetchWorker's body, split out so the latency
 // and error accounting wraps every return path exactly once.
-func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pathAndQuery string, decode func(io.Reader) error) error {
+func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *point, pathAndQuery string, decode func(body []byte) (*answer, error)) (*answer, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+pathAndQuery, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The trace ID crosses the process boundary here: the worker
 	// journals its slice-cache and exploration decisions under the same
@@ -915,12 +1085,12 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pathAndQ
 			c.evict(w)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindEvict, Worker: w.base, Detail: err.Error()})
 		}
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
-		return fmt.Errorf("status %d", resp.StatusCode)
+		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
 	// A worker on a different experiment generation answers 200 with
 	// perfectly decodable bytes from the wrong registry; merging them
@@ -930,15 +1100,30 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pathAndQ
 	if v := resp.Header.Get(server.RegistryVersionHeader); v != "" && v != experiments.RegistryVersion {
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRegistryReject, Worker: w.base,
 			Detail: fmt.Sprintf("worker registry %s, want %s", v, experiments.RegistryVersion)})
-		return fmt.Errorf("worker registry %s, want %s", v, experiments.RegistryVersion)
+		return nil, fmt.Errorf("worker registry %s, want %s", v, experiments.RegistryVersion)
 	}
-	if err := decode(resp.Body); err != nil {
-		return err
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		buf.Reset()
+		bodyBufs.Put(buf)
+	}()
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return nil, err
+	}
+	ans := pt.answer(pathAndQuery)
+	if ans == nil || !bytes.Equal(ans.body, buf.Bytes()) {
+		body := bytes.Clone(buf.Bytes())
+		if ans, err = decode(body); err != nil {
+			return nil, err
+		}
+		ans.body = body
+		pt.record(pathAndQuery, ans)
 	}
 	if c.revive(w) {
+		c.logReq(reqID, "shard: worker %s revived", w.base)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRevive, Worker: w.base})
 	}
-	return nil
+	return ans, nil
 }
 
 // pointPath is the worker URI of one point of an experiment, up to
@@ -955,20 +1140,24 @@ func pointPath(id string, ps experiments.ParamSet) string {
 }
 
 // fetch retrieves one point of an experiment whole from one worker.
+// The Result is the point's recorded answer: its Table is shared and
+// read-only, and it carries stored response bodies, so a front door
+// encodes each format once per accepted body.
 func (c *Coordinator) fetch(ctx context.Context, w *worker, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	var res experiments.Result
-	err := c.fetchWorker(ctx, w, pointPath(id, ps)+"format=json", func(body io.Reader) error {
-		results, err := experiments.DecodeJSON(body)
+	ans, err := c.fetchWorker(ctx, w, c.point(id, ps), pointPath(id, ps)+"format=json", func(body []byte) (*answer, error) {
+		results, err := experiments.DecodeJSON(bytes.NewReader(body))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if len(results) != 1 || results[0].ID != id || results[0].Err != nil || results[0].Table == nil {
-			return fmt.Errorf("unusable result payload")
+			return nil, fmt.Errorf("unusable result payload")
 		}
-		res = results[0]
-		return nil
+		return &answer{res: experiments.WithBodies(results[0])}, nil
 	})
-	return res, err
+	if err != nil {
+		return experiments.Result{}, err
+	}
+	return ans.res, nil
 }
 
 // Stats returns a snapshot of the coordinator's counters.

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/server"
+	"repro/internal/trace"
 )
 
 // syntheticRegistry builds a registry of deterministic experiments
@@ -89,6 +90,42 @@ func deadAddr(t *testing.T) string {
 	addr := l.Addr().String()
 	l.Close()
 	return addr
+}
+
+// logLines is an Options.Logf that keeps every line it is given.
+type logLines struct {
+	mu    sync.Mutex
+	lines []string
+}
+
+func (l *logLines) Logf(format string, args ...any) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+// checkTraced fails t unless at least one kept line contains each of
+// kinds, and every line that does ends with " trace=" and reqID: a
+// coordinator's lines about a request name it.
+func (l *logLines) checkTraced(t *testing.T, reqID string, kinds ...string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, kind := range kinds {
+		seen := false
+		for _, line := range l.lines {
+			if !strings.Contains(line, kind) {
+				continue
+			}
+			seen = true
+			if !strings.HasSuffix(line, " trace="+reqID) {
+				t.Errorf("log line %q does not name its request %s", line, reqID)
+			}
+		}
+		if !seen {
+			t.Errorf("no %q line in %q", kind, l.lines)
+		}
+	}
 }
 
 // TestShardedRunByteIdentical is the coordinator's core guarantee: a
@@ -166,20 +203,23 @@ func TestServerErrorFailsOver(t *testing.T) {
 	healthy := newWorker(t, fleetReg)
 
 	localReg, localExecs := syntheticRegistry(ids...)
+	logs := new(logLines)
 	coord, err := New(Options{
 		Workers: []string{broken.URL, healthy.URL},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+		Logf:    logs.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := coord.Run(context.Background(), ids)
+	results, err := coord.Run(trace.WithID(context.Background(), "req-failover"), ids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := encodeAll(t, results), localBaseline(t, ids); !bytes.Equal(got, want) {
 		t.Errorf("output differs after 500-failover:\n%s\nvs\n%s", got, want)
 	}
+	logs.checkTraced(t, "req-failover", "failing over")
 	if n := fleetExecs.Load(); n != int64(len(ids)) {
 		t.Errorf("healthy worker executed %d, want %d", n, len(ids))
 	}
@@ -514,10 +554,12 @@ func TestEvictedWorkerRevives(t *testing.T) {
 	w := newWorker(t, reg)
 	localReg, _ := syntheticRegistry("E1")
 	clk := newFakeClock()
+	logs := new(logLines)
 	coord, err := New(Options{
 		Workers: []string{w.URL},
 		Now:     clk.Now,
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+		Logf:    logs.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -543,7 +585,7 @@ func TestEvictedWorkerRevives(t *testing.T) {
 	}
 	got.inflight.Add(-1)
 	// A real request through the revival path restores full health.
-	results, err := coord.Run(context.Background(), []string{"E1"})
+	results, err := coord.Run(trace.WithID(context.Background(), "req-revive"), []string{"E1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -554,6 +596,7 @@ func TestEvictedWorkerRevives(t *testing.T) {
 	if st.WorkersHealthy != 1 || st.Remote != 1 {
 		t.Fatalf("stats after revival = %+v, want the worker healthy and serving", st)
 	}
+	logs.checkTraced(t, "req-revive", "revived")
 }
 
 // TestFetchTimeoutDoesNotKillWorker: a single slow experiment hits
