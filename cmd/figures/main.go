@@ -27,9 +27,10 @@
 // order-insensitive aggregates are merged, so a single theorem-scale
 // space finishes faster than any one box while emitting the same
 // bytes. Combining -workers with -cache-dir makes the run the top of
-// a read-through cache hierarchy: each range is consulted in the
-// store before it is dispatched and stored back after, so a repeated
-// sharded run of the same space executes zero explorations anywhere.
+// a read-through cache hierarchy: the whole result is consulted in
+// the store before anything is carved or fetched and stored after, so
+// a repeated sharded run of the same space executes zero explorations
+// anywhere (the ranges themselves are kept in the workers' stores).
 //
 // The schedule-tree experiments (E2's Algorithm 1 sweep, E15's
 // Algorithm 2 validation, and E4's collision search) explore through
@@ -325,8 +326,8 @@ func runSharded(fleet []string, opts experiments.Options, stderr io.Writer, verb
 	fmt.Fprintf(stderr, "figures: shard %d/%d workers healthy, %d remote, %d local\n",
 		st.WorkersHealthy, st.WorkersTotal, st.Remote, st.Local)
 	if st.PrefixSharded > 0 {
-		fmt.Fprintf(stderr, "figures: shard %d prefix-sharded (%d ranges remote, %d local, %d cached, %d reassigned)\n",
-			st.PrefixSharded, st.PrefixRangesRemote, st.PrefixRangesLocal, st.PrefixRangesCached, st.RangesReassigned)
+		fmt.Fprintf(stderr, "figures: shard %d prefix-sharded (%d ranges remote, %d reassigned)\n",
+			st.PrefixSharded, st.PrefixRangesRemote, st.RangesReassigned)
 	}
 	if verbose {
 		for _, w := range st.Workers {

@@ -35,9 +35,10 @@
 // becomes the front door of a figuresd fleet: experiment execution
 // fans out to the peers through the shard coordinator — shardable
 // experiments are carved into prefix ranges across the fleet when at
-// least two peers are healthy, each range read through the front
-// cache before it is dispatched and stored back after, so the fleet
-// is a read-through cache hierarchy — and falls back to running
+// least two peers are healthy, with -cache-dir each whole result read
+// through the front cache before anything is carved or fetched and
+// stored back after, so the front cache and the peers' slice stores
+// form a read-through cache hierarchy — and falls back to running
 // locally when the fleet cannot serve.
 //
 // Every request carries a Repro-Request-ID (minted here when the

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"math"
 	"net/url"
 	"slices"
 	"sort"
@@ -18,7 +17,7 @@ import (
 // This file is the experiment descriptor. The paper's theorems are
 // families over (k, inputs, choice size, ...), and every registered
 // experiment is one: an Experiment declares a validated parameter
-// schema with types, ranges, and defaults (empty for the fixed
+// schema of integers with ranges and defaults (empty for the fixed
 // experiments E1, E3..E14), a canonical parameter rendering (so
 // ?i0=0&k=7 and ?k=7&i0=0 are one cache entry and one singleflight
 // key, and the all-defaults point is the experiment's plain id), and a
@@ -34,36 +33,17 @@ import (
 // the registry version — byte-identical cache keys, so stores written
 // before this seam existed stay warm.
 
-// ParamKind is a parameter's wire type.
-type ParamKind int
-
-const (
-	// ParamInt is an integer-valued parameter.
-	ParamInt ParamKind = iota
-	// ParamFloat is a float-valued parameter.
-	ParamFloat
-)
-
-// String names the kind for schemas and error messages.
-func (k ParamKind) String() string {
-	if k == ParamInt {
-		return "int"
-	}
-	return "float"
-}
-
-// ParamSpec declares one parameter of an experiment: name, type,
+// ParamSpec declares one integer parameter of an experiment: name,
 // inclusive range, default (in canonical rendering), and a one-line
 // doc string served on the experiment index.
 type ParamSpec struct {
 	Name string
-	Kind ParamKind
 	// Default is the parameter's value at the experiment's default
 	// point, in canonical rendering; a request omitting the parameter
 	// gets it.
 	Default string
 	// Min and Max bound the value inclusively.
-	Min, Max float64
+	Min, Max int
 	Doc      string
 }
 
@@ -208,7 +188,7 @@ type ParamSet struct {
 	canonical string
 	order     []string
 	render    map[string]string
-	vals      map[string]float64
+	vals      map[string]int
 }
 
 // Canonical returns the point's identity string: parameters sorted by
@@ -230,11 +210,8 @@ func (ps ParamSet) Query() string {
 	return strings.Join(parts, "&")
 }
 
-// Int returns an integer parameter's value; 0 for an unknown name.
-func (ps ParamSet) Int(name string) int { return int(ps.vals[name]) }
-
-// Float returns a parameter's value; 0 for an unknown name.
-func (ps ParamSet) Float(name string) float64 { return ps.vals[name] }
+// Int returns a parameter's value; 0 for an unknown name.
+func (ps ParamSet) Int(name string) int { return ps.vals[name] }
 
 // String renders the point for logs and trace lines.
 func (ps ParamSet) String() string {
@@ -255,37 +232,17 @@ func paramNames(e Experiment) string {
 	return strings.Join(names, ", ")
 }
 
-// renderValue canonicalizes one parsed value: integers without
-// exponent or sign noise, floats in shortest round-trip form — so
-// "0.010", "1e-2", and "0.01" are one cache identity.
-func renderValue(kind ParamKind, v float64) string {
-	if kind == ParamInt {
-		return strconv.FormatInt(int64(v), 10)
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // parseValue parses and range-checks one parameter value against its
-// spec. Errors are field-level client messages.
-func parseValue(spec ParamSpec, raw string) (float64, error) {
-	var v float64
-	switch spec.Kind {
-	case ParamInt:
-		n, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			return 0, fmt.Errorf("parameter %q: %q is not an integer", spec.Name, raw)
-		}
-		v = float64(n)
-	default:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
-			return 0, fmt.Errorf("parameter %q: %q is not a finite number", spec.Name, raw)
-		}
-		v = f
+// spec. Errors are field-level client messages. A value's canonical
+// rendering is strconv.Itoa's: no sign or leading-zero noise, so
+// "+07" and "7" are one cache identity.
+func parseValue(spec ParamSpec, raw string) (int, error) {
+	v, err := strconv.Atoi(raw)
+	if err != nil {
+		return 0, fmt.Errorf("parameter %q: %q is not an integer", spec.Name, raw)
 	}
 	if v < spec.Min || v > spec.Max {
-		return 0, fmt.Errorf("parameter %q: %s out of range [%s, %s]",
-			spec.Name, renderValue(spec.Kind, v), renderValue(spec.Kind, spec.Min), renderValue(spec.Kind, spec.Max))
+		return 0, fmt.Errorf("parameter %q: %d out of range [%d, %d]", spec.Name, v, spec.Min, spec.Max)
 	}
 	return v, nil
 }
@@ -318,7 +275,7 @@ func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 	ps := ParamSet{
 		id:     e.ID,
 		render: make(map[string]string, len(e.Params)),
-		vals:   make(map[string]float64, len(e.Params)),
+		vals:   make(map[string]int, len(e.Params)),
 	}
 	defaulted := true
 	for _, spec := range e.Params {
@@ -333,7 +290,7 @@ func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 			}
 			return ParamSet{}, err
 		}
-		render := renderValue(spec.Kind, v)
+		render := strconv.Itoa(v)
 		ps.order = append(ps.order, spec.Name)
 		ps.render[spec.Name] = render
 		ps.vals[spec.Name] = v
@@ -415,11 +372,11 @@ func e2Experiment() Experiment {
 		ID:  "E2",
 		Doc: "exhaustive Algorithm 1 sweep over k and the input registers",
 		Params: []ParamSpec{
-			{Name: "i0", Kind: ParamInt, Default: "0", Min: 0, Max: 1, Doc: "process 0's input register"},
-			{Name: "i1", Kind: ParamInt, Default: "1", Min: 0, Max: 1, Doc: "process 1's input register"},
+			{Name: "i0", Default: "0", Min: 0, Max: 1, Doc: "process 0's input register"},
+			{Name: "i1", Default: "1", Min: 0, Max: 1, Doc: "process 1's input register"},
 			// k=6's tree is ~30x k=4's; the cap keeps one request from
 			// monopolizing a worker past any realistic timeout.
-			{Name: "k", Kind: ParamInt, Default: "4", Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
+			{Name: "k", Default: "4", Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
 		},
 		Run: func(ps ParamSet) (*Table, sched.MemoStats, error) {
 			return runE2At(ps.Int("k"), e2InputsOf(ps))
@@ -445,9 +402,9 @@ func e15Experiment() Experiment {
 		ID:  "E15",
 		Doc: "exhaustive Algorithm 2 validation over the choice task size and inputs",
 		Params: []ParamSpec{
-			{Name: "c", Kind: ParamInt, Default: "2", Min: 2, Max: 3, Doc: "choice task value count"},
-			{Name: "i0", Kind: ParamInt, Default: "0", Min: 0, Max: 2, Doc: "process 0's input (an input pair of the task)"},
-			{Name: "i1", Kind: ParamInt, Default: "1", Min: 0, Max: 2, Doc: "process 1's input (an input pair of the task)"},
+			{Name: "c", Default: "2", Min: 2, Max: 3, Doc: "choice task value count"},
+			{Name: "i0", Default: "0", Min: 0, Max: 2, Doc: "process 0's input (an input pair of the task)"},
+			{Name: "i1", Default: "1", Min: 0, Max: 2, Doc: "process 1's input (an input pair of the task)"},
 		},
 		Check: func(ps ParamSet) error {
 			plan, err := e15Plan(ps.Int("c"))

@@ -2,7 +2,7 @@
 // observability primitive behind the /stats latency distributions
 // (internal/server) and the shard coordinator's per-worker fetch
 // timings (internal/shard). One scheme everywhere means worker-side and
-// coordinator-side distributions are directly comparable and mergeable.
+// coordinator-side distributions are directly comparable.
 //
 // The bucket layout is geometric: bucket i covers durations in
 // (1µs·2^((i-1)/4), 1µs·2^(i/4)] — four buckets per octave, growth
@@ -16,9 +16,7 @@
 //
 // Recording is lock-free — one atomic add into the bucket array plus
 // count/sum/max maintenance — so it sits on request hot paths without
-// serializing them. Histograms merge by bucketwise addition, which is
-// exact (no resampling error): a fleet-wide distribution is the merge
-// of the per-worker ones.
+// serializing them.
 package hist
 
 import (
@@ -101,31 +99,6 @@ func (h *Histogram) Record(d time.Duration) {
 
 // Count reports the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Max reports the largest recorded observation.
-func (h *Histogram) Max() time.Duration { return time.Duration(h.max.Load()) }
-
-// Merge folds other's observations into h, bucketwise — exact, no
-// resampling. other may be recorded into concurrently; the merge then
-// reflects some valid interleaving of its records.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for i := range other.counts {
-		if n := other.counts[i].Load(); n != 0 {
-			h.counts[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
-	for {
-		m, om := h.max.Load(), other.max.Load()
-		if om <= m || h.max.CompareAndSwap(m, om) {
-			return
-		}
-	}
-}
 
 // Quantile reports the q-quantile as the upper bound of the bucket
 // holding that rank, capped at the observed maximum — so the estimate

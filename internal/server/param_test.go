@@ -16,8 +16,8 @@ import (
 )
 
 // paramServer stands up a server over one synthetic parameterized
-// family (integer x, default 1) and returns it with the point
-// execution counter.
+// family (integers x, default 1, and eps, default 5) and returns it
+// with the point execution counter.
 func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 	t.Helper()
 	execs := new(atomic.Int64)
@@ -25,14 +25,14 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 		ID:  "P1",
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
-			{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9, Doc: "the point"},
-			{Name: "eps", Kind: experiments.ParamFloat, Default: "0.5", Min: 0, Max: 1, Doc: "a float knob"},
+			{Name: "x", Default: "1", Min: 0, Max: 9, Doc: "the point"},
+			{Name: "eps", Default: "5", Min: 0, Max: 9, Doc: "a second knob"},
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			execs.Add(1)
 			return &experiments.Table{
 				ID:      "P1",
-				Title:   fmt.Sprintf("point x=%d eps=%g", ps.Int("x"), ps.Float("eps")),
+				Title:   fmt.Sprintf("point x=%d eps=%d", ps.Int("x"), ps.Int("eps")),
 				Headers: []string{"x"},
 				Rows:    [][]string{{fmt.Sprint(ps.Int("x"))}},
 			}, sched.MemoStats{}, nil
@@ -44,7 +44,7 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 	return ts, execs
 }
 
-// TestParamEndpointOrderIndependent: ?x=3&eps=0.25 and ?eps=0.25&x=3
+// TestParamEndpointOrderIndependent: ?x=3&eps=2 and ?eps=2&x=3
 // are one point — identical bytes and a single execution (the second
 // request is a cache hit under the canonical identity).
 func TestParamEndpointOrderIndependent(t *testing.T) {
@@ -53,15 +53,15 @@ func TestParamEndpointOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts, execs := paramServer(t, Options{Cache: store})
-	code1, body1 := get(t, ts, "/experiments/P1?x=3&eps=0.25")
-	code2, body2 := get(t, ts, "/experiments/P1?eps=0.25&x=3")
+	code1, body1 := get(t, ts, "/experiments/P1?x=3&eps=2")
+	code2, body2 := get(t, ts, "/experiments/P1?eps=2&x=3")
 	if code1 != http.StatusOK || code2 != http.StatusOK {
 		t.Fatalf("codes = %d, %d", code1, code2)
 	}
 	if body1 != body2 {
 		t.Fatalf("parameter order changed the bytes:\n%s\nvs\n%s", body1, body2)
 	}
-	if !strings.Contains(body1, "point x=3 eps=0.25") {
+	if !strings.Contains(body1, "point x=3 eps=2") {
 		t.Fatalf("body = %q", body1)
 	}
 	if n := execs.Load(); n != 1 {
@@ -79,7 +79,7 @@ func TestParamEndpointDefaultAliasesFixed(t *testing.T) {
 	}
 	ts, execs := paramServer(t, Options{Cache: store})
 	_, fixed := get(t, ts, "/experiments/P1")
-	_, spelled := get(t, ts, "/experiments/P1?x=1&eps=0.5")
+	_, spelled := get(t, ts, "/experiments/P1?x=1&eps=5")
 	if fixed != spelled {
 		t.Fatalf("spelled-out defaults differ from the fixed experiment:\n%s\nvs\n%s", fixed, spelled)
 	}
@@ -99,7 +99,8 @@ func TestParamEndpointValidation(t *testing.T) {
 		{"/experiments/P1?q=1", `unknown parameter "q"`},
 		{"/experiments/P1?x=11", `parameter "x"`},
 		{"/experiments/P1?x=1.5", `parameter "x"`},
-		{"/experiments/P1?eps=2", `parameter "eps"`},
+		{"/experiments/P1?eps=10", `parameter "eps"`},
+		{"/experiments/P1?eps=0.5", `parameter "eps"`},
 		{"/experiments/P1?x=1&x=2", `parameter "x"`},
 	}
 	for _, tc := range cases {
@@ -184,11 +185,11 @@ func TestIndexListsFamilies(t *testing.T) {
 			Doc          string `json:"doc"`
 			SpaceVersion string `json:"space_version"`
 			Params       []struct {
-				Name    string  `json:"name"`
-				Kind    string  `json:"kind"`
-				Default string  `json:"default"`
-				Min     float64 `json:"min"`
-				Max     float64 `json:"max"`
+				Name    string `json:"name"`
+				Kind    string `json:"kind"`
+				Default string `json:"default"`
+				Min     int    `json:"min"`
+				Max     int    `json:"max"`
 			} `json:"params"`
 		} `json:"families"`
 	}
@@ -202,8 +203,11 @@ func TestIndexListsFamilies(t *testing.T) {
 	if len(fam.Params) != 2 || fam.Params[0].Name != "eps" || fam.Params[1].Name != "x" {
 		t.Fatalf("params = %+v, want eps then x (sorted)", fam.Params)
 	}
-	if fam.Params[0].Kind != "float" || fam.Params[1].Kind != "int" {
-		t.Fatalf("kinds = %+v", fam.Params)
+	if p := fam.Params[0]; p.Kind != "int" || p.Default != "5" || p.Min != 0 || p.Max != 9 {
+		t.Fatalf("eps = %+v, want an int in [0, 9] defaulting to 5", p)
+	}
+	if p := fam.Params[1]; p.Kind != "int" || p.Default != "1" || p.Min != 0 || p.Max != 9 {
+		t.Fatalf("x = %+v, want an int in [0, 9] defaulting to 1", p)
 	}
 	if fam.SpaceVersion == "" {
 		t.Fatal("family has no space version in the index")
@@ -233,7 +237,7 @@ func TestParamBackendRoutes(t *testing.T) {
 	if backendCalls.Load() != 3 || execs.Load() != 0 {
 		t.Fatalf("backend calls = %d, local executions = %d", backendCalls.Load(), execs.Load())
 	}
-	if got := strings.Join(backendParams, "|"); got != "eps=0.5,x=4||" {
+	if got := strings.Join(backendParams, "|"); got != "eps=5,x=4||" {
 		t.Fatalf("backend saw params %q", got)
 	}
 }

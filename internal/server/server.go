@@ -214,14 +214,15 @@ type indexFamily struct {
 	Params       []indexParam `json:"params"`
 }
 
-// indexParam is one parameter's published schema.
+// indexParam is one parameter's published schema. Every parameter is
+// an integer, so Kind is always "int".
 type indexParam struct {
-	Name    string  `json:"name"`
-	Kind    string  `json:"kind"`
-	Default string  `json:"default"`
-	Min     float64 `json:"min"`
-	Max     float64 `json:"max"`
-	Doc     string  `json:"doc,omitempty"`
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	Default string `json:"default"`
+	Min     int    `json:"min"`
+	Max     int    `json:"max"`
+	Doc     string `json:"doc,omitempty"`
 }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -238,7 +239,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		for _, spec := range fam.Params {
 			entry.Params = append(entry.Params, indexParam{
 				Name:    spec.Name,
-				Kind:    spec.Kind.String(),
+				Kind:    "int",
 				Default: spec.Default,
 				Min:     spec.Min,
 				Max:     spec.Max,

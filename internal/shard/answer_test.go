@@ -253,7 +253,7 @@ func TestChangedAnswerDecodedAfresh(t *testing.T) {
 				}
 			}
 			st := coord.Stats()
-			if st.RangesReassigned == 0 || st.PrefixRangesRemote != 8 || st.PrefixRangesLocal != 0 {
+			if st.RangesReassigned == 0 || st.PrefixRangesRemote != 8 || st.Remote != 0 || st.Local != 0 {
 				t.Errorf("stats = %+v, want the skewed worker's ranges reassigned to its peer", st)
 			}
 			if st.Workers[0].Errors != st.RangesReassigned {
@@ -352,7 +352,7 @@ func TestConcurrentRequestsWhileAnswerFlips(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if st := coord.Stats(); st.Failovers != 0 || st.Local != 0 || st.PrefixRangesLocal != 0 {
+	if st := coord.Stats(); st.Failovers != 0 || st.Local != 0 {
 		t.Errorf("stats = %+v, want every answer accepted", st)
 	}
 }

@@ -75,8 +75,9 @@ func sendPoint(t *testing.T, reqs []carveRequest, want []byte) int {
 // a clock that makes it due for revival on every pick, so every
 // request still carves across two workers — and the live worker
 // refusing the first range of every carve, that range exhausts the
-// fleet and is explored locally on the shared roots while the other
-// ranges, and other requests, are fetched.
+// fleet and sends each request down the whole path, where the live
+// worker serves the point whole: still one carve per point, and
+// nothing explored on the coordinator.
 func TestCarveOncePerPoint(t *testing.T) {
 	const id = "E2"
 	for _, tc := range []struct {
@@ -145,18 +146,19 @@ func TestCarveOncePerPoint(t *testing.T) {
 
 			// Every request carved 8 roots into 4 ranges across two
 			// selectable workers; with the dead worker, range 0,1 of each
-			// was explored locally and the other three fetched.
+			// exhausted the fleet, the other three were fetched, and the
+			// point was then fetched whole.
 			st := coord.Stats()
-			wantLocal := 0
+			wantWhole := 0
 			if tc.deadPeer {
-				wantLocal = sent
+				wantWhole = sent
 			}
-			if st.PrefixSharded != int64(sent) || st.PrefixRangesLocal != int64(wantLocal) ||
-				st.PrefixRangesRemote != int64(4*sent-wantLocal) {
-				t.Errorf("stats = %+v, want %d carved requests with %d ranges explored locally", st, sent, wantLocal)
+			if st.PrefixSharded != int64(sent) || st.Remote != int64(wantWhole) || st.Local != 0 ||
+				st.PrefixRangesRemote != int64(4*sent-wantWhole) {
+				t.Errorf("stats = %+v, want %d carved requests, %d of them then fetched whole", st, sent, wantWhole)
 			}
-			if n := local.execs.Load(); n != int64(wantLocal) {
-				t.Errorf("local explorations = %d, want %d", n, wantLocal)
+			if n := local.execs.Load(); n != 0 {
+				t.Errorf("local explorations = %d, want none", n)
 			}
 		})
 	}

@@ -105,7 +105,7 @@ func BenchmarkFetchMerge(b *testing.B) {
 			}
 		})
 	}
-	if st := coord.Stats(); st.Local != 0 || st.PrefixRangesLocal != 0 || st.Failovers != 0 {
+	if st := coord.Stats(); st.Local != 0 || st.Failovers != 0 {
 		b.Fatalf("stats = %+v, want every request served by the fleet", st)
 	}
 }

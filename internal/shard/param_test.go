@@ -51,7 +51,7 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Experiment,
 		ID:  id,
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
-			{Name: "x", Kind: experiments.ParamInt, Default: "1", Min: 0, Max: 9, Doc: "the point"},
+			{Name: "x", Default: "1", Min: 0, Max: 9, Doc: "the point"},
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			x := ps.Int("x")
@@ -270,7 +270,7 @@ func TestRunParamPrefixShardedByteIdentical(t *testing.T) {
 	if execs1.Load()+execs2.Load() == 0 {
 		t.Error("no worker explored any slice of the point")
 	}
-	if st := coord.Stats(); st.PrefixSharded != 1 || st.PrefixRangesLocal != 0 {
+	if st := coord.Stats(); st.PrefixSharded != 1 || st.PrefixRangesRemote != 4 || st.Remote != 0 {
 		t.Errorf("stats = %+v, want a fully remote prefix-sharded run", st)
 	}
 }

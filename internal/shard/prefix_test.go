@@ -178,7 +178,7 @@ func TestPrefixShardedByteIdentical(t *testing.T) {
 		t.Error("no worker explored any slice")
 	}
 	st := coord.Stats()
-	if st.PrefixSharded != 1 || st.PrefixRangesLocal != 0 || st.RangesReassigned != 0 {
+	if st.PrefixSharded != 1 || st.RangesReassigned != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 	// 8 roots over 2 selectable workers carve into 4 ranges.
@@ -255,11 +255,12 @@ func TestPrefixRangeFailoverMidBatch(t *testing.T) {
 
 // TestPrefixFleetWithoutSliceSupport: a fleet that rejects ?prefixes=
 // (version skew: workers predate the protocol, spelled here as a
-// registry without Shardable seams) fails every range attempt, and each range is
-// explored locally — reassigned, never dropped, bytes unchanged.
+// registry without Shardable seams) fails every range attempt, so the
+// point is served by one whole fetch instead: every range attempt
+// reassigned, nothing explored on the coordinator, bytes unchanged.
 func TestPrefixFleetWithoutSliceSupport(t *testing.T) {
 	const id = "E2"
-	reg, _ := shardableFixture(id)
+	reg, workerExecs := shardableFixture(id)
 	w1 := httptest.NewServer(server.New(server.Options{
 		Registry: unsharded(reg),
 	}))
@@ -286,13 +287,21 @@ func TestPrefixFleetWithoutSliceSupport(t *testing.T) {
 	if got, want := encodeAll(t, results), prefixBaseline(t, id); !bytes.Equal(got, want) {
 		t.Errorf("output differs when fleet lacks slice support:\n%s\nvs\n%s", got, want)
 	}
-	logs.checkTraced(t, "req-no-slices", "reassigning", "explored locally")
+	logs.checkTraced(t, "req-no-slices", "reassigning", "fetching whole")
 	st := coord.Stats()
-	if st.PrefixRangesLocal != 4 || st.PrefixRangesRemote != 0 {
-		t.Errorf("stats = %+v, want all 4 ranges local", st)
+	// 8 roots over two workers carve into 4 ranges, each refused by
+	// both workers.
+	if st.PrefixSharded != 1 || st.PrefixRangesRemote != 0 || st.RangesReassigned != 8 {
+		t.Errorf("stats = %+v, want one carve whose 8 range attempts were all reassigned", st)
 	}
-	if n := localExecs.Load(); n != 4 {
-		t.Errorf("local slice explorations = %d, want 4", n)
+	if st.Remote != 1 || st.Local != 0 {
+		t.Errorf("stats = %+v, want the point served by one whole fetch", st)
+	}
+	if n := localExecs.Load(); n != 0 {
+		t.Errorf("coordinator explored %d times, want none", n)
+	}
+	if n := workerExecs.Load(); n != 1 {
+		t.Errorf("fleet explored %d times, want the one whole run", n)
 	}
 	// A 400 is an HTTP-level failure: the workers stay healthy.
 	if st.WorkersHealthy != 2 {

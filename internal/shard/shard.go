@@ -50,16 +50,16 @@
 // out with GET /experiments/{id}?[params&]prefixes=..., and merges the
 // order-insensitive aggregates — so the fleet splits a single
 // theorem-scale space and still emits byte-identical tables.
-// Ranges inherit the failover rules above; a range whose attempts
-// exhaust the fleet is explored locally, reassigned but never dropped.
+// Ranges inherit the failover rules above, and a merge holds worker
+// answers only: a range whose attempts exhaust the fleet sends the
+// point down the whole path (a whole fetch with failover, then the
+// local engine), so no range is ever dropped or explored here.
 //
 // With a store (experiments.Cache) as Options.Local.Cache, the
 // coordinator is the top of a read-through cache hierarchy: the whole
-// result is consulted before carving, every range is consulted before
-// dispatch and stored back after it is fetched or explored, and the
-// merged whole is stored last — so a repeated sharded run of the same
-// space executes zero explorations fleet-wide, and a partially warm
-// store re-explores only the ranges it is missing.
+// result is consulted before carving or fetching and stored after, so
+// a repeated run of the same point executes zero explorations
+// fleet-wide. Ranges are kept by the workers' own stores, not here.
 //
 // A worker's answer is a pure function of its point and space version,
 // so the coordinator decodes each answer once: per point it records,
@@ -132,9 +132,9 @@ type Options struct {
 	// coordinator's view of the experiments: Registry (nil means
 	// experiments.Registry()) resolves every id, its entries' Shardable
 	// seams decide which spaces are carved into prefix ranges; Cache is
-	// the front cache and per-range store; Timeout bounds a fallback
-	// run; Jobs bounds how many fallback experiments run concurrently.
-	// IDs is ignored — the coordinator fills it per experiment.
+	// the front cache of whole results; Timeout bounds a fallback run;
+	// Jobs bounds how many fallback experiments run concurrently. IDs
+	// is ignored — the coordinator fills it per experiment.
 	Local experiments.Options
 	// Journal, when non-nil, records every load-bearing decision —
 	// carve, worker selection, fetch, retry, eviction, revival,
@@ -161,27 +161,24 @@ type Stats struct {
 	// worker that died mid-batch has already left WorkersHealthy.
 	WorkersTotal, WorkersHealthy int
 	// Remote counts experiments served whole by the fleet, Local those
-	// that fell back whole to the in-process engine. Prefix-sharded
-	// experiments are counted by PrefixSharded instead.
+	// that fell back whole to the in-process engine. A carved point
+	// whose ranges all came back is counted by PrefixSharded alone; one
+	// whose range exhausted the fleet is counted by PrefixSharded and
+	// then by Remote or Local, as the whole path served it.
 	Remote, Local int64
 	// Failovers counts failed attempts — whole experiments or prefix
 	// ranges — that moved work to another worker (or, when none
-	// remained, to the local fallback).
+	// remained, to the whole path or the local fallback).
 	Failovers int64
 	// PrefixSharded counts experiments whose exploration space was
-	// split across the fleet as prefix ranges.
+	// carved into prefix ranges across the fleet.
 	PrefixSharded int64
-	// PrefixRangesRemote and PrefixRangesLocal count the ranges of
-	// prefix-sharded experiments served by workers and explored
-	// locally (fleet exhausted for that range).
-	PrefixRangesRemote, PrefixRangesLocal int64
-	// PrefixRangesCached counts the ranges served straight from the
-	// coordinator's own artifact store without touching the fleet —
-	// the read-through half of the cache hierarchy.
-	PrefixRangesCached int64
+	// PrefixRangesRemote counts the ranges of prefix-sharded
+	// experiments that workers served.
+	PrefixRangesRemote int64
 	// RangesReassigned counts prefix-range attempts that failed on one
-	// worker and were reassigned — the "never dropped" half of the
-	// failover contract.
+	// worker, moving the range to the next worker or, once none
+	// remained, the point to the whole path.
 	RangesReassigned int64
 	// Workers holds one per-worker record, in configuration order —
 	// the coordinator-side fetch-latency distributions that separate a
@@ -253,7 +250,6 @@ type Coordinator struct {
 	reg        map[string]experiments.Experiment
 	local      experiments.Options
 	localSem   chan struct{}
-	exploreSem chan struct{}
 	journal    *trace.Journal
 	now        func() time.Time
 	logf       func(format string, args ...any)
@@ -269,8 +265,6 @@ type Coordinator struct {
 	failovers        atomic.Int64
 	prefixSharded    atomic.Int64
 	prefixRemote     atomic.Int64
-	prefixLocal      atomic.Int64
-	prefixCached     atomic.Int64
 	rangesReassigned atomic.Int64
 }
 
@@ -326,7 +320,6 @@ func New(opts Options) (*Coordinator, error) {
 		reg:        reg,
 		local:      opts.Local,
 		localSem:   make(chan struct{}, jobs),
-		exploreSem: make(chan struct{}, 1),
 		journal:    opts.Journal,
 		now:        now,
 		logf:       logf,
@@ -509,11 +502,10 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 // recompute, and a warm front cache absorbs whole fetches too, so one
 // experiment's cold start never drags warm ones back to the fleet.
 // Below that the point is prefix-sharded when the experiment shards
-// and enough workers can take a range (runRange does the same
-// read-through per range, so a cold whole result over warm slices
-// still executes nothing), fetched whole with per-worker failover
-// otherwise, and finally evaluated locally. It is the execution
-// backend cmd/figuresd -peers plugs into internal/server.
+// and enough workers can take a range, fetched whole with per-worker
+// failover otherwise (a range that exhausted the fleet included), and
+// finally evaluated locally. It is the execution backend
+// cmd/figuresd -peers plugs into internal/server.
 func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
 	exp, ok := c.reg[id]
 	if !ok {
@@ -622,21 +614,22 @@ const minShardWorkers = 2
 // worker's second helping flows to its peers), fetch every range
 // concurrently with the same least-loaded selection and failover
 // rules as whole experiments, merge the order-insensitive aggregates
-// in range order, and render the table. A range whose attempts
-// exhaust the fleet is explored locally — reassigned, never dropped —
-// so the merged table is byte-identical to a local run no matter
-// which workers died along the way. ps is the parameter point the
+// in range order, and render the table. ps is the parameter point the
 // space is carved at — the zero ParamSet at the default point. done
-// reports whether the experiment was handled here; carving problems
-// (partition failure, too few workers) fall back to the
-// whole-experiment path.
+// reports whether the point was served here; a failed partition, fewer
+// than two selectable workers, or a range that exhausted the fleet
+// sends the point down the whole path instead, so every merged table
+// is made of worker answers only.
 //
 // When every range came from a worker answer the point has recorded,
 // and those are the answers its last merge was made from, that merge's
 // Result is returned again: same Table, same stored bodies.
 func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experiments.ParamSet, sh experiments.Shardable) (experiments.Result, bool) {
 	start := c.now()
-	if c.selectableCount() < minShardWorkers {
+	// One reading of the fleet per request: the two-worker check, the
+	// split and the carve's journal line must agree on it.
+	selectable := c.selectableCount()
+	if selectable < minShardWorkers {
 		return experiments.Result{}, false
 	}
 	reqID := trace.IDFrom(ctx)
@@ -646,57 +639,54 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 		c.logReq(reqID, "shard: %s: partition failed (%v); fetching whole", id, err)
 		return experiments.Result{}, false
 	}
-	ranges := splitRanges(roots, 2*c.selectableCount())
+	ranges := splitRanges(roots, 2*selectable)
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindCarve,
 		Detail: fmt.Sprintf("%d roots into %d ranges across %d selectable workers",
-			len(roots), len(ranges), c.selectableCount())})
+			len(roots), len(ranges), selectable)})
 	// Counted at the carve, not at success: the range counters below
 	// move for this experiment either way, and the stats must agree
-	// that its space was split even if a range later fails.
+	// that its space was split even if the whole path serves it.
 	c.prefixSharded.Add(1)
-	parts := make([]rangePart, len(ranges))
-	errs := make([]error, len(ranges))
+	from := make([]*answer, len(ranges))
+	// own is the first range's fresh decode, the fold's receiver: Merge
+	// mutates it, so no record holds it (fetchSlice).
+	var own experiments.Aggregate
 	var wg sync.WaitGroup
 	for i := range ranges {
+		var recv *experiments.Aggregate
+		if i == 0 {
+			recv = &own
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			parts[i], errs[i] = c.runRange(ctx, pt, id, ps, sh, ranges[i], i == 0)
+			from[i] = c.runRange(ctx, pt, id, ps, sh, ranges[i], recv)
 		}(i)
 	}
 	wg.Wait()
-	failed := func(err error) (experiments.Result, bool) {
-		return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
-	}
-	for _, err := range errs {
-		if err != nil {
-			// A range that cannot be computed anywhere (local explore
-			// failed, or the run was cancelled) fails the experiment:
-			// merging a partial space would silently corrupt the
-			// theorem-level counts the table reports.
-			return failed(err)
+	for _, ans := range from {
+		if ans == nil {
+			c.logReq(reqID, "shard: %s: a range exhausted the fleet; fetching whole", id)
+			return experiments.Result{}, false
 		}
-	}
-	from := make([]*answer, len(parts))
-	for i, p := range parts {
-		from[i] = p.ans
 	}
 	if res, ok := pt.mergedFrom(from); ok {
 		res.Duration = c.now().Sub(start)
 		return res, true
 	}
-	// The fold's receiver is the first range's aggregate, which no
-	// record holds (runRange): Merge mutates it. A first range whose
-	// answer was reused brings only the recorded bytes; their decode
-	// is the receiver.
-	merged := parts[0].agg
+	failed := func(err error) (experiments.Result, bool) {
+		return experiments.Result{ID: id, Err: err, Duration: c.now().Sub(start)}, true
+	}
+	// A first range whose answer was reused brings only the recorded
+	// bytes; their decode is the receiver.
+	merged := own
 	if merged == nil {
-		if merged, err = sh.Decode(parts[0].ans.env.Aggregate); err != nil {
+		if merged, err = sh.Decode(from[0].env.Aggregate); err != nil {
 			return failed(err)
 		}
 	}
-	for _, p := range parts[1:] {
-		if err := merged.Merge(p.agg); err != nil {
+	for _, ans := range from[1:] {
+		if err := merged.Merge(ans.agg); err != nil {
 			return failed(err)
 		}
 	}
@@ -740,15 +730,6 @@ type answer struct {
 	agg experiments.Aggregate
 }
 
-// rangePart is one range's share of a merge: its aggregate, and the
-// worker answer it came from (nil when the artifact store or a local
-// exploration served it). agg is nil only for a first range whose
-// recorded answer was reused.
-type rangePart struct {
-	agg experiments.Aggregate
-	ans *answer
-}
-
 // point returns the record of one point, keyed by id and canonical
 // point, so every spelling of a point shares it.
 func (c *Coordinator) point(id string, ps experiments.ParamSet) *point {
@@ -768,8 +749,8 @@ func (c *Coordinator) point(id string, ps experiments.ParamSet) *point {
 // concurrent ones included, gets the same roots. Shardable.Roots is
 // deterministic and does no I/O, so its result (and its error) is a
 // constant of the point. The roots are shared and read-only:
-// splitRanges only sub-slices them, and FormatPrefixes,
-// NewShardEnvelope and the local Explore only read them.
+// splitRanges only sub-slices them, and FormatPrefixes only reads
+// them.
 func (pt *point) carve(sh experiments.Shardable) ([][]int, error) {
 	pt.mu.Lock()
 	if pt.roots == nil {
@@ -803,22 +784,15 @@ func (pt *point) mergedFrom(from []*answer) (experiments.Result, bool) {
 		return experiments.Result{}, false
 	}
 	for i, ans := range from {
-		if ans == nil || ans != pt.merged[i] {
+		if ans != pt.merged[i] {
 			return experiments.Result{}, false
 		}
 	}
 	return pt.res, true
 }
 
-// recordMerged records res as merged from the answers in from, when
-// every range came from a worker answer: a range the store or a local
-// exploration served has no answer a later request could match.
+// recordMerged records res as merged from the answers in from.
 func (pt *point) recordMerged(from []*answer, res experiments.Result) {
-	for _, ans := range from {
-		if ans == nil {
-			return
-		}
-	}
 	pt.mu.Lock()
 	pt.merged, pt.res = from, res
 	pt.mu.Unlock()
@@ -855,56 +829,37 @@ func splitRanges(roots [][]int, n int) [][][]int {
 	return out
 }
 
-// runRange computes one prefix range's aggregate. The coordinator's
-// own artifact store is consulted first (read-through: a range served
-// from disk never touches the fleet), then each worker at most once
-// with the whole-experiment failover rules (a transport error
-// evicts, an HTTP error only fails the attempt), then the local
-// explorer. Every failed attempt reassigns the range — it is never
-// dropped — and every computed aggregate, remote or local, is stored
-// back so the next run of this space starts warm. first marks the
-// carve's first range, whose aggregate the merge folds into: its
-// worker answer is recorded without its decode.
-func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, roots [][]int, first bool) (rangePart, error) {
+// runRange fetches one prefix range from the fleet: each worker at
+// most once, least-loaded first, with the whole-experiment failover
+// rules (a transport error evicts, an HTTP error only fails the
+// attempt, and either reassigns the range to the next worker). It
+// returns the accepted worker answer, or nil once every worker failed
+// the range or the context is done; the caller then serves the point
+// whole. recv is non-nil for the carve's first range, whose aggregate
+// the merge folds into (fetchSlice).
+func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, roots [][]int, recv *experiments.Aggregate) *answer {
 	reqID := trace.IDFrom(ctx)
 	prefixes := experiments.FormatPrefixes(roots)
-	params := ps.Canonical()
-	if c.local.Cache != nil {
-		if env, ok := c.local.Cache.GetSlice(id, params, prefixes); ok {
-			// The store vouches for the bytes (checksum, key match);
-			// Decode vouches for the semantics. A rejected aggregate
-			// falls through to a fetch, whose success overwrites it.
-			if agg, err := sh.Decode(env.Aggregate); err == nil {
-				c.prefixCached.Add(1)
-				c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceHit, Range: prefixes,
-					Detail: "coordinator artifact store"})
-				return rangePart{agg: agg}, nil
-			}
-		}
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceMiss, Range: prefixes,
-			Detail: "coordinator artifact store"})
-	}
 	tried := make(map[*worker]bool)
 	for {
 		w := c.pick(tried)
 		if w == nil {
-			break // fleet exhausted for this range
+			return nil // fleet exhausted for this range
 		}
 		tried[w] = true
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base, Range: prefixes,
 			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
 		fetchStart := time.Now()
-		part, err := c.fetchSlice(ctx, w, pt, id, ps, sh, prefixes, first)
+		ans, err := c.fetchSlice(ctx, w, pt, id, ps, sh, prefixes, recv)
 		w.inflight.Add(-1)
 		if err == nil {
 			c.prefixRemote.Add(1)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base, Range: prefixes,
 				Detail: fmt.Sprintf("fetched slice in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			c.storeSlice(reqID, part.ans.env)
-			return part, nil
+			return ans
 		}
 		if ctx.Err() != nil {
-			return rangePart{}, ctx.Err()
+			return nil
 		}
 		c.failovers.Add(1)
 		c.rangesReassigned.Add(1)
@@ -912,63 +867,21 @@ func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps exp
 			Detail: err.Error()})
 		c.logReq(reqID, "shard: %s range %s on %s failed (%v); reassigning", id, prefixes, w.base, err)
 	}
-	// Ranges falling back concurrently are serialized on a one-slot
-	// semaphore: each local Explore is a serial memoized exploration,
-	// so a fleet that cannot serve costs this process one core rather
-	// than one per range.
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindLocalFallback, Range: prefixes})
-	select {
-	case c.exploreSem <- struct{}{}:
-	case <-ctx.Done():
-		return rangePart{}, ctx.Err()
-	}
-	defer func() { <-c.exploreSem }()
-	exploreStart := time.Now()
-	agg, err := sh.Explore(roots)
-	if err != nil {
-		return rangePart{}, err
-	}
-	c.prefixLocal.Add(1)
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindExplore, Range: prefixes,
-		Detail: fmt.Sprintf("explored locally in %v", time.Since(exploreStart).Round(time.Microsecond))})
-	c.logReq(reqID, "shard: %s range %s explored locally", id, prefixes)
-	if env, err := experiments.NewShardEnvelope(id, params, roots, agg); err == nil {
-		c.storeSlice(reqID, env)
-	}
-	return rangePart{agg: agg}, nil
 }
 
-// storeSlice writes one computed range back to the artifact store,
-// best-effort: caching is an optimisation, never a reason to fail a
-// range that was just computed successfully.
-func (c *Coordinator) storeSlice(reqID string, env experiments.ShardEnvelope) {
-	if c.local.Cache == nil {
-		return
-	}
-	if err := c.local.Cache.PutSlice(env); err != nil {
-		c.logReq(reqID, "shard: storing slice %s %s: %v", env.ID, env.Prefixes, err)
-		return
-	}
-	c.journal.Add(reqID, trace.Event{Kind: trace.KindSliceStore, Range: env.Prefixes,
-		Detail: "coordinator artifact store"})
-}
-
-// fetchSlice retrieves one prefix range's aggregate from one worker,
+// fetchSlice retrieves one prefix range's answer from one worker,
 // under the same in-flight cap, timeout, eviction, and revival rules
-// as a whole-experiment fetch, returning the aggregate with the answer
-// it came from, whose validated wire envelope is the form the artifact
-// store keeps. A worker serving a different generation of this
-// experiment's space (per-family SpaceVersion) fails the attempt: its
-// numbers describe a different space — and because the check is per
-// space, a fleet mid-rollout of one family's code keeps serving every
-// other family. For the first range (first, see runRange) a fresh
-// decode goes to the caller alone, and a reused answer brings none;
-// no other range's path can name the first range, so every other
-// recorded answer carries its decode.
-func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, prefixes string, first bool) (rangePart, error) {
-	var own experiments.Aggregate
+// as a whole-experiment fetch. A worker serving a different generation
+// of this experiment's space (per-family SpaceVersion) fails the
+// attempt: its numbers describe a different space — and because the
+// check is per space, a fleet mid-rollout of one family's code keeps
+// serving every other family. When recv is non-nil (the first range,
+// see runRange) a fresh decode goes to *recv alone, and a reused
+// answer brings none; no other range's path can name the first range,
+// so every other recorded answer carries its decode.
+func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, prefixes string, recv *experiments.Aggregate) (*answer, error) {
 	params := ps.Canonical()
-	ans, err := c.fetchWorker(ctx, w, pt, pointPath(id, ps)+"prefixes="+url.QueryEscape(prefixes), func(body []byte) (*answer, error) {
+	return c.fetchWorker(ctx, w, pt, pointPath(id, ps)+"prefixes="+url.QueryEscape(prefixes), func(body []byte) (*answer, error) {
 		env, err := experiments.DecodeShard(bytes.NewReader(body))
 		if err != nil {
 			return nil, err
@@ -984,19 +897,12 @@ func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, id s
 		if err != nil {
 			return nil, err
 		}
-		if first {
-			own = agg
+		if recv != nil {
+			*recv = agg
 			return &answer{env: env}, nil
 		}
 		return &answer{env: env, agg: agg}, nil
 	})
-	if err != nil {
-		return rangePart{}, err
-	}
-	if first {
-		return rangePart{agg: own, ans: ans}, nil
-	}
-	return rangePart{agg: ans.agg, ans: ans}, nil
 }
 
 // pick returns the selectable, untried worker with the lowest load,
@@ -1169,8 +1075,6 @@ func (c *Coordinator) Stats() Stats {
 		Failovers:          c.failovers.Load(),
 		PrefixSharded:      c.prefixSharded.Load(),
 		PrefixRangesRemote: c.prefixRemote.Load(),
-		PrefixRangesLocal:  c.prefixLocal.Load(),
-		PrefixRangesCached: c.prefixCached.Load(),
 		RangesReassigned:   c.rangesReassigned.Load(),
 	}
 	for _, w := range c.workers {
