@@ -71,7 +71,10 @@ cover:
 # a two-worker fleet plus front cache over E1,E2,E7,E15, swap in
 # binaries built with an E2-only space-version bump (ldflags), and the
 # same run must re-execute E2 alone — 3/4 front-cache hits, the other
-# families never reaching the fleet, bytes identical throughout.
+# families never reaching the fleet, bytes identical throughout. Then
+# an unbumped, storeless coordinator over the bumped fleet must refuse
+# every E2 answer (its generation header names the bump) and run E2
+# locally: 2 remote, 1 local, 8 E2 ranges reassigned, same bytes.
 cache-surgery:
 	./scripts/cache-surgery.sh
 

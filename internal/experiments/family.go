@@ -34,14 +34,13 @@ import (
 // before this seam existed stay warm.
 
 // ParamSpec declares one integer parameter of an experiment: name,
-// inclusive range, default (in canonical rendering), and a one-line
-// doc string served on the experiment index.
+// inclusive range, default, and a one-line doc string served on the
+// experiment index.
 type ParamSpec struct {
 	Name string
 	// Default is the parameter's value at the experiment's default
-	// point, in canonical rendering; a request omitting the parameter
-	// gets it.
-	Default string
+	// point; a request omitting the parameter gets it.
+	Default int
 	// Min and Max bound the value inclusively.
 	Min, Max int
 	Doc      string
@@ -187,7 +186,6 @@ type ParamSet struct {
 	// the same identity as the plain id.
 	canonical string
 	order     []string
-	render    map[string]string
 	vals      map[string]int
 }
 
@@ -197,7 +195,7 @@ type ParamSet struct {
 func (ps ParamSet) Canonical() string { return ps.canonical }
 
 // Query returns the point as an explicit URL query fragment
-// ("i0=0&i1=1&k=7", every parameter spelled out, values escaped), and
+// ("i0=0&i1=1&k=7", every parameter spelled out, names escaped), and
 // "" for the zero ParamSet.
 func (ps ParamSet) Query() string {
 	if len(ps.order) == 0 {
@@ -205,7 +203,7 @@ func (ps ParamSet) Query() string {
 	}
 	parts := make([]string, len(ps.order))
 	for i, name := range ps.order {
-		parts[i] = url.QueryEscape(name) + "=" + url.QueryEscape(ps.render[name])
+		parts[i] = url.QueryEscape(name) + "=" + strconv.Itoa(ps.vals[name])
 	}
 	return strings.Join(parts, "&")
 }
@@ -232,29 +230,16 @@ func paramNames(e Experiment) string {
 	return strings.Join(names, ", ")
 }
 
-// parseValue parses and range-checks one parameter value against its
-// spec. Errors are field-level client messages. A value's canonical
-// rendering is strconv.Itoa's: no sign or leading-zero noise, so
-// "+07" and "7" are one cache identity.
-func parseValue(spec ParamSpec, raw string) (int, error) {
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("parameter %q: %q is not an integer", spec.Name, raw)
-	}
-	if v < spec.Min || v > spec.Max {
-		return 0, fmt.Errorf("parameter %q: %d out of range [%d, %d]", spec.Name, v, spec.Min, spec.Max)
-	}
-	return v, nil
-}
-
 // ParseParams validates one request's parameters against an
 // experiment's schema and returns the canonical point: parameters on a
 // fixed experiment, unknown names, repeated names, unparsable or
 // out-of-range values, and Check violations are field-level errors
 // (the 400 body internal/server returns); missing parameters take
 // their defaults. Parameter order never matters — the canonical
-// rendering is sorted by name — so every spelling of a point shares
-// one cache entry and one singleflight key.
+// rendering is sorted by name, each value rendered by strconv.Itoa (no
+// sign or leading-zero noise, so "+07" and "7" are one identity) — so
+// every spelling of a point shares one cache entry and one singleflight
+// key.
 func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 	if len(e.Params) == 0 && len(q) > 0 {
 		return ParamSet{}, fmt.Errorf("experiment %q takes no parameters", e.ID)
@@ -272,29 +257,27 @@ func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 			return ParamSet{}, fmt.Errorf("parameter %q given %d times, want once", spec.Name, len(vals))
 		}
 	}
-	ps := ParamSet{
-		id:     e.ID,
-		render: make(map[string]string, len(e.Params)),
-		vals:   make(map[string]int, len(e.Params)),
-	}
+	ps := ParamSet{id: e.ID, vals: make(map[string]int, len(e.Params))}
 	defaulted := true
 	for _, spec := range e.Params {
-		raw, given := spec.Default, false
+		v, given := spec.Default, false
 		if vals := q[spec.Name]; len(vals) == 1 {
-			raw, given = vals[0], true
+			var err error
+			if v, err = strconv.Atoi(vals[0]); err != nil {
+				return ParamSet{}, fmt.Errorf("parameter %q: %q is not an integer", spec.Name, vals[0])
+			}
+			given = true
 		}
-		v, err := parseValue(spec, raw)
-		if err != nil {
+		if v < spec.Min || v > spec.Max {
+			err := fmt.Errorf("parameter %q: %d out of range [%d, %d]", spec.Name, v, spec.Min, spec.Max)
 			if !given {
 				return ParamSet{}, fmt.Errorf("experiments: %s: bad default for %w", e.ID, err)
 			}
 			return ParamSet{}, err
 		}
-		render := strconv.Itoa(v)
 		ps.order = append(ps.order, spec.Name)
-		ps.render[spec.Name] = render
 		ps.vals[spec.Name] = v
-		defaulted = defaulted && render == spec.Default
+		defaulted = defaulted && v == spec.Default
 	}
 	sort.Strings(ps.order)
 	if e.Check != nil {
@@ -305,7 +288,7 @@ func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 	if !defaulted {
 		pairs := make([]string, len(ps.order))
 		for i, name := range ps.order {
-			pairs[i] = name + "=" + ps.render[name]
+			pairs[i] = name + "=" + strconv.Itoa(ps.vals[name])
 		}
 		ps.canonical = strings.Join(pairs, ",")
 	}
@@ -372,11 +355,11 @@ func e2Experiment() Experiment {
 		ID:  "E2",
 		Doc: "exhaustive Algorithm 1 sweep over k and the input registers",
 		Params: []ParamSpec{
-			{Name: "i0", Default: "0", Min: 0, Max: 1, Doc: "process 0's input register"},
-			{Name: "i1", Default: "1", Min: 0, Max: 1, Doc: "process 1's input register"},
+			{Name: "i0", Default: 0, Min: 0, Max: 1, Doc: "process 0's input register"},
+			{Name: "i1", Default: 1, Min: 0, Max: 1, Doc: "process 1's input register"},
 			// k=6's tree is ~30x k=4's; the cap keeps one request from
 			// monopolizing a worker past any realistic timeout.
-			{Name: "k", Default: "4", Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
+			{Name: "k", Default: 4, Min: 1, Max: 6, Doc: "ε-agreement parameter (ε = 1/(2k+1))"},
 		},
 		Run: func(ps ParamSet) (*Table, sched.MemoStats, error) {
 			return runE2At(ps.Int("k"), e2InputsOf(ps))
@@ -402,9 +385,9 @@ func e15Experiment() Experiment {
 		ID:  "E15",
 		Doc: "exhaustive Algorithm 2 validation over the choice task size and inputs",
 		Params: []ParamSpec{
-			{Name: "c", Default: "2", Min: 2, Max: 3, Doc: "choice task value count"},
-			{Name: "i0", Default: "0", Min: 0, Max: 2, Doc: "process 0's input (an input pair of the task)"},
-			{Name: "i1", Default: "1", Min: 0, Max: 2, Doc: "process 1's input (an input pair of the task)"},
+			{Name: "c", Default: 2, Min: 2, Max: 3, Doc: "choice task value count"},
+			{Name: "i0", Default: 0, Min: 0, Max: 2, Doc: "process 0's input (an input pair of the task)"},
+			{Name: "i1", Default: 1, Min: 0, Max: 2, Doc: "process 1's input (an input pair of the task)"},
 		},
 		Check: func(ps ParamSet) error {
 			plan, err := e15Plan(ps.Int("c"))

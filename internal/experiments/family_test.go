@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/url"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -174,7 +175,7 @@ func TestDefaultPointAliasesFixed(t *testing.T) {
 		}
 		q := url.Values{}
 		for _, spec := range fam.Params {
-			q.Set(spec.Name, spec.Default)
+			q.Set(spec.Name, strconv.Itoa(spec.Default))
 		}
 		ps, err := ParseParams(fam, q)
 		if err != nil {

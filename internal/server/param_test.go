@@ -25,8 +25,8 @@ func paramServer(t *testing.T, opts Options) (*httptest.Server, *atomic.Int64) {
 		ID:  "P1",
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
-			{Name: "x", Default: "1", Min: 0, Max: 9, Doc: "the point"},
-			{Name: "eps", Default: "5", Min: 0, Max: 9, Doc: "a second knob"},
+			{Name: "x", Default: 1, Min: 0, Max: 9, Doc: "the point"},
+			{Name: "eps", Default: 5, Min: 0, Max: 9, Doc: "a second knob"},
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			execs.Add(1)

@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,11 +58,12 @@ import (
 // tail, and a timeout that fires mid-exploration wastes the work.
 const DefaultTimeout = 2 * time.Minute
 
-// RegistryVersionHeader carries experiments.RegistryVersion on every
-// experiment and slice response, so a shard coordinator can refuse to
-// merge bytes from a worker serving a different experiment generation
-// (the /stats and /experiments bodies expose it too, but the header
-// travels with the very response being merged).
+// RegistryVersionHeader carries experiments.SpaceVersion(id) on every
+// whole, parameter-point and slice response of experiment id, so a
+// shard coordinator can refuse to merge or store an answer computed by
+// another generation of that experiment's code: the header travels with
+// the very response being merged. An experiment without a code version
+// of its own sends experiments.RegistryVersion.
 const RegistryVersionHeader = "Repro-Registry-Version"
 
 // Options configures New. The zero value serves the real registry
@@ -240,7 +242,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 			entry.Params = append(entry.Params, indexParam{
 				Name:    spec.Name,
 				Kind:    "int",
-				Default: spec.Default,
+				Default: strconv.Itoa(spec.Default),
 				Min:     spec.Min,
 				Max:     spec.Max,
 				Doc:     spec.Doc,
@@ -375,7 +377,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	s.traceDone(reqID, status, start)
 	w.Header().Set("Content-Type", contentTypes[format])
-	w.Header().Set(RegistryVersionHeader, experiments.RegistryVersion)
+	w.Header().Set(RegistryVersionHeader, experiments.SpaceVersion(id))
 	w.WriteHeader(status)
 	w.Write(body)
 	s.logf("figuresd: GET %s%s format=%s status=%d cached=%v shared=%v trace=%s in %v",
@@ -483,7 +485,7 @@ func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp expe
 	}
 	s.traceDone(reqID, http.StatusOK, start)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set(RegistryVersionHeader, experiments.RegistryVersion)
+	w.Header().Set(RegistryVersionHeader, experiments.SpaceVersion(id))
 	w.Write(body.Bytes())
 	s.logf("figuresd: GET %s%s prefixes=%s roots=%d cached=%v shared=%v trace=%s in %v",
 		r.URL.Path, paramsField(ps), canonical, len(roots), out.cached, shared, reqID, time.Since(start).Round(time.Millisecond))

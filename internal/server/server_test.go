@@ -287,6 +287,36 @@ func TestContentTypes(t *testing.T) {
 	}
 }
 
+// TestResponsesCarrySpaceVersion: every whole, parameter-point and
+// slice response of experiment id carries experiments.SpaceVersion(id)
+// in RegistryVersionHeader, the generation a shard coordinator checks
+// every answer against; a default build sends RegistryVersion.
+func TestResponsesCarrySpaceVersion(t *testing.T) {
+	ts := httptest.NewServer(New(Options{}))
+	defer ts.Close()
+	for _, tc := range []struct{ id, query string }{
+		{"E1", "format=json"},
+		{"E2", "format=json"},
+		{"E2", "k=3&format=json"},
+		{"E2", "prefixes=-"},
+		{"E15", "c=3&format=csv"},
+	} {
+		resp, err := ts.Client().Get(ts.URL + "/experiments/" + tc.id + "?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s?%s: status %d", tc.id, tc.query, resp.StatusCode)
+		}
+		got, want := resp.Header.Get(RegistryVersionHeader), experiments.SpaceVersion(tc.id)
+		if got != want || want != experiments.RegistryVersion {
+			t.Errorf("%s?%s: %s = %q, want %q (the default build's %q)", tc.id, tc.query, RegistryVersionHeader, got, want, experiments.RegistryVersion)
+		}
+	}
+}
+
 // TestFlightGroupSharedResult pins the singleflight primitive itself.
 func TestFlightGroupSharedResult(t *testing.T) {
 	var g flightGroup

@@ -29,18 +29,17 @@ const (
 )
 
 // StatsResponse is the GET /stats body: one process's operational
-// counters since startup. It exists so operators can watch a figuresd
-// instance and so a shard coordinator can rank workers — InFlight is
-// the load signal least-loaded selection seeds from. Counters only
-// ever grow (except InFlight, which tracks the instant); the response
-// is a snapshot, not an atomic cut across fields.
+// counters since startup, for operators watching a figuresd instance.
+// Counters only ever grow (except InFlight, which tracks the instant);
+// the response is a snapshot, not an atomic cut across fields.
 type StatsResponse struct {
 	// RegistryVersion identifies the experiment generation this
 	// process serves (cache keys depend on it).
 	RegistryVersion string `json:"registry_version"`
 	// InFlight is the number of experiment requests currently between
 	// arrival and response — including time spent waiting on another
-	// request's singleflight execution.
+	// request's singleflight execution. A shard coordinator does not
+	// read it: it ranks workers by its own in-flight requests.
 	InFlight int64 `json:"in_flight"`
 	// Requests counts experiment requests accepted (valid id and
 	// format) since startup, whatever their outcome.

@@ -40,7 +40,7 @@ func mixedExp() experiments.Experiment {
 	}
 	return experiments.Experiment{
 		ID:     "M1",
-		Params: []experiments.ParamSpec{{Name: "x", Default: "1", Min: 0, Max: 9}},
+		Params: []experiments.ParamSpec{{Name: "x", Default: 1, Min: 0, Max: 9}},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			return &experiments.Table{ID: "M1", Headers: []string{"x"},
 				Rows: [][]string{{fmt.Sprint(ps.Int("x"))}}}, sched.MemoStats{}, nil

@@ -78,8 +78,10 @@ func BenchmarkFetchMerge(b *testing.B) {
 		case r.URL.Path == "/healthz":
 			io.WriteString(w, "ok\n")
 		case served.Add(1)%2 == 0:
+			w.Header().Set(server.RegistryVersionHeader, experiments.SpaceVersion("E1"))
 			w.Write(bodyA)
 		default:
+			w.Header().Set(server.RegistryVersionHeader, experiments.SpaceVersion("E1"))
 			w.Write(bodyB.Bytes())
 		}
 	}))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -90,5 +91,57 @@ func TestFrontStoreKeepsWholeResultsOnly(t *testing.T) {
 	}
 	if st := coord.Stats(); st.PrefixSharded != 1 {
 		t.Errorf("stats = %+v, want only the cold run carved", st)
+	}
+}
+
+// countingStore is a memCache that counts front-store reads and
+// writes.
+type countingStore struct {
+	*memCache
+	gets, puts atomic.Int64
+}
+
+func (c *countingStore) GetParam(id, params string) (experiments.Result, bool) {
+	c.gets.Add(1)
+	return c.memCache.GetParam(id, params)
+}
+
+func (c *countingStore) PutParam(id, params string, r experiments.Result) error {
+	c.puts.Add(1)
+	return c.memCache.PutParam(id, params, r)
+}
+
+// TestFrontStoreReadOncePerRequest: a coordinator reads its front store
+// once per request and writes a result back once, the local fallback's
+// included. Over a dead fleet the cold request misses, runs locally and
+// is stored; the warm one is a hit that runs nothing.
+func TestFrontStoreReadOncePerRequest(t *testing.T) {
+	const id = "E1"
+	reg, execs := syntheticRegistry(id)
+	store := &countingStore{memCache: newMemCache()}
+	coord, err := New(Options{
+		Workers: []string{"http://" + deadAddr(t)},
+		Local:   experiments.Options{Registry: reg, Jobs: 1, Cache: store},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cached := range []bool{false, true} {
+		res, err := coord.RunParam(context.Background(), id, experiments.ParamSet{})
+		if err != nil || res.Err != nil {
+			t.Fatalf("request %d: %v / %v", i+1, err, res.Err)
+		}
+		if res.Cached != cached {
+			t.Errorf("request %d: cached = %v, want %v", i+1, res.Cached, cached)
+		}
+		if got := store.gets.Load(); got != int64(i+1) {
+			t.Errorf("after request %d: %d front-store reads, want %d", i+1, got, i+1)
+		}
+	}
+	if got := store.puts.Load(); got != 1 {
+		t.Errorf("front-store writes = %d, want 1 (the cold local run)", got)
+	}
+	if n := execs.Load(); n != 1 {
+		t.Errorf("executions = %d, want 1", n)
 	}
 }

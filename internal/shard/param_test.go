@@ -51,7 +51,7 @@ func paramFixture(id string, shardable bool) (map[string]experiments.Experiment,
 		ID:  id,
 		Doc: "synthetic parameterized family",
 		Params: []experiments.ParamSpec{
-			{Name: "x", Default: "1", Min: 0, Max: 9, Doc: "the point"},
+			{Name: "x", Default: 1, Min: 0, Max: 9, Doc: "the point"},
 		},
 		Run: func(ps experiments.ParamSet) (*experiments.Table, sched.MemoStats, error) {
 			x := ps.Int("x")

@@ -367,47 +367,30 @@ func TestPrefixDeadFleetFallsBackWhole(t *testing.T) {
 
 // TestVersionSkewedWorkerRejected: a worker on a different experiment
 // generation answers 200 with decodable bytes from the wrong
-// registry; both defenses must hold — the probe's /stats version
-// check starts it evicted, and the per-response header check fails
-// any fetch that reaches it anyway — so the run flows to the
-// same-generation worker and the bytes stay byte-identical.
+// registry. The per-answer header check fails every fetch that
+// reaches it, without evicting it (it answers; its answers are just
+// not this generation's), so the run flows to the same-generation
+// worker and the bytes stay byte-identical.
 func TestVersionSkewedWorkerRejected(t *testing.T) {
 	ids := []string{"E1", "E2"}
 	reg, _ := syntheticRegistry(ids...)
 	current := newWorker(t, reg)
 
-	// A worker from another generation: valid table responses, but
-	// /stats and the response header advertise a different registry.
-	skewReg, skewExecs := syntheticRegistry(ids...)
-	skewInner := server.New(server.Options{Registry: skewReg})
-	skewed := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/stats" {
-			fmt.Fprint(w, `{"registry_version":"other-gen/v9","in_flight":0,"requests":0,"experiments":{}}`)
-			return
-		}
-		rec := httptest.NewRecorder()
-		skewInner.ServeHTTP(rec, r)
-		for k, vs := range rec.Header() {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
-		w.Header().Set(server.RegistryVersionHeader, "other-gen/v9")
-		w.WriteHeader(rec.Code)
-		w.Write(rec.Body.Bytes())
-	}))
-	defer skewed.Close()
+	// A worker from another generation: valid table responses, but the
+	// response header advertises a different registry.
+	skewReg, _ := syntheticRegistry(ids...)
+	skewed := rewriteWorker(t, server.New(server.Options{Registry: skewReg}), func(h http.Header, body []byte) []byte {
+		h.Set(server.RegistryVersionHeader, "other-gen/v9")
+		return body
+	})
 
 	localReg, localExecs := syntheticRegistry(ids...)
 	coord, err := New(Options{
-		Workers: []string{skewed.URL, current.URL},
+		Workers: []string{skewed, current.URL},
 		Local:   experiments.Options{Registry: localReg, Jobs: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := coord.Stats().WorkersHealthy; got != 1 {
-		t.Fatalf("healthy after probe = %d, want 1 (skewed worker must start evicted)", got)
 	}
 	results, err := coord.Run(context.Background(), ids)
 	if err != nil {
@@ -416,18 +399,65 @@ func TestVersionSkewedWorkerRejected(t *testing.T) {
 	if got, want := encodeAll(t, results), localBaseline(t, ids); !bytes.Equal(got, want) {
 		t.Errorf("output differs with a version-skewed worker in the fleet:\n%s\nvs\n%s", got, want)
 	}
-	if n := skewExecs.Load(); n != 0 {
-		t.Errorf("skewed worker executed %d experiments", n)
-	}
 	if n := localExecs.Load(); n != 0 {
 		t.Errorf("%d experiments fell back locally despite a current worker", n)
 	}
+	st := coord.Stats()
+	if sk := st.Workers[0]; sk.Errors != sk.Fetches || st.Failovers != sk.Errors || st.Remote != 2 {
+		t.Errorf("stats = %+v, want every skewed answer failed over and both served remotely", st)
+	}
+	if st.WorkersHealthy != 2 {
+		t.Errorf("healthy = %d, want 2 (a rejected answer fails the attempt, not the worker)", st.WorkersHealthy)
+	}
 
-	// The header check alone must also reject: force a fetch at the
-	// skewed worker and watch the attempt fail.
+	// Force a fetch at the skewed worker and watch the attempt fail.
 	wk := coord.workers[0]
 	if _, err := coord.fetch(context.Background(), wk, "E1", experiments.ParamSet{}); err == nil {
 		t.Fatal("fetch from a version-skewed worker succeeded")
+	}
+}
+
+// TestHeaderlessAnswerRejected: an answer without the generation
+// header names no generation, so it is refused like a skewed one,
+// whole or range: every answer of the header-less worker fails its
+// attempt, the worker stays in rotation, and its peer serves the
+// point, byte-identically.
+func TestHeaderlessAnswerRejected(t *testing.T) {
+	const id = "E2"
+	whole, _ := syntheticRegistry(id)
+	carved, _ := shardableFixture(id)
+	for _, tc := range []struct {
+		name string
+		reg  map[string]experiments.Experiment
+	}{{"whole", whole}, {"range", carved}} {
+		t.Run(tc.name, func(t *testing.T) {
+			bare := rewriteWorker(t, server.New(server.Options{Registry: tc.reg}), func(h http.Header, body []byte) []byte {
+				h.Del(server.RegistryVersionHeader)
+				return body
+			})
+			peer := newWorker(t, tc.reg)
+			coord, err := New(Options{
+				Workers: []string{bare, peer.URL},
+				Local:   experiments.Options{Registry: tc.reg, Jobs: 1},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := coord.RunParam(context.Background(), id, experiments.ParamSet{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := encodeAll(t, []experiments.Result{res}), runLocal(t, tc.reg, id); !bytes.Equal(got, want) {
+				t.Errorf("output differs from the local run:\n%s\nvs\n%s", got, want)
+			}
+			st := coord.Stats()
+			if b := st.Workers[0]; b.Fetches == 0 || b.Errors != b.Fetches || st.Workers[1].Errors != 0 || st.Local != 0 {
+				t.Errorf("stats = %+v, want every header-less answer failed over to the peer", st)
+			}
+			if st.WorkersHealthy != 2 {
+				t.Errorf("healthy = %d, want 2 (a rejected answer fails the attempt, not the worker)", st.WorkersHealthy)
+			}
+		})
 	}
 }
 

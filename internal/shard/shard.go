@@ -14,24 +14,26 @@
 //
 //   - startup: every worker's /healthz is probed concurrently; a
 //     worker that fails the probe starts unhealthy and is never
-//     selected. Its /stats in-flight count (server.StatsResponse)
-//     seeds the load accounting, so a worker that is already busy
-//     serving other clients starts deprioritized.
+//     selected until its revival is due.
 //   - selection: least-loaded — the healthy untried worker with the
-//     fewest in-flight requests (scraped baseline + the coordinator's
-//     own accounting) wins. A bounded per-worker in-flight cap
-//     (DefaultMaxInFlight) keeps one slow worker from serializing the
-//     batch: once a worker is saturated, work flows to its peers.
+//     fewest of the coordinator's own in-flight requests wins. A
+//     bounded per-worker in-flight cap (DefaultMaxInFlight) keeps one
+//     slow worker from serializing the batch: once a worker is
+//     saturated, work flows to its peers.
 //   - failure: every request carries its own timeout. A transport
 //     error (connection refused, reset, EOF — a killed worker) evicts
-//     the worker; an HTTP-level failure (non-200, undecodable body,
-//     mismatched id) only fails the attempt. Either way the
-//     experiment fails over to the next worker, trying each worker at
-//     most once. Eviction is not forever: a coordinator can outlive a
-//     worker restart (cmd/figuresd -peers runs one for the daemon's
-//     whole life), so after DefaultReviveAfter a live request is
-//     allowed to re-try an evicted worker, and one success restores it
-//     to full rotation.
+//     the worker, unless the request's own context had ended (its
+//     timeout, or the caller's cancellation: slow is not dead); an
+//     HTTP-level failure (non-200, undecodable body, mismatched id, or
+//     a server.RegistryVersionHeader other than the experiment's
+//     experiments.SpaceVersion, so that no answer computed by another
+//     generation of its code is merged or stored) only fails the
+//     attempt. Either way the experiment fails over to the next
+//     worker, trying each worker at most once. Eviction is not
+//     forever: a coordinator can outlive a worker restart
+//     (cmd/figuresd -peers runs one for the daemon's whole life), so
+//     after DefaultReviveAfter a live request is allowed to re-try an
+//     evicted worker, and one success restores it to full rotation.
 //   - fallback: an experiment that exhausts the fleet — including the
 //     whole fleet being unreachable — runs locally through the
 //     in-process engine with the coordinator's Local options, so a
@@ -76,8 +78,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -99,9 +99,9 @@ const (
 	// generous because a cold exhaustive exploration legitimately
 	// takes up to the worker's own execution timeout (2m default).
 	DefaultRequestTimeout = 3 * time.Minute
-	// DefaultProbeTimeout bounds the startup /healthz and /stats
-	// probes; a worker that cannot answer a liveness check in this
-	// window is not worth routing experiments to.
+	// DefaultProbeTimeout bounds the startup /healthz probe; a worker
+	// that cannot answer a liveness check in this window is not worth
+	// routing experiments to.
 	DefaultProbeTimeout = 5 * time.Second
 	// DefaultMaxInFlight caps concurrent requests per worker so a
 	// slow worker holds at most this many experiments while its
@@ -112,11 +112,6 @@ const (
 	// to hammer a dead host, short enough that a restarted worker
 	// rejoins a long-lived coordinator promptly.
 	DefaultReviveAfter = 15 * time.Second
-	// baselineTTL bounds how long the /stats in-flight count scraped
-	// at probe time keeps inflating a worker's load: the snapshot
-	// describes startup, not steady state, so it expires rather than
-	// skewing selection forever.
-	baselineTTL = 30 * time.Second
 )
 
 // Options configures New. Workers is the only required field.
@@ -146,9 +141,8 @@ type Options struct {
 	// worker's. nil disables coordinator-side recording; the header
 	// still propagates when the context carries an ID.
 	Journal *trace.Journal
-	// Now injects the coordinator's clock (eviction revival, baseline
-	// expiry); nil means time.Now. Tests use it to advance time
-	// without sleeping.
+	// Now injects the coordinator's clock (eviction revival); nil means
+	// time.Now. Tests use it to advance time without sleeping.
 	Now func() time.Time
 	// Logf receives one line per notable event (unreachable worker,
 	// failover, fallback); nil means silent.
@@ -211,13 +205,6 @@ type worker struct {
 	lat      hist.Histogram
 	fetches  atomic.Int64
 	errors   atomic.Int64
-
-	// baseline is the worker's /stats in-flight count at probe time
-	// (load from clients this coordinator cannot see), counted toward
-	// selection until baselineUntil. Written only during New's probe,
-	// before any pick can run.
-	baseline      int64
-	baselineUntil time.Time
 }
 
 // selectable reports whether the worker may receive a request:
@@ -228,16 +215,6 @@ func (w *worker) selectable(now time.Time) bool {
 	}
 	r := w.retryAt.Load()
 	return r != 0 && now.UnixNano() >= r
-}
-
-// load is the selection key: the coordinator's own in-flight count
-// plus the scraped startup baseline while it is still fresh.
-func (w *worker) load(now time.Time) int64 {
-	l := w.inflight.Load()
-	if now.Before(w.baselineUntil) {
-		l += w.baseline
-	}
-	return l
 }
 
 // Coordinator fans experiment runs out across a figuresd fleet. It is
@@ -368,11 +345,9 @@ func SplitList(s string) []string {
 }
 
 // probe marks w healthy if its /healthz answers 200 within
-// DefaultProbeTimeout, then seeds the load accounting from its /stats
-// in-flight count (best-effort: a worker without /stats just starts at
-// zero). A failed probe schedules revival like any other eviction, so
-// a worker that was merely slow to boot rejoins a long-lived
-// coordinator.
+// DefaultProbeTimeout. A failed probe schedules revival like any other
+// eviction, so a worker that was merely slow to boot rejoins a
+// long-lived coordinator.
 func (c *Coordinator) probe(w *worker) {
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultProbeTimeout)
 	defer cancel()
@@ -396,19 +371,6 @@ func (c *Coordinator) probe(w *worker) {
 		return
 	}
 	w.healthy.Store(true)
-	if st, err := c.scrapeStats(ctx, w); err == nil {
-		// A worker serving a different experiment generation would
-		// answer every fetch with bytes from the wrong registry;
-		// start it evicted (the per-response header check guards the
-		// revival path).
-		if st.RegistryVersion != "" && st.RegistryVersion != experiments.RegistryVersion {
-			c.logf("shard: worker %s serves registry %s, want %s", w.base, st.RegistryVersion, experiments.RegistryVersion)
-			c.evict(w)
-			return
-		}
-		w.baseline = st.InFlight
-		w.baselineUntil = c.now().Add(baselineTTL)
-	}
 }
 
 // evict takes w out of rotation and schedules the moment a live
@@ -416,13 +378,6 @@ func (c *Coordinator) probe(w *worker) {
 func (c *Coordinator) evict(w *worker) {
 	w.healthy.Store(false)
 	w.retryAt.Store(c.now().Add(DefaultReviveAfter).UnixNano())
-}
-
-// revive returns w to full rotation after a successful request,
-// reporting whether w was actually evicted (so callers log and journal
-// real revivals, not every success).
-func (c *Coordinator) revive(w *worker) bool {
-	return !w.healthy.Swap(true)
 }
 
 // logReq writes one log line about the request reqID names, ending it
@@ -434,27 +389,6 @@ func (c *Coordinator) logReq(reqID, format string, args ...any) {
 		args = append(args, reqID)
 	}
 	c.logf(format, args...)
-}
-
-// scrapeStats fetches one worker's /stats snapshot.
-func (c *Coordinator) scrapeStats(ctx context.Context, w *worker) (server.StatsResponse, error) {
-	var st server.StatsResponse
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+"/stats", nil)
-	if err != nil {
-		return st, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return st, fmt.Errorf("shard: worker %s /stats: status %d", w.base, resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, fmt.Errorf("shard: worker %s /stats: %w", w.base, err)
-	}
-	return st, nil
 }
 
 // Run executes the selected experiments across the fleet, each at its
@@ -504,8 +438,10 @@ func (c *Coordinator) Run(ctx context.Context, ids []string) ([]experiments.Resu
 // Below that the point is prefix-sharded when the experiment shards
 // and enough workers can take a range, fetched whole with per-worker
 // failover otherwise (a range that exhausted the fleet included), and
-// finally evaluated locally. It is the execution backend
-// cmd/figuresd -peers plugs into internal/server.
+// finally evaluated locally. The front store is read once per request,
+// and a successful result, whichever path served it, is written back
+// once. It is the execution backend cmd/figuresd -peers plugs into
+// internal/server.
 func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.ParamSet) (experiments.Result, error) {
 	exp, ok := c.reg[id]
 	if !ok {
@@ -539,23 +475,27 @@ func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.Pa
 		}
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindCacheMiss, Detail: "coordinator front cache"})
 	}
+	var res experiments.Result
+	done := false
 	if sh, ok := exp.ShardableAt(ps); ok {
-		if res, done := c.runPrefixSharded(ctx, id, ps, sh); done {
-			if cache != nil && res.Err == nil {
-				cache.PutParam(id, params, res) // best-effort, like the engine
-			}
-			return res, nil
-		}
+		res, done = c.runPrefixSharded(ctx, id, ps, sh)
 	}
-	return c.runWhole(ctx, exp, ps, name)
+	if !done {
+		res = c.runWhole(ctx, exp, ps, name)
+	}
+	if cache != nil && res.Err == nil {
+		cache.PutParam(id, params, res) // best-effort, like the engine
+	}
+	return res, nil
 }
 
 // runWhole fetches one point whole from the workers, least-loaded
 // first and each at most once, then falls back to local evaluation
-// through experiments.RunParam (which owns the point's cache
-// read-through), bounded by the local-fallback concurrency
-// (Options.Local.Jobs).
-func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, ps experiments.ParamSet, name string) (experiments.Result, error) {
+// through experiments.RunParam, bounded by the local-fallback
+// concurrency (Options.Local.Jobs). The fallback runs without the
+// front store: RunParam has read it already and writes the result
+// back.
+func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, ps experiments.ParamSet, name string) experiments.Result {
 	id := exp.ID
 	reqID := trace.IDFrom(ctx)
 	tried := make(map[*worker]bool)
@@ -574,13 +514,10 @@ func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, 
 			c.remote.Add(1)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base,
 				Detail: fmt.Sprintf("fetched whole in %v", time.Since(fetchStart).Round(time.Microsecond))})
-			if c.local.Cache != nil {
-				c.local.Cache.PutParam(id, ps.Canonical(), res) // best-effort, like the engine
-			}
-			return res, nil
+			return res
 		}
 		if ctx.Err() != nil {
-			return experiments.Result{ID: id, Err: ctx.Err()}, nil
+			return experiments.Result{ID: id, Err: ctx.Err()}
 		}
 		c.failovers.Add(1)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Detail: err.Error()})
@@ -590,16 +527,13 @@ func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, 
 	select {
 	case c.localSem <- struct{}{}:
 	case <-ctx.Done():
-		return experiments.Result{ID: id, Err: ctx.Err()}, nil
+		return experiments.Result{ID: id, Err: ctx.Err()}
 	}
 	defer func() { <-c.localSem }()
-	res := experiments.RunParam(ctx, exp, ps, experiments.Options{
-		Timeout: c.local.Timeout,
-		Cache:   c.local.Cache,
-	})
+	res := experiments.RunParam(ctx, exp, ps, experiments.Options{Timeout: c.local.Timeout})
 	c.localRuns.Add(1)
 	c.logReq(reqID, "shard: %s ran locally", name)
-	return res, nil
+	return res
 }
 
 // minShardWorkers is the fleet size below which prefix sharding is
@@ -699,18 +633,22 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 	return res, true
 }
 
-// point is one served point's record: its carve, and the answers the
-// fleet gave for it. A worker's answer is a pure function of the point
-// and its space version, so the record keeps, per worker path (the
-// whole point's or one prefix range's), the last body the coordinator
-// accepted and what it decoded to, and for a carved point the last
-// merged Result and the answers it was merged from. Records are
-// replaced, never added to, per path, and only schema-validated points
-// reach here, so they stay bounded by the served space: one per point
-// and fetched path, whose ranges are split from at most as many
-// selectable-worker counts as the fleet has workers. Everything a
-// record holds is shared across requests and read-only.
+// point is one served point's record: its space version, its carve,
+// and the answers the fleet gave for it. A worker's answer is a pure
+// function of the point and its space version, so the record keeps,
+// per worker path (the whole point's or one prefix range's), the last
+// body the coordinator accepted and what it decoded to, and for a
+// carved point the last merged Result and the answers it was merged
+// from. Records are replaced, never added to, per path, and only
+// schema-validated points reach here, so they stay bounded by the
+// served space: one per point and fetched path, whose ranges are split
+// from at most as many selectable-worker counts as the fleet has
+// workers. Everything a record holds is shared across requests and
+// read-only.
 type point struct {
+	// space is experiments.SpaceVersion of the point's experiment: the
+	// generation header every answer for the point must carry.
+	space   string
 	mu      sync.Mutex
 	roots   func() ([][]int, error)
 	answers map[string]*answer
@@ -738,7 +676,7 @@ func (c *Coordinator) point(id string, ps experiments.ParamSet) *point {
 	defer c.pointsMu.Unlock()
 	pt, ok := c.points[key]
 	if !ok {
-		pt = &point{answers: make(map[string]*answer)}
+		pt = &point{space: experiments.SpaceVersion(id), answers: make(map[string]*answer)}
 		c.points[key] = pt
 	}
 	return pt
@@ -870,12 +808,11 @@ func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps exp
 }
 
 // fetchSlice retrieves one prefix range's answer from one worker,
-// under the same in-flight cap, timeout, eviction, and revival rules
-// as a whole-experiment fetch. A worker serving a different generation
-// of this experiment's space (per-family SpaceVersion) fails the
-// attempt: its numbers describe a different space — and because the
-// check is per space, a fleet mid-rollout of one family's code keeps
-// serving every other family. When recv is non-nil (the first range,
+// under the same in-flight cap, timeout, generation header, eviction,
+// and revival rules as a whole-experiment fetch. The envelope's own
+// space version is checked too, the body-level guard behind the
+// header: a range from another generation of this experiment's space
+// describes a different space. When recv is non-nil (the first range,
 // see runRange) a fresh decode goes to *recv alone, and a reused
 // answer brings none; no other range's path can name the first range,
 // so every other recorded answer carries its decode.
@@ -905,9 +842,9 @@ func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, id s
 	})
 }
 
-// pick returns the selectable, untried worker with the lowest load,
-// charging it one in-flight slot (the caller releases it), or nil
-// when no worker qualifies.
+// pick returns the selectable, untried worker with the fewest of this
+// coordinator's in-flight requests, charging it one in-flight slot (the
+// caller releases it), or nil when no worker qualifies.
 func (c *Coordinator) pick(tried map[*worker]bool) *worker {
 	c.pickMu.Lock()
 	defer c.pickMu.Unlock()
@@ -917,7 +854,7 @@ func (c *Coordinator) pick(tried map[*worker]bool) *worker {
 		if tried[w] || !w.selectable(now) {
 			continue
 		}
-		if best == nil || w.load(now) < best.load(now) {
+		if best == nil || w.inflight.Load() < best.inflight.Load() {
 			best = w
 		}
 	}
@@ -930,11 +867,13 @@ func (c *Coordinator) pick(tried map[*worker]bool) *worker {
 // fetchWorker performs one GET against a worker, holding a slot of
 // the worker's in-flight cap for the duration (body read included)
 // under the per-request timeout, and applies the shared failure
-// policy: a transport failure evicts the worker — unless it is this
-// request's own deadline, because a slow experiment is not a dead
-// worker — a non-200 drains a bounded body prefix and fails the
-// attempt, and an accepted body restores an evicted worker to
-// rotation. Both the whole-experiment and the prefix-slice paths go
+// policy: a transport failure evicts the worker — unless this
+// request's own context has ended (its deadline, or the caller's
+// cancellation), because a slow experiment or an abandoned request is
+// not a dead worker — a non-200 drains a bounded body prefix and fails
+// the attempt, so does an answer without pt's space version in its
+// generation header, and an accepted body restores an evicted worker
+// to rotation. Both the whole-experiment and the prefix-slice paths go
 // through here so the failover policy cannot diverge between them.
 //
 // The body is read whole and returned as pt's answer for
@@ -987,7 +926,7 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *poin
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		if !errors.Is(err, context.DeadlineExceeded) {
+		if ctx.Err() == nil {
 			c.evict(w)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindEvict, Worker: w.base, Detail: err.Error()})
 		}
@@ -998,15 +937,14 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *poin
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 		return nil, fmt.Errorf("status %d", resp.StatusCode)
 	}
-	// A worker on a different experiment generation answers 200 with
-	// perfectly decodable bytes from the wrong registry; merging them
-	// would break byte-identity silently, so the attempt fails
-	// instead. Workers too old to send the header are caught by the
-	// probe's /stats version check.
-	if v := resp.Header.Get(server.RegistryVersionHeader); v != "" && v != experiments.RegistryVersion {
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindRegistryReject, Worker: w.base,
-			Detail: fmt.Sprintf("worker registry %s, want %s", v, experiments.RegistryVersion)})
-		return nil, fmt.Errorf("worker registry %s, want %s", v, experiments.RegistryVersion)
+	// A worker on another generation of this experiment's code answers
+	// 200 with perfectly decodable bytes that code computed; merging or
+	// storing them would break byte-identity silently, so an answer
+	// that does not name this generation fails the attempt.
+	if v := resp.Header.Get(server.RegistryVersionHeader); v != pt.space {
+		err := fmt.Errorf("worker space %q, want %q", v, pt.space)
+		c.journal.Add(reqID, trace.Event{Kind: trace.KindRegistryReject, Worker: w.base, Detail: err.Error()})
+		return nil, err
 	}
 	buf := bodyBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -1025,7 +963,9 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *poin
 		ans.body = body
 		pt.record(pathAndQuery, ans)
 	}
-	if c.revive(w) {
+	// A success returns w to full rotation; only a real revival, not
+	// every success, is logged and journaled.
+	if !w.healthy.Swap(true) {
 		c.logReq(reqID, "shard: worker %s revived", w.base)
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindRevive, Worker: w.base})
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -473,58 +474,9 @@ func TestPickLeastLoaded(t *testing.T) {
 	}
 }
 
-// TestProbeSeedsBaselineLoad: a worker busy serving other clients at
-// probe time starts deprioritized — its /stats in-flight count is the
-// seed the first pick sees.
-func TestProbeSeedsBaselineLoad(t *testing.T) {
-	reg, _ := syntheticRegistry("E1")
-	quiet := newWorker(t, reg)
-
-	// A fake worker whose /stats reports heavy in-flight load.
-	loaded := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/healthz":
-			fmt.Fprintln(w, "ok")
-		case "/stats":
-			fmt.Fprint(w, `{"registry_version":"x","in_flight":42,"requests":100,"experiments":{}}`)
-		default:
-			http.NotFound(w, r)
-		}
-	}))
-	defer loaded.Close()
-
-	coord, err := New(Options{
-		Workers: []string{loaded.URL, quiet.URL},
-		Local:   experiments.Options{Registry: reg, Jobs: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := coord.pick(nil)
-	if w == nil || w.base != quiet.URL {
-		t.Fatalf("first pick = %+v, want the quiet worker (baseline 42 vs 0)", w)
-	}
-}
-
-// TestBaselineExpires: the scraped /stats in-flight count describes
-// startup, not steady state — once its TTL passes it stops inflating
-// the worker's load.
-func TestBaselineExpires(t *testing.T) {
-	w := &worker{base: "http://w", baseline: 42}
-	now := time.Now()
-	w.baselineUntil = now.Add(time.Minute)
-	if got := w.load(now); got != 42 {
-		t.Fatalf("fresh baseline load = %d, want 42", got)
-	}
-	w.baselineUntil = now.Add(-time.Second)
-	if got := w.load(now); got != 0 {
-		t.Fatalf("expired baseline load = %d, want 0", got)
-	}
-}
-
 // fakeClock is an injectable coordinator clock (Options.Now) that
-// tests advance manually, so eviction-revival and baseline-expiry
-// behavior is asserted without real sleeps.
+// tests advance manually, so eviction-revival behavior is asserted
+// without real sleeps.
 type fakeClock struct {
 	mu sync.Mutex
 	t  time.Time
@@ -639,5 +591,46 @@ func TestFetchTimeoutDoesNotKillWorker(t *testing.T) {
 	st := coord.Stats()
 	if st.WorkersHealthy != 1 {
 		t.Fatalf("healthy = %d, want 1 (a timeout must not mark the worker dead)", st.WorkersHealthy)
+	}
+}
+
+// TestCallerCancelDoesNotEvict: a request its caller abandons says
+// nothing about the worker serving it. The worker answers after
+// 200 ms, the caller cancels at 50 ms: the request ends with the
+// caller's error, nothing runs locally, and the worker stays in
+// rotation.
+func TestCallerCancelDoesNotEvict(t *testing.T) {
+	reg, _ := syntheticRegistry("E1")
+	inner := server.New(server.Options{Registry: reg})
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/experiments/") {
+			time.Sleep(200 * time.Millisecond)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	defer slow.Close()
+	localReg, localExecs := syntheticRegistry("E1")
+	coord, err := New(Options{
+		Workers: []string{slow.URL},
+		Local:   experiments.Options{Registry: localReg, Jobs: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	res, err := coord.RunParam(ctx, "E1", experiments.ParamSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("result err = %v, want the caller's cancellation", res.Err)
+	}
+	if n := localExecs.Load(); n != 0 {
+		t.Errorf("local executions = %d, want 0 (a cancelled request runs nowhere else)", n)
+	}
+	if st := coord.Stats(); st.WorkersHealthy != 1 {
+		t.Fatalf("healthy = %d/%d, want 1 (a caller's cancellation must not evict the worker)", st.WorkersHealthy, st.WorkersTotal)
 	}
 }

@@ -9,12 +9,12 @@
 // the journal says why: every load-bearing decision on the serving
 // path — worker chosen and at what in-flight count, cache and
 // slice-cache outcome, retry, transport eviction, revival,
-// registry-version rejection, local-range fallback, singleflight
-// coalesce — is one timestamped Event tagged with the prefix range it
-// concerns. GET /trace/{id} (internal/server) exposes a process's
-// journal; `figures trace` fetches the same ID from several processes
-// and merges the events into one timeline, so a slow sharded request
-// is explainable after the fact without reproducing it.
+// space-version rejection, local fallback, singleflight coalesce — is
+// one timestamped Event tagged with the prefix range it concerns.
+// GET /trace/{id} (internal/server) exposes a process's journal;
+// `figures trace` fetches the same ID from several processes and
+// merges the events into one timeline, so a slow sharded request is
+// explainable after the fact without reproducing it.
 //
 // The journal is an observability buffer, not a durable log: it holds
 // the most recent maxRequests requests (oldest-request-out at the
@@ -78,8 +78,8 @@ const (
 	KindSliceHit   = "slice_cache_hit"
 	KindSliceMiss  = "slice_cache_miss"
 	KindSliceStore = "slice_cache_store"
-	// KindExplore records a slice exploration actually executing (on a
-	// worker, or locally on the coordinator's fallback path).
+	// KindExplore records a slice exploration actually executing on a
+	// worker.
 	KindExplore = "explore"
 	// KindRetry records a failed attempt moving work to another
 	// worker — a whole-fetch failover or a range reassignment.
@@ -88,11 +88,13 @@ const (
 	// rotation; KindRevive records a success restoring one.
 	KindEvict  = "evict"
 	KindRevive = "revive"
-	// KindRegistryReject records a worker's response being refused for
-	// serving a different experiment generation.
+	// KindRegistryReject records a worker's answer being refused for
+	// naming another generation of the experiment's code (a
+	// Repro-Registry-Version header missing or other than the
+	// experiment's space version).
 	KindRegistryReject = "registry_reject"
-	// KindLocalFallback records work that exhausted the fleet running
-	// on the local engine instead — a whole experiment or one range.
+	// KindLocalFallback records a point that exhausted the fleet running
+	// whole on the local engine instead.
 	KindLocalFallback = "local_fallback"
 	// KindCoalesce records a request joining another request's
 	// in-flight singleflight execution instead of starting its own.

@@ -10,6 +10,11 @@
 # 3/4 hits, byte-identical output, and the workers' /stats showing E2
 # as the only experiment that reached the fleet. A second bumped run
 # is 4/4 warm again: the new E2 space is an ordinary cached space.
+# Last, an unbumped coordinator with no front store runs over the
+# still-bumped fleet: every E2 answer names the other generation
+# (Repro-Registry-Version), so E2's ranges are reassigned, its whole
+# fetch refused and E2 runs locally, while E1, E7 and E15 come from the
+# fleet — bytes still identical.
 # CI runs exactly this via `make cache-surgery`; humans run it the
 # same way. Knobs (optional): PORT1/PORT2.
 set -euo pipefail
@@ -97,6 +102,18 @@ test "$e2_count" -gt 0
 run_figures "$tmp/figures-bumped" "$tmp/bumped-warm.txt" "$tmp/bumped-warm.log"
 grep -F 'figures: cache 4/4 hits (100.0%)' "$tmp/bumped-warm.log"
 cmp "$tmp/cold.txt" "$tmp/bumped-warm.txt"
+
+# Phase 4: a mixed generation. The unbumped coordinator, with no front
+# store, over the E2-bumped fleet: both workers stay healthy, E1 and E7
+# are fetched whole and E15's 4 ranges served, while E2's 4 ranges are
+# refused on both workers (8 reassigned), its whole fetch is refused
+# too, and it runs locally.
+"$tmp/figures" -run "$IDS" -timeout 2m \
+  -workers "localhost:$PORT1,localhost:$PORT2" \
+  -o "$tmp/mixed.txt" 2> "$tmp/mixed.log"
+grep -F 'figures: shard 2/2 workers healthy, 2 remote, 1 local' "$tmp/mixed.log"
+grep -F 'figures: shard 2 prefix-sharded (4 ranges remote, 8 reassigned)' "$tmp/mixed.log"
+cmp "$tmp/cold.txt" "$tmp/mixed.txt"
 stop_fleet
 
-echo "cache-surgery: OK (E2 bump re-ran E2 only; bytes identical across all runs)"
+echo "cache-surgery: OK (E2 bump re-ran E2 only; a mixed-generation fleet's E2 answers refused; bytes identical across all runs)"
