@@ -34,7 +34,8 @@ race-sched:
 # artifact store's memory tier, and the first request of each format
 # filling a table's stored body, race the writes that drop its keys
 # (internal/cache); the server's mixed traffic and rejected-slice
-# overwrite go through the same tier (internal/server); and the shard
+# overwrite go through the same tier, and its requests record into the
+# counters /stats and /metrics read (internal/server); and the shard
 # coordinator's recorded worker answers, decodes and merged results
 # are read by concurrent requests while a flipping worker's answers
 # replace them (internal/shard, TestConcurrentRequestsWhileAnswerFlips).
@@ -80,16 +81,17 @@ cache-surgery:
 
 # warm-bytes proves a warm daemon and a long-lived front door serve
 # the CLI's bytes: a cache-backed figuresd serves E1, E2, E7, E15,
-# E2?k=3 and E15?c=3 in every format, a daemon restarted on the same
-# store serves each twice (the tier and the format's stored body fill,
-# then a stored-bytes hit), and a storeless figuresd -peers front door
-# over two workers on that store serves each twice more (every E2 and
-# E15 point carved once, its later requests reusing the carve, and
-# every repeated request reusing the decoded worker answers and merged
-# table, whose stored bodies it writes). Every
-# body must equal `figures` output, the restarted daemon's /stats must
-# read 36 hits and 0 misses, and the workers' /stats four slice lookups
-# per carved front-door request.
+# E2?k=3 and E15?c=3 in every format (its /stats and /metrics must
+# agree on 6 misses, 12 hits and 4 exploring runs), a daemon restarted
+# on the same store serves each twice (the tier and the format's
+# stored body fill, then a stored-bytes hit), and a storeless figuresd
+# -peers front door over two workers on that store serves each twice
+# more (every E2 and E15 point carved once, its later requests reusing
+# the carve, and every repeated request reusing the decoded worker
+# answers and merged table, whose stored bodies it writes). Every body
+# must equal `figures` output, the restarted daemon's /stats must read
+# 36 hits and 0 misses, and the workers' /stats four slice lookups per
+# carved front-door request.
 warm-bytes:
 	./scripts/warm-bytes.sh
 

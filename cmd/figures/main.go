@@ -6,7 +6,7 @@
 // Usage:
 //
 //	figures [-run E3,E7] [-jobs N] [-format text|json|csv] [-timeout D]
-//	        [-cache-dir DIR] [-no-cache] [-workers HOSTS]
+//	        [-cache-dir DIR] [-workers HOSTS]
 //	        [-param k=3,i0=0] [-o FILE] [-list] [-v]
 //	figures trace -addr HOSTS [-timeout D] REQUEST_ID
 //
@@ -111,7 +111,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		format   = fs.String("format", "text", "output format: text, json, or csv")
 		timeout  = fs.Duration("timeout", 0, "per-experiment wall-clock limit (0 = none)")
 		cacheDir = fs.String("cache-dir", "", "cache experiment results in this directory")
-		noCache  = fs.Bool("no-cache", false, "ignore -cache-dir and run everything fresh")
 		workers  = fs.String("workers", "", "comma-separated figuresd workers (host:port) to fan the run out to; unreachable workers fall back to local execution, which -jobs governs")
 		traceOn  = fs.Bool("trace", false, "journal per-request spans on sharded runs and print each request's trace id and timeline on stderr (requires -workers)")
 		param    = fs.String("param", "", "evaluate one family at a parameter point (\"k=3,i0=0\", omitted parameters default); requires -run naming exactly one parameterized family")
@@ -181,7 +180,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *cacheDir != "" && !*noCache {
+	if *cacheDir != "" {
 		store, err := cache.Open(*cacheDir, cache.Options{})
 		if err != nil {
 			return err
@@ -287,23 +286,15 @@ func runSharded(fleet []string, opts experiments.Options, stderr io.Writer, verb
 			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
-	// A -timeout above the remote-fetch default must reach the fleet
-	// too, or long experiments could never be served remotely; the
-	// margin covers transfer and queueing on the worker.
-	var reqTimeout time.Duration
-	if opts.Timeout > 0 {
-		reqTimeout = opts.Timeout + 30*time.Second
-	}
 	var journal *trace.Journal
 	if traceOn {
 		journal = trace.NewJournal(0, 0)
 	}
 	coord, err := shard.New(shard.Options{
-		Workers:        fleet,
-		RequestTimeout: reqTimeout,
-		Local:          opts,
-		Logf:           logf,
-		Journal:        journal,
+		Workers: fleet,
+		Local:   opts,
+		Logf:    logf,
+		Journal: journal,
 	})
 	if err != nil {
 		return nil, err

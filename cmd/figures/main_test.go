@@ -78,26 +78,6 @@ func TestWarmCacheRunIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestNoCacheFlag: -no-cache makes -cache-dir inert — everything
-// re-executes and no hit-rate line is logged.
-func TestNoCacheFlag(t *testing.T) {
-	executions := hookRegistry(t, experiments.Registry())
-	dir := t.TempDir()
-	args := []string{"-run", "E1", "-jobs", "1", "-cache-dir", dir, "-no-cache"}
-	for i := 1; i <= 2; i++ {
-		var out, errOut bytes.Buffer
-		if err := run(args, &out, &errOut); err != nil {
-			t.Fatal(err)
-		}
-		if *executions != i {
-			t.Fatalf("run %d: %d executions", i, *executions)
-		}
-		if strings.Contains(errOut.String(), "cache") {
-			t.Fatalf("run %d logged cache stats with -no-cache: %q", i, errOut.String())
-		}
-	}
-}
-
 // TestOutputFileFlag: -o routes the encoded output to a file and
 // leaves stdout empty.
 func TestOutputFileFlag(t *testing.T) {

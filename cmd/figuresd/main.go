@@ -12,7 +12,8 @@
 // and their prefix slices, and E4's collision search) explore through
 // the serial canonical-state memo. The counters of every whole or
 // parameter-point E2 or E15 run this process explores accumulate in
-// the /stats exploration section.
+// the /stats exploration section and the /metrics
+// repro_exploration_*_total counters.
 //
 // Endpoints:
 //
@@ -20,7 +21,7 @@
 //	GET /experiments/{id}?format=text|json|csv    one experiment's table
 //	GET /healthz                                  liveness probe
 //	GET /stats                                    operational counters
-//	GET /metrics                                  Prometheus text exposition
+//	GET /metrics                                  the same counters, Prometheus text
 //	GET /trace/{id}                               one request's span journal
 //
 // Concurrent requests for the same cold experiment are deduplicated to
@@ -75,6 +76,11 @@ import (
 // outside of tests (the real E1..E15 registry is served).
 var testRegistry map[string]experiments.Experiment
 
+// defaultTimeout is -timeout's default bound on one experiment
+// execution: generous because the exhaustive explorations are the slow
+// tail, and a timeout that fires mid-exploration wastes the work.
+const defaultTimeout = 2 * time.Minute
+
 func main() {
 	if err := run(context.Background(), os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "figuresd:", err)
@@ -88,7 +94,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	var (
 		addr     = fs.String("addr", "localhost:8093", "listen address")
 		cacheDir = fs.String("cache-dir", "", "result cache directory (empty = no cache)")
-		timeout  = fs.Duration("timeout", server.DefaultTimeout, "per-experiment execution limit (0 = none)")
+		timeout  = fs.Duration("timeout", defaultTimeout, "per-experiment execution limit (0 = none)")
 		grace    = fs.Duration("grace", 5*time.Second, "graceful-shutdown window")
 		peers    = fs.String("peers", "", "comma-separated figuresd peers (host:port) to fan experiment execution out to; this daemon fronts the fleet and falls back to local execution")
 		debug    = fs.String("debug-addr", "", "serve net/http/pprof on this second listener (empty = off)")
@@ -138,7 +144,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 // newHandler assembles the daemon's HTTP handler: the serving layer
 // over the in-process engine, optionally cache-backed, and — with
 // peers — over a shard coordinator instead, so this daemon fronts a
-// fleet. timeout follows the flag convention (0 = no limit).
+// fleet. timeout bounds every execution, local or fallback, and 0
+// means no limit, as everywhere else; the coordinator derives its
+// fetch bound from it.
 func newHandler(cacheDir, peers string, timeout time.Duration, logf func(format string, args ...any)) (http.Handler, error) {
 	var store experiments.Cache
 	if cacheDir != "" {
@@ -148,12 +156,6 @@ func newHandler(cacheDir, peers string, timeout time.Duration, logf func(format 
 		}
 		store = s
 	}
-	// The flag follows cmd/figures' convention (0 = no limit); the
-	// server API spells that -1, with 0 meaning "use the default".
-	execTimeout := timeout
-	if execTimeout == 0 {
-		execTimeout = -1
-	}
 	// One journal spans both layers: the serving edge mints (or adopts)
 	// the request ID, the coordinator journals its fleet decisions
 	// under the same ID, and /trace/{id} plays back the whole span.
@@ -161,20 +163,13 @@ func newHandler(cacheDir, peers string, timeout time.Duration, logf func(format 
 	opts := server.Options{
 		Registry: testRegistry,
 		Cache:    store,
-		Timeout:  execTimeout,
+		Timeout:  timeout,
 		Logf:     logf,
 		Journal:  journal,
 	}
 	if peers != "" {
-		// A -timeout above the remote-fetch default must reach the
-		// fleet too; the margin covers transfer and queueing.
-		var reqTimeout time.Duration
-		if timeout > 0 {
-			reqTimeout = timeout + 30*time.Second
-		}
 		coord, err := shard.New(shard.Options{
-			Workers:        shard.SplitList(peers),
-			RequestTimeout: reqTimeout,
+			Workers: shard.SplitList(peers),
 			Local: experiments.Options{
 				Registry: testRegistry,
 				Cache:    store,

@@ -1,14 +1,11 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strings"
 
-	"repro/internal/cache"
-	"repro/internal/experiments"
 	"repro/internal/hist"
 )
 
@@ -25,123 +22,89 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 			http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(tr)
+	writeJSON(w, tr)
 }
 
 // handleMetrics serves GET /metrics in the Prometheus text exposition
-// format (version 0.0.4). Every series is a re-rendering of counters
-// the process already keeps — the /stats accumulators, the hist
-// log-buckets, the cache store's counters, the journal's gauges — so
-// scraping adds no new counting to any hot path. Histograms map
-// exactly: each non-empty hist bucket becomes a cumulative
+// format (version 0.0.4). It renders the one snapshot /stats encodes
+// and reads no counter of its own, so every numeric /stats field is a
+// series here and the other way round; only the derived hit_rate,
+// max_ms and quantiles stay on /stats alone. Histograms map exactly:
+// each non-empty hist bucket becomes a cumulative
 // `_bucket{le="<seconds>"}` line, `+Inf` is the total count, and
 // `_sum`/`_count` come from the same snapshot, which is what lets a
 // Prometheus quantile over these series agree with /stats' own
 // quantiles to within hist.Growth.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	st := s.snapshot()
 	var b strings.Builder
 
 	writeMetric(&b, "repro_registry_info", "gauge",
 		"Always 1; the registry_version label names the experiment generation served.",
-		sample{labels: fmt.Sprintf("registry_version=%q", experiments.RegistryVersion), value: 1})
-	writeMetric(&b, "repro_requests_total", "counter",
-		"Experiment and slice requests accepted since startup.",
-		sample{value: float64(s.requests.Load())})
+		sample{labels: fmt.Sprintf("registry_version=%q", st.RegistryVersion), value: 1})
+	writeCounters(&b, counter{"requests", "Whole, parameter-point and slice requests accepted since startup.", st.Requests})
 	writeMetric(&b, "repro_in_flight", "gauge",
-		"Requests currently between arrival and response.",
-		sample{value: float64(s.inFlight.Load())})
+		"Requests currently between arrival and response.", sample{value: float64(st.InFlight)})
 
-	s.writeEndpointHistograms(&b)
-	s.writeExperimentMetrics(&b)
+	if names := sortedKeys(st.Endpoints); len(names) > 0 {
+		writeMetric(&b, "repro_request_duration_seconds", "histogram",
+			"Request latency by endpoint (experiment = whole fetch, param = parameter point, slice = prefix slice).")
+		for _, name := range names {
+			writeHistogram(&b, "repro_request_duration_seconds", fmt.Sprintf("endpoint=%q", name), st.Endpoints[name])
+		}
+	}
 
-	if cs, ok := s.cache.(interface{ Stats() cache.Stats }); ok {
-		st := cs.Stats()
-		writeMetric(&b, "repro_cache_hits_total", "counter",
-			"Whole-result cache hits.", sample{value: float64(st.Hits)})
-		writeMetric(&b, "repro_cache_misses_total", "counter",
-			"Whole-result cache misses.", sample{value: float64(st.Misses)})
-		writeMetric(&b, "repro_cache_slice_hits_total", "counter",
-			"Prefix-slice cache hits.", sample{value: float64(st.SliceHits)})
-		writeMetric(&b, "repro_cache_slice_misses_total", "counter",
-			"Prefix-slice cache misses.", sample{value: float64(st.SliceMisses)})
-		writeMetric(&b, "repro_cache_slice_stores_total", "counter",
-			"Prefix-slice envelopes stored.", sample{value: float64(st.SliceStores)})
-		writeMetric(&b, "repro_cache_corrupt_total", "counter",
-			"Cache entries rejected as corrupt.", sample{value: float64(st.Corrupt)})
-		writeMetric(&b, "repro_cache_evicted_total", "counter",
-			"Cache entries evicted.", sample{value: float64(st.Evicted)})
+	if ids := sortedKeys(st.Experiments); len(ids) > 0 {
+		reqs := make([]sample, len(ids))
+		errs := make([]sample, len(ids))
+		for i, id := range ids {
+			label := fmt.Sprintf("id=%q", id)
+			reqs[i] = sample{labels: label, value: float64(st.Experiments[id].Count)}
+			errs[i] = sample{labels: label, value: float64(st.Experiments[id].Errors)}
+		}
+		writeMetric(&b, "repro_experiment_requests_total", "counter", "Requests served per experiment.", reqs...)
+		writeMetric(&b, "repro_experiment_errors_total", "counter", "Failed requests per experiment.", errs...)
+		writeMetric(&b, "repro_experiment_duration_seconds", "histogram", "Request latency per experiment.")
+		for i, id := range ids {
+			writeHistogram(&b, "repro_experiment_duration_seconds", reqs[i].labels, *st.Experiments[id].Histogram)
+		}
+	}
+
+	if c := st.Cache; c != nil {
+		writeCounters(&b,
+			counter{"cache_hits", "Whole-result cache hits.", c.Hits},
+			counter{"cache_misses", "Whole-result cache misses.", c.Misses},
+			counter{"cache_slice_hits", "Prefix-slice cache hits.", c.SliceHits},
+			counter{"cache_slice_misses", "Prefix-slice cache misses.", c.SliceMisses},
+			counter{"cache_slice_stores", "Prefix-slice envelopes stored.", c.SliceStores},
+			counter{"cache_corrupt", "Cache entries rejected as corrupt.", c.Corrupt},
+			counter{"cache_evicted", "Cache entries evicted.", c.Evicted})
+	}
+	if e := st.Exploration; e != nil {
+		writeCounters(&b,
+			counter{"exploration_runs", "Whole or parameter-point runs that explored through the memo.", e.Runs},
+			counter{"exploration_executions", "Executions those runs accounted.", e.Executions},
+			counter{"exploration_replays", "Replays those runs performed.", e.Replays},
+			counter{"exploration_states_visited", "Canonical states those runs visited.", e.StatesVisited},
+			counter{"exploration_states_pruned", "Subtrees those runs reused from the memo.", e.StatesPruned})
 	}
 
 	writeMetric(&b, "repro_trace_requests", "gauge",
-		"Request traces currently retained in the journal.",
-		sample{value: float64(s.journal.Len())})
-	writeMetric(&b, "repro_trace_evicted_total", "counter",
-		"Request traces evicted at the journal's ring cap.",
-		sample{value: float64(s.journal.Evicted())})
+		"Request traces currently retained in the journal.", sample{value: float64(st.Trace.Requests)})
+	writeCounters(&b, counter{"trace_evicted", "Request traces evicted at the journal's ring cap.", st.Trace.Evicted})
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
 }
 
-// writeEndpointHistograms renders the per-endpoint latency histograms
-// as one Prometheus histogram family labeled by endpoint.
-func (s *Server) writeEndpointHistograms(b *strings.Builder) {
-	endpoints := make([]string, 0, len(s.endpointLat))
-	for name, h := range s.endpointLat {
-		if h.Count() != 0 {
-			endpoints = append(endpoints, name)
-		}
+// sortedKeys returns m's keys in order, for deterministic label order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if len(endpoints) == 0 {
-		return
-	}
-	sort.Strings(endpoints)
-	writeHeader(b, "repro_request_duration_seconds", "histogram",
-		"Request latency by endpoint (experiment = whole fetch, param = parameter point, slice = prefix slice).")
-	for _, name := range endpoints {
-		writeHistogram(b, "repro_request_duration_seconds",
-			fmt.Sprintf("endpoint=%q", name), s.endpointLat[name].Snapshot())
-	}
-}
-
-// writeExperimentMetrics renders the per-experiment accumulators:
-// request/error counters and the full latency histogram, labeled by
-// experiment id.
-func (s *Server) writeExperimentMetrics(b *strings.Builder) {
-	stats := s.experimentStats()
-	if len(stats) == 0 {
-		return
-	}
-	ids := make([]string, 0, len(stats))
-	for id := range stats {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-
-	reqs := make([]sample, 0, len(ids))
-	errs := make([]sample, 0, len(ids))
-	for _, id := range ids {
-		st := stats[id]
-		label := fmt.Sprintf("id=%q", id)
-		reqs = append(reqs, sample{labels: label, value: float64(st.Count)})
-		errs = append(errs, sample{labels: label, value: float64(st.Errors)})
-	}
-	writeMetric(b, "repro_experiment_requests_total", "counter",
-		"Requests served per experiment.", reqs...)
-	writeMetric(b, "repro_experiment_errors_total", "counter",
-		"Failed requests per experiment.", errs...)
-
-	writeHeader(b, "repro_experiment_duration_seconds", "histogram",
-		"Request latency per experiment.")
-	for _, id := range ids {
-		if h := stats[id].Histogram; h != nil {
-			writeHistogram(b, "repro_experiment_duration_seconds",
-				fmt.Sprintf("id=%q", id), *h)
-		}
-	}
+	sort.Strings(keys)
+	return keys
 }
 
 // sample is one exposition line's labels and value. labels is the
@@ -153,18 +116,25 @@ type sample struct {
 	value  float64
 }
 
-// writeHeader emits one metric family's # HELP / # TYPE preamble —
-// once per name, which is why callers with multiple label sets emit
-// the header themselves and then the samples.
-func writeHeader(b *strings.Builder, name, typ, help string) {
-	fmt.Fprintf(b, "# HELP %s %s\n", name, help)
-	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
+// counter is one unlabeled counter family, repro_<name>_total.
+type counter struct {
+	name, help string
+	value      int64
 }
 
-// writeMetric emits a full single-family metric: header plus every
-// sample.
+// writeCounters emits each counter as its own family.
+func writeCounters(b *strings.Builder, cs ...counter) {
+	for _, c := range cs {
+		writeMetric(b, "repro_"+c.name+"_total", "counter", c.help, sample{value: float64(c.value)})
+	}
+}
+
+// writeMetric emits one metric family: its # HELP / # TYPE preamble,
+// once per name, then every sample. A histogram family passes none
+// and writes each series with writeHistogram after it.
 func writeMetric(b *strings.Builder, name, typ, help string, samples ...sample) {
-	writeHeader(b, name, typ, help)
+	fmt.Fprintf(b, "# HELP %s %s\n", name, help)
+	fmt.Fprintf(b, "# TYPE %s %s\n", name, typ)
 	for _, s := range samples {
 		if s.labels == "" {
 			fmt.Fprintf(b, "%s %g\n", name, s.value)
@@ -181,22 +151,12 @@ func writeMetric(b *strings.Builder, name, typ, help string, samples ...sample) 
 // in ascending bound order, so a running sum is exactly the
 // cumulative form Prometheus requires; seconds = UpperMillis / 1000.
 func writeHistogram(b *strings.Builder, name, labels string, snap hist.Snapshot) {
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
 	var cum int64
 	for _, bucket := range snap.Buckets {
 		cum += bucket.Count
-		fmt.Fprintf(b, "%s_bucket{%s%sle=\"%g\"} %d\n",
-			name, labels, sep, bucket.UpperMillis/1000, cum)
+		fmt.Fprintf(b, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, bucket.UpperMillis/1000, cum)
 	}
-	fmt.Fprintf(b, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, snap.Count)
-	if labels == "" {
-		fmt.Fprintf(b, "%s_sum %g\n", name, snap.SumMillis/1000)
-		fmt.Fprintf(b, "%s_count %d\n", name, snap.Count)
-	} else {
-		fmt.Fprintf(b, "%s_sum{%s} %g\n", name, labels, snap.SumMillis/1000)
-		fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, snap.Count)
-	}
+	fmt.Fprintf(b, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, snap.Count)
+	fmt.Fprintf(b, "%s_sum{%s} %g\n", name, labels, snap.SumMillis/1000)
+	fmt.Fprintf(b, "%s_count{%s} %d\n", name, labels, snap.Count)
 }

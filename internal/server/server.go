@@ -1,10 +1,12 @@
 // Package server is the HTTP serving layer over the experiment engine:
 // cmd/figuresd mounts it as a daemon. It serves the experiment index,
 // individual experiment tables in every encoder format, a health
-// probe, and an operational /stats snapshot (cache hit/miss/eviction
+// probe, and one operational snapshot (cache hit/miss/eviction
 // counters, per-experiment latency with full log-bucket histograms,
-// per-endpoint p50/p95/p99, and the in-flight count internal/shard
-// ranks workers by), with three protections a CLI run does not need:
+// per-endpoint p50/p95/p99, the in-flight count, the memo's
+// exploration totals and the trace journal's gauges) that /stats
+// encodes as JSON and /metrics renders for Prometheus, with three
+// protections a CLI run does not need:
 //
 //   - singleflight deduplication: N concurrent requests for a cold
 //     experiment trigger exactly one execution, and all N responses
@@ -44,19 +46,12 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/hist"
 	"repro/internal/sched"
 	"repro/internal/trace"
 )
-
-// DefaultTimeout bounds one experiment execution when Options.Timeout
-// is zero — generous because the exhaustive explorations are the slow
-// tail, and a timeout that fires mid-exploration wastes the work.
-const DefaultTimeout = 2 * time.Minute
 
 // RegistryVersionHeader carries experiments.SpaceVersion(id) on every
 // whole, parameter-point and slice response of experiment id, so a
@@ -67,7 +62,7 @@ const DefaultTimeout = 2 * time.Minute
 const RegistryVersionHeader = "Repro-Registry-Version"
 
 // Options configures New. The zero value serves the real registry
-// with no cache and DefaultTimeout.
+// with no cache and no execution limit.
 type Options struct {
 	// Registry overrides the experiment registry; nil means
 	// experiments.Registry(). An override's entries declare their own
@@ -77,8 +72,9 @@ type Options struct {
 	// experiments.Options.Cache), and prefix-slice requests are served
 	// from and stored into it too.
 	Cache experiments.Cache
-	// Timeout bounds each experiment execution; 0 means
-	// DefaultTimeout, negative means no limit.
+	// Timeout bounds each experiment execution, and the cooldown
+	// after one times out; 0 means no limit, as in
+	// experiments.Options.
 	Timeout time.Duration
 	// Backend, when non-nil, replaces the in-process engine for whole
 	// requests, at any parameter point (the zero ParamSet is the
@@ -112,6 +108,8 @@ type Options struct {
 //	                                         shard envelope)
 //	GET /healthz                             liveness probe
 //	GET /stats                               operational counters (JSON)
+//	GET /metrics                             the same counters (Prometheus)
+//	GET /trace/{id}                          one request's span (JSON)
 type Server struct {
 	reg        map[string]experiments.Experiment
 	ids        []string
@@ -123,23 +121,10 @@ type Server struct {
 	logf       func(format string, args ...any)
 	flights    flightGroup
 	mux        *http.ServeMux
+	acc        *accumulators
 
 	mu        sync.Mutex
 	cooldowns map[string]cooldownEntry
-
-	inFlight atomic.Int64
-	requests atomic.Int64
-	statsMu  sync.Mutex
-	perExp   map[string]*expStat
-	// memoMu guards the accumulated exploration counters (memoRuns
-	// plus the summed MemoStats) behind /stats.
-	memoMu     sync.Mutex
-	memoRuns   int64
-	memoTotals sched.MemoStats
-	// endpointLat holds the per-endpoint latency histograms (fixed
-	// key set, built at New): recording is lock-free on the request
-	// path, /stats snapshots them.
-	endpointLat map[string]*hist.Histogram
 }
 
 // New builds a server over the given registry and cache.
@@ -147,10 +132,6 @@ func New(opts Options) *Server {
 	reg := opts.Registry
 	if reg == nil {
 		reg = experiments.Registry()
-	}
-	timeout := opts.Timeout
-	if timeout == 0 {
-		timeout = DefaultTimeout
 	}
 	logf := opts.Logf
 	if logf == nil {
@@ -160,23 +141,19 @@ func New(opts Options) *Server {
 	if journal == nil {
 		journal = trace.NewJournal(0, 0)
 	}
+	ids := experiments.IDsOf(reg)
 	s := &Server{
 		reg:        reg,
-		ids:        experiments.IDsOf(reg),
+		ids:        ids,
 		cache:      opts.Cache,
-		timeout:    timeout,
+		timeout:    opts.Timeout,
 		backend:    opts.Backend,
 		exploreSem: make(chan struct{}, sliceExploreSlots),
 		journal:    journal,
 		logf:       logf,
 		mux:        http.NewServeMux(),
+		acc:        newAccumulators(ids),
 		cooldowns:  make(map[string]cooldownEntry),
-		perExp:     make(map[string]*expStat),
-		endpointLat: map[string]*hist.Histogram{
-			EndpointExperiment: hist.New(),
-			EndpointParam:      hist.New(),
-			EndpointSlice:      hist.New(),
-		},
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /experiments", s.handleIndex)
@@ -254,14 +231,20 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		}
 		families[id] = entry
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(indexResponse{
+	writeJSON(w, indexResponse{
 		RegistryVersion: experiments.RegistryVersion,
 		Experiments:     s.ids,
 		Families:        families,
 	})
+}
+
+// writeJSON writes v as an indented JSON response body: the index,
+// /stats and /trace/{id}.
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
 }
 
 // contentTypes maps encoder formats to their media type.
@@ -333,10 +316,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	reqID := s.requestID(w, r)
 
-	s.requests.Add(1)
-	s.inFlight.Add(1)
+	s.begin()
 	res, shared, err := s.execute(reqID, id, ps)
-	s.inFlight.Add(-1)
 	endpoint := EndpointExperiment
 	if ps.Canonical() != "" {
 		endpoint = EndpointParam
@@ -442,8 +423,7 @@ func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp expe
 	canonical := experiments.FormatPrefixes(roots)
 	reqID := s.requestID(w, r)
 
-	s.requests.Add(1)
-	s.inFlight.Add(1)
+	s.begin()
 	key := id + "\x00" + params + "\x00" + canonical
 	var val any
 	var shared bool
@@ -457,7 +437,6 @@ func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp expe
 			s.startCooldown(key, experiments.Result{Err: err})
 		}
 	}
-	s.inFlight.Add(-1)
 	s.record(EndpointSlice, id, time.Since(start), err != nil)
 	if shared {
 		s.journal.Add(reqID, trace.Event{Kind: trace.KindCoalesce, Range: canonical,
@@ -609,10 +588,9 @@ func (s *Server) execute(reqID, id string, ps experiments.ParamSet) (experiments
 		return res, true, nil
 	}
 	val, err, shared := s.flights.Do(key, func() (any, error) {
-		timeout := max(s.timeout, 0)
 		if s.backend == nil {
 			res := experiments.RunParam(context.Background(), s.reg[id], ps, experiments.Options{
-				Timeout: timeout,
+				Timeout: s.timeout,
 				Cache:   s.cache,
 			})
 			// Inside the flight: counted once per execution, not once
@@ -621,9 +599,9 @@ func (s *Server) execute(reqID, id string, ps experiments.ParamSet) (experiments
 			return res, nil
 		}
 		ctx := trace.WithID(context.Background(), reqID)
-		if timeout > 0 {
+		if s.timeout > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, timeout)
+			ctx, cancel = context.WithTimeout(ctx, s.timeout)
 			defer cancel()
 		}
 		return s.backend(ctx, id, ps)

@@ -1,8 +1,8 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -28,21 +28,23 @@ const (
 	EndpointSlice = "slice"
 )
 
-// StatsResponse is the GET /stats body: one process's operational
-// counters since startup, for operators watching a figuresd instance.
-// Counters only ever grow (except InFlight, which tracks the instant);
-// the response is a snapshot, not an atomic cut across fields.
+// StatsResponse is one process's operational counters since startup,
+// for operators watching a figuresd instance: the GET /stats body, and
+// the one snapshot GET /metrics renders, so both expose the same
+// series. Counters only ever grow (except InFlight and Trace.Requests,
+// which track the instant); the response is a snapshot, not an atomic
+// cut across fields.
 type StatsResponse struct {
 	// RegistryVersion identifies the experiment generation this
 	// process serves (cache keys depend on it).
 	RegistryVersion string `json:"registry_version"`
-	// InFlight is the number of experiment requests currently between
-	// arrival and response — including time spent waiting on another
-	// request's singleflight execution. A shard coordinator does not
-	// read it: it ranks workers by its own in-flight requests.
+	// InFlight is the number of whole, parameter-point and slice
+	// requests currently between arrival and response — including time
+	// spent waiting on another request's singleflight execution.
 	InFlight int64 `json:"in_flight"`
-	// Requests counts experiment requests accepted (valid id and
-	// format) since startup, whatever their outcome.
+	// Requests counts whole, parameter-point and slice requests
+	// accepted (valid id, point, format and prefixes) since startup,
+	// whatever their outcome.
 	Requests int64 `json:"requests"`
 	// Cache carries the result store's counters; absent when the
 	// process runs cacheless or the store does not report stats.
@@ -60,6 +62,8 @@ type StatsResponse struct {
 	// every whole or parameter-point run this process explored; absent
 	// until the first.
 	Exploration *StatsExploration `json:"exploration,omitempty"`
+	// Trace reports the request-trace journal behind GET /trace/{id}.
+	Trace StatsTrace `json:"trace"`
 }
 
 // StatsExploration sums the memoized exploration counters
@@ -103,114 +107,120 @@ type StatsExperiment struct {
 	Histogram *hist.Snapshot `json:"histogram,omitempty"`
 }
 
-// expStat is the internal accumulator behind StatsExperiment.
+// StatsTrace is the journal's two gauges: the request traces it
+// retains now, and those evicted at its ring cap since startup.
+type StatsTrace struct {
+	Requests int64 `json:"requests"`
+	Evicted  int64 `json:"evicted"`
+}
+
+// accumulators holds every counter behind StatsResponse. New builds
+// it once, with a record per registry id and per endpoint label, so
+// recording a request takes no lock and inserts into no map; snapshot
+// is the one place that reads it.
+type accumulators struct {
+	inFlight, requests atomic.Int64
+	endpoints          map[string]*hist.Histogram
+	experiments        map[string]*expStat
+	// runs counts the runs that explored; the rest sum their
+	// sched.MemoStats.
+	runs, executions, replays, visited, pruned atomic.Int64
+}
+
+// expStat is one experiment's record behind StatsExperiment.
 type expStat struct {
-	errors int64
+	errors atomic.Int64
 	lat    hist.Histogram
 }
 
-// record folds one served experiment request into the counters: the
-// per-experiment accumulator and the per-endpoint histogram.
-func (s *Server) record(endpoint, id string, d time.Duration, failed bool) {
-	if h := s.endpointLat[endpoint]; h != nil {
-		h.Record(d)
+func newAccumulators(ids []string) *accumulators {
+	a := &accumulators{endpoints: make(map[string]*hist.Histogram), experiments: make(map[string]*expStat)}
+	for _, name := range []string{EndpointExperiment, EndpointParam, EndpointSlice} {
+		a.endpoints[name] = hist.New()
 	}
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	st := s.perExp[id]
-	if st == nil {
-		st = &expStat{}
-		s.perExp[id] = st
+	for _, id := range ids {
+		a.experiments[id] = &expStat{}
 	}
-	if failed {
-		st.errors++
-	}
-	st.lat.Record(d)
+	return a
 }
 
-// recordExploration folds one run's explorer counters into the /stats
+// begin counts one accepted request and puts it in flight; record
+// takes it out again.
+func (s *Server) begin() {
+	s.acc.requests.Add(1)
+	s.acc.inFlight.Add(1)
+}
+
+// record folds one served request of registry id into its
+// experiment's record and its endpoint's histogram, and takes it out
+// of flight.
+func (s *Server) record(endpoint, id string, d time.Duration, failed bool) {
+	s.acc.inFlight.Add(-1)
+	s.acc.endpoints[endpoint].Record(d)
+	e := s.acc.experiments[id]
+	if failed {
+		e.errors.Add(1)
+	}
+	e.lat.Record(d)
+}
+
+// recordExploration folds one run's explorer counters into the
 // exploration totals; a run that explored nothing (a cache hit, an
 // experiment outside the memo) is not counted.
 func (s *Server) recordExploration(m sched.MemoStats) {
 	if m.Executions == 0 {
 		return
 	}
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	s.memoRuns++
-	s.memoTotals.Executions += m.Executions
-	s.memoTotals.Replays += m.Replays
-	s.memoTotals.StatesVisited += m.StatesVisited
-	s.memoTotals.StatesPruned += m.StatesPruned
+	a := s.acc
+	a.executions.Add(int64(m.Executions))
+	a.replays.Add(int64(m.Replays))
+	a.visited.Add(int64(m.StatesVisited))
+	a.pruned.Add(int64(m.StatesPruned))
+	a.runs.Add(1)
 }
 
-// explorationStats snapshots the exploration totals, nil before the
-// first exploring run so the section stays absent until then.
-func (s *Server) explorationStats() *StatsExploration {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if s.memoRuns == 0 {
-		return nil
-	}
-	return &StatsExploration{
-		Runs:          s.memoRuns,
-		Executions:    int64(s.memoTotals.Executions),
-		Replays:       int64(s.memoTotals.Replays),
-		StatesVisited: int64(s.memoTotals.StatesVisited),
-		StatesPruned:  int64(s.memoTotals.StatesPruned),
-	}
-}
-
-func (s *Server) experimentStats() map[string]StatsExperiment {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	out := make(map[string]StatsExperiment, len(s.perExp))
-	for id, st := range s.perExp {
-		snap := st.lat.Snapshot()
-		out[id] = StatsExperiment{Count: snap.Count, Errors: st.errors, Histogram: &snap}
-	}
-	return out
-}
-
-// endpointStats snapshots the per-endpoint histograms, dropping
-// endpoints that never saw a request.
-func (s *Server) endpointStats() map[string]hist.Snapshot {
-	out := make(map[string]hist.Snapshot, len(s.endpointLat))
-	for name, h := range s.endpointLat {
-		if h.Count() == 0 {
-			continue
-		}
-		out[name] = h.Snapshot()
-	}
-	return out
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
+// snapshot reads every counter once into the value /stats encodes and
+// /metrics renders. Experiments and endpoints never requested are left
+// out, and so is the exploration section before the first exploring
+// run.
+func (s *Server) snapshot() StatsResponse {
+	a := s.acc
+	st := StatsResponse{
 		RegistryVersion: experiments.RegistryVersion,
-		InFlight:        s.inFlight.Load(),
-		Requests:        s.requests.Load(),
-		Experiments:     s.experimentStats(),
-		Endpoints:       s.endpointStats(),
-		Exploration:     s.explorationStats(),
+		InFlight:        a.inFlight.Load(),
+		Requests:        a.requests.Load(),
+		Experiments:     make(map[string]StatsExperiment),
+		Endpoints:       make(map[string]hist.Snapshot),
+		Trace:           StatsTrace{Requests: int64(s.journal.Len()), Evicted: s.journal.Evicted()},
 	}
 	// The engine-facing cache interface has no counters; only stores
 	// that report them (internal/cache.Store) appear in the response.
 	if cs, ok := s.cache.(interface{ Stats() cache.Stats }); ok {
-		st := cs.Stats()
-		resp.Cache = &StatsCache{
-			Hits:        st.Hits,
-			Misses:      st.Misses,
-			SliceHits:   st.SliceHits,
-			SliceMisses: st.SliceMisses,
-			SliceStores: st.SliceStores,
-			Corrupt:     st.Corrupt,
-			Evicted:     st.Evicted,
-			HitRate:     st.HitRate(),
+		c := cs.Stats()
+		st.Cache = &StatsCache{Hits: c.Hits, Misses: c.Misses, SliceHits: c.SliceHits,
+			SliceMisses: c.SliceMisses, SliceStores: c.SliceStores, Corrupt: c.Corrupt,
+			Evicted: c.Evicted, HitRate: c.HitRate()}
+	}
+	for id, e := range a.experiments {
+		if e.lat.Count() != 0 {
+			snap := e.lat.Snapshot()
+			st.Experiments[id] = StatsExperiment{Count: snap.Count, Errors: e.errors.Load(), Histogram: &snap}
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(resp)
+	for name, h := range a.endpoints {
+		if h.Count() != 0 {
+			st.Endpoints[name] = h.Snapshot()
+		}
+	}
+	// runs is added last and read first: a run counted here has its
+	// counts in the totals below.
+	if runs := a.runs.Load(); runs != 0 {
+		st.Exploration = &StatsExploration{Runs: runs, Executions: a.executions.Load(),
+			Replays: a.replays.Load(), StatesVisited: a.visited.Load(), StatesPruned: a.pruned.Load()}
+	}
+	return st
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, s.snapshot())
 }

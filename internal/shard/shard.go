@@ -95,10 +95,16 @@ import (
 )
 
 const (
-	// DefaultRequestTimeout bounds one remote experiment fetch —
-	// generous because a cold exhaustive exploration legitimately
-	// takes up to the worker's own execution timeout (2m default).
+	// DefaultRequestTimeout bounds one remote experiment fetch when
+	// neither Options.RequestTimeout nor Options.Local.Timeout sets
+	// it — generous because a cold exhaustive exploration legitimately
+	// takes up to the worker's own execution timeout (figuresd's
+	// -timeout, 2m by default).
 	DefaultRequestTimeout = 3 * time.Minute
+	// requestMargin is what a fetch bound derived from
+	// Options.Local.Timeout adds to it, for transfer and queueing on
+	// the worker.
+	requestMargin = 30 * time.Second
 	// DefaultProbeTimeout bounds the startup /healthz probe; a worker
 	// that cannot answer a liveness check in this window is not worth
 	// routing experiments to.
@@ -120,8 +126,10 @@ type Options struct {
 	// URL is accepted too). Order is irrelevant: selection is by
 	// load, not position.
 	Workers []string
-	// RequestTimeout bounds each remote experiment fetch; <= 0 means
-	// DefaultRequestTimeout.
+	// RequestTimeout bounds each remote experiment fetch. Unset (<= 0),
+	// it is Local.Timeout plus a 30 s margin, so a limit that lets an
+	// experiment run long locally lets the fleet take as long, and
+	// DefaultRequestTimeout when Local.Timeout is 0 (no limit).
 	RequestTimeout time.Duration
 	// Local configures the in-process fallback engine and the
 	// coordinator's view of the experiments: Registry (nil means
@@ -274,6 +282,9 @@ func New(opts Options) (*Coordinator, error) {
 	reqTimeout := opts.RequestTimeout
 	if reqTimeout <= 0 {
 		reqTimeout = DefaultRequestTimeout
+		if opts.Local.Timeout > 0 {
+			reqTimeout = opts.Local.Timeout + requestMargin
+		}
 	}
 	logf := opts.Logf
 	if logf == nil {

@@ -594,6 +594,38 @@ func TestFetchTimeoutDoesNotKillWorker(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutFromLocalTimeout: without an explicit
+// RequestTimeout, the fetch bound is the local execution limit plus
+// the transfer margin, and DefaultRequestTimeout when there is no
+// limit; an explicit RequestTimeout wins over both.
+func TestRequestTimeoutFromLocalTimeout(t *testing.T) {
+	reg, _ := syntheticRegistry("E1")
+	addr := newWorker(t, reg).URL
+	for _, tc := range []struct {
+		name           string
+		local, request time.Duration
+		want           time.Duration
+	}{
+		{"local limit plus margin", time.Second, 0, 31 * time.Second},
+		{"no local limit", 0, 0, DefaultRequestTimeout},
+		{"explicit bound", time.Second, 5 * time.Second, 5 * time.Second},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := New(Options{
+				Workers:        []string{addr},
+				RequestTimeout: tc.request,
+				Local:          experiments.Options{Registry: reg, Timeout: tc.local},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coord.reqTimeout != tc.want {
+				t.Fatalf("fetch bound = %v, want %v", coord.reqTimeout, tc.want)
+			}
+		})
+	}
+}
+
 // TestCallerCancelDoesNotEvict: a request its caller abandons says
 // nothing about the worker serving it. The worker answers after
 // 200 ms, the caller cancels at 50 ms: the request ends with the

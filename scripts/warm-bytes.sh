@@ -9,6 +9,9 @@
 #
 #   1. A figuresd over an empty store serves E1, E2, E7, E15, E2?k=3
 #      and E15?c=3 in text, json and csv (runs, stores, first reads).
+#      Its /stats and /metrics, two renderings of one snapshot, must
+#      both read 6 misses (each point's first format), 12 hits (the
+#      other two) and 4 exploring runs (E2, E15, E2?k=3, E15?c=3).
 #   2. A daemon restarted on the same store serves each of those 18
 #      requests twice: the first fills the memory tier and the body of
 #      its format, the second is a stored-bytes hit.
@@ -18,6 +21,7 @@
 #      four prefix ranges, two per worker, from the point's one carve.
 #
 # Every body must cmp equal to `figures -run ID [-param P] -format F`;
+# the cold daemon's /stats and /metrics must agree on its counters,
 # the restarted daemon's /stats must read 36 hits and 0 misses, and
 # the workers' /stats must count exactly four slice lookups
 # (slice_hits + slice_misses) per carved front-door request.
@@ -87,9 +91,20 @@ serve_all() { # $1 = phase label, $2 = port; every request must match its refere
   done
 }
 
-# Phase 1: a daemon over the empty store.
+# Phase 1: a daemon over the empty store, then its counters on both
+# views.
 start_daemon "$PORT" "$tmp/cold.log" -cache-dir "$tmp/store"
 serve_all cold "$PORT"
+curl -fs "http://localhost:$PORT/stats" > "$tmp/cold-stats.json"
+curl -fs "http://localhost:$PORT/metrics" > "$tmp/cold-metrics.txt"
+read -r misses hits runs < <(jq -r '"\(.cache.misses) \(.cache.hits) \(.exploration.runs)"' "$tmp/cold-stats.json")
+echo "warm-bytes: cold daemon: $misses misses, $hits hits, $runs exploring runs"
+test "$misses" -eq 6
+test "$hits" -eq 12
+test "$runs" -eq 4
+grep -qx 'repro_cache_misses_total 6' "$tmp/cold-metrics.txt"
+grep -qx 'repro_cache_hits_total 12' "$tmp/cold-metrics.txt"
+grep -qx 'repro_exploration_runs_total 4' "$tmp/cold-metrics.txt"
 stop_daemon
 
 # Phase 2: restarted on the same store, every request twice.
