@@ -31,9 +31,10 @@ race-sched:
 
 # race-cache runs the concurrency tests of the shared, read-only
 # records ten times under the race detector: readers filling the
-# artifact store's memory tier, and the first request of each format
-# filling a table's stored body, race the writes that drop its keys
-# (internal/cache); the server's mixed traffic and rejected-slice
+# artifact store's memory tier, the first request of each format
+# filling a table's stored body, and the first hit of a slice checking
+# and filling its envelope's stored body, race the writes that drop
+# its keys (internal/cache); the server's mixed traffic and rejected-slice
 # overwrite go through the same tier, and its requests record into the
 # counters /stats and /metrics read (internal/server); and the shard
 # coordinator's recorded worker answers, decodes and merged results

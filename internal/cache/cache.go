@@ -43,9 +43,13 @@
 // Each whole result the tier holds also keeps its response body per
 // format (experiments.WithBodies): the first experiments.Body call in
 // a format encodes it, and every later one, on any copy the tier
-// returned, serves those bytes. The bodies live and die with their
+// returned, serves those bytes. Each slice envelope keeps one body the
+// same way (experiments.WithShardBody): the first experiments.ShardBody
+// call runs the caller's aggregate check and the encoding, and every
+// later one serves its outcome. The bodies live and die with their
 // entry — a write, a rejected read or an eviction drops them — and,
-// like the tier, never fill from a Put. Slice envelopes keep no body.
+// like the tier, never fill from a Put; the read that fills the tier
+// attaches an empty store and encodes nothing.
 //
 // Store implements experiments.Cache — whole results by (id, parameter
 // point) and slice envelopes by (id, point, prefixes) — so it plugs
@@ -220,8 +224,8 @@ type Store struct {
 
 // verified is one artifact that passed every check on its way from
 // disk: the decoded value a repeat read serves. result is set for a
-// whole-result key, with its body store attached, slice for a slice
-// key.
+// whole-result key, slice for a slice key, each with its body store
+// attached.
 type verified struct {
 	path   string // the entry's file, so an eviction can drop it
 	result experiments.Result
@@ -434,7 +438,10 @@ func decodeResult(payload []byte, id string) (experiments.Result, error) {
 // as GetParam apply — an entry whose payload is not a shard envelope for
 // exactly this id, parameter point, prefix set, and space generation
 // is deleted and reported as a corrupt miss, so a corrupt slice
-// re-explores one range, never the whole space.
+// re-explores one range, never the whole space. The envelope carries
+// the body store attached on the read that filled the memory tier
+// (experiments.WithShardBody), so experiments.ShardBody checks its
+// aggregate and encodes it once for every later read in this process.
 func (s *Store) GetSlice(id, params, prefixes string) (experiments.ShardEnvelope, bool) {
 	if prefixes == "" {
 		// The whole space is a whole result; there is no empty slice.
@@ -452,6 +459,7 @@ func (s *Store) GetSlice(id, params, prefixes string) (experiments.ShardEnvelope
 		env, err := experiments.DecodeShard(bytes.NewReader(payload))
 		if err == nil && env.ID == id && env.Prefixes == prefixes &&
 			env.Params == params && env.SpaceVersion == k.SpaceVersion {
+			env = experiments.WithShardBody(env)
 			s.remember(k, gen, &verified{path: path, slice: env})
 			s.count(func(st *Stats) { st.SliceHits++ })
 			return env, true

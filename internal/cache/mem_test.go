@@ -214,3 +214,68 @@ func TestConcurrentBodyFills(t *testing.T) {
 	close(start)
 	wg.Wait()
 }
+
+// TestConcurrentSliceBodyFills: readers take one freshly written slice
+// at once, so the read that fills the tier and the first ShardBody
+// call, which checks and encodes the envelope for every later one,
+// race each other, while a writer keeps replacing the slice with
+// another aggregate, each PutSlice dropping the key. Every body is the
+// encoding of the very envelope its reader was handed, and is checked
+// before it is served.
+func TestConcurrentSliceBodyFills(t *testing.T) {
+	s := mustOpen(t, Options{})
+	aggregates := []string{`{"execs":7}`, `{"execs":8}`}
+	put := func(i int) error {
+		env := sliceEnvelope(t, "E2", "0.1,1")
+		env.Aggregate = []byte(aggregates[i%2])
+		return s.PutSlice(env)
+	}
+	if err := put(0); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(data []byte) (experiments.Aggregate, error) {
+		if !bytes.Equal(data, []byte(aggregates[0])) && !bytes.Equal(data, []byte(aggregates[1])) {
+			return nil, fmt.Errorf("aggregate %s was never written", data)
+		}
+		return nil, nil
+	}
+	const readers, rounds = 6, 20
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := 1; i <= rounds; i++ {
+			if err := put(i); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < rounds; i++ {
+				env, ok := s.GetSlice("E2", "", "0.1,1")
+				if !ok {
+					t.Error("slice read missed while the entry was rewritten")
+					return
+				}
+				var want bytes.Buffer
+				if err := experiments.EncodeShardEnvelope(&want, env); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := experiments.ShardBody(env, decode); err != nil || !bytes.Equal(got, want.Bytes()) {
+					t.Errorf("body of %s = %q, %v; want %q", env.Aggregate, got, err, want.Bytes())
+					return
+				}
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+}

@@ -47,8 +47,9 @@ var registry = Registry()
 // one decoded copy in memory): a caller may overwrite fields of the
 // returned struct, but must not mutate what it points to — the
 // Table, its rows and notes, or an envelope's Aggregate bytes. A
-// returned Result may carry stored response bodies (WithBodies); the
-// bytes Body serves from them are shared and read-only in the same
+// returned Result may carry stored response bodies (WithBodies), and
+// a returned envelope a stored body (WithShardBody); the bytes Body
+// and ShardBody serve from them are shared and read-only in the same
 // way.
 type Cache interface {
 	// GetParam returns the stored whole result of one experiment at one
@@ -65,7 +66,7 @@ type Cache interface {
 	// exploration space, the prefixes string in canonical
 	// FormatPrefixes rendering. Same trust contract as GetParam: never
 	// a stale, corrupt, or wrong-generation envelope. The envelope's
-	// Aggregate bytes are shared: read-only.
+	// Aggregate bytes and stored body are shared: read-only.
 	GetSlice(id, params, prefixes string) (ShardEnvelope, bool)
 	// PutSlice stores one slice's envelope. Implementations may refuse
 	// (incomplete or wrong-generation envelopes); callers treat errors

@@ -185,8 +185,14 @@ type ParamSet struct {
 	// default point, which makes a spelled-out default request (?k=4)
 	// the same identity as the plain id.
 	canonical string
-	order     []string
-	vals      map[string]int
+	// params holds every parameter of the point, sorted by name.
+	params []param
+}
+
+// param is one parameter's value at a point.
+type param struct {
+	name string
+	val  int
 }
 
 // Canonical returns the point's identity string: parameters sorted by
@@ -198,18 +204,25 @@ func (ps ParamSet) Canonical() string { return ps.canonical }
 // ("i0=0&i1=1&k=7", every parameter spelled out, names escaped), and
 // "" for the zero ParamSet.
 func (ps ParamSet) Query() string {
-	if len(ps.order) == 0 {
+	if len(ps.params) == 0 {
 		return ""
 	}
-	parts := make([]string, len(ps.order))
-	for i, name := range ps.order {
-		parts[i] = url.QueryEscape(name) + "=" + strconv.Itoa(ps.vals[name])
+	parts := make([]string, len(ps.params))
+	for i, p := range ps.params {
+		parts[i] = url.QueryEscape(p.name) + "=" + strconv.Itoa(p.val)
 	}
 	return strings.Join(parts, "&")
 }
 
 // Int returns a parameter's value; 0 for an unknown name.
-func (ps ParamSet) Int(name string) int { return ps.vals[name] }
+func (ps ParamSet) Int(name string) int {
+	for _, p := range ps.params {
+		if p.name == name {
+			return p.val
+		}
+	}
+	return 0
+}
 
 // String renders the point for logs and trace lines.
 func (ps ParamSet) String() string {
@@ -239,25 +252,21 @@ func paramNames(e Experiment) string {
 // rendering is sorted by name, each value rendered by strconv.Itoa (no
 // sign or leading-zero noise, so "+07" and "7" are one identity) — so
 // every spelling of a point shares one cache entry and one singleflight
-// key.
+// key. q is only read; a schema has a handful of parameters, so names
+// are matched by a scan of e.Params.
 func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 	if len(e.Params) == 0 && len(q) > 0 {
 		return ParamSet{}, fmt.Errorf("experiment %q takes no parameters", e.ID)
 	}
-	specs := make(map[string]ParamSpec, len(e.Params))
-	for _, spec := range e.Params {
-		specs[spec.Name] = spec
-	}
 	for name, vals := range q {
-		spec, ok := specs[name]
-		if !ok {
+		if !slices.ContainsFunc(e.Params, func(spec ParamSpec) bool { return spec.Name == name }) {
 			return ParamSet{}, fmt.Errorf("unknown parameter %q for %s (parameters: %s)", name, e.ID, paramNames(e))
 		}
 		if len(vals) != 1 {
-			return ParamSet{}, fmt.Errorf("parameter %q given %d times, want once", spec.Name, len(vals))
+			return ParamSet{}, fmt.Errorf("parameter %q given %d times, want once", name, len(vals))
 		}
 	}
-	ps := ParamSet{id: e.ID, vals: make(map[string]int, len(e.Params))}
+	ps := ParamSet{id: e.ID, params: make([]param, 0, len(e.Params))}
 	defaulted := true
 	for _, spec := range e.Params {
 		v, given := spec.Default, false
@@ -275,22 +284,26 @@ func ParseParams(e Experiment, q url.Values) (ParamSet, error) {
 			}
 			return ParamSet{}, err
 		}
-		ps.order = append(ps.order, spec.Name)
-		ps.vals[spec.Name] = v
+		ps.params = append(ps.params, param{name: spec.Name, val: v})
 		defaulted = defaulted && v == spec.Default
 	}
-	sort.Strings(ps.order)
+	slices.SortFunc(ps.params, func(a, b param) int { return strings.Compare(a.name, b.name) })
 	if e.Check != nil {
 		if err := e.Check(ps); err != nil {
 			return ParamSet{}, err
 		}
 	}
 	if !defaulted {
-		pairs := make([]string, len(ps.order))
-		for i, name := range ps.order {
-			pairs[i] = name + "=" + strconv.Itoa(ps.vals[name])
+		canonical := make([]byte, 0, 32)
+		for i, p := range ps.params {
+			if i > 0 {
+				canonical = append(canonical, ',')
+			}
+			canonical = append(canonical, p.name...)
+			canonical = append(canonical, '=')
+			canonical = strconv.AppendInt(canonical, int64(p.val), 10)
 		}
-		ps.canonical = strings.Join(pairs, ",")
+		ps.canonical = string(canonical)
 	}
 	return ps, nil
 }

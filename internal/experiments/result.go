@@ -166,7 +166,8 @@ type bodies struct {
 	text, json, csv storedBody
 }
 
-// storedBody is one format's encoding, filled once.
+// storedBody is one encoding, filled once: a whole result's in one
+// format, or a slice envelope's (shardBody).
 type storedBody struct {
 	once sync.Once
 	b    []byte

@@ -184,3 +184,67 @@ func TestBodyStoredOncePerFormat(t *testing.T) {
 		t.Errorf("unknown format: err = %v", err)
 	}
 }
+
+// TestShardBodyStoredOnce: ShardBody writes what EncodeShardEnvelope
+// writes once decode accepts the aggregate. An envelope carrying a body
+// store is checked and encoded once, and every copy of it is served
+// that outcome, a rejection included; an envelope with no store and a
+// copy altered in any field are each checked and encoded afresh.
+func TestShardBodyStoredOnce(t *testing.T) {
+	var decodes int
+	decode := func(data []byte) (Aggregate, error) {
+		decodes++
+		if string(data) == `{"bad":true}` {
+			return nil, errors.New("rejected")
+		}
+		return nil, nil
+	}
+	env := ShardEnvelope{ID: "E2", SpaceVersion: RegistryVersion, Prefixes: "0,1", Aggregate: []byte(`{"execs":7}`)}
+	encode := func(env ShardEnvelope) []byte {
+		var buf bytes.Buffer
+		if err := EncodeShardEnvelope(&buf, env); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	stored := WithShardBody(env)
+	first, err := ShardBody(stored, decode)
+	if err != nil || !bytes.Equal(first, encode(env)) {
+		t.Fatalf("ShardBody = %q, %v; want %q", first, err, encode(env))
+	}
+	copied := stored
+	if again, _ := ShardBody(copied, decode); &again[0] != &first[0] || decodes != 1 {
+		t.Errorf("a copy of a stored envelope was checked or encoded again (%d decodes)", decodes)
+	}
+	if fresh, _ := ShardBody(env, decode); &fresh[0] == &first[0] || !bytes.Equal(fresh, first) || decodes != 2 {
+		t.Errorf("an envelope without a store was not checked and encoded afresh (%d decodes)", decodes)
+	}
+	altered := []ShardEnvelope{stored, stored, stored, stored, stored}
+	altered[0].ID = "E15"
+	altered[1].SpaceVersion = "other/v9"
+	altered[2].Params = "k=3"
+	altered[3].Prefixes = "0"
+	altered[4].Aggregate = []byte(`{"execs":7}`)
+	for _, a := range altered {
+		if got, _ := ShardBody(a, decode); !bytes.Equal(got, encode(a)) || &got[0] == &first[0] {
+			t.Errorf("altered copy %+v served %q, want %q", a, got, encode(a))
+		}
+	}
+	if decodes != 2+len(altered) {
+		t.Errorf("altered copies decoded %d times, want once each", decodes-2)
+	}
+
+	bad := WithShardBody(ShardEnvelope{ID: "E2", Prefixes: "0", Aggregate: []byte(`{"bad":true}`)})
+	decodes = 0
+	for i := 0; i < 3; i++ {
+		if body, err := ShardBody(bad, decode); err == nil || body != nil {
+			t.Fatalf("a rejected aggregate served %q, %v", body, err)
+		}
+	}
+	if decodes != 1 {
+		t.Errorf("a stored rejection was checked %d times, want once", decodes)
+	}
+	if WithShardBody(ShardEnvelope{ID: "E2", Prefixes: "0"}).body != nil {
+		t.Error("WithShardBody attached a store to an envelope with no aggregate")
+	}
+}

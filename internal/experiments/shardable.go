@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -181,12 +182,90 @@ func isIntPrefix(a, b []int) bool {
 // space before trusting its numbers; Params and Prefixes echo the
 // parameter point and the slice so a response cannot be silently
 // credited to the wrong space or range.
+//
+// An envelope that is verified once and then shared read-only can
+// carry a one-slot body store (WithShardBody): cache.Store attaches one
+// to each envelope its memory tier fills with, so a warm slice hit is
+// checked and encoded once per stored artifact per process (ShardBody).
 type ShardEnvelope struct {
 	ID           string          `json:"id"`
 	SpaceVersion string          `json:"registry_version"`
 	Params       string          `json:"params,omitempty"`
 	Prefixes     string          `json:"prefixes"`
 	Aggregate    json.RawMessage `json:"aggregate"`
+	// body, when set (WithShardBody), keeps this envelope's checked
+	// response body for ShardBody. Copies share it.
+	body *shardBody
+}
+
+// shardBody is one shared envelope's response body, checked and
+// encoded on its first use. It keeps the envelope it was made for, so
+// a copy a caller altered is checked and encoded afresh instead of
+// served another slice's bytes.
+type shardBody struct {
+	env ShardEnvelope
+	storedBody
+}
+
+// WithShardBody returns env carrying an empty one-slot body store,
+// which ShardBody fills on first use and serves from after. An
+// envelope with no aggregate gets none.
+func WithShardBody(env ShardEnvelope) ShardEnvelope {
+	if len(env.Aggregate) > 0 {
+		env.body = &shardBody{env: env}
+	}
+	return env
+}
+
+// ShardBody returns the slice endpoint's response body for env: what
+// EncodeShardEnvelope writes, once decode (the point's
+// Shardable.Decode; nil skips the check) has accepted env's aggregate,
+// and decode's error otherwise. An envelope carrying a body store
+// (WithShardBody), unaltered since, is checked and encoded once, and
+// every later call returns the same outcome: the stored bytes, shared
+// and read-only, or the same error. Any other envelope — a fresh
+// exploration's, an altered copy — is checked and encoded on every
+// call. decode must be a pure function of the aggregate bytes, as
+// Shardable.Decode is.
+func ShardBody(env ShardEnvelope, decode func(data []byte) (Aggregate, error)) ([]byte, error) {
+	sb := env.body.slot(env)
+	if sb == nil {
+		return checkAndEncodeShard(env, decode)
+	}
+	sb.once.Do(func() { sb.b, sb.err = checkAndEncodeShard(env, decode) })
+	return sb.b, sb.err
+}
+
+// slot returns the store's body when the store belongs to env, and nil
+// otherwise.
+func (sb *shardBody) slot(env ShardEnvelope) *storedBody {
+	if sb == nil {
+		return nil
+	}
+	made := &sb.env
+	if env.ID != made.ID || env.SpaceVersion != made.SpaceVersion ||
+		env.Params != made.Params || env.Prefixes != made.Prefixes ||
+		len(env.Aggregate) != len(made.Aggregate) || &env.Aggregate[0] != &made.Aggregate[0] {
+		return nil
+	}
+	return &sb.storedBody
+}
+
+// checkAndEncodeShard vets env's aggregate with decode, when given,
+// and encodes env, capping the returned slice at its length so an
+// append by a reader cannot write into shared bytes.
+func checkAndEncodeShard(env ShardEnvelope, decode func(data []byte) (Aggregate, error)) ([]byte, error) {
+	if decode != nil {
+		if _, err := decode(env.Aggregate); err != nil {
+			return nil, err
+		}
+	}
+	var buf bytes.Buffer
+	if err := EncodeShardEnvelope(&buf, env); err != nil {
+		return nil, err
+	}
+	b := buf.Bytes()
+	return b[:len(b):len(b)], nil
 }
 
 // NewShardEnvelope builds the wire envelope of one slice's aggregate

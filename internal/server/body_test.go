@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -14,10 +15,28 @@ import (
 	"repro/internal/experiments"
 )
 
+// listAgg is a synthetic slice aggregate as long as its experiment
+// makes it.
+type listAgg struct {
+	Values []int `json:"values"`
+}
+
+func (a *listAgg) Merge(o experiments.Aggregate) error {
+	b, ok := o.(*listAgg)
+	if !ok {
+		return fmt.Errorf("cannot merge %T", o)
+	}
+	a.Values = append(a.Values, b.Values...)
+	return nil
+}
+
 // TestWarmHitAllocsIndependentOfTable: a warm hit writes the body the
 // cache tier stored for its format instead of encoding the table, so
 // it allocates the same for a 1-row and a 200-row table in every
-// format, and serves the bytes the cold request did.
+// format, and serves the bytes the cold request did. A warm slice hit
+// writes the body stored for its envelope instead of decoding and
+// encoding the aggregate, so it allocates the same for a 1-value and
+// a 200-value aggregate.
 func TestWarmHitAllocsIndependentOfTable(t *testing.T) {
 	table := func(id string, rows int) func() (*experiments.Table, error) {
 		return func() (*experiments.Table, error) {
@@ -32,17 +51,35 @@ func TestWarmHitAllocsIndependentOfTable(t *testing.T) {
 			return tab, nil
 		}
 	}
+	shardable := func(id string, values int) experiments.Experiment {
+		return shardableExp(id, experiments.Shardable{
+			Roots: func() ([][]int, error) { return [][]int{{0}, {1}}, nil },
+			Explore: func(roots [][]int) (experiments.Aggregate, error) {
+				a := &listAgg{}
+				for i := 0; i < values; i++ {
+					a.Values = append(a.Values, i*i)
+				}
+				return a, nil
+			},
+			Decode: func(data []byte) (experiments.Aggregate, error) {
+				var a listAgg
+				if err := json.Unmarshal(data, &a); err != nil {
+					return nil, err
+				}
+				return &a, nil
+			},
+		})
+	}
 	store, err := cache.Open(t.TempDir(), cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Options{
-		Registry: fixedRegistry(map[string]func() (*experiments.Table, error){
-			"S1":   table("S1", 1),
-			"S200": table("S200", 200),
-		}),
-		Cache: store,
+	reg := fixedRegistry(map[string]func() (*experiments.Table, error){
+		"S1":   table("S1", 1),
+		"S200": table("S200", 200),
 	})
+	reg["L1"], reg["L200"] = shardable("L1", 1), shardable("L200", 200)
+	srv := New(Options{Registry: reg, Cache: store})
 	allocs := func(path string) float64 {
 		req := httptest.NewRequest(http.MethodGet, path, nil)
 		serve := func() *httptest.ResponseRecorder {
@@ -50,9 +87,10 @@ func TestWarmHitAllocsIndependentOfTable(t *testing.T) {
 			srv.ServeHTTP(rec, req)
 			return rec
 		}
-		// However the first two requests of a point and format find the
-		// store (a run and a Put, a read from disk, or a memory hit),
-		// the second leaves the table and this format's body in memory.
+		// However the first two requests of a point and format (or a
+		// slice) find the store (a run and a Put, a read from disk, or a
+		// memory hit), the second leaves the table and this format's
+		// body (or the envelope and its body) in memory.
 		first := serve()
 		if first.Code != http.StatusOK {
 			t.Fatalf("GET %s = %d: %s", path, first.Code, first.Body)
@@ -75,6 +113,9 @@ func TestWarmHitAllocsIndependentOfTable(t *testing.T) {
 		if small != large {
 			t.Errorf("%s: a warm hit allocates %v times for a 1-row table, %v for a 200-row one", format, small, large)
 		}
+	}
+	if small, large := allocs("/experiments/L1?prefixes=0"), allocs("/experiments/L200?prefixes=0"); small != large {
+		t.Errorf("a warm slice hit allocates %v times for a 1-value aggregate, %v for a 200-value one", small, large)
 	}
 }
 

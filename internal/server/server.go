@@ -20,10 +20,14 @@
 // A warm whole or parameter-point hit writes the response body the
 // cache's memory tier stored for its format (experiments.Body),
 // encoding only the first request in each format; the same holds for
-// a -peers front door's coordinator front-cache hits. Those bytes are
-// shared with every other request for that entry and are read-only,
-// like the Result they belong to. A fresh or failed result and a
-// ?prefixes= slice envelope are encoded on every request.
+// a -peers front door's coordinator front-cache hits. A warm
+// ?prefixes= slice hit writes the one body the tier stored for its
+// envelope (experiments.ShardBody), which only the first hit checks
+// with the experiment's Decode and encodes. Those bytes are shared
+// with every other request for that entry and are read-only, like the
+// Result or envelope they belong to. A fresh or failed result is
+// encoded on every request, and a freshly explored slice once per
+// flight.
 //
 // Every request is (id, parameter point, prefixes) resolved through one
 // experiment registry: a whole request at any point (the zero ParamSet
@@ -36,13 +40,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -264,8 +266,9 @@ func (s *Server) requestID(w http.ResponseWriter, r *http.Request) string {
 		reqID = trace.NewID()
 	}
 	w.Header().Set(trace.Header, reqID)
-	s.journal.Start(reqID, "GET "+r.URL.RequestURI())
-	s.journal.Add(reqID, trace.Event{Kind: trace.KindRequest, Detail: "GET " + r.URL.RequestURI()})
+	name := "GET " + r.URL.RequestURI()
+	s.journal.Start(reqID, name)
+	s.journal.Add(reqID, trace.Event{Kind: trace.KindRequest, Detail: name})
 	return reqID
 }
 
@@ -277,36 +280,32 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown experiment %q", id), http.StatusNotFound)
 		return
 	}
-	q := r.URL.Query()
 	// Every query key that is not serving machinery (format, prefixes)
-	// is a parameter of the experiment. Parsing validates and
-	// canonicalizes the point; a spelled-out default point comes back
-	// with Canonical "" and shares the plain id's path — one cache
-	// entry, one singleflight — no matter how it was spelled. A request
-	// naming no parameters keeps the zero ParamSet, the default point.
-	paramQuery := url.Values{}
-	for name, vals := range q {
-		if name == "format" || name == "prefixes" {
-			continue
-		}
-		paramQuery[name] = vals
-	}
+	// is a parameter of the experiment, so once those two are read and
+	// deleted, the request's own parsed query is the parameter query.
+	// Parsing validates and canonicalizes the point; a spelled-out
+	// default point comes back with Canonical "" and shares the plain
+	// id's path — one cache entry, one singleflight — no matter how it
+	// was spelled. A request naming no parameters keeps the zero
+	// ParamSet, the default point. Presence, not value, selects the
+	// slice path, so an empty ?prefixes= is a 400 like any malformed
+	// slice (the whole space is "-"), never the whole table.
+	q := r.URL.Query()
+	format, prefixes, slice := q.Get("format"), q.Get("prefixes"), q.Has("prefixes")
+	delete(q, "format")
+	delete(q, "prefixes")
 	var ps experiments.ParamSet
-	if len(paramQuery) > 0 {
+	if len(q) > 0 {
 		var err error
-		if ps, err = experiments.ParseParams(exp, paramQuery); err != nil {
+		if ps, err = experiments.ParseParams(exp, q); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
-	// Presence, not value, selects the slice path, so an empty
-	// ?prefixes= is a 400 like any malformed slice (the whole space is
-	// "-"), never the whole table.
-	if q.Has("prefixes") {
-		s.handlePrefixes(w, r, exp, ps, q.Get("prefixes"), start)
+	if slice {
+		s.handlePrefixes(w, r, exp, ps, format, prefixes, start)
 		return
 	}
-	format := q.Get("format")
 	if format == "" {
 		format = "text"
 	}
@@ -377,13 +376,13 @@ func paramsField(ps experiments.ParamSet) string {
 // traceDone closes a request's span with its status and duration.
 func (s *Server) traceDone(reqID string, status int, start time.Time) {
 	s.journal.Add(reqID, trace.Event{Kind: trace.KindDone,
-		Detail: fmt.Sprintf("status %d in %v", status, time.Since(start).Round(time.Microsecond))})
+		Detail: "status " + strconv.Itoa(status) + " in " + time.Since(start).Round(time.Microsecond).String()})
 }
 
 // sliceOutcome is the singleflight value of one slice request: the
-// wire envelope, and whether it came from the artifact store.
+// response body, and whether it came from the artifact store.
 type sliceOutcome struct {
-	env    experiments.ShardEnvelope
+	body   []byte
 	cached bool
 }
 
@@ -391,9 +390,11 @@ type sliceOutcome struct {
 // exploration space: GET /experiments/{id}?prefixes=... parses the
 // forced-prefix ranges, explores exactly those subtrees, and responds
 // with the JSON shard envelope (experiments.EncodeShard). With a
-// cache, the store is consulted first and populated after — repeated sharded runs of the
-// same space hit disk instead of re-exploring, the worker-level half
-// of the fleet's read-through cache hierarchy. Identical slice
+// cache, the store is consulted first and populated after — repeated
+// sharded runs of the same space hit the store instead of
+// re-exploring, the worker-level half of the fleet's read-through
+// cache hierarchy — and a warm hit writes the body the store's memory
+// tier kept for the envelope (experiments.ShardBody). Identical slice
 // requests share one execution through the singleflight group (keyed
 // by the canonical prefix rendering, so equivalent spellings share
 // too), and a timed-out slice starts the same cooldown as a timed-out
@@ -401,8 +402,8 @@ type sliceOutcome struct {
 // experiment) re-sends the byte-identical prefixes string, and
 // without the cooldown each retry would stack another abandoned
 // exploration on the worker.
-func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp experiments.Experiment, ps experiments.ParamSet, prefixes string, start time.Time) {
-	if format := r.URL.Query().Get("format"); format != "" && format != "json" {
+func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp experiments.Experiment, ps experiments.ParamSet, format, prefixes string, start time.Time) {
+	if format != "" && format != "json" {
 		http.Error(w, fmt.Sprintf("prefix slices are JSON only, not %q", format), http.StatusBadRequest)
 		return
 	}
@@ -455,35 +456,31 @@ func (s *Server) handlePrefixes(w http.ResponseWriter, r *http.Request, exp expe
 		return
 	}
 	out := val.(sliceOutcome)
-
-	var body bytes.Buffer
-	if err := experiments.EncodeShardEnvelope(&body, out.env); err != nil {
-		s.traceDone(reqID, http.StatusInternalServerError, start)
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
 	s.traceDone(reqID, http.StatusOK, start)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(RegistryVersionHeader, experiments.SpaceVersion(id))
-	w.Write(body.Bytes())
+	w.Write(out.body)
 	s.logf("figuresd: GET %s%s prefixes=%s roots=%d cached=%v shared=%v trace=%s in %v",
 		r.URL.Path, paramsField(ps), canonical, len(roots), out.cached, shared, reqID, time.Since(start).Round(time.Millisecond))
 }
 
-// sliceEnvelope produces one slice's wire envelope: from the artifact
+// sliceEnvelope produces one slice's response body: from the artifact
 // store when a trustworthy entry exists, by exploring otherwise (and
 // storing the fresh envelope back, best-effort). A stored envelope
 // whose aggregate the experiment's own Decode rejects is treated as a
 // miss and overwritten by the recomputation — the payload checksum
-// guards the bytes, Decode guards the semantics. Each decision lands
-// in the journal under reqID — the leader request's ID, since the
-// singleflight runs this once per flight.
+// guards the bytes, Decode guards the semantics. A stored envelope
+// carries the body store its read attached (cache.Store does), so its
+// Decode and encoding run once per stored artifact per process, its
+// rejection too; a fresh envelope is encoded once per flight and not
+// kept. Each decision lands in the journal under reqID — the leader
+// request's ID, since the singleflight runs this once per flight.
 func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, params, canonical string, roots [][]int) (sliceOutcome, error) {
 	if s.cache != nil {
 		if env, ok := s.cache.GetSlice(id, params, canonical); ok {
-			if _, err := sh.Decode(env.Aggregate); err == nil {
+			if body, err := experiments.ShardBody(env, sh.Decode); err == nil {
 				s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceHit, Range: canonical})
-				return sliceOutcome{env: env, cached: true}, nil
+				return sliceOutcome{body: body, cached: true}, nil
 			}
 		}
 		s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceMiss, Range: canonical})
@@ -494,7 +491,7 @@ func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, param
 		return sliceOutcome{}, err
 	}
 	s.journal.Add(reqID, trace.Event{Kind: trace.KindExplore, Range: canonical,
-		Detail: fmt.Sprintf("explored in %v", time.Since(exploreStart).Round(time.Microsecond))})
+		Detail: "explored in " + time.Since(exploreStart).Round(time.Microsecond).String()})
 	env, err := experiments.NewShardEnvelope(id, params, roots, agg)
 	if err != nil {
 		return sliceOutcome{}, err
@@ -504,7 +501,8 @@ func (s *Server) sliceEnvelope(reqID string, sh experiments.Shardable, id, param
 			s.journal.Add(reqID, trace.Event{Kind: trace.KindSliceStore, Range: canonical})
 		}
 	}
-	return sliceOutcome{env: env}, nil
+	body, err := experiments.ShardBody(env, nil)
+	return sliceOutcome{body: body}, err
 }
 
 // sliceExploreSlots bounds concurrent slice explorations per server.

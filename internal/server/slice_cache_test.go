@@ -18,11 +18,25 @@ import (
 // exploration counter.
 func newCachedPrefixServer(t *testing.T) (*httptest.Server, *cache.Store, *atomic.Int64) {
 	t.Helper()
+	ts, store, counts := newCountingPrefixServer(t)
+	return ts, store, counts.explores
+}
+
+// prefixCounts counts the synthetic shardable's explorations and
+// aggregate decodes.
+type prefixCounts struct {
+	explores, decodes *atomic.Int64
+}
+
+// newCountingPrefixServer is newCachedPrefixServer with a Decode
+// counter beside the exploration counter.
+func newCountingPrefixServer(t *testing.T) (*httptest.Server, *cache.Store, prefixCounts) {
+	t.Helper()
 	store, err := cache.Open(t.TempDir(), cache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explores := new(atomic.Int64)
+	explores, decodes := new(atomic.Int64), new(atomic.Int64)
 	s1 := experiments.Shardable{
 		Roots: func() ([][]int, error) { return [][]int{{0}, {1}}, nil },
 		Explore: func(roots [][]int) (experiments.Aggregate, error) {
@@ -35,6 +49,7 @@ func newCachedPrefixServer(t *testing.T) (*httptest.Server, *cache.Store, *atomi
 			return a, nil
 		},
 		Decode: func(data []byte) (experiments.Aggregate, error) {
+			decodes.Add(1)
 			var a prefixAgg
 			if err := json.Unmarshal(data, &a); err != nil {
 				return nil, err
@@ -48,7 +63,7 @@ func newCachedPrefixServer(t *testing.T) (*httptest.Server, *cache.Store, *atomi
 	reg := map[string]experiments.Experiment{"S1": shardableExp("S1", s1)}
 	ts := httptest.NewServer(New(Options{Registry: reg, Cache: store}))
 	t.Cleanup(ts.Close)
-	return ts, store, explores
+	return ts, store, prefixCounts{explores: explores, decodes: decodes}
 }
 
 // TestSliceServedFromStore: the worker-level half of the cache
@@ -145,5 +160,38 @@ func TestSliceStoreRejectedAggregateRecomputed(t *testing.T) {
 	}
 	if n := explores.Load(); n != 1 {
 		t.Fatalf("overwritten entry not served (%d explorations)", n)
+	}
+}
+
+// TestSliceHitDecodesOnce: a stored slice is checked with the
+// experiment's Decode and encoded once per process. The read that
+// fills the store's memory tier attaches the envelope's body store, and
+// every later hit of the slice writes the body the first one stored:
+// K warm hits call Decode once and return the cold answer's bytes.
+func TestSliceHitDecodesOnce(t *testing.T) {
+	ts, store, counts := newCountingPrefixServer(t)
+	const uri = "/experiments/S1?prefixes=0,1"
+	status, cold := httpGet(t, ts.URL+uri)
+	if status != http.StatusOK {
+		t.Fatalf("cold slice status %d: %s", status, cold)
+	}
+	if n := counts.decodes.Load(); n != 0 {
+		t.Fatalf("a fresh exploration's envelope was decoded %d times, want 0", n)
+	}
+	const hits = 5
+	for i := 0; i < hits; i++ {
+		status, warm := httpGet(t, ts.URL+uri)
+		if status != http.StatusOK || warm != cold {
+			t.Fatalf("warm hit %d: status %d, body\n%s\nwant\n%s", i+1, status, warm, cold)
+		}
+	}
+	if n := counts.decodes.Load(); n != 1 {
+		t.Errorf("%d warm hits of one slice called Decode %d times, want once", hits, n)
+	}
+	if n := counts.explores.Load(); n != 1 {
+		t.Errorf("%d explorations, want the cold one only", n)
+	}
+	if st := store.Stats(); st.SliceHits != hits || st.SliceMisses != 1 || st.SliceStores != 1 {
+		t.Errorf("store stats = %+v, want %d slice hits, 1 miss, 1 store", st, hits)
 	}
 }

@@ -23,6 +23,9 @@ import (
 //   - E1: one whole fetch of a 4.8 KB JSON body;
 //   - E2: its default point carved into 4 ranges, each fetched and
 //     merged;
+//   - E2?k=3: a non-default point carved the same way, whose every
+//     range URI spells the point out, so the workers parse it on every
+//     range;
 //   - changing: E1 from a worker whose table differs from the one
 //     before it on every request, so every answer is decoded afresh:
 //     the price of an answer that changed.
@@ -35,6 +38,15 @@ func BenchmarkFetchMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 	reg := experiments.Registry()
+	k3, err := experiments.ParseParamList(reg["E2"], "k=3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	points := []struct {
+		name string
+		id   string
+		ps   experiments.ParamSet
+	}{{"E1", "E1", experiments.ParamSet{}}, {"E2", "E2", experiments.ParamSet{}}, {"E2?k=3", "E2", k3}}
 	var workers []string
 	for i := 0; i < 2; i++ {
 		ts := httptest.NewServer(server.New(server.Options{Registry: reg, Cache: store}))
@@ -48,8 +60,8 @@ func BenchmarkFetchMerge(b *testing.B) {
 	// The first requests explore and fill the store; the later ones
 	// warm each worker's memory tier.
 	for i := 0; i < 3; i++ {
-		for _, id := range []string{"E1", "E2"} {
-			runPoint(b, coord, id)
+		for _, pt := range points {
+			runPoint(b, coord, pt.id, pt.ps)
 		}
 	}
 
@@ -91,31 +103,29 @@ func BenchmarkFetchMerge(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	for _, bc := range []struct {
-		name  string
-		coord *Coordinator
-		id    string
-	}{
-		{"E1", coord, "E1"},
-		{"E2", coord, "E2"},
-		{"changing", changingCoord, "E1"},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
+	for _, pt := range points {
+		b.Run(pt.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				runPoint(b, bc.coord, bc.id)
+				runPoint(b, coord, pt.id, pt.ps)
 			}
 		})
 	}
+	b.Run("changing", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			runPoint(b, changingCoord, "E1", experiments.ParamSet{})
+		}
+	})
 	if st := coord.Stats(); st.Local != 0 || st.Failovers != 0 {
 		b.Fatalf("stats = %+v, want every request served by the fleet", st)
 	}
 }
 
-// runPoint asks coord for id's default point and fails b on an error.
-func runPoint(b *testing.B, coord *Coordinator, id string) {
+// runPoint asks coord for one point of id and fails b on an error.
+func runPoint(b *testing.B, coord *Coordinator, id string, ps experiments.ParamSet) {
 	b.Helper()
-	res, err := coord.RunParam(context.Background(), id, experiments.ParamSet{})
+	res, err := coord.RunParam(context.Background(), id, ps)
 	if err == nil {
 		err = res.Err
 	}

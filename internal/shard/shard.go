@@ -83,6 +83,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -206,6 +207,7 @@ type WorkerStats struct {
 // worker is one fleet member and its load accounting.
 type worker struct {
 	base     string        // http://host:port, no trailing slash
+	url      *url.URL      // base, parsed once; nil when it does not parse
 	sem      chan struct{} // bounds in-flight requests to this worker
 	inflight atomic.Int64  // the coordinator's own in-flight count
 	healthy  atomic.Bool
@@ -239,10 +241,10 @@ type Coordinator struct {
 	now        func() time.Time
 	logf       func(format string, args ...any)
 
-	// points holds one record per served point: its carve and the
-	// answers the fleet gave for it (see point).
+	// points holds one record per served point: its worker URIs, its
+	// carve and the answers the fleet gave for it (see point).
 	pointsMu sync.Mutex
-	points   map[string]*point
+	points   map[pointKey]*point
 
 	pickMu           sync.Mutex
 	remote           atomic.Int64
@@ -311,11 +313,14 @@ func New(opts Options) (*Coordinator, error) {
 		journal:    opts.Journal,
 		now:        now,
 		logf:       logf,
-		points:     make(map[string]*point),
+		points:     make(map[pointKey]*point),
 	}
 	for _, addr := range opts.Workers {
+		base := baseURL(addr)
+		u, _ := url.Parse(base) // nil for a bad address, which fails its probe and every fetch
 		c.workers = append(c.workers, &worker{
-			base: baseURL(addr),
+			base: base,
+			url:  u,
 			sem:  make(chan struct{}, DefaultMaxInFlight),
 		})
 	}
@@ -489,7 +494,7 @@ func (c *Coordinator) RunParam(ctx context.Context, id string, ps experiments.Pa
 	var res experiments.Result
 	done := false
 	if sh, ok := exp.ShardableAt(ps); ok {
-		res, done = c.runPrefixSharded(ctx, id, ps, sh)
+		res, done = c.runPrefixSharded(ctx, c.point(id, ps), sh)
 	}
 	if !done {
 		res = c.runWhole(ctx, exp, ps, name)
@@ -517,14 +522,14 @@ func (c *Coordinator) runWhole(ctx context.Context, exp experiments.Experiment, 
 		}
 		tried[w] = true
 		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base,
-			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
+			Detail: inFlightDetail(w)})
 		fetchStart := time.Now()
 		res, err := c.fetch(ctx, w, id, ps)
 		w.inflight.Add(-1)
 		if err == nil {
 			c.remote.Add(1)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base,
-				Detail: fmt.Sprintf("fetched whole in %v", time.Since(fetchStart).Round(time.Microsecond))})
+				Detail: "fetched whole in " + sinceDetail(fetchStart)})
 			return res
 		}
 		if ctx.Err() != nil {
@@ -569,8 +574,9 @@ const minShardWorkers = 2
 // When every range came from a worker answer the point has recorded,
 // and those are the answers its last merge was made from, that merge's
 // Result is returned again: same Table, same stored bodies.
-func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experiments.ParamSet, sh experiments.Shardable) (experiments.Result, bool) {
+func (c *Coordinator) runPrefixSharded(ctx context.Context, pt *point, sh experiments.Shardable) (experiments.Result, bool) {
 	start := c.now()
+	id := pt.id
 	// One reading of the fleet per request: the two-worker check, the
 	// split and the carve's journal line must agree on it.
 	selectable := c.selectableCount()
@@ -578,16 +584,15 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 		return experiments.Result{}, false
 	}
 	reqID := trace.IDFrom(ctx)
-	pt := c.point(id, ps)
 	roots, err := pt.carve(sh)
 	if err != nil || len(roots) == 0 {
 		c.logReq(reqID, "shard: %s: partition failed (%v); fetching whole", id, err)
 		return experiments.Result{}, false
 	}
-	ranges := splitRanges(roots, 2*selectable)
+	ranges := pt.split(roots, 2*selectable)
 	c.journal.Add(reqID, trace.Event{Kind: trace.KindCarve,
-		Detail: fmt.Sprintf("%d roots into %d ranges across %d selectable workers",
-			len(roots), len(ranges), selectable)})
+		Detail: strconv.Itoa(len(roots)) + " roots into " + strconv.Itoa(len(ranges)) +
+			" ranges across " + strconv.Itoa(selectable) + " selectable workers"})
 	// Counted at the carve, not at success: the range counters below
 	// move for this experiment either way, and the stats must agree
 	// that its space was split even if the whole path serves it.
@@ -605,7 +610,7 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			from[i] = c.runRange(ctx, pt, id, ps, sh, ranges[i], recv)
+			from[i] = c.runRange(ctx, pt, sh, ranges[i], recv)
 		}(i)
 	}
 	wg.Wait()
@@ -644,27 +649,53 @@ func (c *Coordinator) runPrefixSharded(ctx context.Context, id string, ps experi
 	return res, true
 }
 
-// point is one served point's record: its space version, its carve,
-// and the answers the fleet gave for it. A worker's answer is a pure
-// function of the point and its space version, so the record keeps,
-// per worker path (the whole point's or one prefix range's), the last
-// body the coordinator accepted and what it decoded to, and for a
-// carved point the last merged Result and the answers it was merged
-// from. Records are replaced, never added to, per path, and only
-// schema-validated points reach here, so they stay bounded by the
+// point is one served point's record: its worker URIs, its space
+// version, its carve split into rendered ranges, and the answers the
+// fleet gave for it. The URIs are rendered once: the whole fetch's
+// when the record is made, each range's when its split count is first
+// seen, so no request renders, escapes or parses a URI. A worker's
+// answer is a pure function of the point and its space version, so
+// the record keeps, per worker path (the whole point's or one prefix
+// range's), the last body the coordinator accepted and what it decoded
+// to, and for a carved point the last merged Result and the answers it
+// was merged from. Records are replaced, never added to, per path, and
+// only schema-validated points reach here, so they stay bounded by the
 // served space: one per point and fetched path, whose ranges are split
 // from at most as many selectable-worker counts as the fleet has
 // workers. Everything a record holds is shared across requests and
 // read-only.
 type point struct {
-	// space is experiments.SpaceVersion of the point's experiment: the
-	// generation header every answer for the point must carry.
-	space   string
+	// id and params name the point (params is its canonical rendering,
+	// "" at the default point); space is experiments.SpaceVersion of
+	// id: the generation header every answer for the point must carry.
+	id, params, space string
+	// path is the point's worker URI path and rawPath its escaped
+	// form, each appended to the worker's own (url.URL's Path and
+	// RawPath); query is the start of every fetch's query: every
+	// parameter spelled out ("i0=0&i1=1&k=3&"), so any worker resolves
+	// the same canonical point, and nothing at the default point, whose
+	// URIs are the plain id's. whole is the whole fetch's query.
+	path, rawPath, query, whole string
+
 	mu      sync.Mutex
 	roots   func() ([][]int, error)
+	splits  map[int][]span // the carve's ranges, per range count
 	answers map[string]*answer
 	merged  []*answer // the answers res was merged from
 	res     experiments.Result
+}
+
+// span is one range of a point's carve, rendered: its canonical
+// ?prefixes= value and the query a fetch of it sends, which also names
+// its answer in the point's record.
+type span struct {
+	prefixes, query string
+}
+
+// pointKey names one point record: an experiment id and a canonical
+// point.
+type pointKey struct {
+	id, params string
 }
 
 // answer is one accepted worker body and what it decoded to.
@@ -682,14 +713,33 @@ type answer struct {
 // point returns the record of one point, keyed by id and canonical
 // point, so every spelling of a point shares it.
 func (c *Coordinator) point(id string, ps experiments.ParamSet) *point {
-	key := id + "\x00" + ps.Canonical()
+	key := pointKey{id, ps.Canonical()}
 	c.pointsMu.Lock()
 	defer c.pointsMu.Unlock()
 	pt, ok := c.points[key]
 	if !ok {
-		pt = &point{space: experiments.SpaceVersion(id), answers: make(map[string]*answer)}
+		pt = newPoint(id, ps)
 		c.points[key] = pt
 	}
+	return pt
+}
+
+// newPoint makes the record of one point, rendering its whole fetch's
+// URI.
+func newPoint(id string, ps experiments.ParamSet) *point {
+	pt := &point{
+		id:      id,
+		params:  ps.Canonical(),
+		space:   experiments.SpaceVersion(id),
+		path:    "/experiments/" + id,
+		rawPath: "/experiments/" + url.PathEscape(id),
+		splits:  make(map[int][]span),
+		answers: make(map[string]*answer),
+	}
+	if pt.params != "" {
+		pt.query = ps.Query() + "&"
+	}
+	pt.whole = pt.query + "format=json"
 	return pt
 }
 
@@ -708,6 +758,26 @@ func (pt *point) carve(sh experiments.Shardable) ([][]int, error) {
 	roots := pt.roots
 	pt.mu.Unlock()
 	return roots()
+}
+
+// split returns roots, the point's carve, split into at most n
+// contiguous ranges (splitRanges) with each range's prefixes and
+// worker query rendered on the first request for n: every later one
+// sends the same strings.
+func (pt *point) split(roots [][]int, n int) []span {
+	pt.mu.Lock()
+	defer pt.mu.Unlock()
+	if spans, ok := pt.splits[n]; ok {
+		return spans
+	}
+	ranges := splitRanges(roots, n)
+	spans := make([]span, len(ranges))
+	for i, rng := range ranges {
+		prefixes := experiments.FormatPrefixes(rng)
+		spans[i] = span{prefixes: prefixes, query: pt.query + "prefixes=" + url.QueryEscape(prefixes)}
+	}
+	pt.splits[n] = spans
+	return spans
 }
 
 // answer returns the recorded answer of one worker path, or nil.
@@ -786,9 +856,8 @@ func splitRanges(roots [][]int, n int) [][][]int {
 // the range or the context is done; the caller then serves the point
 // whole. recv is non-nil for the carve's first range, whose aggregate
 // the merge folds into (fetchSlice).
-func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, roots [][]int, recv *experiments.Aggregate) *answer {
+func (c *Coordinator) runRange(ctx context.Context, pt *point, sh experiments.Shardable, rng span, recv *experiments.Aggregate) *answer {
 	reqID := trace.IDFrom(ctx)
-	prefixes := experiments.FormatPrefixes(roots)
 	tried := make(map[*worker]bool)
 	for {
 		w := c.pick(tried)
@@ -796,15 +865,15 @@ func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps exp
 			return nil // fleet exhausted for this range
 		}
 		tried[w] = true
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base, Range: prefixes,
-			Detail: fmt.Sprintf("in-flight %d", w.inflight.Load())})
+		c.journal.Add(reqID, trace.Event{Kind: trace.KindWorkerSelected, Worker: w.base, Range: rng.prefixes,
+			Detail: inFlightDetail(w)})
 		fetchStart := time.Now()
-		ans, err := c.fetchSlice(ctx, w, pt, id, ps, sh, prefixes, recv)
+		ans, err := c.fetchSlice(ctx, w, pt, sh, rng, recv)
 		w.inflight.Add(-1)
 		if err == nil {
 			c.prefixRemote.Add(1)
-			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base, Range: prefixes,
-				Detail: fmt.Sprintf("fetched slice in %v", time.Since(fetchStart).Round(time.Microsecond))})
+			c.journal.Add(reqID, trace.Event{Kind: trace.KindFetch, Worker: w.base, Range: rng.prefixes,
+				Detail: "fetched slice in " + sinceDetail(fetchStart)})
 			return ans
 		}
 		if ctx.Err() != nil {
@@ -812,10 +881,22 @@ func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps exp
 		}
 		c.failovers.Add(1)
 		c.rangesReassigned.Add(1)
-		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Range: prefixes,
+		c.journal.Add(reqID, trace.Event{Kind: trace.KindRetry, Worker: w.base, Range: rng.prefixes,
 			Detail: err.Error()})
-		c.logReq(reqID, "shard: %s range %s on %s failed (%v); reassigning", id, prefixes, w.base, err)
+		c.logReq(reqID, "shard: %s range %s on %s failed (%v); reassigning", pt.id, rng.prefixes, w.base, err)
 	}
+}
+
+// inFlightDetail is a worker_selected event's detail: the worker's
+// in-flight count, this pick's slot included.
+func inFlightDetail(w *worker) string {
+	return "in-flight " + strconv.FormatInt(w.inflight.Load(), 10)
+}
+
+// sinceDetail renders the time since start, to the microsecond, for a
+// journal event's detail.
+func sinceDetail(start time.Time) string {
+	return time.Since(start).Round(time.Microsecond).String()
 }
 
 // fetchSlice retrieves one prefix range's answer from one worker,
@@ -827,19 +908,18 @@ func (c *Coordinator) runRange(ctx context.Context, pt *point, id string, ps exp
 // see runRange) a fresh decode goes to *recv alone, and a reused
 // answer brings none; no other range's path can name the first range,
 // so every other recorded answer carries its decode.
-func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, id string, ps experiments.ParamSet, sh experiments.Shardable, prefixes string, recv *experiments.Aggregate) (*answer, error) {
-	params := ps.Canonical()
-	return c.fetchWorker(ctx, w, pt, pointPath(id, ps)+"prefixes="+url.QueryEscape(prefixes), func(body []byte) (*answer, error) {
+func (c *Coordinator) fetchSlice(ctx context.Context, w *worker, pt *point, sh experiments.Shardable, rng span, recv *experiments.Aggregate) (*answer, error) {
+	return c.fetchWorker(ctx, w, pt, rng.query, func(body []byte) (*answer, error) {
 		env, err := experiments.DecodeShard(bytes.NewReader(body))
 		if err != nil {
 			return nil, err
 		}
-		if env.ID != id || env.Prefixes != prefixes || env.Params != params {
+		if env.ID != pt.id || env.Prefixes != rng.prefixes || env.Params != pt.params {
 			return nil, fmt.Errorf("shard envelope for %s %s params %q, want %s %s params %q",
-				env.ID, env.Prefixes, env.Params, id, prefixes, params)
+				env.ID, env.Prefixes, env.Params, pt.id, rng.prefixes, pt.params)
 		}
-		if want := experiments.SpaceVersion(id); env.SpaceVersion != want {
-			return nil, fmt.Errorf("worker space %s, want %s", env.SpaceVersion, want)
+		if env.SpaceVersion != pt.space {
+			return nil, fmt.Errorf("worker space %s, want %s", env.SpaceVersion, pt.space)
 		}
 		agg, err := sh.Decode(env.Aggregate)
 		if err != nil {
@@ -887,13 +967,14 @@ func (c *Coordinator) pick(tried map[*worker]bool) *worker {
 // to rotation. Both the whole-experiment and the prefix-slice paths go
 // through here so the failover policy cannot diverge between them.
 //
-// The body is read whole and returned as pt's answer for
-// pathAndQuery. A body byte-identical to the recorded answer's is that
+// The request is GET of pt's path with query, one of the URIs pt
+// rendered, and the body is read whole and returned as pt's answer for
+// query. A body byte-identical to the recorded answer's is that
 // answer: every check decode makes is a function of the body and the
-// path, so none is run again. Any other body goes through decode, and
+// URI, so none is run again. Any other body goes through decode, and
 // the answer decode builds from it replaces the record; a body decode
 // rejects never enters it.
-func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pt *point, pathAndQuery string, decode func(body []byte) (*answer, error)) (*answer, error) {
+func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pt *point, query string, decode func(body []byte) (*answer, error)) (*answer, error) {
 	select {
 	case w.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -906,7 +987,7 @@ func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pt *point, pat
 	// too: a worker failing fast must not look fast and healthy.
 	start := time.Now()
 	w.fetches.Add(1)
-	ans, err := c.fetchWorkerLocked(ctx, w, pt, pathAndQuery, decode)
+	ans, err := c.fetchWorkerLocked(ctx, w, pt, query, decode)
 	w.lat.Record(time.Since(start))
 	if err != nil {
 		w.errors.Add(1)
@@ -919,24 +1000,37 @@ func (c *Coordinator) fetchWorker(ctx context.Context, w *worker, pt *point, pat
 // nothing of its own.
 var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// traceHeaderKey is trace.Header in the canonical form http.Header
+// keys take, so a fetch sets it without canonicalizing it again.
+var traceHeaderKey = http.CanonicalHeaderKey(trace.Header)
+
 // fetchWorkerLocked is fetchWorker's body, split out so the latency
 // and error accounting wraps every return path exactly once.
-func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *point, pathAndQuery string, decode func(body []byte) (*answer, error)) (*answer, error) {
+//
+// The request goes straight to the client's transport: the coordinator
+// follows no redirect and keeps no cookie, so http.Client.Do's layer
+// would only copy the request's headers. A transport error is wrapped
+// as Do wraps it, so log lines and journal events name the URL.
+func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *point, query string, decode func(body []byte) (*answer, error)) (*answer, error) {
+	if w.url == nil {
+		return nil, fmt.Errorf("bad worker address %q", w.base)
+	}
 	ctx, cancel := context.WithTimeout(ctx, c.reqTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.base+pathAndQuery, nil)
-	if err != nil {
-		return nil, err
-	}
+	u := *w.url
+	u.Path, u.RawPath, u.RawQuery = w.url.Path+pt.path, w.url.EscapedPath()+pt.rawPath, query
+	header := make(http.Header, 1)
 	// The trace ID crosses the process boundary here: the worker
 	// journals its slice-cache and exploration decisions under the same
 	// ID the coordinator journals selection under.
 	reqID := trace.IDFrom(ctx)
 	if reqID != "" {
-		req.Header.Set(trace.Header, reqID)
+		header[traceHeaderKey] = []string{reqID}
 	}
-	resp, err := c.client.Do(req)
+	req := (&http.Request{Method: http.MethodGet, URL: &u, Header: header}).WithContext(ctx)
+	resp, err := c.client.Transport.RoundTrip(req)
 	if err != nil {
+		err = &url.Error{Op: "Get", URL: u.String(), Err: err}
 		if ctx.Err() == nil {
 			c.evict(w)
 			c.journal.Add(reqID, trace.Event{Kind: trace.KindEvict, Worker: w.base, Detail: err.Error()})
@@ -965,14 +1059,14 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *poin
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
-	ans := pt.answer(pathAndQuery)
+	ans := pt.answer(query)
 	if ans == nil || !bytes.Equal(ans.body, buf.Bytes()) {
 		body := bytes.Clone(buf.Bytes())
 		if ans, err = decode(body); err != nil {
 			return nil, err
 		}
 		ans.body = body
-		pt.record(pathAndQuery, ans)
+		pt.record(query, ans)
 	}
 	// A success returns w to full rotation; only a real revival, not
 	// every success, is logged and journaled.
@@ -983,25 +1077,13 @@ func (c *Coordinator) fetchWorkerLocked(ctx context.Context, w *worker, pt *poin
 	return ans, nil
 }
 
-// pointPath is the worker URI of one point of an experiment, up to
-// and including the "?" its caller's own query key follows: every
-// parameter spelled out, so any worker resolves the same canonical
-// point — and none at the default point, whose URIs are the plain
-// id's.
-func pointPath(id string, ps experiments.ParamSet) string {
-	path := "/experiments/" + url.PathEscape(id) + "?"
-	if ps.Canonical() != "" {
-		path += ps.Query() + "&"
-	}
-	return path
-}
-
 // fetch retrieves one point of an experiment whole from one worker.
 // The Result is the point's recorded answer: its Table is shared and
 // read-only, and it carries stored response bodies, so a front door
 // encodes each format once per accepted body.
 func (c *Coordinator) fetch(ctx context.Context, w *worker, id string, ps experiments.ParamSet) (experiments.Result, error) {
-	ans, err := c.fetchWorker(ctx, w, c.point(id, ps), pointPath(id, ps)+"format=json", func(body []byte) (*answer, error) {
+	pt := c.point(id, ps)
+	ans, err := c.fetchWorker(ctx, w, pt, pt.whole, func(body []byte) (*answer, error) {
 		results, err := experiments.DecodeJSON(bytes.NewReader(body))
 		if err != nil {
 			return nil, err

@@ -115,7 +115,8 @@ curl -fs "http://localhost:$PORT/stats" > "$tmp/stats.json"
 hits=$(jq -r '.cache.hits' "$tmp/stats.json")
 misses=$(jq -r '.cache.misses' "$tmp/stats.json")
 echo "warm-bytes: restarted daemon: $hits hits, $misses misses"
-test "$hits" -eq 36 && test "$misses" -eq 0
+test "$hits" -eq 36
+test "$misses" -eq 0
 stop_daemon
 
 # Phase 3: two workers on the same store behind a storeless front
