@@ -16,15 +16,16 @@ test-short:
 	$(GO) test -short -race ./...
 
 # race-sched runs the step runner's tests ten times under the race
-# detector. The step, and the runner state with it, passes from process
-# goroutine to process goroutine, so every way a step changes hands
-# (grant, crash, halt, deadlock, budget, scheduler error, panic) is
-# exercised repeatedly, and so are the kept runners of serial
-# explorations running side by side (TestExplorePrefixesPooledFrontier,
-# TestExploreParallel*). It also runs Algorithm 1's memo tests
-# (internal/agreement, TestAlg1Memo*, about 35 s): a memo exploration
-# resets one system's memory between replays while the kept runner's
-# goroutines are still returning from the last one.
+# detector. Each process is a coroutine (iter.Pull) that the caller's
+# goroutine resumes, and the step, with the runner state, passes from
+# coroutine to coroutine through that driver, so every way a step
+# changes hands (start, grant, crash, halt, deadlock, budget, scheduler
+# error, panic) is exercised repeatedly, and so are the kept runners of
+# serial explorations running side by side
+# (TestExplorePrefixesPooledFrontier, TestExploreParallel*). It also
+# runs Algorithm 1's memo tests (internal/agreement, TestAlg1Memo*,
+# about 20 s): a memo exploration resets one system's memory between
+# replays, which the kept runner's coroutines then read.
 race-sched:
 	$(GO) test -race -count=10 -run '^(TestRun|TestStepWhen|TestSolo|TestCrashAt|TestDecisionTrace|TestProgramOrder|TestRoundRobin|TestRandom|TestReplay|TestExplorePrefixesPooledFrontier|TestExploreParallel)' ./internal/sched
 	$(GO) test -race -count=10 -run '^TestAlg1Memo' ./internal/agreement

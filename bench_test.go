@@ -500,10 +500,14 @@ func BenchmarkCarve(b *testing.B) {
 }
 
 // BenchmarkSchedHandshake measures the raw cost of one scheduler-gated
-// step (the simulator's unit of work), 1000 steps per op. With one
-// process the stepping goroutine keeps the step every time (no
-// handoff); with two under RoundRobin every step hands it to the other
-// process.
+// step (the simulator's unit of work), one sched.Run per op. solo and
+// handoff take 1000 steps per op: with one process the stepping process
+// keeps the step every time (no switch); with two under RoundRobin every
+// step hands it to the other process through the driver loop (two
+// coroutine switches). halt prices one unwind: a scheduler halts two
+// processes after four handed-off steps, so the process holding the step
+// and the parked one each unwind by a crash panic, as when a memo probe
+// halts a replay; its op also makes and stops the run's two coroutines.
 func BenchmarkSchedHandshake(b *testing.B) {
 	stepper := func(p *sched.Proc) error {
 		for i := 0; i < 1000/p.N; i++ {
@@ -515,9 +519,11 @@ func BenchmarkSchedHandshake(b *testing.B) {
 		name  string
 		procs []sched.ProcFunc
 		sch   func() sched.Scheduler
+		steps int
 	}{
-		{"solo", []sched.ProcFunc{stepper}, func() sched.Scheduler { return sched.Lowest{} }},
-		{"handoff", []sched.ProcFunc{stepper, stepper}, func() sched.Scheduler { return &sched.RoundRobin{} }},
+		{"solo", []sched.ProcFunc{stepper}, func() sched.Scheduler { return sched.Lowest{} }, 1000},
+		{"handoff", []sched.ProcFunc{stepper, stepper}, func() sched.Scheduler { return &sched.RoundRobin{} }, 1000},
+		{"halt", []sched.ProcFunc{stepper, stepper}, func() sched.Scheduler { return &haltAfter{steps: 4} }, 4},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
@@ -526,9 +532,24 @@ func BenchmarkSchedHandshake(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(1000, "steps/op")
+			b.ReportMetric(float64(bc.steps), "steps/op")
 		})
 	}
+}
+
+// haltAfter hands the step round robin for its first steps decisions,
+// then halts the run.
+type haltAfter struct {
+	sched.RoundRobin
+	steps int
+}
+
+func (s *haltAfter) Next(enabled []int) sched.Decision {
+	if s.steps == 0 {
+		return sched.Decision{Pid: sched.Halt}
+	}
+	s.steps--
+	return s.RoundRobin.Next(enabled)
 }
 
 // BenchmarkMemorySnapshot measures the atomic snapshot primitive.

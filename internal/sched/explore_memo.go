@@ -190,7 +190,7 @@ func ExploreMemoPrefixes(factory func() MemoInstance, opts MemoOptions, roots []
 	// pooled per active DFS frame and recycled across sibling subtrees.
 	// The Result and the runner are idle once a replay's Leaf has run,
 	// so the whole DFS shares one of each: one kept runner whose
-	// process goroutines serve every replay, stopped however the
+	// process coroutines serve every replay, stopped however the
 	// exploration returns.
 	res := &Result{}
 	var rn *runner

@@ -1,30 +1,33 @@
+//go:build go1.23
+
 // Package sched implements the asynchronous execution model of the paper:
 // n deterministic processes take atomic steps on a shared memory, with the
 // interleaving chosen by an adversary (the Scheduler), and crash failures
 // that permanently stop a process.
 //
-// Each process runs in its own goroutine (goroutines model asynchrony), and
-// every shared-memory operation is gated by Step: the process blocks until
-// the scheduler grants it the step. There is no central runner. The step is
-// a baton held by exactly one process goroutine: the one that just reached
-// Step, or one that just returned or was crashed. The holder asks the
-// Scheduler for the next decision itself. If it chose itself it simply
-// continues, with no channel operation; otherwise it hands the baton to the
-// chosen process with one send on that process's grant channel and parks.
-// Before the first grant the processes run concurrently up to their first
-// Step, where an atomic arrival count lets the last to arrive take the
-// baton.
+// Each process runs as a coroutine (iter.Pull) resumed from the goroutine
+// that calls Run, and every shared-memory operation is gated by Step: the
+// process parks until the scheduler grants it the step. The step is a
+// baton held by exactly one process: the one that just reached Step, or
+// one that just returned or was crashed. The holder asks the Scheduler
+// for the next decision itself. If it chose itself it simply continues,
+// with no switch; otherwise it yields the chosen pid to the driver loop,
+// which resumes that process: two coroutine switches, and no goroutine is
+// scheduled or woken. The driver starts the processes in pid order, each
+// up to its first Step, and then makes the first decision itself.
 //
-// Atomicity holds because exactly one process goroutine runs between
-// grants: every other live process is parked at a step, so register
-// operations are atomic exactly as in the paper's model (§2: "two
-// concurrent accesses to a same register never occur"), and the Scheduler,
-// the enabling conditions and the Result are used only by the baton holder.
-// Each handoff is a channel send (or, at the start, the arrival count), so
-// one holder's writes happen before the next holder's reads.
+// Atomicity holds because exactly one of the driver and the coroutines
+// runs at a time: every other live process is parked at a step, so
+// register operations are atomic exactly as in the paper's model (§2:
+// "two concurrent accesses to a same register never occur"), and the
+// Scheduler, the enabling conditions and the Result are used only by the
+// holder. Every switch synchronises, so one holder's writes happen before
+// the next holder's reads.
 //
-// Crashes are scheduler decisions: a process whose step request is answered
-// with a crash unwinds its goroutine and never takes another step.
+// Crashes are scheduler decisions: a process whose step request is
+// answered with a crash unwinds its function and never takes another
+// step. Its coroutine lives on, parked until the next run or the end of
+// its runner.
 //
 // Every explorer is serial: the exhaustive replay DFS (Explore, ExploreAll,
 // ExplorePrefixes), the canonical-state memo (ExploreMemo,
@@ -33,13 +36,12 @@
 // caller's: several explorations at once are several calls, each over its
 // own freshly built systems.
 //
-// A one-shot Run starts its process goroutines and they end with it. The
-// explorers replay one system thousands of times, so each keeps one runner
-// whose process goroutines outlive a run: the first replay starts them,
-// every later one hands each goroutine its next process function over a
-// per-slot channel, and the explorer stops the runner on every way it
-// returns, panics included. A replay then starts no goroutine and runs on
-// stacks already grown by the ones before it.
+// A one-shot Run makes its coroutines and stops them before it returns.
+// The explorers replay one system thousands of times, so each keeps one
+// runner whose coroutines outlive a run: each loops over the process
+// function every replay hands it, and the explorer stops the runner on
+// every way it returns, panics included. A replay then starts no
+// goroutine and runs on stacks already grown by the ones before it.
 //
 // A run records counters and outcomes, not a per-step trace, so its
 // allocations do not grow with its length. The explorers read the path a
@@ -49,9 +51,8 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // Decision is a scheduler's answer: which process takes the next step, and
@@ -172,7 +173,7 @@ var (
 	ErrBudget = errors.New("sched: step budget exceeded")
 )
 
-// crashSignal unwinds a crashed process's goroutine. It never escapes the
+// crashSignal unwinds a crashed process's function. It never escapes the
 // package: the per-process wrapper recovers it.
 type crashSignal struct{}
 
@@ -188,8 +189,8 @@ type Proc struct {
 }
 
 // Step blocks until the scheduler grants this process its next atomic step.
-// If the adversary crashes the process instead, the goroutine unwinds (the
-// process function never resumes).
+// If the adversary crashes the process instead, the process function
+// unwinds (it never resumes).
 func (p *Proc) Step() { p.StepWhen(nil) }
 
 // StepWhen is Step with an enabling condition: the scheduler will only
@@ -201,86 +202,72 @@ func (p *Proc) Step() { p.StepWhen(nil) }
 func (p *Proc) StepWhen(ready func() bool) {
 	r, s := p.r, &p.r.slots[p.ID]
 	s.ready, s.parked = ready, true
-	if !s.arrived {
-		s.arrived = true
-		if !r.arrive() {
-			r.await(p.ID)
-			return
-		}
-	}
-	if !r.pass(p.ID) {
-		r.await(p.ID)
+	if r.starting {
+		r.await(p.ID, Halt) // the driver starts the next process
+	} else if next := r.pass(p.ID); next != p.ID {
+		r.await(p.ID, next)
 	}
 }
 
-// runner is the shared state of one run. Once every process has arrived
-// at its first step (or returned before it), only the goroutine holding
-// the step reads or writes it. Its process count is len(slots).
+// runner is the shared state of one run and the coroutines that run its
+// processes. Only the holder of the step, a process or the driver, reads
+// or writes it, and only the driver resumes a coroutine. Its process
+// count is len(slots).
 type runner struct {
 	procs []Proc
 	slots []procSlot
-	done  chan struct{}
-	keep  *keeper // nil on a one-shot runner (Run's)
-
-	// arrivals counts processes that reached their first step or
-	// returned before it; the n-th arrival takes the step.
-	arrivals atomic.Int32
+	kept  bool // an explorer's: stopped by its owner, not by each run
 
 	sched    Scheduler
 	maxSteps int
 	res      *Result
 	enabled  []int // the current decision's enabled set, rebuilt for each
 	live     int   // processes not yet returned or crashed
+	starting bool  // the driver is running each process up to its first step
 	abort    bool  // the run is over: unwind every parked process
 	err      error // the scheduler broke its contract
 }
 
-// keeper is the part of a kept runner that outlives a run: the first run
-// starts the process goroutines, each later run hands goroutine i its
-// function over start[i], and stop ends them. The explorer that owns a
-// kept runner calls stop on every way it returns. A one-shot runner has
-// none, and its goroutines end with their run.
-type keeper struct {
-	start   []chan ProcFunc
-	started bool           // the first run has started the goroutines
-	exited  sync.WaitGroup // counts the goroutines out after stop
-}
-
-// procSlot is one process's part of the runner. Before the n-th arrival
-// each process writes only its own slot.
+// procSlot is one process's part of the runner: its coroutine, and its
+// state in the current run.
 type procSlot struct {
-	grant    chan bool
+	next  func() (int, bool) // resumes the coroutine, returning the pid it yields
+	stop  func()             // ends the coroutine
+	yield func(int) bool     // the coroutine's side: hands the driver a pid and parks
+	fn    ProcFunc           // the current run's process function
+
 	ready    func() bool // the pending step's enabling condition
-	parked   bool        // waiting at a step for its grant
-	arrived  bool        // reached its first step, or returned before it
-	panicked any         // a panic recovered from the process goroutine
+	parked   bool        // waiting at a step to be resumed
+	grant    bool        // resumed with the step; false crashes it
+	panicked any         // a panic recovered from the process function
 }
 
-// newRunner builds the grant channels for an n-process run, and a
-// keeper if the runner is kept. Every channel is drained by the time a
-// run returns, so a runner is reusable across replays of same-arity
-// systems.
+// newRunner makes the coroutines of an n-process runner. A kept runner
+// (an explorer's) runs every replay of one system until its owner stops
+// it; a one-shot runner (Run's) is stopped by its run.
 func newRunner(n int, kept bool) *runner {
 	r := &runner{
 		procs:   make([]Proc, n),
 		slots:   make([]procSlot, n),
-		done:    make(chan struct{}),
+		kept:    kept,
 		enabled: make([]int, 0, n),
 	}
-	for i := range r.slots {
-		r.procs[i] = Proc{ID: i, N: n, r: r}
-		r.slots[i].grant = make(chan bool)
-	}
-	if kept {
-		r.keep = &keeper{start: make([]chan ProcFunc, n)}
-		for i := range r.keep.start {
-			// One slot of buffer: a replay hands out its functions
-			// without waiting for a goroutine still returning from the
-			// last run.
-			r.keep.start[i] = make(chan ProcFunc, 1)
-		}
+	for pid := range r.slots {
+		r.procs[pid] = Proc{ID: pid, N: n, r: r}
+		r.slots[pid].next, r.slots[pid].stop = iter.Pull(r.coroutine(pid))
 	}
 	return r
+}
+
+// coroutine is process pid's coroutine. It runs the process function
+// each run hands it, then yields the pid its exit handed the step to and
+// parks until the next run starts it again, or stop ends it.
+func (r *runner) coroutine(pid int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		r.slots[pid].yield = yield
+		for yield(r.runProc(pid)) {
+		}
+	}
 }
 
 // keptRunner returns rn if it runs n processes. Otherwise it stops rn
@@ -294,17 +281,17 @@ func keptRunner(rn *runner, n int) *runner {
 	return newRunner(n, true)
 }
 
-// stop ends a kept runner's process goroutines after its last run: it
-// closes their start channels and returns once every one has exited. It
-// is a no-op on a nil runner or one that never ran.
+// stop ends the runner's coroutines, each parked where its last process
+// function ended, or not yet started. The explorer that owns a kept
+// runner calls it on every way it returns; a one-shot runner's run calls
+// it before returning. It is a no-op on a nil or stopped runner.
 func (r *runner) stop() {
-	if r == nil || !r.keep.started {
+	if r == nil {
 		return
 	}
-	for _, c := range r.keep.start {
-		close(c)
+	for i := range r.slots {
+		r.slots[i].stop()
 	}
-	r.keep.exited.Wait()
 }
 
 // Run executes the processes under the configured scheduler until every
@@ -320,9 +307,11 @@ func Run(cfg Config, procs []ProcFunc) (*Result, error) {
 // runInto is Run with reusable buffers for replay loops: res is reset
 // and reused when non-nil (its contents are valid until the next
 // runInto call with the same res), and rn, which must run len(procs)
-// processes, is reused when non-nil. Passing nil for both is Run. On a
-// kept rn the first run starts the process goroutines and every later
-// one hands them procs; a panic raised here leaves rn idle, ready for
+// processes, is reused when non-nil. Passing nil for both is Run. The
+// calling goroutine drives the run: it resumes each coroutine up to its
+// process's first step, in pid order, makes the first decision, and then
+// resumes whichever process each holder hands the step to until every
+// process has ended. A panic raised here leaves a kept rn idle, ready for
 // its owner's stop.
 func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, error) {
 	n := len(procs)
@@ -346,30 +335,21 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 	}
 	res.reset(n)
 	r.sched, r.maxSteps, r.res = cfg.Scheduler, maxSteps, res
-	r.live, r.abort, r.err = 0, false, nil
-	r.arrivals.Store(0)
-	for i := range r.slots {
-		s := &r.slots[i]
-		s.ready, s.parked, s.arrived, s.panicked = nil, false, false, nil
-	}
+	r.live, r.abort, r.err = n, false, nil
 
-	switch k := r.keep; {
-	case k == nil:
-		for i, fn := range procs {
-			go r.runProc(i, fn)
-		}
-	case !k.started:
-		k.started = true
-		k.exited.Add(n)
-		for i, fn := range procs {
-			go r.serve(i, fn)
-		}
-	default:
-		for i, fn := range procs {
-			k.start[i] <- fn
-		}
+	r.starting = true
+	for pid := range r.slots {
+		s := &r.slots[pid]
+		s.fn, s.ready, s.parked, s.panicked = procs[pid], nil, false, nil
+		s.next()
 	}
-	<-r.done
+	r.starting = false
+	for pid := r.passExited(Halt); pid != Halt; {
+		pid, _ = r.slots[pid].next()
+	}
+	if !r.kept {
+		r.stop()
+	}
 
 	r.sched, r.res = nil, nil
 	for pid := range r.slots {
@@ -383,41 +363,26 @@ func runInto(cfg Config, procs []ProcFunc, res *Result, rn *runner) (*Result, er
 	return res, nil
 }
 
-// serve is one process goroutine of a kept runner: it runs fn, then the
-// function each later run hands it, until stop closes its channel.
-func (r *runner) serve(pid int, fn ProcFunc) {
-	defer r.keep.exited.Done()
-	for ok := true; ok; fn, ok = <-r.keep.start[pid] {
-		r.runProc(pid, fn)
-	}
-}
-
-// runProc runs one process of a run on its goroutine: it runs fn,
-// records how it ended, and passes the step on. It touches no runner
-// state after passing the step, so the next run may reset the runner
-// while this goroutine is still returning.
-func (r *runner) runProc(pid int, fn ProcFunc) {
-	rec, err := call(fn, &r.procs[pid])
+// runProc runs process pid's function for the current run in its
+// coroutine, records how it ended, and returns the pid the driver
+// resumes next: the one its exit hands the step to, or Halt when the run
+// is over or when the process ended before its first step, since the
+// driver makes the first decision.
+func (r *runner) runProc(pid int) int {
 	s := &r.slots[pid]
-	if !s.arrived {
-		// Ended before its first step: the run has no holder yet, so
-		// only this process's own slot may be written.
-		s.arrived, s.panicked = true, rec
+	rec, err := call(s.fn, &r.procs[pid])
+	s.parked = false
+	r.live--
+	if !r.res.Crashed[pid] {
 		r.res.Errs[pid] = err
-		if !r.arrive() {
-			return
-		}
-	} else {
-		s.parked = false
-		r.live--
-		if !r.res.Crashed[pid] {
-			r.res.Errs[pid] = err
-		}
-		if rec != nil {
-			s.panicked, r.abort = rec, true
-		}
 	}
-	r.passExited(pid)
+	if rec != nil {
+		s.panicked, r.abort = rec, true
+	}
+	if r.starting {
+		return Halt
+	}
+	return r.passExited(pid)
 }
 
 // call runs a process function, turning the crash unwind into a return
@@ -433,57 +398,48 @@ func call(fn ProcFunc, p *Proc) (rec any, err error) {
 	return nil, fn(p)
 }
 
-// arrive counts one arrival and reports whether it was the last, in which
-// case the caller takes the step: it tallies the live processes and
-// aborts the run if one panicked before its first step.
-func (r *runner) arrive() bool {
-	if int(r.arrivals.Add(1)) < len(r.slots) {
-		return false
-	}
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.parked {
-			r.live++
-		}
-		if s.panicked != nil {
-			r.abort = true
-		}
-	}
-	return true
-}
-
-// await parks a process until the holder grants it the step, and unwinds
-// it if the holder crashes it instead.
-func (r *runner) await(pid int) {
-	if !<-r.slots[pid].grant {
+// await parks process pid, handing the driver next: the process to
+// resume, or Halt while the driver is starting the processes. It returns
+// when the driver resumes pid with the step, and unwinds pid if it is
+// resumed with a crash instead.
+func (r *runner) await(pid, next int) {
+	s := &r.slots[pid]
+	s.yield(next)
+	if !s.grant {
 		panic(crashSignal{})
 	}
 }
 
-// passExited is pass for a holder that has returned or unwound. A panic
-// in the Scheduler or an enabling condition here has no process function
-// above it to unwind, so it is recorded against the holder and the run
-// aborted; the abort path calls neither.
-func (r *runner) passExited(pid int) {
+// passExited is pass for a holder with no process function above it to
+// unwind: process self once it has returned or unwound, or the driver
+// (self == Halt) making the first decision. A panic in the Scheduler or
+// an enabling condition here is recorded against self, or against the
+// last process started if the driver was deciding, and the run aborted;
+// the abort path calls neither.
+func (r *runner) passExited(self int) (next int) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.slots[pid].panicked, r.abort = rec, true
-			r.pass(pid)
+			blame := self
+			if blame == Halt {
+				blame = len(r.slots) - 1
+			}
+			r.slots[blame].panicked, r.abort = rec, true
+			next = r.pass(self)
 		}
 	}()
-	r.pass(pid)
+	return r.pass(self)
 }
 
-// pass runs on the goroutine holding the step once process self has
-// parked at a step or exited. It makes the next scheduling decision and
-// reports whether self takes the step; otherwise the step has passed to
-// another process and a parked self must await its grant. A decision to
-// crash self unwinds self directly.
-func (r *runner) pass(self int) bool {
+// pass runs on the holder of the step: process self, parked at a step
+// or just ended, or the driver (self == Halt). It makes the next
+// scheduling decision and returns the process that runs next: self if
+// it keeps the step, another for the driver to resume with the step or a
+// crash, or Halt once every process has ended. A decision to crash self
+// unwinds self directly.
+func (r *runner) pass(self int) int {
 	res := r.res
 	if r.live == 0 {
-		r.done <- struct{}{}
-		return false
+		return Halt
 	}
 	if r.abort {
 		return r.unwind(self)
@@ -505,44 +461,42 @@ func (r *runner) pass(self int) bool {
 		r.err = fmt.Errorf("sched: scheduler chose pid %d not in enabled set %v", d.Pid, enabled)
 		return r.unwind(self)
 	}
-	s := &r.slots[d.Pid]
-	s.parked = false
 	if d.Crash {
-		res.Crashed[d.Pid] = true
-		if d.Pid == self {
-			panic(crashSignal{})
-		}
-		s.grant <- false
-		return false
+		return r.crash(self, d.Pid)
 	}
+	s := &r.slots[d.Pid]
+	s.parked, s.grant = false, true
 	res.Steps[d.Pid]++
 	res.TotalSteps++
-	if d.Pid == self {
-		return true
-	}
-	s.grant <- true
-	return false
+	return d.Pid
 }
 
 // unwind aborts the run by crashing one parked process, self first. Each
 // crashed process passes the step on as it unwinds, so the chain ends
-// with the last live process signalling done.
-func (r *runner) unwind(self int) bool {
+// with the last live process handing the driver Halt.
+func (r *runner) unwind(self int) int {
 	r.abort = true
 	pid := self
-	if !r.slots[pid].parked {
+	if pid == Halt || !r.slots[pid].parked {
 		pid = 0
 		for !r.slots[pid].parked {
 			pid++
 		}
 	}
-	r.slots[pid].parked = false
+	return r.crash(self, pid)
+}
+
+// crash crashes parked process pid. Self unwinds at once; any other pid
+// is returned for the driver to resume with a false grant, so that it
+// unwinds in its own coroutine.
+func (r *runner) crash(self, pid int) int {
+	s := &r.slots[pid]
+	s.parked, s.grant = false, false
 	r.res.Crashed[pid] = true
 	if pid == self {
 		panic(crashSignal{})
 	}
-	r.slots[pid].grant <- false
-	return false
+	return pid
 }
 
 // enabledSet builds the enabled set in pid order in the runner's one

@@ -3,7 +3,9 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -320,8 +322,9 @@ type badPid struct{}
 func (badPid) Next([]int) Decision { return Decision{Pid: 7} }
 
 // settleGoroutines waits for the goroutine count to fall back to base:
-// a run's process goroutines exit just after handing the step on, so
-// the count is polled rather than read once.
+// every process coroutine a run or an explorer made must have ended.
+// The count is polled rather than read once, so that goroutines a test
+// started itself may finish exiting.
 func settleGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -357,11 +360,18 @@ func (s *panicky) Next(enabled []int) Decision {
 	return Decision{Pid: enabled[0]}
 }
 
+// panicFirst is a scheduler that panics on its first decision, which
+// the runner makes before any process holds the step.
+type panicFirst struct{}
+
+func (panicFirst) Next([]int) Decision { panic("scheduler boom") }
+
 // TestRunProcPanic: a panic in a process, before its first step or
 // after some, is raised again on Run's caller, naming the process, once
 // every other process has unwound. So is a Scheduler panic, against
-// the process whose goroutine was deciding: one at a step, or one that
-// had just returned.
+// the process that was deciding: one at a step, or one that had just
+// returned. A panic in a run's first decision names a process too
+// (which one is the runner's choice), and both parked processes unwind.
 func TestRunProcPanic(t *testing.T) {
 	boom := func(steps int) ProcFunc {
 		return func(p *Proc) error {
@@ -383,6 +393,7 @@ func TestRunProcPanic(t *testing.T) {
 		{"alone before first step", []ProcFunc{boom(0)}, roundRobin, "process 0 panicked: boom"},
 		{"scheduler at a step", stepSystem([]int{2}), func() Scheduler { return &panicky{} }, "process 0 panicked: scheduler boom"},
 		{"scheduler after a return", stepSystem([]int{1, 1}), func() Scheduler { return &panicky{} }, "process 0 panicked: scheduler boom"},
+		{"scheduler at the first decision", stepSystem([]int{2, 2}), func() Scheduler { return panicFirst{} }, "panicked: scheduler boom"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := runtime.NumGoroutine()
@@ -391,11 +402,49 @@ func TestRunProcPanic(t *testing.T) {
 				_, _ = Run(Config{Scheduler: tc.sch()}, tc.procs)
 				return nil
 			}()
-			if got := fmt.Sprint(rec); !strings.Contains(got, tc.want) {
-				t.Fatalf("recovered %q, want it to contain %q", got, tc.want)
+			if got := fmt.Sprint(rec); !strings.Contains(got, tc.want) || !namesProcess.MatchString(got) {
+				t.Fatalf("recovered %q, want it to name a process and contain %q", got, tc.want)
 			}
 			settleGoroutines(t, base)
 		})
+	}
+}
+
+// namesProcess matches the panic the runner raises on Run's caller.
+var namesProcess = regexp.MustCompile(`^sched: process \d+ panicked: `)
+
+// TestRunStartOrder: a run starts its processes one at a time in pid
+// order, each up to its first step, so what they do before that step
+// needs no synchronisation: each appends its pid to one unguarded
+// slice, which must read 0…n−1, on a one-shot run and on a kept runner
+// alike. make race-sched runs it under the race detector.
+func TestRunStartOrder(t *testing.T) {
+	const n = 4
+	var order []int
+	procs := make([]ProcFunc, n)
+	for i := range procs {
+		procs[i] = func(p *Proc) error {
+			order = append(order, p.ID)
+			p.Step()
+			return nil
+		}
+	}
+	rn := newRunner(n, true)
+	defer rn.stop()
+	for round := 0; round < 20; round++ {
+		order = order[:0]
+		var err error
+		if round%2 == 0 {
+			_, err = Run(Config{Scheduler: NewRandom(int64(round))}, procs)
+		} else {
+			_, err = runInto(Config{Scheduler: NewRandom(int64(round))}, procs, nil, rn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{0, 1, 2, 3}; !slices.Equal(order, want) {
+			t.Fatalf("round %d: processes started in order %v, want %v", round, order, want)
+		}
 	}
 }
 
